@@ -28,6 +28,7 @@ TRANSITION_HEADER = ["src_id", "dst_id", "p"]
 COEFFS_HEADER = ["vertex_id", "slice", "filter", "coef"]
 CLASSES_HEADER = ["node_id", "week", "torque", "class", "theta", "a_score"]
 SLICES_HEADER = ["week", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "slice_class"]
+SLICE_LABELS = ("V1", "V2", "V3", "V4", "V5")
 RANKINGS_HEADER = ["node_id", "name", "a_bar", "influential_score",
                    "rank_least_successful", "rank_most_successful"]
 
@@ -294,7 +295,12 @@ def read_slices(path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) != 7:
                 raise ValidationError(f"{path}: line {line}: expected 7 columns")
             sigma_rows.append([_parse_float(v, path, line, "sigma") for v in row[1:6]])
-            classes.append(int(row[6].strip()[1]))
+            label = row[6].strip()
+            if label not in SLICE_LABELS:
+                raise ValidationError(
+                    f"{path}: line {line}: slice_class must be one of V1..V5, got {label!r}"
+                )
+            classes.append(SLICE_LABELS.index(label) + 1)
     return np.array(sigma_rows), np.array(classes, dtype=int)
 
 

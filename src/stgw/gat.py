@@ -1,10 +1,12 @@
 """Two-layer multi-head graph attention network trained on edge classification.
 
-The network is small (hundreds of nodes, full-batch training) so everything is
-plain numpy: forward passes are dense masked-softmax attention, and gradients
-are hand-derived reverse-mode so training stays dependency-free and
-bit-reproducible.  The trained second-layer attention matrix is the transition
-matrix consumed by the strong-product construction.
+Attention runs over the graph's closed neighborhoods only, as an edge list of
+2E + N entries (each edge both ways, plus every node's self-loop): per-head
+logits on the entries, a segment softmax per row, and sparse products for the
+aggregation and its transpose.  Gradients are hand-derived reverse-mode in
+plain numpy/scipy, so training stays dependency-free and bit-reproducible for a
+fixed seed, config and numpy/scipy build.  The trained second-layer attention
+matrix is the transition matrix consumed by the strong-product construction.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
 
 LEAKY_SLOPE = 0.35
 Q_CLAMP = 1e-12
+_EDGE_BLOCK = 256
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
 _SPLIT_CODE = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
@@ -188,58 +191,126 @@ def neighborhood_mask(base: RouteGraph) -> np.ndarray:
     return mask
 
 
-def _as_mask(neighborhoods, n: int) -> np.ndarray:
-    """Accept a RouteGraph, an N x N mask, or per-node neighbor index lists."""
-    if isinstance(neighborhoods, RouteGraph):
-        return neighborhood_mask(neighborhoods)
-    if isinstance(neighborhoods, np.ndarray) and neighborhoods.ndim == 2:
-        mask = neighborhoods.astype(bool)
+@dataclass(frozen=True, eq=False)
+class _Support:
+    """Closed neighborhoods as an edge list: 2E + N entries in CSR order.
+
+    Entry k links node `rows[k]` to `cols[k]`; row i occupies
+    `starts[i]:starts[i + 1]` and always holds its diagonal entry, so no
+    `reduceat` segment is empty.  `by_col` reorders the entries column-major,
+    the CSR order of the transpose.  `fwd` and `bwd` are CSR patterns of A and
+    A^T, built once; each head writes its attention weights into their `.data`
+    before multiplying.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    by_col: np.ndarray
+    fwd: sp.csr_matrix
+    bwd: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return len(self.starts)
+
+    @classmethod
+    def from_pattern(cls, pattern: sp.spmatrix) -> "_Support":
+        pattern = sp.csr_matrix(pattern)
+        pattern.sum_duplicates()  # also sorts each row's column indices
+        pattern.eliminate_zeros()
+        if np.any(pattern.diagonal() == 0):
+            raise ValidationError("every neighborhood must include the node itself")
+        n = pattern.shape[0]
+        indptr, cols = pattern.indptr, pattern.indices
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        by_col = np.argsort(cols, kind="stable")
+        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+        ones = np.ones(len(cols))
+        return cls(rows=rows, cols=cols, starts=indptr[:-1], by_col=by_col,
+                   fwd=sp.csr_matrix((ones, cols, indptr), shape=(n, n)),
+                   bwd=sp.csr_matrix((ones.copy(), rows[by_col], col_ptr), shape=(n, n)))
+
+    @classmethod
+    def of_graph(cls, base: RouteGraph) -> "_Support":
+        return cls.from_pattern(base.adjacency + sp.identity(base.n, format="csr"))
+
+    def matrix(self, alpha: np.ndarray) -> sp.csr_matrix:
+        """A new N x N CSR matrix holding `alpha` on the support."""
+        return sp.csr_matrix((alpha, self.cols.copy(), self.fwd.indptr.copy()),
+                             shape=(self.n, self.n))
+
+
+def _as_support(neighborhoods, n: int) -> _Support:
+    """Accept a support, a RouteGraph, an N x N mask, or per-node neighbor index lists."""
+    if isinstance(neighborhoods, _Support):
+        support = neighborhoods
+    elif isinstance(neighborhoods, RouteGraph):
+        support = _Support.of_graph(neighborhoods)
+    elif isinstance(neighborhoods, np.ndarray) and neighborhoods.ndim == 2:
+        if neighborhoods.shape != (n, n):
+            raise ValidationError("neighborhood mask shape does not match the feature count")
+        support = _Support.from_pattern(sp.csr_matrix(neighborhoods.astype(bool)))
     else:
-        mask = np.zeros((n, n), dtype=bool)
-        for i, nbr in enumerate(neighborhoods):
-            mask[i, list(nbr)] = True
-    if mask.shape != (n, n):
+        nbrs = [np.asarray(list(nbr), dtype=int) for nbr in neighborhoods]
+        rows = np.repeat(np.arange(len(nbrs)), [len(nbr) for nbr in nbrs])
+        cols = np.concatenate(nbrs) if nbrs else np.zeros(0, dtype=int)
+        support = _Support.from_pattern(
+            sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n)))
+    if support.n != n:
         raise ValidationError("neighborhood mask shape does not match the feature count")
-    if not np.all(np.diag(mask)):
-        raise ValidationError("every neighborhood must include the node itself")
-    return mask
+    return support
 
 
-def _head_attention(W, a, X, mask, slope):
-    """Masked-softmax attention for one head; returns (A, cache for backward)."""
+def _head_attention(W, a, X, support: _Support, slope):
+    """Segment softmax over the support for one head; returns (alpha, Z, e)."""
     Z = X @ W.T
     o = W.shape[0]
-    s = Z @ a[:o]
-    r = Z @ a[o:]
-    E = s[:, None] + r[None, :]
-    logits = np.where(mask, leaky_relu(E, slope), -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
+    e = (Z @ a[:o])[support.rows] + (Z @ a[o:])[support.cols]
+    logits = leaky_relu(e, slope)
+    logits -= np.maximum.reduceat(logits, support.starts)[support.rows]
     ex = np.exp(logits)
-    A = ex / ex.sum(axis=1, keepdims=True)
-    return A, (Z, E, A)
+    alpha = ex / np.add.reduceat(ex, support.starts)[support.rows]
+    return alpha, Z, e
 
 
-def _head_forward(W, a, X, mask, slope):
-    A, (Z, E, _) = _head_attention(W, a, X, mask, slope)
-    U = A @ Z
-    return elu(U), (Z, E, A, U)
+def _head_forward(W, a, X, support: _Support, slope):
+    alpha, Z, e = _head_attention(W, a, X, support, slope)
+    support.fwd.data[:] = alpha
+    U = support.fwd @ Z
+    return elu(U), (Z, e, alpha, U)
 
 
-def _head_backward(W, a, X, mask, slope, cache, dH):
-    Z, E, A, U = cache
+def _edge_dots(support: _Support, left, right) -> np.ndarray:
+    """left[rows[k]] . right[cols[k]] for every support entry k.
+
+    Gathered in blocks of `_EDGE_BLOCK` entries: two whole (2E + N) x O
+    gathers cost several times more, in fresh memory, than the arithmetic.
+    """
+    out = np.empty(len(support.rows))
+    for start in range(0, len(out), _EDGE_BLOCK):
+        block = slice(start, start + _EDGE_BLOCK)
+        g = left[support.rows[block]]
+        g *= right[support.cols[block]]
+        g.sum(axis=1, out=out[block])
+    return out
+
+
+def _head_backward(W, a, X, support: _Support, slope, cache, dH):
+    """Gradients (dW, da, dZ) of one head; the caller forms dX = dZ @ W if needed."""
+    Z, e, alpha, U = cache
     dU = dH * _elu_grad(U)
-    dA = dU @ Z.T
-    dZ = A.T @ dU
-    dP = A * (dA - (A * dA).sum(axis=1, keepdims=True))
-    dE = dP * _leaky_grad(E, slope)
-    ds = dE.sum(axis=1)
-    dr = dE.sum(axis=0)
+    support.bwd.data[:] = alpha[support.by_col]
+    dZ = support.bwd @ dU
+    dalpha = _edge_dots(support, dU, Z)
+    dlogit = alpha * (dalpha - np.add.reduceat(alpha * dalpha, support.starts)[support.rows])
+    de = dlogit * _leaky_grad(e, slope)
+    ds = np.add.reduceat(de, support.starts)
+    dr = np.bincount(support.cols, weights=de, minlength=support.n)
     o = W.shape[0]
     da = np.concatenate([Z.T @ ds, Z.T @ dr])
     dZ += np.outer(ds, a[:o]) + np.outer(dr, a[o:])
-    dW = dZ.T @ X
-    dX = dZ @ W
-    return dW, da, dX
+    return dZ.T @ X, da, dZ
 
 
 def _check_features(layer: GatLayerParams, X: np.ndarray) -> None:
@@ -250,17 +321,18 @@ def _check_features(layer: GatLayerParams, X: np.ndarray) -> None:
         )
 
 
+def _feature_array(features) -> np.ndarray:
+    return features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
+
+
 def attention_coefficients(layer: GatLayerParams, features: np.ndarray,
                            neighborhoods, slope: float = LEAKY_SLOPE) -> list[sp.csr_matrix]:
     """Per-head row-stochastic attention matrices over the given neighborhoods."""
     X = np.asarray(features, dtype=float)
     _check_features(layer, X)
-    mask = _as_mask(neighborhoods, X.shape[0])
-    out = []
-    for W, a in zip(layer.weights, layer.attn):
-        A, _ = _head_attention(W, a, X, mask, slope)
-        out.append(sp.csr_matrix(np.where(mask, A, 0.0)))
-    return out
+    support = _as_support(neighborhoods, X.shape[0])
+    return [support.matrix(_head_attention(W, a, X, support, slope)[0])
+            for W, a in zip(layer.weights, layer.attn)]
 
 
 def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
@@ -268,8 +340,8 @@ def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
     """ELU-activated attention aggregation; heads concatenated when requested."""
     X = np.asarray(features, dtype=float)
     _check_features(layer, X)
-    mask = _as_mask(neighborhoods, X.shape[0])
-    outs = [_head_forward(W, a, X, mask, slope)[0]
+    support = _as_support(neighborhoods, X.shape[0])
+    outs = [_head_forward(W, a, X, support, slope)[0]
             for W, a in zip(layer.weights, layer.attn)]
     if concat:
         return np.concatenate(outs, axis=1)
@@ -278,16 +350,16 @@ def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
     return outs[0]
 
 
-def _model_forward(model: GatModel, X, mask, slope):
+def _model_forward(model: GatModel, X, support: _Support, slope):
     caches1 = []
     outs1 = []
     for W, a in zip(model.layer1.weights, model.layer1.attn):
-        H, cache = _head_forward(W, a, X, mask, slope)
+        H, cache = _head_forward(W, a, X, support, slope)
         outs1.append(H)
         caches1.append(cache)
     X1 = np.concatenate(outs1, axis=1)
     X2, cache2 = _head_forward(model.layer2.weights[0], model.layer2.attn[0],
-                               X1, mask, slope)
+                               X1, support, slope)
     return X1, X2, (caches1, cache2)
 
 
@@ -313,12 +385,19 @@ def _pair_outputs(X2, theta, pairs):
     return xi, xj, prod, sigmoid(prod @ theta)
 
 
-def _loss_and_grads(model: GatModel, X, mask, pairs, labels, slope):
+def _pair_loss(X2, theta, pairs, labels) -> float:
+    return bce_loss(_pair_outputs(X2, theta, pairs)[3], labels)
+
+
+def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope):
     """Full forward pass plus hand-derived reverse-mode gradients.
 
-    Returns (loss, grads, q) with grads ordered exactly like model.parameters().
+    Returns (loss, grads, X2): grads are ordered exactly like model.parameters(),
+    and X2 is the second-layer output, from which other pairs can be scored
+    without another forward pass.
     """
-    X1, X2, (caches1, cache2) = _model_forward(model, X, mask, slope)
+    support = _as_support(neighborhoods, X.shape[0])
+    X1, X2, (caches1, cache2) = _model_forward(model, X, support, slope)
     xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs)
     loss = bce_loss(q_raw, labels)
 
@@ -329,41 +408,44 @@ def _loss_and_grads(model: GatModel, X, mask, pairs, labels, slope):
 
     dtheta = prod.T @ draw
     dprod = np.outer(draw, model.theta)
-    dX2 = np.zeros_like(X2)
-    np.add.at(dX2, pairs[:, 0], dprod * xj)
-    np.add.at(dX2, pairs[:, 1], dprod * xi)
+    # scatter-add onto both endpoints' rows as one sparse product (np.add.at is slower)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    scatter = sp.csr_matrix((np.ones(2 * batch), (ends, np.arange(2 * batch))),
+                            shape=(len(X2), 2 * batch))
+    dX2 = scatter @ np.concatenate([dprod * xj, dprod * xi])
 
-    dW2, da2, dX1 = _head_backward(model.layer2.weights[0], model.layer2.attn[0],
-                                   X1, mask, slope, cache2, dX2)
+    W2 = model.layer2.weights[0]
+    dW2, da2, dZ2 = _head_backward(W2, model.layer2.attn[0], X1, support, slope,
+                                   cache2, dX2)
+    dX1 = dZ2 @ W2
 
     o1 = model.layer1.out_dim
     dW1s, da1s = [], []
     for k, (W, a) in enumerate(zip(model.layer1.weights, model.layer1.attn)):
         dH = dX1[:, k * o1:(k + 1) * o1]
-        dW, da, _ = _head_backward(W, a, X, mask, slope, caches1[k], dH)
+        dW, da, _ = _head_backward(W, a, X, support, slope, caches1[k], dH)
         dW1s.append(dW)
         da1s.append(da)
 
     grads = dW1s + da1s + [dW2, da2, dtheta]
-    return loss, grads, q_raw
+    return loss, grads, X2
 
 
-def _evaluate_loss(model: GatModel, X, mask, pairs, labels, slope) -> float:
-    _, X2, _ = _model_forward(model, X, mask, slope)
-    _, _, _, q = _pair_outputs(X2, model.theta, pairs)
-    return bce_loss(q, labels)
+def _evaluate_loss(model: GatModel, X, neighborhoods, pairs, labels, slope) -> float:
+    _, X2, _ = _model_forward(model, X, _as_support(neighborhoods, X.shape[0]), slope)
+    return _pair_loss(X2, model.theta, pairs, labels)
 
 
 def negative_candidates(base: RouteGraph) -> list[tuple[int, int]]:
-    """Non-adjacent pairs reachable in 2 or 3 hops, via boolean adjacency powers."""
-    A = base.dense_adjacency() > 0
-    A1 = A.astype(np.int64)
-    A2 = (A1 @ A1) > 0
-    A3 = (A2.astype(np.int64) @ A1) > 0
-    reach = (A2 | A3) & ~A
-    np.fill_diagonal(reach, False)
-    idx_i, idx_j = np.nonzero(np.triu(reach, k=1))
-    return list(zip(idx_i.tolist(), idx_j.tolist()))
+    """Non-adjacent pairs (i < j) reachable in 2 or 3 hops, in row-major order."""
+    A = base.adjacency.astype(np.int64)
+    A2 = A @ A
+    reach = sp.triu(A2 + A2 @ A, k=1, format="coo")
+    adjacent = np.asarray(A[reach.row, reach.col]).ravel() != 0
+    keep = (reach.data > 0) & ~adjacent
+    i, j = reach.row[keep], reach.col[keep]
+    order = np.lexsort((j, i))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def make_samples(base: RouteGraph, seed: int) -> SampleSets:
@@ -430,12 +512,12 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
     Returns the parameters of the best validation epoch and the loss history.
     """
-    X = features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
+    X = _feature_array(features)
     if X.shape[1] != model.layer1.in_dim:
         raise ValidationError(
             f"feature dimension {X.shape[1]} != layer-1 input {model.layer1.in_dim}"
         )
-    mask = neighborhood_mask(base)
+    support = _Support.of_graph(base)
     train_pairs, train_labels = samples.subset("train")
     val_pairs, val_labels = samples.subset("validation")
 
@@ -450,13 +532,13 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     history = {"train_loss": [], "val_loss": [], "best_epoch": 0}
 
     for epoch in range(cfg.max_epochs):
-        loss, grads, _ = _loss_and_grads(work, X, mask, train_pairs, train_labels,
-                                         cfg.leaky_slope)
-        # tiny graphs can yield an empty validation split; fall back to the
-        # training loss so early stopping still has a monitor
+        loss, grads, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
+                                          cfg.leaky_slope)
+        # the step's forward pass also scores the validation pairs; tiny graphs
+        # can yield an empty validation split, where the training loss is the
+        # monitor so early stopping still works
         if len(val_pairs):
-            val_loss = _evaluate_loss(work, X, mask, val_pairs, val_labels,
-                                      cfg.leaky_slope)
+            val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels)
         else:
             val_loss = loss
         if not (np.isfinite(loss) and np.isfinite(val_loss)):
@@ -484,9 +566,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray,
                   slope: float = LEAKY_SLOPE) -> np.ndarray:
     """Edge probabilities q for the given node-index pairs."""
-    X = features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
-    mask = neighborhood_mask(base)
-    _, X2, _ = _model_forward(model, X, mask, slope)
+    _, X2, _ = _model_forward(model, _feature_array(features), _Support.of_graph(base), slope)
     _, _, _, q = _pair_outputs(X2, model.theta, np.asarray(pairs, dtype=int))
     return q
 
@@ -502,11 +582,12 @@ def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSe
 def extract_transition(model: GatModel, base: RouteGraph, features,
                        slope: float = LEAKY_SLOPE) -> TransitionMatrix:
     """Transition matrix: second-layer attention evaluated on layer-1 outputs."""
-    X = features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
-    mask = neighborhood_mask(base)
-    X1 = layer_forward(model.layer1, X, mask, concat=True, slope=slope)
-    A, _ = _head_attention(model.layer2.weights[0], model.layer2.attn[0], X1, mask, slope)
-    return TransitionMatrix(P=np.where(mask, A, 0.0))
+    support = _Support.of_graph(base)
+    X1 = layer_forward(model.layer1, _feature_array(features), support, concat=True,
+                       slope=slope)
+    alpha, _, _ = _head_attention(model.layer2.weights[0], model.layer2.attn[0], X1,
+                                  support, slope)
+    return TransitionMatrix(P=support.matrix(alpha).toarray())
 
 
 def influential_scores(transition: TransitionMatrix, max_hop: int = 5) -> np.ndarray:

@@ -64,17 +64,6 @@ class RouteGraph:
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray().astype(float)
 
-    def neighbor_lists(self, include_self: bool) -> list[np.ndarray]:
-        """Per-node neighbor index arrays; optionally with the node itself."""
-        adj = self.adjacency.tolil()
-        out = []
-        for i in range(self.n):
-            nbr = list(adj.rows[i])
-            if include_self:
-                nbr.append(i)
-            out.append(np.array(sorted(nbr), dtype=int))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class CaseMatrix:

@@ -1,16 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gat_dense_reference as dense
 from stgw.errors import NumericError, ValidationError
-from stgw.gat import (GatModel, TrainConfig, attention_coefficients, bce_loss,
-                      edge_probability, elu, extract_transition, influential_scores,
-                      layer_forward, leaky_relu, make_samples, negative_candidates,
-                      neighborhood_mask, predict_edges, train)
+from stgw.gat import (GatModel, TrainConfig, _evaluate_loss, _loss_and_grads,
+                      attention_coefficients, bce_loss, edge_accuracy, edge_probability,
+                      elu, extract_transition, influential_scores, layer_forward,
+                      leaky_relu, make_samples, negative_candidates, neighborhood_mask,
+                      predict_edges, train)
 from stgw.graphs import TransitionMatrix, build_route_graph
 
 from conftest import make_nodes, path_graph, random_graph
+
+
+def graph_with_isolated_node(n, p, rng):
+    """random_graph on n nodes, plus node n + 1 with no edges."""
+    g = random_graph(n, p, rng)
+    return build_route_graph(make_nodes(n + 1), [(i + 1, j + 1) for i, j in g.edges])
+
+
+def relative_error(fast, ref):
+    fast, ref = np.asarray(fast), np.asarray(ref)
+    return np.max(np.abs(fast - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
 class TestActivations:
@@ -150,18 +164,20 @@ class TestNegativeCandidates:
         assert len(negative_candidates(g)) == 6
 
     def test_brute_force_oracle(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(3, 9))
-            g = random_graph(n, 0.3, rng)
+        # dense A.A.A reference; the list must match in row-major order too,
+        # because the order decides which negatives make_samples draws
+        for _ in range(20):
+            n = int(rng.integers(3, 20))
+            g = graph_with_isolated_node(n, rng.uniform(0.05, 0.4), rng)
             A = g.dense_adjacency().astype(int)
-            expected = set()
+            expected = []
             A2 = A @ A
             A3 = A2 @ A
-            for i in range(n):
-                for j in range(i + 1, n):
+            for i in range(n + 1):
+                for j in range(i + 1, n + 1):
                     if A[i, j] == 0 and (A2[i, j] > 0 or A3[i, j] > 0):
-                        expected.add((i, j))
-            assert set(negative_candidates(g)) == expected
+                        expected.append((i, j))
+            assert negative_candidates(g) == expected
 
 
 class TestMakeSamples:
@@ -303,3 +319,81 @@ class TestPredictions:
         q_fwd = predict_edges(model, g, X, np.array([[0, 3], [1, 4]]))
         q_rev = predict_edges(model, g, X, np.array([[3, 0], [4, 1]]))
         assert np.array_equal(q_fwd, q_rev)
+
+
+class TestDenseReference:
+    """The edge-list attention against the dense masked-softmax reference."""
+
+    SLOPE = 0.35
+
+    def cases(self, rng):
+        for n, p, seed in ((5, 0.3, 0), (9, 0.5, 1), (16, 0.15, 2)):
+            g = graph_with_isolated_node(n, p, rng)
+            mask = neighborhood_mask(g)
+            lists = [np.flatnonzero(row) for row in mask]
+            X = rng.standard_normal((n + 1, 6))
+            model = GatModel.create(6, heads=3, head_dim=5, out_dim=4, seed=seed)
+            yield g, mask, lists, X, model
+
+    def test_attention_and_layer_forward(self, rng):
+        for g, mask, lists, X, model in self.cases(rng):
+            ref_attn = dense.attention_coefficients(model.layer1, X, mask, self.SLOPE)
+            ref_layer = dense.layer_forward(model.layer1, X, mask, self.SLOPE)
+            for neighborhoods in (g, mask, lists):
+                attn = attention_coefficients(model.layer1, X, neighborhoods, self.SLOPE)
+                for A, ref in zip(attn, ref_attn):
+                    assert relative_error(A.toarray(), ref) < 1e-12
+                out = layer_forward(model.layer1, X, neighborhoods, slope=self.SLOPE)
+                assert relative_error(out, ref_layer) < 1e-12
+
+    def test_loss_and_grads(self, rng):
+        for g, mask, lists, X, model in self.cases(rng):
+            n = X.shape[0]
+            pairs = rng.integers(0, n, size=(3 * n, 2))
+            labels = (rng.random(3 * n) < 0.5).astype(float)
+            ref_loss, ref_grads, ref_X2 = dense.loss_and_grads(model, X, mask, pairs,
+                                                               labels, self.SLOPE)
+            for neighborhoods in (g, mask, lists):
+                loss, grads, X2 = _loss_and_grads(model, X, neighborhoods, pairs, labels,
+                                                  self.SLOPE)
+                assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+                assert relative_error(X2, ref_X2) < 1e-12
+                assert len(grads) == len(ref_grads)
+                for grad, ref in zip(grads, ref_grads):
+                    assert relative_error(grad, ref) < 1e-12
+
+    def test_extract_transition(self, rng):
+        for g, mask, _, X, model in self.cases(rng):
+            P = extract_transition(model, g, X, slope=self.SLOPE).P
+            assert relative_error(P, dense.transition(model, X, mask, self.SLOPE)) < 1e-12
+            assert P[-1, -1] == 1.0  # the isolated node attends only to itself
+
+    def test_fused_validation_loss_is_exact(self, rng):
+        g = random_graph(14, 0.3, rng)
+        X = rng.standard_normal((14, 5))
+        model = GatModel.create(5, heads=2, head_dim=4, out_dim=3, seed=4)
+        samples = make_samples(g, seed=2)
+        val_pairs, val_labels = samples.subset("validation")
+        assert len(val_pairs)
+        _, hist = train(model, g, X, samples, TrainConfig(max_epochs=1))
+        assert hist["val_loss"][0] == _evaluate_loss(model, X, neighborhood_mask(g),
+                                                     val_pairs, val_labels, self.SLOPE)
+
+
+class TestNoDenseSquare:
+    def test_training_and_prediction_allocate_no_n_by_n_array(self):
+        # even a boolean N x N array would take n * n bytes
+        n = 4000
+        g = path_graph(n)
+        X = np.random.default_rng(0).standard_normal((n, 4))
+        model = GatModel.create(4, heads=2, head_dim=4, out_dim=3, seed=0)
+        tracemalloc.start()
+        try:
+            samples = make_samples(g, seed=0)
+            trained, _ = train(model, g, X, samples, TrainConfig(max_epochs=2))
+            predict_edges(trained, g, X, samples.pairs)
+            edge_accuracy(trained, g, X, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n

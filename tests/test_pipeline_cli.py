@@ -1,4 +1,5 @@
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -270,3 +271,34 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert main(["product", "--config", str(cfg_path)]) == 0
         assert "identity" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Inputs and the outputs of one small `stgw run`, shared read-only."""
+    root = tmp_path_factory.mktemp("finished")
+    main(["synth", "--out", str(root / "data"), "--nodes", "10", "--weeks", "4"])
+    cfg_path = root / "run.cfg"
+    cfg_path.write_text(
+        f"[io]\nnodes = {root}/data/nodes.csv\nedges = {root}/data/edges.csv\n"
+        f"cases = {root}/data/cases.csv\nout = {root}/out\n"
+        "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 40\n"
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    return root
+
+
+class TestSliceLabels:
+    @pytest.mark.parametrize("label", ["Vx", "", "V9", "V12", "V0", "5"])
+    def test_bad_slice_class_exit_2(self, finished_run, tmp_path, capsys, label):
+        shutil.copytree(finished_run / "out", tmp_path / "out")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text((finished_run / "run.cfg").read_text().replace(
+            f"out = {finished_run}/out", f"out = {tmp_path}/out"))
+        slices = tmp_path / "out" / "slices.csv"
+        lines = slices.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
+        slices.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "slices.csv: line 3" in err and "slice_class" in err
