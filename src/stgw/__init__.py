@@ -5,10 +5,9 @@ the strong-product spatio-temporal graph, applies the fast spectral graph
 wavelet transform, and classifies/ranks nodes by anomaly patterns.
 """
 
-from .classify import (AnomalyReport, TorqueField, a_score, anomaly_metric,
-                       average_a_score, build_report, classify_nodes, label_grid,
-                       log_normalize, rank_nodes, robust_scale, slice_classification,
-                       torque)
+from .classify import (TorqueField, a_score, anomaly_metric, average_a_score,
+                       classify_nodes, label_grid, log_normalize, rank_nodes,
+                       robust_scale, slice_classification, torque)
 from .config import RunConfig, load_config
 from .errors import DataIOError, NumericError, StgwError, ValidationError
 from .gat import (GatLayerParams, GatModel, SampleSets, TrainConfig,

@@ -33,21 +33,6 @@ class TorqueField:
     phi_min: float
     phi_max: float
 
-    @property
-    def spread(self) -> float:
-        return self.phi_max - self.phi_min
-
-
-@dataclass(frozen=True, eq=False)
-class AnomalyReport:
-    """Everything the ranking stage needs, shaped (N, T) unless noted."""
-
-    theta: np.ndarray          # anomaly ratios
-    scores: np.ndarray         # integer a-scores in {0..4}
-    averages: np.ndarray       # per-node mean a-score over the ranking window
-    sigma: np.ndarray          # (T, 5) slice class distributions
-    slice_classes: np.ndarray  # (T,) values in 1..5
-
 
 def robust_scale(table: CoefficientTable) -> np.ndarray:
     """Per filter: |W| divided by the interquartile range of |W|.
@@ -205,15 +190,3 @@ def rank_nodes(averages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     most[order_asc] = np.arange(1, n + 1)
     return least, most
 
-
-def build_report(labels: np.ndarray, cases: CaseMatrix, base: RouteGraph,
-                 theta_hi: float = THETA_HI, theta_lo: float = THETA_LO,
-                 weeks: tuple[int, int] | None = None) -> AnomalyReport:
-    """Assemble the full anomaly report from vertex labels and the case signal."""
-    n, t = base.n, cases.weeks
-    sigma, slice_classes = slice_classification(labels, n, t)
-    theta = anomaly_metric(cases, base)
-    scores = a_score(label_grid(labels, n, t), theta, theta_hi, theta_lo)
-    averages = average_a_score(scores, weeks)
-    return AnomalyReport(theta=theta, scores=scores, averages=averages,
-                         sigma=sigma, slice_classes=slice_classes)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import operator
 import os
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataIOError, ValidationError
 from .gat import GatLayerParams, GatModel
@@ -81,6 +83,16 @@ def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}")
+
+
+def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
+    """Header line, then text chunks formatted by the caller (`repr`, as `fnum`)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}")
 
@@ -176,12 +188,13 @@ def write_cases(path, graph: RouteGraph, cases: CaseMatrix) -> None:
 
 def write_transition(path, graph: RouteGraph, transition: TransitionMatrix) -> None:
     """Every structurally allowed entry (edges plus diagonal), ascending (src, dst)."""
-    ids = graph.node_ids
-    mask = graph.dense_adjacency() > 0
-    np.fill_diagonal(mask, True)
-    order = sorted(((ids[i], ids[j], i, j) for i, j in np.argwhere(mask)))
+    ids = np.array(graph.node_ids)
+    rows, cols = (graph.adjacency + sp.eye(graph.n)).nonzero()
+    order = np.lexsort((ids[cols], ids[rows]))
+    rows, cols = rows[order], cols[order]
     write_csv(path, TRANSITION_HEADER,
-              ([src, dst, fnum(transition.P[i, j])] for src, dst, i, j in order))
+              zip(ids[rows].tolist(), ids[cols].tolist(),
+                  map(repr, transition.P[rows, cols].tolist())))
 
 
 def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
@@ -205,13 +218,16 @@ def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
 
 
 def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTable) -> None:
-    n = graph.n
-    ids = graph.node_ids
-    rows = ([ids[i], t + 1, m + 1, fnum(table.values[t * n + i, m])]
-            for i in range(n)
-            for t in range(weeks)
-            for m in range(table.filter_count))
-    write_csv(path, COEFFS_HEADER, rows)
+    grid = table.values.reshape(weeks, graph.n, table.filter_count)
+    # the ",slice,filter," middle of each of a node's rows, in row order
+    middles = [f",{t},{m}," for t in range(1, weeks + 1)
+               for m in range(1, table.filter_count + 1)]
+
+    def node_rows(i, nid):
+        cells = map(operator.add, middles, map(repr, grid[:, i].ravel().tolist()))
+        return f"{nid}" + f"\n{nid}".join(cells) + "\n"
+    _write_chunks(path, ",".join(COEFFS_HEADER),
+                  (node_rows(i, nid) for i, nid in enumerate(graph.node_ids)))
 
 
 def read_coefficients(path, graph: RouteGraph, weeks: int,
@@ -243,11 +259,14 @@ def read_coefficients(path, graph: RouteGraph, weeks: int,
 
 def write_classes(path, graph: RouteGraph, weeks: int, phi_grid, labels_grid,
                   theta_grid, score_grid) -> None:
-    rows = ([nid, t + 1, fnum(phi_grid[i, t]), f"V{int(labels_grid[i, t])}",
-             fnum(theta_grid[i, t]), int(score_grid[i, t])]
-            for i, nid in enumerate(graph.node_ids)
-            for t in range(weeks))
-    write_csv(path, CLASSES_HEADER, rows)
+    grids = [np.asarray(g, dtype=d)[:, :weeks]
+             for g, d in ((phi_grid, float), (labels_grid, int),
+                          (theta_grid, float), (score_grid, int))]
+    _write_chunks(path, ",".join(CLASSES_HEADER), (
+        "".join(f"{nid},{t},{phi!r},V{label},{theta!r},{score}\n"
+                for t, (phi, label, theta, score)
+                in enumerate(zip(*(g[i].tolist() for g in grids)), start=1))
+        for i, nid in enumerate(graph.node_ids)))
 
 
 def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
@@ -332,25 +351,24 @@ def read_rankings(path, graph: RouteGraph) -> dict:
     return out
 
 
+def _tensor_names(heads: int) -> list[str]:
+    """Checkpoint tensor names, in `GatModel.parameters()` order."""
+    return ([f"layer1.weight.{k}" for k in range(heads)]
+            + [f"layer1.attn.{k}" for k in range(heads)]
+            + ["layer2.weight", "layer2.attn", "theta"])
+
+
 def save_checkpoint(path, model: GatModel) -> None:
     """Text checkpoint: magic line, then `tensor <name> <dims...>` + one value line."""
-    tensors: list[tuple[str, np.ndarray]] = []
-    for k, W in enumerate(model.layer1.weights):
-        tensors.append((f"layer1.weight.{k}", W))
-    for k, a in enumerate(model.layer1.attn):
-        tensors.append((f"layer1.attn.{k}", a))
-    tensors.append(("layer2.weight", model.layer2.weights[0]))
-    tensors.append(("layer2.attn", model.layer2.attn[0]))
-    tensors.append(("theta", model.theta))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CHECKPOINT_MAGIC + "\n")
-            for name, arr in tensors:
-                dims = " ".join(str(d) for d in arr.shape)
-                fh.write(f"tensor {name} {dims}\n")
-                fh.write(" ".join(fnum(v) for v in arr.ravel()) + "\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}")
+    def tensor_chunks(name, arr):
+        flat = np.asarray(arr, dtype=float).ravel()
+        yield f"tensor {name} {' '.join(map(str, arr.shape))}\n"
+        for k in range(0, flat.size, 1024):  # a value line can hold ~10^5 values
+            yield " " * (k > 0) + " ".join(map(repr, flat[k:k + 1024].tolist()))
+        yield "\n"
+    names = _tensor_names(model.layer1.head_count)
+    _write_chunks(path, CHECKPOINT_MAGIC, (chunk for name, arr in zip(names, model.parameters())
+                                           for chunk in tensor_chunks(name, arr)))
 
 
 def load_checkpoint(path) -> GatModel:
@@ -374,10 +392,7 @@ def load_checkpoint(path) -> GatModel:
         k += 2
 
     heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
-    required = ([f"layer1.weight.{k}" for k in range(heads)]
-                + [f"layer1.attn.{k}" for k in range(heads)]
-                + ["layer2.weight", "layer2.attn", "theta"])
-    missing = [name for name in required if name not in tensors]
+    missing = [name for name in _tensor_names(heads) if name not in tensors]
     if missing or heads == 0:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")
     return GatModel(

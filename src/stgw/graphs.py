@@ -144,9 +144,6 @@ class SpatioTemporalGraph:
     def arc_count(self) -> int:
         return self.weights.nnz
 
-    def vertex(self, i: int, t: int) -> int:
-        return t * self.base_node_count + i
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricLaplacian:

@@ -1,14 +1,16 @@
-"""Stage orchestration: each stage reads interface files and writes its own.
+"""Stage orchestration: each stage writes its own interface files.
 
-Stages communicate only through the CSV interfaces, so any stage can be
-replayed in isolation and a full run is just the stages in order.  A failed
-run clears the pipeline's output files (including partial ones) before the
-error propagates, so the output directory never holds a stale mix.
+A full run shares one `StageResults` across its stages, so results pass in
+memory and no file it writes is parsed back; a staged command starts with an
+empty holder and reads the CSV interfaces, so any stage replays in isolation
+with the same output bytes.  A failed run clears the pipeline's output files
+(including partial ones) before the error propagates: no stale mix remains.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +18,21 @@ from . import classify as cl
 from . import dataio, gat, report, sgwt
 from .config import RunConfig
 from .errors import StgwError, ValidationError
-from .graphs import (CaseMatrix, RouteGraph, downsample_mask, laplacian,
+from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
                      normalize_cases, strong_product)
 
 MANIFEST_NAME = "run-manifest.txt"
+
+
+@dataclass
+class StageResults:
+    """Results of the stages run so far in one invocation; None until made."""
+
+    transition: TransitionMatrix | None = None
+    coefficients: sgwt.CoefficientTable | None = None
+    classes: dict | None = None     # (N, T) grids, keyed as dataio.read_classes
+    slices: tuple | None = None     # (sigma, slice_classes)
+    rankings: dict | None = None    # keyed as dataio.read_rankings
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -54,9 +67,10 @@ def stage_build_graph(cfg: RunConfig) -> dict:
     }
 
 
-def stage_train(cfg: RunConfig) -> list[str]:
+def stage_train(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
     """Train the attention network; writes transition.csv and the checkpoint."""
     _ensure_out(cfg)
+    results = results or StageResults()
     graph, _, features = load_inputs(cfg)
     samples = gat.make_samples(graph, seed=cfg.gat.seed)
     model = gat.GatModel.create(
@@ -73,7 +87,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
         seed=cfg.gat.seed,
     )
     trained, history = gat.train(model, graph, features, samples, train_cfg)
-    transition = gat.extract_transition(trained, graph, features)
+    transition = results.transition = gat.extract_transition(trained, graph, features)
 
     transition_path = _out(cfg, "transition.csv")
     ckpt_path = _out(cfg, "gat_model.ckpt")
@@ -103,11 +117,12 @@ def stage_product(cfg: RunConfig) -> dict:
     }
 
 
-def stage_transform(cfg: RunConfig) -> list[str]:
+def stage_transform(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
     """Strong product -> Laplacian -> dictionary -> fast transform -> coefficients.csv."""
     _ensure_out(cfg)
+    results = results or StageResults()
     graph, raw, features = load_inputs(cfg)
-    transition = dataio.read_transition(_out(cfg, "transition.csv"), graph)
+    transition = results.transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     product = strong_product(graph, transition, raw.weeks)
     lap = laplacian(product)
     dictionary = sgwt.make_dictionary(
@@ -118,7 +133,7 @@ def stage_transform(cfg: RunConfig) -> list[str]:
     )
     expansion = sgwt.expand_dictionary(dictionary, order=cfg.sgwt.cheb_order,
                                        quad_points=cfg.sgwt.quad_points)
-    table = sgwt.cheb_apply(lap, features.vertex_signal(), expansion)
+    table = results.coefficients = sgwt.cheb_apply(lap, features.vertex_signal(), expansion)
 
     coeff_path = _out(cfg, "coefficients.csv")
     dataio.write_coefficients(coeff_path, graph, raw.weeks, table)
@@ -138,24 +153,26 @@ def stage_transform(cfg: RunConfig) -> list[str]:
     return [coeff_path, manifest]
 
 
-def stage_classify(cfg: RunConfig) -> list[str]:
+def stage_classify(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
     """Coefficients -> torque classes, anomaly metric, a-scores, slice classes."""
     _ensure_out(cfg)
+    results = results or StageResults()
     graph, raw, features = load_inputs(cfg)
-    table = dataio.read_coefficients(_out(cfg, "coefficients.csv"), graph, raw.weeks,
-                                     cfg.sgwt.filters)
+    table = results.coefficients or dataio.read_coefficients(
+        _out(cfg, "coefficients.csv"), graph, raw.weeks, cfg.sgwt.filters)
     normalized = cl.log_normalize(cl.robust_scale(table))
     field = cl.classify_nodes(cl.torque(normalized))
     n, t = graph.n, raw.weeks
-    sigma, slice_classes = cl.slice_classification(field.labels, n, t)
+    sigma, slice_classes = results.slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
-    scores = cl.a_score(cl.label_grid(field.labels, n, t), theta,
-                        cfg.classify.theta_hi, cfg.classify.theta_lo)
+    labels = cl.label_grid(field.labels, n, t)
+    scores = cl.a_score(labels, theta, cfg.classify.theta_hi, cfg.classify.theta_lo)
+    phi = cl.label_grid(field.phi, n, t)
+    results.classes = {"phi": phi, "labels": labels, "theta": theta, "scores": scores}
 
     classes_path = _out(cfg, "classes.csv")
     slices_path = _out(cfg, "slices.csv")
-    dataio.write_classes(classes_path, graph, t, cl.label_grid(field.phi, n, t),
-                         cl.label_grid(field.labels, n, t), theta, scores)
+    dataio.write_classes(classes_path, graph, t, phi, labels, theta, scores)
     dataio.write_slices(slices_path, sigma, slice_classes)
     manifest = _manifest(cfg, "classify", {
         **cfg.resolved()["classify"],
@@ -165,15 +182,18 @@ def stage_classify(cfg: RunConfig) -> list[str]:
     return [classes_path, slices_path, manifest]
 
 
-def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None) -> list[str]:
+def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
+               results: StageResults | None = None) -> list[str]:
     """Average a-scores over the window plus influential scores -> rankings.csv."""
     _ensure_out(cfg)
+    results = results or StageResults()
     graph, raw, _ = load_inputs(cfg)
-    data = dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
-    transition = dataio.read_transition(_out(cfg, "transition.csv"), graph)
+    data = results.classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    transition = results.transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     a_bar = cl.average_a_score(data["scores"], weeks)
     influential = gat.influential_scores(transition)
     least, most = cl.rank_nodes(a_bar)
+    results.rankings = dict(a_bar=a_bar, influential=influential, least=least, most=most)
 
     rankings_path = _out(cfg, "rankings.csv")
     dataio.write_rankings(rankings_path, graph, a_bar, influential, least, most)
@@ -182,14 +202,15 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None) -> list[str
     return [rankings_path, manifest]
 
 
-def stage_report(cfg: RunConfig, mask: bool = False,
-                 week: int | None = None, top_k: int = 5) -> list[str]:
-    """Render the SVG bundle from the classification and ranking files."""
+def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
+                 top_k: int = 5, results: StageResults | None = None) -> list[str]:
+    """Render the SVG bundle from the classification and ranking results."""
     _ensure_out(cfg)
+    results = results or StageResults()
     graph, raw, _ = load_inputs(cfg)
-    data = dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
-    sigma, slice_classes = dataio.read_slices(_out(cfg, "slices.csv"))
-    ranking = dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
+    data = results.classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    sigma, slice_classes = results.slices or dataio.read_slices(_out(cfg, "slices.csv"))
+    ranking = results.rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
 
     if week is None:
         # deterministic default: the week with the most top-grade anomalies
@@ -199,22 +220,15 @@ def stage_report(cfg: RunConfig, mask: bool = False,
         raise ValidationError(f"report week {week} outside 1..{raw.weeks}")
     hidden = downsample_mask(graph) if mask else set()
 
-    written = []
-    map_path = _out(cfg, f"map_classes_week{week}.svg")
-    with open(map_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.render_map(graph, data["labels"][:, week - 1], week, hidden))
-    written.append(map_path)
-
-    slices_path = _out(cfg, "slices.svg")
-    with open(slices_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.render_slices(sigma, slice_classes))
-    written.append(slices_path)
-
-    ranking_path = _out(cfg, "ranking.svg")
-    with open(ranking_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.render_ranking(graph, ranking["a_bar"], ranking["least"],
-                                       ranking["most"], top_k))
-    written.append(ranking_path)
+    svgs = {f"map_classes_week{week}.svg":
+            report.render_map(graph, data["labels"][:, week - 1], week, hidden),
+            "slices.svg": report.render_slices(sigma, slice_classes),
+            "ranking.svg": report.render_ranking(graph, ranking["a_bar"], ranking["least"],
+                                                 ranking["most"], top_k)}
+    written = [_out(cfg, name) for name in svgs]
+    for path, svg in zip(written, svgs.values()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(svg)
     written.append(_manifest(cfg, "report", {"week": week, "mask": mask, "top_k": top_k}))
     return written
 
@@ -238,17 +252,19 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                  mask: bool = False, week: int | None = None) -> list[str]:
     """Full run: train -> transform -> classify -> rank -> report.
 
+    The stages share one `StageResults`, so each result passes in memory.
     Any stage failure removes the pipeline's output files (including partial
     ones from the failing stage) and re-raises with the stage name attached.
     """
     os.makedirs(cfg.io.out, exist_ok=True)
     written: list[str] = []
+    results = StageResults()
     stages = [
-        ("train", lambda: stage_train(cfg)),
-        ("transform", lambda: stage_transform(cfg)),
-        ("classify", lambda: stage_classify(cfg)),
-        ("rank", lambda: stage_rank(cfg, weeks)),
-        ("report", lambda: stage_report(cfg, mask, week)),
+        ("train", lambda: stage_train(cfg, results)),
+        ("transform", lambda: stage_transform(cfg, results)),
+        ("classify", lambda: stage_classify(cfg, results)),
+        ("rank", lambda: stage_rank(cfg, weeks, results)),
+        ("report", lambda: stage_report(cfg, mask, week, results=results)),
     ]
     for name, fn in stages:
         try:

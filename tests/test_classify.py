@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from stgw.classify import (a_score, anomaly_metric, average_a_score, build_report,
-                           classify_nodes, label_grid, log_normalize, rank_nodes,
-                           robust_scale, slice_classification, torque)
+from stgw.classify import (a_score, anomaly_metric, average_a_score, classify_nodes,
+                           label_grid, log_normalize, rank_nodes, robust_scale,
+                           slice_classification, torque)
 from stgw.errors import ValidationError
 from stgw.graphs import CaseMatrix, build_route_graph
 from stgw.sgwt import CoefficientTable
@@ -214,16 +214,19 @@ class TestAverageAndRank:
         with pytest.raises(ValidationError):
             average_a_score(scores, weeks=(0, 3))
 
-    def test_build_report_invariants(self, rng):
+    def test_scores_and_slices_invariants(self, rng):
         g = random_graph(7, 0.4, rng)
         weeks = 5
         labels = rng.integers(1, 6, size=7 * weeks)
         cases = CaseMatrix(values=rng.uniform(0.1, 5.0, size=(7, weeks)), weeks=weeks)
-        rep = build_report(labels, cases, g)
-        assert rep.scores.shape == rep.theta.shape == (7, weeks)
-        assert np.max(np.abs(rep.sigma.sum(axis=1) - 1.0)) < 1e-12
-        assert np.all((rep.averages >= 0) & (rep.averages <= 4))
-        assert set(np.unique(rep.scores)) <= {0, 1, 2, 3, 4}
+        sigma, _ = slice_classification(labels, 7, weeks)
+        theta = anomaly_metric(cases, g)
+        scores = a_score(label_grid(labels, 7, weeks), theta)
+        averages = average_a_score(scores)
+        assert scores.shape == theta.shape == (7, weeks)
+        assert np.max(np.abs(sigma.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all((averages >= 0) & (averages <= 4))
+        assert set(np.unique(scores)) <= {0, 1, 2, 3, 4}
 
     def test_raising_score_never_lowers_least_rank(self, rng):
         scores = rng.integers(0, 5, size=(6, 8))

@@ -5,10 +5,16 @@ import pytest
 
 from stgw import dataio
 from stgw.errors import DataIOError, ValidationError
-from stgw.gat import GatModel
+from stgw.gat import GatLayerParams, GatModel
+from stgw.graphs import NodeRecord, TransitionMatrix, build_route_graph
 from stgw.sgwt import CoefficientTable
 
+import dataio_reference as reference
 from conftest import path_graph, random_graph, uniform_transition
+
+# signed zero, the smallest subnormal, a float whose repr switches to an
+# exponent, an inexact fraction, integer-valued floats and negatives
+AWKWARD = np.array([-0.0, 5e-324, 1e16, 1 / 3, 2.0, -7.0, 0.0, -2.5e-8, -1 / 3, 12345.0])
 
 
 @pytest.fixture
@@ -142,6 +148,71 @@ class TestRoundTrips:
         back = dataio.read_rankings(path, g)
         assert np.array_equal(back["a_bar"], a_bar)
         assert np.array_equal(back["least"], least)
+
+
+def shuffled_id_graph(rng, n=9):
+    """Random graph whose node ids are neither 1..N nor in index order."""
+    ids = rng.permutation(np.arange(100, 100 + 3 * n, 3))[:n].tolist()
+    nodes = [NodeRecord(nid, f"n{nid}", 42.0, -72.0, 1000) for nid in ids]
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+             if j == i + 1 or rng.random() < 0.3]
+    return build_route_graph(nodes, edges)
+
+
+def awkward(shape, rng):
+    """AWKWARD values first, then random ones of mixed sign and magnitude."""
+    size = int(np.prod(shape))
+    tail = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+    return np.concatenate([AWKWARD, tail])[:size].reshape(shape)
+
+
+class TestChunkedWritersMatchReference:
+    def test_coefficients(self, tmp_path, rng):
+        g = shuffled_id_graph(rng)
+        weeks = 4
+        table = CoefficientTable(values=awkward((weeks * g.n, 8), rng))
+        dataio.write_coefficients(tmp_path / "new.csv", g, weeks, table)
+        reference.write_coefficients(tmp_path / "ref.csv", g, weeks, table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_classes(self, tmp_path, rng):
+        g = shuffled_id_graph(rng)
+        weeks = 5
+        # slice-major vertex values viewed as (N, T) grids, as the classify stage passes them
+        phi = awkward((weeks, g.n), rng).T
+        labels = rng.integers(1, 6, size=(weeks, g.n)).T
+        theta = np.abs(awkward((g.n, weeks), rng))
+        scores = rng.integers(0, 5, size=(g.n, weeks))
+        args = (g, weeks, phi, labels, theta, scores)
+        dataio.write_classes(tmp_path / "new.csv", *args)
+        reference.write_classes(tmp_path / "ref.csv", *args)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_transition(self, tmp_path, rng):
+        g = shuffled_id_graph(rng)
+        support = g.dense_adjacency() + np.eye(g.n)
+        P = support * rng.uniform(0.1, 1.0, size=support.shape)
+        t = TransitionMatrix(P=P / P.sum(axis=1, keepdims=True))
+        dataio.write_transition(tmp_path / "new.csv", g, t)
+        reference.write_transition(tmp_path / "ref.csv", g, t)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_checkpoint(self, tmp_path, rng):
+        # layer-1 weights (1,125 values) and layer-2 weights (2,500) span value slices
+        heads, f, o, out = 2, 45, 25, 50
+        model = GatModel(
+            layer1=GatLayerParams(weights=[awkward((o, f), rng) for _ in range(heads)],
+                                  attn=[awkward((2 * o,), rng) for _ in range(heads)]),
+            layer2=GatLayerParams(weights=[awkward((out, heads * o), rng)],
+                                  attn=[awkward((2 * out,), rng)]),
+            theta=awkward((out,), rng),
+        )
+        dataio.save_checkpoint(tmp_path / "new.ckpt", model)
+        reference.save_checkpoint(tmp_path / "ref.ckpt", model)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+        back = dataio.load_checkpoint(tmp_path / "new.ckpt")
+        for p, q in zip(model.parameters(), back.parameters()):
+            assert p.shape == q.shape and p.tobytes() == q.tobytes()
 
 
 class TestCheckpoint:

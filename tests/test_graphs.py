@@ -76,7 +76,9 @@ class TestStrongProduct:
         assert product.node_count == 4
         assert product.arc_count == 8
         W = product.weights.toarray()
-        v = product.vertex
+
+        def v(i, t):  # slice-major product vertex order, v = t*N + i
+            return t * product.base_node_count + i
         assert W[v(0, 0), v(1, 0)] == 0.3          # spatial carries p_ij
         assert W[v(1, 0), v(0, 0)] == 0.4
         assert W[v(0, 0), v(0, 1)] == 0.7          # temporal self carries p_ii

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from stgw import dataio
 from stgw.cli import main
 from stgw.config import RunConfig, load_config
 from stgw.errors import ValidationError
@@ -104,6 +105,22 @@ class TestPipeline:
         stage_classify(cfg)
         stage_rank(cfg)
         stage_report(cfg)
+        assert read_out(tmp_path, "together") == read_out(tmp_path, "staged")
+
+    def test_run_passes_results_in_memory(self, tmp_path, monkeypatch):
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path, "staged")
+        os.makedirs(cfg.io.out)
+        for stage in (stage_train, stage_transform, stage_classify, stage_rank,
+                      stage_report):
+            stage(cfg)
+
+        def refuse(path, *args):
+            raise AssertionError(f"run parsed back {path}")
+        for reader in ("read_transition", "read_coefficients", "read_classes",
+                       "read_slices", "read_rankings"):
+            monkeypatch.setattr(dataio, reader, refuse)
+        run_pipeline(small_cfg(tmp_path, "together"))
         assert read_out(tmp_path, "together") == read_out(tmp_path, "staged")
 
     def test_manifest_covers_all_tunables(self, tmp_path):
