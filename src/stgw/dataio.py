@@ -1,5 +1,9 @@
 """CSV schemas, model checkpoints, and the run manifest.
 
+Every CSV table goes through `_read_csv`: `np.loadtxt` over `CHUNK_ROWS` rows
+at a time into typed columns, then checks on whole columns. A bad row fails
+with its file and line; keyed rows must appear exactly once.
+
 All writers are deterministic: fixed row order, shortest round-trip float
 formatting, and newline-terminated lines, so identical runs produce identical
 bytes.
@@ -9,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import operator
 import os
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -31,8 +37,11 @@ COEFFS_HEADER = ["vertex_id", "slice", "filter", "coef"]
 CLASSES_HEADER = ["node_id", "week", "torque", "class", "theta", "a_score"]
 SLICES_HEADER = ["week", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "slice_class"]
 SLICE_LABELS = ("V1", "V2", "V3", "V4", "V5")
+_LABELS = np.array(SLICE_LABELS)
 RANKINGS_HEADER = ["node_id", "name", "a_bar", "influential_score",
                    "rank_least_successful", "rank_most_successful"]
+
+CHUNK_ROWS = 8192  # rows per `np.loadtxt` call; bounds a reader's transient memory
 
 
 def fnum(x) -> str:
@@ -47,34 +56,100 @@ def _open_read(path):
         raise DataIOError(f"cannot read {path}: {exc}")
 
 
-def _reader(path, expected_header):
-    fh = _open_read(path)
-    rows = csv.reader(fh)
-    try:
-        header = next(rows)
-    except StopIteration:
-        fh.close()
-        raise ValidationError(f"{path}: empty file (line 1)")
-    if [h.strip() for h in header] != expected_header:
-        fh.close()
-        raise ValidationError(
-            f"{path}: bad header (line 1): expected {','.join(expected_header)}"
-        )
-    return fh, rows
+def _load(lines, dtype):
+    """`np.loadtxt` of CSV lines, or None if one fails. Warnings count as failures:
+    numpy warns on all-blank input, and numpy 1.x when it reads "1.5" as the integer 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return rows if len(rows) == len(lines) else None  # loadtxt skips blank lines
 
 
-def _parse_int(value, path, line, column):
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{path}: line {line}: {column} must be an integer, got {value!r}")
+def _bad_row(text, columns) -> str | None:
+    """Why a CSV line is not a row of `columns` (name, dtype) with finite numbers."""
+    cells = next(csv.reader([text]), [])
+    if len(cells) != len(columns):
+        return f"expected {len(columns)} columns"
+    for value, (name, base) in zip(cells, columns):
+        parsed = _load([value], base) if base.kind in "if" else ()
+        if parsed is None:
+            kind = "an integer" if base.kind == "i" else "a number"
+            return f"{name} must be {kind}, got {value!r}"
+        if base.kind == "f" and not np.isfinite(parsed[0]):
+            return f"{name} must be finite, got {value!r}"
+    return None
 
 
-def _parse_float(value, path, line, column):
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{path}: line {line}: {column} must be a number, got {value!r}")
+def _read_csv(path, header: list[str], formats: str, names: list[str] | None = None):
+    """Yield (line of the first row, rows) per chunk: one field per format ("5f8" spans
+    five columns), named by `header` unless `names` is given."""
+    dtype = np.dtype({"names": names or header, "formats": formats.split(",")})
+    columns = [(name, dtype[name].base) for name in dtype.names
+               for _ in range(int(np.prod(dtype[name].shape)))]
+    with _open_read(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValidationError(f"{path}: empty file (line 1)")
+        if [h.strip() for h in next(csv.reader([first]), [])] != header:
+            raise ValidationError(f"{path}: bad header (line 1): expected {','.join(header)}")
+        line = 2
+        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+            rows = _load(lines, dtype)
+            if rows is None or not all(np.isfinite(rows[name]).all()
+                                       for name, base in columns if base.kind == "f"):
+                why = ((line + k, _bad_row(text, columns)) for k, text in enumerate(lines))
+                bad, reason = next(((k, r) for k, r in why if r), (line, "cannot parse"))
+                raise ValidationError(f"{path}: line {bad}: {reason}")
+            yield line, rows
+            line += len(lines)
+
+
+def _reject(path, line, bad, message) -> None:
+    """Raise message(k) for the first True of `bad`, whose row k is on line `line + k`."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise ValidationError(f"{path}: line {line + k[0]}: {message(k[0])}")
+
+
+def _positions(path, line, known, values, message: str) -> np.ndarray:
+    """Index in `known` of each value; the first value not in it is rejected with its line."""
+    order = np.argsort(known, kind="stable")
+    pos = np.searchsorted(known, values, sorter=order)
+    found = pos < len(known)
+    found[found] = known[order[pos[found]]] == values[found]
+    _reject(path, line, ~found, lambda k: message.format(values[k].item()))
+    return order[pos]
+
+
+class _Scatter:
+    """Result grids that the rows of a keyed table fill, each cell exactly once;
+    `describe(*cell)` names the key of a grid cell in messages."""
+
+    def __init__(self, path, what: str, describe, **grids):
+        self.path, self.what, self.describe, self.grids = path, what, describe, grids
+        self.seen = np.zeros(next(iter(grids.values())).shape, dtype=bool)
+
+    def put(self, line, index, **columns) -> None:
+        """Store the rows from `line` on at the cells `index`; a key seen before is rejected."""
+        was, filled = self.seen[index], np.count_nonzero(self.seen)
+        self.seen[index] = True
+        if np.count_nonzero(self.seen) - filled < len(was):
+            _, first = np.unique(np.ravel_multi_index(index, self.seen.shape), return_index=True)
+            _reject(self.path, line, was | ~np.isin(np.arange(len(was)), first),
+                    lambda k: "duplicate entry for " + self.describe(*(ix[k] for ix in index)))
+        for name, values in columns.items():
+            self.grids[name][index] = values
+
+    def complete(self) -> dict:
+        """The grids, once every cell has been filled."""
+        if not self.seen.all():
+            cell = np.unravel_index(np.argmin(self.seen), self.seen.shape)
+            raise ValidationError(f"{self.path}: missing {self.what} for {self.describe(*cell)}")
+        return self.grids
 
 
 def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
@@ -98,75 +173,43 @@ def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
 
 
 def read_nodes(path) -> list[NodeRecord]:
-    fh, rows = _reader(path, NODES_HEADER)
     records = []
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 5:
-                raise ValidationError(f"{path}: line {line}: expected 5 columns")
-            nid = _parse_int(row[0], path, line, "node_id")
-            lat = _parse_float(row[2], path, line, "lat")
-            lon = _parse_float(row[3], path, line, "lon")
-            pop = _parse_int(row[4], path, line, "population")
-            if pop < 1:
-                raise ValidationError(f"{path}: line {line}: population must be >= 1")
-            records.append(NodeRecord(nid, row[1], lat, lon, pop))
+    for line, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
+        _reject(path, line, rows["population"] < 1, lambda k: "population must be >= 1")
+        records += map(NodeRecord, *(rows[name].tolist() for name in NODES_HEADER))
     return records
 
 
 def read_edges(path) -> list[tuple[int, int]]:
-    fh, rows = _reader(path, EDGES_HEADER)
     edges = []
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 2:
-                raise ValidationError(f"{path}: line {line}: expected 2 columns")
-            edges.append((_parse_int(row[0], path, line, "src_id"),
-                          _parse_int(row[1], path, line, "dst_id")))
+    for _, rows in _read_csv(path, EDGES_HEADER, "i8,i8"):
+        edges += zip(rows["src_id"].tolist(), rows["dst_id"].tolist())
     return edges
 
 
 def read_cases(path, graph: RouteGraph, expected_weeks: int | None = None) -> CaseMatrix:
     """Long-format raw counts; every (node, week) pair must be present exactly once."""
-    fh, rows = _reader(path, CASES_HEADER)
-    known = set(graph.node_ids)
-    entries: dict[tuple[int, int], float] = {}
-    max_week = 0
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 3:
-                raise ValidationError(f"{path}: line {line}: expected 3 columns")
-            nid = _parse_int(row[0], path, line, "node_id")
-            week = _parse_int(row[1], path, line, "week")
-            value = _parse_float(row[2], path, line, "cases")
-            if nid not in known:
-                raise ValidationError(f"{path}: line {line}: unknown node {nid}")
-            if week < 1:
-                raise ValidationError(f"{path}: line {line}: week must be 1-based, got {week}")
-            if value < 0:
-                raise ValidationError(f"{path}: line {line}: cases must be non-negative")
-            if (nid, week) in entries:
-                raise ValidationError(f"{path}: line {line}: duplicate entry for node {nid} week {week}")
-            entries[(nid, week)] = value
-            max_week = max(max_week, week)
+    chunks = [rows for _, rows in _read_csv(path, CASES_HEADER, "i8,i8,f8")]
+    rows = np.concatenate(chunks or [np.zeros(0, [(name, "i8") for name in CASES_HEADER])])
+    ids, week = np.array(graph.node_ids), rows["week"]
+    i = _positions(path, 2, ids, rows["node_id"], "unknown node {}")
+    _reject(path, 2, week < 1, lambda k: f"week must be 1-based, got {week[k]}")
+    _reject(path, 2, rows["cases"] < 0, lambda k: "cases must be non-negative")
+    max_week = int(week.max(initial=0))
     if expected_weeks is not None and max_week != expected_weeks:
         raise ValidationError(f"{path}: found {max_week} weeks, expected {expected_weeks}")
     if max_week == 0:
         raise ValidationError(f"{path}: no case rows")
-    values = np.zeros((graph.n, max_week))
-    for i, nid in enumerate(graph.node_ids):
-        for week in range(1, max_week + 1):
-            if (nid, week) not in entries:
-                raise ValidationError(f"{path}: missing entry for node {nid} week {week}")
-            values[i, week - 1] = entries[(nid, week)]
-    return CaseMatrix(values=values, weeks=max_week)
+    grid = _Scatter(path, "entry", lambda i, t: f"node {ids[i]} week {t + 1}",
+                    values=np.zeros((graph.n, max_week)))
+    grid.put(2, (i, week - 1), values=rows["cases"])
+    return CaseMatrix(values=grid.complete()["values"], weeks=max_week)
 
 
 def ingest(nodes_path, edges_path, cases_path,
            expected_weeks: int | None = None) -> tuple[RouteGraph, CaseMatrix]:
     graph = build_route_graph(read_nodes(nodes_path), read_edges(edges_path))
-    cases = read_cases(cases_path, graph, expected_weeks)
-    return graph, cases
+    return graph, read_cases(cases_path, graph, expected_weeks)
 
 
 def write_nodes(path, nodes: Iterable[NodeRecord]) -> None:
@@ -198,21 +241,16 @@ def write_transition(path, graph: RouteGraph, transition: TransitionMatrix) -> N
 
 
 def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
-    fh, rows = _reader(path, TRANSITION_HEADER)
-    P = np.zeros((graph.n, graph.n))
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 3:
-                raise ValidationError(f"{path}: line {line}: expected 3 columns")
-            src = _parse_int(row[0], path, line, "src_id")
-            dst = _parse_int(row[1], path, line, "dst_id")
-            p = _parse_float(row[2], path, line, "p")
-            try:
-                i, j = graph.index_of(src), graph.index_of(dst)
-            except KeyError as exc:
-                raise ValidationError(f"{path}: line {line}: unknown node {exc.args[0]}")
-            P[i, j] = p
-    transition = TransitionMatrix(P=P)
+    """Every support entry (edges plus diagonal) exactly once; other entries at most once."""
+    ids = np.array(graph.node_ids)
+    grid = _Scatter(path, "entry", lambda i, j: f"src {ids[i]} dst {ids[j]}",
+                    P=np.zeros((graph.n, graph.n)))
+    for line, rows in _read_csv(path, TRANSITION_HEADER, "i8,i8,f8"):
+        index = tuple(_positions(path, line, ids, rows[name], "unknown node {}")
+                      for name in ("src_id", "dst_id"))
+        grid.put(line, index, P=rows["p"])
+    grid.seen |= (graph.adjacency + sp.eye(graph.n)).toarray() == 0
+    transition = TransitionMatrix(P=grid.complete()["P"])
     transition.check_support(graph)
     return transition
 
@@ -232,29 +270,18 @@ def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTa
 
 def read_coefficients(path, graph: RouteGraph, weeks: int,
                       filters: int) -> CoefficientTable:
-    fh, rows = _reader(path, COEFFS_HEADER)
-    n = graph.n
-    values = np.full((n * weeks, filters), np.nan)
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 4:
-                raise ValidationError(f"{path}: line {line}: expected 4 columns")
-            nid = _parse_int(row[0], path, line, "vertex_id")
-            t = _parse_int(row[1], path, line, "slice")
-            m = _parse_int(row[2], path, line, "filter")
-            coef = _parse_float(row[3], path, line, "coef")
-            try:
-                i = graph.index_of(nid)
-            except KeyError:
-                raise ValidationError(f"{path}: line {line}: unknown node {nid}")
-            if not 1 <= t <= weeks:
-                raise ValidationError(f"{path}: line {line}: slice {t} outside 1..{weeks}")
-            if not 1 <= m <= filters:
-                raise ValidationError(f"{path}: line {line}: filter {m} outside 1..{filters}")
-            values[(t - 1) * n + i, m - 1] = coef
-    if np.isnan(values).any():
-        raise ValidationError(f"{path}: missing coefficient rows")
-    return CoefficientTable(values=values)
+    n, ids = graph.n, np.array(graph.node_ids)
+    grid = _Scatter(path, "coefficient rows",
+                    lambda v, m: f"vertex {ids[v % n]} slice {v // n + 1} filter {m + 1}",
+                    values=np.zeros((n * weeks, filters)))
+    for line, rows in _read_csv(path, COEFFS_HEADER, "i8,i8,i8,f8"):
+        i = _positions(path, line, ids, rows["vertex_id"], "unknown node {}")
+        t, m = rows["slice"], rows["filter"]
+        _reject(path, line, (t < 1) | (t > weeks), lambda k: f"slice {t[k]} outside 1..{weeks}")
+        _reject(path, line, (m < 1) | (m > filters),
+                lambda k: f"filter {m[k]} outside 1..{filters}")
+        grid.put(line, ((t - 1) * n + i, m - 1), values=rows["coef"])
+    return CoefficientTable(values=grid.complete()["values"])
 
 
 def write_classes(path, graph: RouteGraph, weeks: int, phi_grid, labels_grid,
@@ -270,34 +297,19 @@ def write_classes(path, graph: RouteGraph, weeks: int, phi_grid, labels_grid,
 
 
 def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
-    fh, rows = _reader(path, CLASSES_HEADER)
-    n = graph.n
-    phi = np.full((n, weeks), np.nan)
-    labels = np.zeros((n, weeks), dtype=int)
-    theta = np.full((n, weeks), np.nan)
-    scores = np.zeros((n, weeks), dtype=int)
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 6:
-                raise ValidationError(f"{path}: line {line}: expected 6 columns")
-            nid = _parse_int(row[0], path, line, "node_id")
-            week = _parse_int(row[1], path, line, "week")
-            if not 1 <= week <= weeks:
-                raise ValidationError(f"{path}: line {line}: week {week} outside 1..{weeks}")
-            try:
-                i = graph.index_of(nid)
-            except KeyError:
-                raise ValidationError(f"{path}: line {line}: unknown node {nid}")
-            label = row[3].strip()
-            if not (len(label) == 2 and label[0] == "V" and label[1] in "12345"):
-                raise ValidationError(f"{path}: line {line}: bad class label {label!r}")
-            phi[i, week - 1] = _parse_float(row[2], path, line, "torque")
-            labels[i, week - 1] = int(label[1])
-            theta[i, week - 1] = _parse_float(row[4], path, line, "theta")
-            scores[i, week - 1] = _parse_int(row[5], path, line, "a_score")
-    if np.isnan(phi).any():
-        raise ValidationError(f"{path}: missing class rows")
-    return {"phi": phi, "labels": labels, "theta": theta, "scores": scores}
+    shape, ids = (graph.n, weeks), np.array(graph.node_ids)
+    grid = _Scatter(path, "class rows", lambda i, t: f"node {ids[i]} week {t + 1}",
+                    phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
+                    theta=np.zeros(shape), scores=np.zeros(shape, dtype=int))
+    for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
+        w = rows["week"]
+        _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
+        index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
+        labels = _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
+                            "bad class label {!r}")
+        grid.put(line, index, phi=rows["torque"], labels=labels + 1, theta=rows["theta"],
+                 scores=rows["a_score"])
+    return grid.complete()
 
 
 def write_slices(path, sigma, slice_classes) -> None:
@@ -307,20 +319,16 @@ def write_slices(path, sigma, slice_classes) -> None:
 
 
 def read_slices(path) -> tuple[np.ndarray, np.ndarray]:
-    fh, rows = _reader(path, SLICES_HEADER)
-    sigma_rows, classes = [], []
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 7:
-                raise ValidationError(f"{path}: line {line}: expected 7 columns")
-            sigma_rows.append([_parse_float(v, path, line, "sigma") for v in row[1:6]])
-            label = row[6].strip()
-            if label not in SLICE_LABELS:
-                raise ValidationError(
-                    f"{path}: line {line}: slice_class must be one of V1..V5, got {label!r}"
-                )
-            classes.append(SLICE_LABELS.index(label) + 1)
-    return np.array(sigma_rows), np.array(classes, dtype=int)
+    """Rows in week order 1..T."""
+    sigma, classes = [np.zeros((0, 5))], [np.zeros(0, dtype=int)]
+    for line, rows in _read_csv(path, SLICES_HEADER, "i8,5f8,O", ["week", "sigma", "label"]):
+        week, expected = rows["week"], np.arange(line - 1, line - 1 + len(rows))
+        _reject(path, line, week != expected, lambda k: f"week must be {expected[k]} "
+                f"(rows run 1..T in order), got {week[k]}")
+        sigma.append(rows["sigma"])
+        classes.append(1 + _positions(path, line, _LABELS, np.char.strip(rows["label"].astype(str)),
+                                      "slice_class must be one of V1..V5, got {!r}"))
+    return np.concatenate(sigma), np.concatenate(classes)
 
 
 def write_rankings(path, graph: RouteGraph, a_bar, influential, least, most) -> None:
@@ -331,24 +339,15 @@ def write_rankings(path, graph: RouteGraph, a_bar, influential, least, most) -> 
 
 
 def read_rankings(path, graph: RouteGraph) -> dict:
-    fh, rows = _reader(path, RANKINGS_HEADER)
-    n = graph.n
-    out = {"a_bar": np.zeros(n), "influential": np.zeros(n),
-           "least": np.zeros(n, dtype=int), "most": np.zeros(n, dtype=int)}
-    with fh:
-        for line, row in enumerate(rows, start=2):
-            if len(row) != 6:
-                raise ValidationError(f"{path}: line {line}: expected 6 columns")
-            nid = _parse_int(row[0], path, line, "node_id")
-            try:
-                i = graph.index_of(nid)
-            except KeyError:
-                raise ValidationError(f"{path}: line {line}: unknown node {nid}")
-            out["a_bar"][i] = _parse_float(row[2], path, line, "a_bar")
-            out["influential"][i] = _parse_float(row[3], path, line, "influential_score")
-            out["least"][i] = _parse_int(row[4], path, line, "rank_least_successful")
-            out["most"][i] = _parse_int(row[5], path, line, "rank_most_successful")
-    return out
+    n, ids = graph.n, np.array(graph.node_ids)
+    grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
+                    a_bar=np.zeros(n), influential=np.zeros(n),
+                    least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int))
+    for line, rows in _read_csv(path, RANKINGS_HEADER, "i8,O,f8,f8,i8,i8"):
+        index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
+        grid.put(line, index, a_bar=rows["a_bar"], influential=rows["influential_score"],
+                 least=rows["rank_least_successful"], most=rows["rank_most_successful"])
+    return grid.complete()
 
 
 def _tensor_names(heads: int) -> list[str]:

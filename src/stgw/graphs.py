@@ -80,8 +80,8 @@ class CaseMatrix:
             raise ValidationError(
                 f"case matrix has {vals.shape[1]} columns, expected T={self.weeks}"
             )
-        if np.any(vals < 0):
-            raise ValidationError("case matrix entries must be non-negative")
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise ValidationError("case matrix entries must be finite and non-negative")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -100,8 +100,8 @@ class TransitionMatrix:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValidationError("transition matrix must be square")
-        if np.any(P < 0):
-            raise ValidationError("transition matrix entries must be non-negative")
+        if not np.all(np.isfinite(P) & (P >= 0)):
+            raise ValidationError("transition matrix entries must be finite and non-negative")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             raise ValidationError("transition matrix rows must sum to 1 within 1e-9")

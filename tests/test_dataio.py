@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from stgw import dataio
 from stgw.errors import DataIOError, ValidationError
 from stgw.gat import GatLayerParams, GatModel
-from stgw.graphs import NodeRecord, TransitionMatrix, build_route_graph
+from stgw.graphs import CaseMatrix, NodeRecord, TransitionMatrix, build_route_graph
 from stgw.sgwt import CoefficientTable
 
 import dataio_reference as reference
@@ -213,6 +215,129 @@ class TestChunkedWritersMatchReference:
         back = dataio.load_checkpoint(tmp_path / "new.ckpt")
         for p, q in zip(model.parameters(), back.parameters()):
             assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+NAMES = ["Spring,field", 'O"Brien', "#1 Town", ' "Quoted" ', "Plain"]
+
+
+def awkward_rows(path, rng, shuffle=True):
+    """Rewrite a CSV file as valid but awkward text: rows shuffled, every data cell
+    padded with spaces, non-negative numbers signed with '+'; names stay quoted."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    if shuffle:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+
+    def cell(value):
+        try:
+            signed = not value.startswith("-") and float(value) >= 0
+        except ValueError:
+            signed = False
+        return f" {'+' * signed}{value} "
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + [list(map(cell, r)) for r in rows])
+
+
+def same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReadersMatchReference:
+    """The chunked readers against the row-by-row ones on valid, awkward files."""
+
+    @pytest.fixture
+    def graph(self, rng):
+        g = shuffled_id_graph(rng)
+        lat, lon = awkward((2, g.n), rng)
+        nodes = [NodeRecord(r.node_id, NAMES[k % len(NAMES)], lat[k], lon[k], 1000 + k)
+                 for k, r in enumerate(g.nodes)]
+        return build_route_graph(nodes, [(g.node_ids[i], g.node_ids[j]) for i, j in g.edges])
+
+    def test_nodes_and_edges(self, tmp_path, rng, graph):
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        dataio.write_nodes(nodes, graph.nodes)
+        dataio.write_edges(edges, graph)
+        awkward_rows(nodes, rng, shuffle=False)
+        awkward_rows(edges, rng)
+        new, ref = dataio.read_nodes(nodes), reference.read_nodes(nodes)
+        assert new == ref and repr(new) == repr(ref)
+        assert [r.name for r in new] == [f" {NAMES[k % len(NAMES)]} " for k in range(graph.n)]
+        new, ref = dataio.read_edges(edges), reference.read_edges(edges)
+        assert new == ref and repr(new) == repr(ref)
+
+    def test_cases(self, tmp_path, rng, graph):
+        path = tmp_path / "cases.csv"
+        dataio.write_cases(path, graph, CaseMatrix(values=np.abs(awkward((graph.n, 6), rng)),
+                                                   weeks=6))
+        awkward_rows(path, rng)
+        new, ref = dataio.read_cases(path, graph), reference.read_cases(path, graph)
+        assert new.weeks == ref.weeks
+        same_array(new.values, ref.values)
+
+    def test_transition(self, tmp_path, rng, graph):
+        support = graph.dense_adjacency() + np.eye(graph.n)
+        P = support * rng.uniform(0.1, 1.0, size=support.shape)
+        path = tmp_path / "transition.csv"
+        dataio.write_transition(path, graph, TransitionMatrix(P=P / P.sum(axis=1, keepdims=True)))
+        awkward_rows(path, rng)
+        same_array(dataio.read_transition(path, graph).P, reference.read_transition(path, graph).P)
+
+    def test_coefficients(self, tmp_path, rng, graph):
+        weeks = 4
+        path = tmp_path / "coefficients.csv"
+        dataio.write_coefficients(path, graph, weeks,
+                                  CoefficientTable(values=awkward((weeks * graph.n, 8), rng)))
+        awkward_rows(path, rng)
+        same_array(dataio.read_coefficients(path, graph, weeks, 8).values,
+                   reference.read_coefficients(path, graph, weeks, 8).values)
+
+    def test_classes(self, tmp_path, rng, graph):
+        weeks = 5
+        path = tmp_path / "classes.csv"
+        dataio.write_classes(path, graph, weeks, awkward((graph.n, weeks), rng),
+                             rng.integers(1, 6, size=(graph.n, weeks)),
+                             np.abs(awkward((graph.n, weeks), rng)),
+                             rng.integers(0, 5, size=(graph.n, weeks)))
+        awkward_rows(path, rng)
+        new, ref = dataio.read_classes(path, graph, weeks), reference.read_classes(path, graph, weeks)
+        assert list(new) == list(ref)
+        for key in ref:
+            same_array(new[key], ref[key])
+
+    def test_slices(self, tmp_path, rng):
+        path = tmp_path / "slices.csv"
+        dataio.write_slices(path, awkward((7, 5), rng), rng.integers(1, 6, size=7))
+        awkward_rows(path, rng, shuffle=False)
+        for a, b in zip(dataio.read_slices(path), reference.read_slices(path)):
+            same_array(a, b)
+
+    def test_rankings(self, tmp_path, rng, graph):
+        path = tmp_path / "rankings.csv"
+        dataio.write_rankings(path, graph, awkward((graph.n,), rng),
+                              np.abs(awkward((graph.n,), rng)),
+                              rng.permutation(graph.n) + 1, rng.permutation(graph.n) + 1)
+        awkward_rows(path, rng)
+        new, ref = dataio.read_rankings(path, graph), reference.read_rankings(path, graph)
+        assert list(new) == list(ref)
+        for key in ref:
+            same_array(new[key], ref[key])
+
+    def test_memory_is_one_chunk(self, tmp_path, rng, monkeypatch):
+        # 32 chunks; about 250 B of transient memory per chunk row was measured
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 1024)
+        g, weeks, filters = path_graph(16), 64, 32
+        path = tmp_path / "coefficients.csv"
+        dataio.write_coefficients(path, g, weeks, CoefficientTable(
+            values=rng.standard_normal((g.n * weeks, filters))))
+        tracemalloc.start()
+        try:
+            table = dataio.read_coefficients(path, g, weeks, filters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen = table.values.size  # one bool per key
+        assert peak < table.values.nbytes + seen + 1024 * 512
+        assert peak < path.stat().st_size
 
 
 class TestCheckpoint:

@@ -106,6 +106,17 @@ class TestStrongProduct:
         with pytest.raises(ValidationError, match="support"):
             strong_product(g, TransitionMatrix(P=P), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        P = np.array([[0.5, 0.5], [0.5, 0.5]])
+        P[0, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TransitionMatrix(P=P)
+        values = np.ones((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            CaseMatrix(values=values, weeks=3)
+
     def test_slice_row_mass_reconstructs_one(self, rng):
         g = random_graph(6, 0.4, rng)
         transition = uniform_transition(g)

@@ -305,13 +305,46 @@ def finished_run(tmp_path_factory):
     return root
 
 
+def staged_copy(finished_run, tmp_path):
+    """A writable copy of the finished run's inputs and outputs; returns its config path."""
+    for part in ("data", "out"):
+        shutil.copytree(finished_run / part, tmp_path / part)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text((finished_run / "run.cfg").read_text().replace(
+        str(finished_run), str(tmp_path)))
+    return cfg_path
+
+
+class TestBadInputExit2:
+    """A malformed cell in each file a staged command reads exits 2 naming file and line."""
+
+    @pytest.mark.parametrize("command,name,column,value,message", [
+        ("build-graph", "data/nodes.csv", 2, "nan", "lat must be finite, got 'nan'"),
+        ("build-graph", "data/edges.csv", 1, "x", "dst_id must be an integer, got 'x'"),
+        ("build-graph", "data/cases.csv", 2, "nan", "cases must be finite, got 'nan'"),
+        ("transform", "out/transition.csv", 2, "nan", "p must be finite, got 'nan'"),
+        ("classify", "out/coefficients.csv", 3, "inf", "coef must be finite, got 'inf'"),
+        ("rank", "out/classes.csv", 2, "nan", "torque must be finite, got 'nan'"),
+        ("report", "out/slices.csv", 3, "nan", "sigma must be finite, got 'nan'"),
+        ("report", "out/rankings.csv", 2, "-inf", "a_bar must be finite, got '-inf'"),
+    ])
+    def test_non_finite_or_malformed_cell(self, finished_run, tmp_path, capsys,
+                                          command, name, column, value, message):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"{path}: line 3: {message}" in capsys.readouterr().err
+
+
 class TestSliceLabels:
     @pytest.mark.parametrize("label", ["Vx", "", "V9", "V12", "V0", "5"])
     def test_bad_slice_class_exit_2(self, finished_run, tmp_path, capsys, label):
-        shutil.copytree(finished_run / "out", tmp_path / "out")
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text((finished_run / "run.cfg").read_text().replace(
-            f"out = {finished_run}/out", f"out = {tmp_path}/out"))
+        cfg_path = staged_copy(finished_run, tmp_path)
         slices = tmp_path / "out" / "slices.csv"
         lines = slices.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
