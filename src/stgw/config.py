@@ -7,7 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-from .errors import DataIOError, ValidationError
+from .errors import DataIOError, ValidationError, utf8_text
 
 
 @dataclass
@@ -84,15 +84,13 @@ def _apply(cfg: RunConfig, data: dict) -> RunConfig:
         if section_name not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section_name}]")
         section = getattr(cfg, section_name)
-        known = {f.name: f.type for f in fields(section)}
+        known = {f.name for f in fields(section)}
         for key, raw in values.items():
             if key not in known:
                 raise ValidationError(f"unknown config key {key!r} in [{section_name}]")
             current = getattr(section, key)
             try:
-                if isinstance(current, bool):
-                    value = raw if isinstance(raw, bool) else raw.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     value = int(raw)
                 elif isinstance(current, float):
                     value = float(raw)
@@ -111,7 +109,7 @@ def load_config(path: str | None) -> RunConfig:
         return cfg.validate()
     if not os.path.exists(path):
         raise DataIOError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataIOError, ValidationError
+from .errors import DataIOError, ValidationError, utf8_text
 from .gat import GatLayerParams, GatModel
 from .graphs import CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph
 from .sgwt import CoefficientTable
@@ -90,7 +90,7 @@ def _read_csv(path, header: list[str], formats: str, names: list[str] | None = N
     dtype = np.dtype({"names": names or header, "formats": formats.split(",")})
     columns = [(name, dtype[name].base) for name in dtype.names
                for _ in range(int(np.prod(dtype[name].shape)))]
-    with _open_read(path) as fh:
+    with utf8_text(path), _open_read(path) as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: empty file (line 1)")
@@ -371,7 +371,7 @@ def save_checkpoint(path, model: GatModel) -> None:
 
 
 def load_checkpoint(path) -> GatModel:
-    with _open_read(path) as fh:
+    with utf8_text(path), _open_read(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: missing {CHECKPOINT_MAGIC} magic header")
@@ -420,7 +420,7 @@ def update_manifest(path, section: str, values: dict) -> None:
     sections: dict[str, dict[str, str]] = {}
     if os.path.exists(path):
         current = None
-        with _open_read(path) as fh:
+        with utf8_text(path), _open_read(path) as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line:

@@ -3,7 +3,8 @@
 The dictionary pairs one low-pass scaling filter with M-1 stretched copies of
 a piecewise band-pass kernel, log-spaced so the filters tile the spectrum.
 The exact transform diagonalizes the Laplacian (guarded to small graphs); the
-fast path expands each filter in shifted Chebyshev polynomials so filtering
+fast path expands the whole bank in shifted Chebyshev polynomials, one
+(filters, order+1) coefficient matrix from one quadrature pass, so filtering
 costs one sparse matrix-vector product per polynomial order, shared by all
 filters.
 """
@@ -13,11 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import NumericError, ValidationError
 from .graphs import EIGEN_FLOOR, SymmetricLaplacian
@@ -137,20 +137,14 @@ class CoefficientTable:
         return self.values.shape[1]
 
 
-def _laplacian_matrix(L) -> sp.csr_matrix:
-    if isinstance(L, SymmetricLaplacian):
-        return L.matrix
-    return sp.csr_matrix(L)
-
-
-def exact_sgwt(L, X: np.ndarray, dictionary: KernelDictionary) -> CoefficientTable:
+def exact_sgwt(L: SymmetricLaplacian, X: np.ndarray,
+               dictionary: KernelDictionary) -> CoefficientTable:
     """Reference transform through a full symmetric eigendecomposition.
 
     W[tau, m-1] = sum_l g_m(lambda_l) * Xhat(lambda_l) * u_l(tau).  Guarded to
     EXACT_DIMENSION_GUARD vertices; larger graphs must use cheb_apply.
     """
-    matrix = _laplacian_matrix(L)
-    n = matrix.shape[0]
+    n = L.n
     if n > EXACT_DIMENSION_GUARD:
         raise ValidationError(
             f"exact transform guarded to {EXACT_DIMENSION_GUARD} vertices "
@@ -160,7 +154,7 @@ def exact_sgwt(L, X: np.ndarray, dictionary: KernelDictionary) -> CoefficientTab
     if X.shape != (n,):
         raise ValidationError("signal length does not match Laplacian dimension")
 
-    eigvals, eigvecs = scipy.linalg.eigh(matrix.toarray())
+    eigvals, eigvecs = scipy.linalg.eigh(L.matrix.toarray())
     if eigvals[0] < EIGEN_FLOOR:
         raise NumericError(f"Laplacian eigenvalue {eigvals[0]} below floor {EIGEN_FLOOR}")
     eigvals = np.maximum(eigvals, 0.0)
@@ -175,7 +169,8 @@ def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
     """Chebyshev coefficients c_k of `kernel` on [0, lambda_max], k = 0..order.
 
     c_k = (2/pi) * int_0^pi cos(k*theta) * kernel((lambda_max/2)(cos theta + 1)) dtheta,
-    evaluated by the equal-weight quadrature at `quad_points` Chebyshev nodes.
+    evaluated by the equal-weight quadrature at `quad_points` Chebyshev nodes.  A
+    kernel returning one column per filter gets one column of coefficients each.
     """
     if order < 1:
         raise ValidationError("Chebyshev order must be at least 1")
@@ -189,33 +184,28 @@ def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevExpansion:
-    """Per-filter Chebyshev coefficient lists sharing one spectral domain."""
+    """Chebyshev coefficients on [0, lambda_max]: row m-1 is c_0..c_K of filter m."""
 
     lambda_max: float
-    coefficients: tuple[np.ndarray, ...]
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coefficients, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] < 2:
+            raise ValidationError("Chebyshev coefficients must be a (filters, order+1) "
+                                  "matrix of order >= 1")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def filter_count(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def max_order(self) -> int:
-        return max(len(c) - 1 for c in self.coefficients)
+        return self.coefficients.shape[0]
 
 
 def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_ORDER,
-                      quad_points: int = DEFAULT_QUAD_POINTS,
-                      orders: Sequence[int] | None = None) -> ChebyshevExpansion:
-    """Expand every dictionary filter; `orders` overrides the shared order per filter."""
-    M = dictionary.filter_count
-    per_filter = list(orders) if orders is not None else [order] * M
-    if len(per_filter) != M:
-        raise ValidationError("per-filter order list length must equal the filter count")
-    coeffs = tuple(
-        cheb_coeffs(dictionary.kernel(m), dictionary.lambda_max, per_filter[m - 1], quad_points)
-        for m in range(1, M + 1)
-    )
-    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs)
+                      quad_points: int = DEFAULT_QUAD_POINTS) -> ChebyshevExpansion:
+    """Expand every dictionary filter in one quadrature pass over a shared cosine basis."""
+    coeffs = cheb_coeffs(dictionary.evaluate_all, dictionary.lambda_max, order, quad_points)
+    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs.T)
 
 
 class OpCounter:
@@ -225,47 +215,32 @@ class OpCounter:
         self.matvecs = 0
 
 
-def cheb_apply(L, X: np.ndarray, expansion: ChebyshevExpansion,
+def cheb_apply(L: SymmetricLaplacian, X: np.ndarray, expansion: ChebyshevExpansion,
                op_counter: OpCounter | None = None) -> CoefficientTable:
     """Fast transform: W[:, m-1] ~= c_{m,0}/2 * X + sum_k c_{m,k} Tbar_k(L) X.
 
     The shifted polynomials Tbar_k follow the recursion
     Tbar_k = (4/lambda_max * L - 2) Tbar_{k-1} - Tbar_{k-2} with Tbar_0 = X and
     Tbar_1 = (2/lambda_max * L - 1) X; each order costs one matrix-vector
-    product shared across all filters.
+    product and updates every filter at once.
     """
-    matrix = _laplacian_matrix(L)
     X = np.asarray(X, dtype=float)
-    if X.shape != (matrix.shape[0],):
+    if X.shape != (L.n,):
         raise ValidationError("signal length does not match Laplacian dimension")
     lam = expansion.lambda_max
     if lam <= 0:
         raise ValidationError("expansion domain must be positive")
 
-    M = expansion.filter_count
-    out = np.zeros((matrix.shape[0], M))
-    coeffs = expansion.coefficients
-
-    t_prev = X
-    for m in range(M):
-        out[:, m] = 0.5 * coeffs[m][0] * t_prev
-
-    y = matrix @ X
-    if op_counter is not None:
-        op_counter.matvecs += 1
-    t_cur = (2.0 / lam) * y - X
-    for m in range(M):
-        if len(coeffs[m]) > 1:
-            out[:, m] += coeffs[m][1] * t_cur
-
-    for k in range(2, expansion.max_order + 1):
-        y = matrix @ t_cur
+    def matvec(t):
         if op_counter is not None:
             op_counter.matvecs += 1
-        t_next = (4.0 / lam) * y - 2.0 * t_cur - t_prev
-        for m in range(M):
-            if len(coeffs[m]) > k:
-                out[:, m] += coeffs[m][k] * t_next
-        t_prev, t_cur = t_cur, t_next
+        return L.matrix @ t
 
+    C = expansion.coefficients
+    t_prev, t_cur = X, (2.0 / lam) * matvec(X) - X
+    out = np.outer(t_prev, 0.5 * C[:, 0])
+    out += np.outer(t_cur, C[:, 1])
+    for k in range(2, C.shape[1]):
+        t_prev, t_cur = t_cur, (4.0 / lam) * matvec(t_cur) - 2.0 * t_cur - t_prev
+        out += np.outer(t_cur, C[:, k])
     return CoefficientTable(values=out)

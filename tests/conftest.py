@@ -30,6 +30,14 @@ def uniform_transition(graph: RouteGraph) -> TransitionMatrix:
     return TransitionMatrix(P=A / A.sum(axis=1, keepdims=True))
 
 
+def random_transition(graph: RouteGraph, rng) -> TransitionMatrix:
+    """Row-stochastic P with random positive weights on each closed neighborhood."""
+    A = graph.dense_adjacency()
+    np.fill_diagonal(A, 1.0)
+    P = A * rng.uniform(0.1, 1.0, A.shape)
+    return TransitionMatrix(P=P / P.sum(axis=1, keepdims=True))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -366,6 +366,18 @@ class TestCheckpoint:
             dataio.load_checkpoint(path)
 
 
+    def test_non_utf8_rejected(self, tmp_path):
+        model = GatModel.create(4, heads=1, head_dim=2, out_dim=2, seed=0)
+        path = tmp_path / "model.ckpt"
+        dataio.save_checkpoint(path, model)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValidationError) as info:
+            dataio.load_checkpoint(path)
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8 (byte 0xff)"
+
+
 class TestManifestAndHash:
     def test_merge_sections_sorted(self, tmp_path):
         path = tmp_path / "run-manifest.txt"
@@ -383,6 +395,13 @@ class TestManifestAndHash:
         first = path.read_bytes()
         dataio.update_manifest(path, "s", {"k": "v"})
         assert path.read_bytes() == first
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "run-manifest.txt"
+        path.write_bytes(b"[s]\nk = v\nname = caf\xe9\n")
+        with pytest.raises(ValidationError) as info:
+            dataio.update_manifest(path, "s", {"k": "w"})
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8 (byte 0xe9)"
 
     def test_git_blob_hash(self, tmp_path):
         # hash of b"hello\n" as a git blob is a well-known value

@@ -96,6 +96,7 @@ def common_faults(name):
          f"line 2: expected {k} columns"),
         ("too many columns", replace(2, VALID[name][1] + ",1"), f"line 2: expected {k} columns"),
         ("non-integer id", cell(2, 0, "1.5"), f"line 2: {id_column} must be an integer, got '1.5'"),
+        ("non-UTF-8 byte", cell(3, 1, "\udcff"), "line 3: not valid UTF-8 (byte 0xff)"),
     ]
     if name in FLOAT_COLUMN:
         column = FLOAT_COLUMN[name]
@@ -172,7 +173,8 @@ def test_fault_rejected_with_file_and_line(tmp_path, name, fault, edit, message)
     lines = list(VALID[name])
     edit(lines)
     path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a lone surrogate "\udcXX" in a line is written as the raw byte 0xXX
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ValidationError) as info:
         READ[name](path)
     assert str(info.value) == f"{path}: {message}"

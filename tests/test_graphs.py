@@ -8,7 +8,8 @@ from stgw.graphs import (CaseMatrix, NodeRecord, SpatioTemporalGraph,
                          downsample_mask, estimate_lambda_max, laplacian,
                          normalize_cases, strong_product)
 
-from conftest import make_nodes, path_graph, random_graph, uniform_transition
+from conftest import (make_nodes, path_graph, random_graph, random_transition,
+                      uniform_transition)
 
 
 class TestNormalizeCases:
@@ -176,12 +177,22 @@ class TestEstimateLambdaMax:
         with pytest.raises(ValidationError):
             make_dictionary(est)
 
+    @pytest.mark.filterwarnings("ignore:power iteration did not converge")
     def test_upper_bounds_dense_oracle(self, rng):
         for _ in range(5):
             A = rng.standard_normal((20, 20))
             A = (A + A.T) / 2
             est = estimate_lambda_max(sp.csr_matrix(A))
             assert est >= np.linalg.eigvalsh(A)[-1]
+        # product-graph Laplacians with a random row-stochastic P on the support: the
+        # Chebyshev domain [0, estimate] must contain the whole spectrum
+        for seed in range(20):
+            case = np.random.default_rng([seed, 5])
+            n = int(case.integers(2, 50))
+            g = random_graph(n, float(case.uniform(0.02, 0.4)), case)
+            slices = int(case.integers(2, 1000 // n + 1))
+            lap = laplacian(strong_product(g, random_transition(g, case), slices))
+            assert lap.lambda_max_estimate >= np.linalg.eigvalsh(lap.matrix.toarray())[-1]
 
 
 class TestDownsampleMask:

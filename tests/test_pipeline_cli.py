@@ -66,6 +66,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match="bananas"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text,line", [(b"[gat]\nheads = 3\n# \xff\n", 3),
+                                           (b'{"gat":\n {"heads": "\xff"}}', 2)])
+    def test_non_utf8_rejected(self, tmp_path, text, line):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text)
+        with pytest.raises(ValidationError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path}: line {line}: not valid UTF-8 (byte 0xff)"
+
     def test_nonpositive_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[gat]\nlr = 0\n")
@@ -339,6 +348,15 @@ class TestBadInputExit2:
         path.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"{path}: line 3: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_input(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "data" / "nodes.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
+        assert main(["build-graph", "--config", str(cfg_path)]) == 2
+        assert f"{path}: line 4: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
 
 
 class TestSliceLabels:

@@ -9,7 +9,8 @@ from stgw.sgwt import (KERNEL_ARGMAX, ChebyshevExpansion, OpCounter, cheb_apply,
                        cheb_coeffs, exact_sgwt, expand_dictionary, kernel_amplitude,
                        make_dictionary, scaling_kernel, wavelet_kernel)
 
-from conftest import random_graph, uniform_transition
+from conftest import random_graph, random_transition, uniform_transition
+from sgwt_reference import cheb_apply_per_filter
 
 
 def product_laplacian(n, t, rng, p=0.3):
@@ -169,6 +170,38 @@ class TestChebCoeffs:
             assert np.max(np.abs(c1 - c2)) < 2e-11
 
 
+class TestExpandDictionary:
+    @pytest.mark.parametrize("lambda_max", [0.7, 3.0, 12.3, 40.0])
+    @pytest.mark.parametrize("order", [10, 40, 80])
+    def test_rows_match_per_filter_coefficients(self, lambda_max, order):
+        # one matrix product sums in another order than one product per filter: the
+        # rows differ by a few ulps of the largest coefficient (about 1.44), at most
+        # 1.3e-15 over 40 values of lambda_max in [0.5, 100]
+        d = make_dictionary(lambda_max, 8)
+        expansion = expand_dictionary(d, order=order)
+        assert expansion.coefficients.shape == (8, order + 1)
+        for m in range(1, 9):
+            row = cheb_coeffs(d.kernel(m), lambda_max, order)
+            assert np.max(np.abs(expansion.coefficients[m - 1] - row)) <= 2e-15
+
+    @pytest.mark.parametrize("lambda_max", [3.0, 12.3, 40.0])
+    def test_default_expansion_within_tolerance(self, lambda_max):
+        # sup-norm error of each filter's K=40, Q=2^14 expansion on [0, lambda_max];
+        # the coarsest wavelet (filter 2) is the worst, at about 0.026
+        d = make_dictionary(lambda_max, 8)
+        coeffs = expand_dictionary(d).coefficients.copy()
+        coeffs[:, 0] /= 2.0
+        lam = np.linspace(0.0, lambda_max, 20001)
+        approx = np.polynomial.chebyshev.chebval(2.0 * lam / lambda_max - 1.0, coeffs.T)
+        errors = np.max(np.abs(approx.T - d.evaluate_all(lam)), axis=0)
+        assert np.all(errors <= 0.03), errors
+
+    @pytest.mark.parametrize("coeffs", [[[2.0]], [2.0, 0.5]])
+    def test_rejects_order_zero_or_flat_coefficients(self, coeffs):
+        with pytest.raises(ValidationError, match="order"):
+            ChebyshevExpansion(lambda_max=1.0, coefficients=coeffs)
+
+
 class TestChebApply:
     def test_constant_expansion_identity(self, rng):
         lap = product_laplacian(8, 3, rng)
@@ -210,12 +243,14 @@ class TestChebApply:
         cheb_apply(lap, X, expand_dictionary(d, order=23), op_counter=counter)
         assert counter.matvecs == 23
 
-    def test_per_filter_orders(self, rng):
-        lap = product_laplacian(5, 2, rng)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_per_filter_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(int(rng.integers(5, 30)), 0.2, rng)
+        lap = laplacian(strong_product(g, random_transition(g, rng), int(rng.integers(2, 12))))
         X = rng.standard_normal(lap.n)
-        d = make_dictionary(lap.lambda_max_estimate, 4)
-        mixed = expand_dictionary(d, orders=[10, 20, 30, 40])
-        counter = OpCounter()
-        out = cheb_apply(lap, X, mixed, op_counter=counter)
-        assert counter.matvecs == 40
-        assert out.values.shape == (lap.n, 4)
+        expansion = expand_dictionary(make_dictionary(lap.lambda_max_estimate, 8), order=40)
+        ours = cheb_apply(lap, X, expansion).values
+        reference = cheb_apply_per_filter(lap.matrix, X, expansion.lambda_max,
+                                          list(expansion.coefficients))
+        assert ours.tobytes() == reference.tobytes()
