@@ -17,8 +17,8 @@ from .gat import (GatLayerParams, GatModel, SampleSets, TrainConfig,
                   predict_edges, train)
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, SpatioTemporalGraph,
                      SymmetricLaplacian, TransitionMatrix, base_laplacian,
-                     build_route_graph, canonical_sign, downsample_mask,
-                     estimate_lambda_max, laplacian, normalize_cases, strong_product)
+                     build_route_graph, canonical_sign, downsample_mask, laplacian,
+                     normalize_cases, strong_product)
 from .pipeline import run_pipeline
 from .sgwt import (ChebyshevExpansion, CoefficientTable, KernelDictionary, OpCounter,
                    cheb_apply, cheb_coeffs, exact_sgwt, expand_dictionary,

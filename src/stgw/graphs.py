@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import NumericError, ValidationError
 
-LAMBDA_SAFETY = 1.01  # inflation applied to the power-iteration estimate
+LAMBDA_SAFETY = 1.01  # margin on the λmax bound, which the Chebyshev domain must cover
+LANCZOS_VECTORS = 20  # ARPACK basis size (ncv); smaller matrices are solved densely
+LANCZOS_TOL = 1e-3    # relative accuracy of the Ritz value; the residual covers the rest
 EIGEN_FLOOR = -1e-9   # numerical zero floor for Laplacian spectra
 
 
@@ -150,8 +153,11 @@ class SymmetricLaplacian:
     """Laplacian of the symmetrized weights of a directed graph (PSD)."""
 
     matrix: sp.csr_matrix
-    lambda_max_estimate: float
+    lambda_max_estimate: float  # upper bound on the spectrum; the lambda_* fields say how
     converged: bool = True
+    lambda_method: str = "given"  # or "lanczos", "dense", "gershgorin"
+    lambda_matvecs: int = 0
+    lambda_residual: float = 0.0  # Ritz residual ||Lv - θv|| of a "lanczos" bound
 
     @property
     def n(self) -> int:
@@ -276,7 +282,7 @@ def strong_product(base: RouteGraph, transition: TransitionMatrix, slices: int) 
 
 
 def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
-    """Symmetrized Laplacian of the directed weights.
+    """Symmetrized Laplacian of the directed weights, with its λmax bound.
 
     Each arc is averaged with its reverse, W_s = (W + W^T)/2, and the returned
     matrix is the standard Laplacian diag(W_s 1) - W_s of those symmetric
@@ -286,66 +292,56 @@ def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
     so the raw-out-degree variant would be indefinite and the spectral kernels
     (defined on [0, lambda_max]) could not be applied.
     """
-    W = g.weights.tocsr()
+    return _with_lambda_max(_symmetrized_laplacian(g.weights))
+
+
+def _symmetrized_laplacian(weights: sp.spmatrix) -> sp.csr_matrix:
+    """diag(W_s 1) - W_s for W_s = (W + W^T)/2; W_s is freed before the Lanczos basis exists."""
+    W = weights.tocsr()
     W_s = ((W + W.T) * 0.5).tocsr()
     deg = np.asarray(W_s.sum(axis=1)).ravel()
-    L = (sp.diags(deg) - W_s).tocsr()
-    est, converged = _power_iteration_radius(L)
-    return SymmetricLaplacian(matrix=L, lambda_max_estimate=est, converged=converged)
+    return (sp.diags(deg) - W_s).tocsr()
 
 
-def _power_iteration_radius(matrix: sp.spmatrix, tol: float = 1e-6,
-                            max_iter: int = 1000) -> tuple[float, bool]:
-    """Spectral-radius estimate by power iteration, inflated to an upper bound.
+def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
+    """Attach an upper bound on the largest eigenvalue of a symmetric matrix.
 
-    Falls back to the Gershgorin bound (max absolute row sum) with a warning
-    when the iteration fails to converge.
+    Lanczos (ARPACK `eigsh` from a seeded start, so the bound repeats bit for
+    bit) gives the top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv||
+    bounds λmax from above (Zhou & Li 2011).  If ARPACK fails, the Gershgorin
+    bound is used with a warning and `converged=False`.
     """
     n = matrix.shape[0]
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    nrm = np.linalg.norm(x)
-    if nrm == 0 or n == 0:
-        return _gershgorin(matrix), False
-    x /= nrm
+    if n <= LANCZOS_VECTORS:  # ARPACK needs n > ncv
+        top = np.linalg.eigvalsh(matrix.toarray()).max(initial=0.0)
+        return SymmetricLaplacian(matrix, LAMBDA_SAFETY * float(top), lambda_method="dense")
 
-    val = 0.0
-    for _ in range(max_iter):
-        y = matrix @ x
-        new_val = float(np.linalg.norm(y))
-        if new_val == 0.0:
-            # annihilated start vector: spectrum is (numerically) zero
-            warnings.warn("power iteration degenerated; using Gershgorin bound")
-            return _gershgorin(matrix), False
-        x = y / new_val
-        if abs(new_val - val) <= tol * new_val:
-            return new_val * LAMBDA_SAFETY, True
-        val = new_val
-    warnings.warn("power iteration did not converge; using Gershgorin bound")
-    return _gershgorin(matrix), False
+    matvecs = 0
 
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return matrix @ x
 
-def _gershgorin(matrix: sp.spmatrix) -> float:
-    if matrix.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(matrix).sum(axis=1)))
-
-
-def estimate_lambda_max(L, tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Upper bound for the largest eigenvalue of a SymmetricLaplacian or matrix."""
-    matrix = L.matrix if isinstance(L, SymmetricLaplacian) else sp.csr_matrix(L)
-    est, _ = _power_iteration_radius(matrix, tol=tol, max_iter=max_iter)
-    return est
+    op = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        theta, vecs = eigsh(op, k=1, which="LA", ncv=LANCZOS_VECTORS, tol=LANCZOS_TOL, v0=v0)
+    except ArpackError as exc:  # no convergence, or the zero matrix (no Krylov space)
+        warnings.warn(f"Lanczos failed ({exc}); using Gershgorin bound")
+        return SymmetricLaplacian(matrix, float(abs(matrix).sum(axis=1).max()), converged=False,
+                                  lambda_method="gershgorin", lambda_matvecs=matvecs,
+                                  lambda_residual=float("nan"))
+    ritz, v = float(theta[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(op.matvec(v) - ritz * v))
+    return SymmetricLaplacian(matrix, LAMBDA_SAFETY * (ritz + residual),
+                              lambda_method="lanczos", lambda_matvecs=matvecs,
+                              lambda_residual=residual)
 
 
 def base_laplacian(base: RouteGraph) -> SymmetricLaplacian:
-    """Unweighted Laplacian of the route graph itself (degenerate single slice)."""
-    single = SpatioTemporalGraph(
-        weights=base.adjacency.astype(float).tocsr(),
-        base_node_count=base.n,
-        slice_count=1,
-    )
-    return laplacian(single)
+    """Unweighted Laplacian of the route graph itself, with its λmax bound."""
+    return _with_lambda_max(_symmetrized_laplacian(base.adjacency.astype(float)))
 
 
 def canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -362,7 +358,7 @@ def downsample_mask(base: RouteGraph) -> set[int]:
     """
     if base.n == 0:
         return set()
-    L = base_laplacian(base).matrix.toarray()
+    L = _symmetrized_laplacian(base.adjacency.astype(float)).toarray()
     try:
         _, eigvecs = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

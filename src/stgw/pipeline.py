@@ -140,6 +140,9 @@ def stage_transform(cfg: RunConfig, results: StageResults | None = None) -> list
     manifest = _manifest(cfg, "sgwt", {
         **cfg.resolved()["sgwt"],
         "lambda_max": dataio.fnum(lap.lambda_max_estimate),
+        "lambda_method": lap.lambda_method,
+        "lambda_matvecs": lap.lambda_matvecs,
+        "lambda_residual": dataio.fnum(lap.lambda_residual),
         "scales": " ".join(dataio.fnum(s) for s in dictionary.scales),
         "weeks": raw.weeks,
         "vertices": product.node_count,

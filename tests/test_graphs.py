@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from stgw import graphs
 from stgw.errors import ValidationError
 from stgw.graphs import (CaseMatrix, NodeRecord, SpatioTemporalGraph,
-                         TransitionMatrix, build_route_graph, canonical_sign,
-                         downsample_mask, estimate_lambda_max, laplacian,
+                         TransitionMatrix, _with_lambda_max, base_laplacian,
+                         build_route_graph, canonical_sign, downsample_mask, laplacian,
                          normalize_cases, strong_product)
 
 from conftest import (make_nodes, path_graph, random_graph, random_transition,
@@ -160,6 +162,21 @@ class TestLaplacian:
             assert x @ (L @ x) >= -1e-9 * (x @ x)
 
 
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """20 product-graph Laplacians (at most 1,000 vertices) with a random
+    row-stochastic P on the support, each with its dense largest eigenvalue."""
+    cases = []
+    for seed in range(20):
+        case = np.random.default_rng([seed, 5])
+        n = int(case.integers(2, 50))
+        g = random_graph(n, float(case.uniform(0.02, 0.4)), case)
+        slices = int(case.integers(2, 1000 // n + 1))
+        lap = laplacian(strong_product(g, random_transition(g, case), slices))
+        cases.append((lap, np.linalg.eigvalsh(lap.matrix.toarray())[-1]))
+    return cases
+
+
 class TestEstimateLambdaMax:
     def test_path3_value(self):
         # P3 Laplacian eigenvalues are {0, 1, 3}; estimate is inflated by 1.01
@@ -170,29 +187,61 @@ class TestEstimateLambdaMax:
         assert abs(est - 3.03) < 1e-3
 
     def test_degenerate_zero_matrix(self):
-        with pytest.warns(UserWarning):
-            est = estimate_lambda_max(sp.csr_matrix((1, 1)))
+        est = _with_lambda_max(sp.csr_matrix((1, 1))).lambda_max_estimate
         assert est == 0.0
         from stgw.sgwt import make_dictionary
         with pytest.raises(ValidationError):
             make_dictionary(est)
 
-    @pytest.mark.filterwarnings("ignore:power iteration did not converge")
-    def test_upper_bounds_dense_oracle(self, rng):
+    def test_upper_bounds_dense_oracle(self, rng, oracle_cases):
         for _ in range(5):
             A = rng.standard_normal((20, 20))
             A = (A + A.T) / 2
-            est = estimate_lambda_max(sp.csr_matrix(A))
+            est = _with_lambda_max(sp.csr_matrix(A)).lambda_max_estimate
             assert est >= np.linalg.eigvalsh(A)[-1]
         # product-graph Laplacians with a random row-stochastic P on the support: the
         # Chebyshev domain [0, estimate] must contain the whole spectrum
-        for seed in range(20):
-            case = np.random.default_rng([seed, 5])
-            n = int(case.integers(2, 50))
-            g = random_graph(n, float(case.uniform(0.02, 0.4)), case)
-            slices = int(case.integers(2, 1000 // n + 1))
-            lap = laplacian(strong_product(g, random_transition(g, case), slices))
-            assert lap.lambda_max_estimate >= np.linalg.eigvalsh(lap.matrix.toarray())[-1]
+        for lap, top in oracle_cases:
+            assert lap.lambda_max_estimate >= top
+
+    def test_tight_on_dense_oracle(self, oracle_cases):
+        # a loose bound spreads the filters' detail over fewer Chebyshev orders
+        for lap, top in oracle_cases:
+            assert lap.lambda_max_estimate <= 1.02 * top
+            assert lap.converged
+
+    def test_run_record(self, oracle_cases):
+        for lap, top in oracle_cases:  # all larger than LANCZOS_VECTORS
+            assert lap.lambda_method == "lanczos"
+            assert 0 < lap.lambda_matvecs < lap.n
+            assert lap.lambda_residual <= 1e-2 * top
+
+    def test_no_convergence_falls_back_to_gershgorin(self, rng, monkeypatch):
+        g = random_graph(12, 0.3, rng)
+        matrix = laplacian(strong_product(g, uniform_transition(g), 4)).matrix
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        monkeypatch.setattr(graphs, "eigsh", stalled)
+        with pytest.warns(UserWarning, match="Gershgorin"):
+            lap = _with_lambda_max(matrix)
+        assert lap.lambda_max_estimate == pytest.approx(np.abs(matrix.toarray()).sum(axis=1).max())
+        assert lap.converged is False
+        assert lap.lambda_method == "gershgorin"
+
+    def test_zero_matrix_beyond_dense_size(self):
+        # ARPACK cannot start on the zero matrix; Gershgorin's 0 is then exact
+        with pytest.warns(UserWarning, match="Gershgorin"):
+            lap = base_laplacian(build_route_graph(make_nodes(30), []))
+        assert lap.lambda_max_estimate == 0.0
+        assert lap.converged is False
+
+    def test_repeat_calls_bit_identical(self, rng):
+        g = random_graph(30, 0.2, rng)
+        product = strong_product(g, random_transition(g, rng), 6)
+        first, second = laplacian(product), laplacian(product)
+        assert first.lambda_max_estimate == second.lambda_max_estimate
+        assert first.lambda_matvecs == second.lambda_matvecs
 
 
 class TestDownsampleMask:

@@ -142,7 +142,8 @@ class TestPipeline:
                 if section == "io":
                     continue  # paths are reflected in the input hashes instead
                 assert f"{key} = " in text, f"missing {section}.{key}"
-        for key in ("lambda_max", "scales", "nodes_hash", "edges_hash", "cases_hash",
+        for key in ("lambda_max", "lambda_method", "lambda_matvecs", "lambda_residual",
+                    "scales", "nodes_hash", "edges_hash", "cases_hash",
                     "week_lo", "week_hi"):
             assert key in text
 
