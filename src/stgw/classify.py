@@ -132,8 +132,8 @@ def anomaly_metric(cases: CaseMatrix, base: RouteGraph) -> np.ndarray:
     max(x, 1).
     """
     X = cases.values
-    adj = base.dense_adjacency()
-    deg = adj.sum(axis=1)
+    adj = base.adjacency.astype(float)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
     nbr_sum = adj @ X
     theta = np.empty_like(X)
     zero = nbr_sum == 0.0

@@ -232,27 +232,36 @@ def write_cases(path, graph: RouteGraph, cases: CaseMatrix) -> None:
 def write_transition(path, graph: RouteGraph, transition: TransitionMatrix) -> None:
     """Every structurally allowed entry (edges plus diagonal), ascending (src, dst)."""
     ids = np.array(graph.node_ids)
-    rows, cols = (graph.adjacency + sp.eye(graph.n)).nonzero()
+    rows, cols = graph.closed_neighborhoods().nonzero()
     order = np.lexsort((ids[cols], ids[rows]))
     rows, cols = rows[order], cols[order]
     write_csv(path, TRANSITION_HEADER,
               zip(ids[rows].tolist(), ids[cols].tolist(),
-                  map(repr, transition.P[rows, cols].tolist())))
+                  map(repr, np.asarray(transition.P[rows, cols]).ravel().tolist())))
 
 
 def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
-    """Every support entry (edges plus diagonal) exactly once; other entries at most once."""
-    ids = np.array(graph.node_ids)
-    grid = _Scatter(path, "entry", lambda i, j: f"src {ids[i]} dst {ids[j]}",
-                    P=np.zeros((graph.n, graph.n)))
+    """Every support entry (edges plus diagonal) exactly once, and no other entry."""
+    ids, support = np.array(graph.node_ids), graph.closed_neighborhoods()
+    src, dst = support.nonzero()
+    # 1 + the position of each support cell in CSR order; 0 off the support
+    slot = sp.csr_matrix((np.arange(1, support.nnz + 1), support.indices, support.indptr),
+                         shape=support.shape)
+    grid = _Scatter(path, "entry", lambda k: f"src {ids[src[k]]} dst {ids[dst[k]]}",
+                    P=np.zeros(support.nnz))
     for line, rows in _read_csv(path, TRANSITION_HEADER, "i8,i8,f8"):
-        index = tuple(_positions(path, line, ids, rows[name], "unknown node {}")
-                      for name in ("src_id", "dst_id"))
-        grid.put(line, index, P=rows["p"])
-    grid.seen |= (graph.adjacency + sp.eye(graph.n)).toarray() == 0
-    transition = TransitionMatrix(P=grid.complete()["P"])
-    transition.check_support(graph)
-    return transition
+        i, j = (_positions(path, line, ids, rows[name], "unknown node {}")
+                for name in ("src_id", "dst_id"))
+        k = np.asarray(slot[i, j]).ravel() - 1
+        _reject(path, line, k < 0,
+                lambda r: f"src {rows['src_id'][r]} dst {rows['dst_id'][r]} is not an edge")
+        grid.put(line, (k,), P=rows["p"])
+    P = sp.csr_matrix((grid.complete()["P"], support.indices, support.indptr),
+                      shape=support.shape)
+    try:
+        return TransitionMatrix(P=P)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: src {ids[exc.row]}: {exc}") from None
 
 
 def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTable) -> None:

@@ -233,7 +233,7 @@ class _Support:
 
     @classmethod
     def of_graph(cls, base: RouteGraph) -> "_Support":
-        return cls.from_pattern(base.adjacency + sp.identity(base.n, format="csr"))
+        return cls.from_pattern(base.closed_neighborhoods())
 
     def matrix(self, alpha: np.ndarray) -> sp.csr_matrix:
         """A new N x N CSR matrix holding `alpha` on the support."""
@@ -587,15 +587,15 @@ def extract_transition(model: GatModel, base: RouteGraph, features,
                        slope=slope)
     alpha, _, _ = _head_attention(model.layer2.weights[0], model.layer2.attn[0], X1,
                                   support, slope)
-    return TransitionMatrix(P=support.matrix(alpha).toarray())
+    return TransitionMatrix(P=support.matrix(alpha))
 
 
 def influential_scores(transition: TransitionMatrix, max_hop: int = 5) -> np.ndarray:
     """Summed off-diagonal column mass of P^m for m = 1..max_hop, per node."""
     P = transition.P
     scores = np.zeros(P.shape[0])
-    power = np.eye(P.shape[0])
+    power = sp.identity(P.shape[0], format="csr")
     for _ in range(max_hop):
         power = power @ P
-        scores += power.sum(axis=0) - np.diag(power)
+        scores += np.asarray(power.sum(axis=0)).ravel() - power.diagonal()
     return scores

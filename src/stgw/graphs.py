@@ -1,9 +1,11 @@
 """Route graphs, case signals, and the strong-product spatio-temporal graph.
 
 Everything downstream (attention training, wavelet transforms, torque
-classification) runs on the structures built here.  Product-graph vertices are
-indexed slice-major: vertex ``v = t * N + i`` is base node ``i`` in time slice
-``t`` (both 0-based internally).
+classification) runs on the structures built here.  The adjacency, the
+transition matrix P and the product weights are CSR matrices on the graph's
+support.  Product-graph vertices are indexed slice-major: vertex
+``v = t * N + i`` is base node ``i`` in time slice ``t`` (both 0-based
+internally).
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ class RouteGraph:
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray().astype(float)
 
+    def closed_neighborhoods(self) -> sp.csr_matrix:
+        """Canonical binary CSR of adjacency plus identity: the 2E + N support of P."""
+        return self.adjacency + sp.identity(self.n, dtype=np.int8, format="csr")
+
 
 @dataclass(frozen=True, eq=False)
 class CaseMatrix:
@@ -95,22 +101,35 @@ class CaseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic attention matrix P with strictly positive diagonal."""
+    """Row-stochastic attention matrix P with strictly positive diagonal.
 
-    P: np.ndarray
+    `P` is a read-only canonical CSR matrix (from the GAT: the 2E + N closed
+    neighborhoods); the constructor takes anything `sp.csr_matrix` accepts.
+    Rejecting a square matrix sets the error's `row` to the first bad row.
+    """
+
+    P: sp.csr_matrix
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        P = sp.csr_matrix(self.P, dtype=float, copy=True)
+        if P.shape[0] != P.shape[1]:
             raise ValidationError("transition matrix must be square")
-        if not np.all(np.isfinite(P) & (P >= 0)):
-            raise ValidationError("transition matrix entries must be finite and non-negative")
-        rows = P.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
-            raise ValidationError("transition matrix rows must sum to 1 within 1e-9")
-        if np.any(np.diag(P) <= 0):
-            raise ValidationError("transition matrix diagonal must be strictly positive")
-        P.flags.writeable = False
+        P.sum_duplicates()
+        faults = (
+            (P.tocoo().row[~(np.isfinite(P.data) & (P.data >= 0))],
+             "transition matrix entries must be finite and non-negative"),
+            (np.flatnonzero(np.abs(np.asarray(P.sum(axis=1)).ravel() - 1.0) > 1e-9),
+             "transition matrix rows must sum to 1 within 1e-9"),
+            (np.flatnonzero(P.diagonal() <= 0),
+             "transition matrix diagonal must be strictly positive"),
+        )
+        for rows, message in faults:
+            if len(rows):
+                error = ValidationError(message)
+                error.row = int(rows[0])
+                raise error
+        for array in (P.data, P.indices, P.indptr):
+            array.flags.writeable = False
         object.__setattr__(self, "P", P)
 
     @property
@@ -118,15 +137,12 @@ class TransitionMatrix:
         return self.P.shape[0]
 
     def check_support(self, graph: RouteGraph) -> None:
-        """Off-diagonal support must sit exactly inside the graph adjacency."""
-        adj = graph.dense_adjacency() > 0
-        off = self.P.copy()
-        np.fill_diagonal(off, 0.0)
-        bad = np.argwhere((off > 0) & ~adj)
-        if bad.size:
-            i, j = bad[0]
+        """Positive off-diagonal entries must sit inside the graph adjacency."""
+        # positive entries where the 0/1 support pattern is 0, in row-major order
+        rows, cols = ((self.P > 0) > graph.closed_neighborhoods()).nonzero()
+        if rows.size:
             raise ValidationError(
-                f"transition weight on non-edge pair (index {i}, {j}): "
+                f"transition weight on non-edge pair (index {rows[0]}, {cols[0]}): "
                 "support mismatch between P and adjacency"
             )
 
@@ -154,7 +170,6 @@ class SymmetricLaplacian:
 
     matrix: sp.csr_matrix
     lambda_max_estimate: float  # upper bound on the spectrum; the lambda_* fields say how
-    converged: bool = True
     lambda_method: str = "given"  # or "lanczos", "dense", "gershgorin"
     lambda_matvecs: int = 0
     lambda_residual: float = 0.0  # Ritz residual ||Lv - θv|| of a "lanczos" bound
@@ -162,6 +177,11 @@ class SymmetricLaplacian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def converged(self) -> bool:
+        """False when the eigensolver failed and the bound is Gershgorin's."""
+        return self.lambda_method != "gershgorin"
 
 
 def normalize_cases(raw: CaseMatrix, populations: np.ndarray,
@@ -232,10 +252,10 @@ def build_route_graph(nodes: list[NodeRecord], edges: list[tuple[int, int]]) -> 
 def strong_product(base: RouteGraph, transition: TransitionMatrix, slices: int) -> SpatioTemporalGraph:
     """Build the directed spatio-temporal graph of `slices` copies of `base`.
 
-    Spatial arcs (i,t) -> (j,t) carry P with the diagonal removed.  Temporal
-    arcs run strictly forward: (i,t) -> (i,t+1) carries p_ii and, for every
-    neighbor j of i, (i,t) -> (j,t+1) carries p_ji (the transposed-orientation
-    convention; the Laplacian symmetrization downstream absorbs the choice).
+    W = kron(I_T, P - diag P) + kron(S_T, P^T), S_T the one-step shift: spatial
+    arcs (i,t) -> (j,t) carry p_ij, and temporal arcs run strictly forward,
+    (i,t) -> (j,t+1) carrying p_ji (p_ii for j = i; the transposed-orientation
+    convention, which the Laplacian symmetrization downstream absorbs).
     """
     if slices < 2:
         raise ValidationError("strong product needs at least 2 time slices")
@@ -243,42 +263,11 @@ def strong_product(base: RouteGraph, transition: TransitionMatrix, slices: int) 
         raise ValidationError("transition matrix size does not match graph")
     transition.check_support(base)
 
-    n = base.n
     P = transition.P
-    rows, cols, data = [], [], []
-
-    spatial_i = np.array([e[0] for e in base.edges] + [e[1] for e in base.edges], dtype=int)
-    spatial_j = np.array([e[1] for e in base.edges] + [e[0] for e in base.edges], dtype=int)
-    spatial_w = P[spatial_i, spatial_j]
-
-    diag = np.arange(n)
-    diag_w = P[diag, diag]
-
-    for t in range(slices):
-        base_off = t * n
-        rows.append(spatial_i + base_off)
-        cols.append(spatial_j + base_off)
-        data.append(spatial_w)
-        if t + 1 < slices:
-            nxt = base_off + n
-            # self arcs forward in time
-            rows.append(diag + base_off)
-            cols.append(diag + nxt)
-            data.append(diag_w)
-            # neighbor arcs forward in time, weight p_ji
-            rows.append(spatial_i + base_off)
-            cols.append(spatial_j + nxt)
-            data.append(P[spatial_j, spatial_i])
-
-    nt = n * slices
-    if rows:
-        weights = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nt, nt),
-        )
-    else:
-        weights = sp.csr_matrix((nt, nt))
-    return SpatioTemporalGraph(weights=weights, base_node_count=n, slice_count=slices)
+    spatial = sp.kron(sp.identity(slices), P - sp.diags(P.diagonal()), format="csr")
+    temporal = sp.kron(sp.eye(slices, k=1), P.T, format="csr")
+    return SpatioTemporalGraph(weights=spatial + temporal, base_node_count=base.n,
+                               slice_count=slices)
 
 
 def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
@@ -309,7 +298,7 @@ def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
     Lanczos (ARPACK `eigsh` from a seeded start, so the bound repeats bit for
     bit) gives the top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv||
     bounds λmax from above (Zhou & Li 2011).  If ARPACK fails, the Gershgorin
-    bound is used with a warning and `converged=False`.
+    bound is used with a warning and `lambda_method` "gershgorin".
     """
     n = matrix.shape[0]
     if n <= LANCZOS_VECTORS:  # ARPACK needs n > ncv
@@ -329,7 +318,7 @@ def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
         theta, vecs = eigsh(op, k=1, which="LA", ncv=LANCZOS_VECTORS, tol=LANCZOS_TOL, v0=v0)
     except ArpackError as exc:  # no convergence, or the zero matrix (no Krylov space)
         warnings.warn(f"Lanczos failed ({exc}); using Gershgorin bound")
-        return SymmetricLaplacian(matrix, float(abs(matrix).sum(axis=1).max()), converged=False,
+        return SymmetricLaplacian(matrix, float(abs(matrix).sum(axis=1).max()),
                                   lambda_method="gershgorin", lambda_matvecs=matvecs,
                                   lambda_residual=float("nan"))
     ritz, v = float(theta[0]), vecs[:, 0]

@@ -1,0 +1,85 @@
+"""Dense and per-slice forms of the support-only computations, kept as oracles.
+
+These are the loop `strong_product`, the dense `check_support`, the dense
+powers of `influential_scores` and the dense-adjacency `anomaly_metric` that
+`stgw` used while P was an N x N array.  They take P as a dense ndarray;
+tests compare the sparse code in `stgw` against them.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from stgw.errors import ValidationError
+
+
+def strong_product_weights(base, P: np.ndarray, slices: int) -> sp.csr_matrix:
+    """Product weights built slice by slice from COO triples."""
+    n = base.n
+    rows, cols, data = [], [], []
+
+    spatial_i = np.array([e[0] for e in base.edges] + [e[1] for e in base.edges], dtype=int)
+    spatial_j = np.array([e[1] for e in base.edges] + [e[0] for e in base.edges], dtype=int)
+    spatial_w = P[spatial_i, spatial_j]
+
+    diag = np.arange(n)
+    diag_w = P[diag, diag]
+
+    for t in range(slices):
+        base_off = t * n
+        rows.append(spatial_i + base_off)
+        cols.append(spatial_j + base_off)
+        data.append(spatial_w)
+        if t + 1 < slices:
+            nxt = base_off + n
+            # self arcs forward in time
+            rows.append(diag + base_off)
+            cols.append(diag + nxt)
+            data.append(diag_w)
+            # neighbor arcs forward in time, weight p_ji
+            rows.append(spatial_i + base_off)
+            cols.append(spatial_j + nxt)
+            data.append(P[spatial_j, spatial_i])
+
+    nt = n * slices
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nt, nt),
+    )
+
+
+def check_support(P: np.ndarray, graph) -> None:
+    """Off-diagonal support must sit exactly inside the graph adjacency."""
+    adj = graph.dense_adjacency() > 0
+    off = P.copy()
+    np.fill_diagonal(off, 0.0)
+    bad = np.argwhere((off > 0) & ~adj)
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(
+            f"transition weight on non-edge pair (index {i}, {j}): "
+            "support mismatch between P and adjacency"
+        )
+
+
+def influential_scores(P: np.ndarray, max_hop: int = 5) -> np.ndarray:
+    """Summed off-diagonal column mass of P^m for m = 1..max_hop, per node."""
+    scores = np.zeros(P.shape[0])
+    power = np.eye(P.shape[0])
+    for _ in range(max_hop):
+        power = power @ P
+        scores += power.sum(axis=0) - np.diag(power)
+    return scores
+
+
+def anomaly_metric(X: np.ndarray, graph) -> np.ndarray:
+    """Ratio of each node's value to its one-hop neighbor mean, shaped (N, T)."""
+    adj = graph.dense_adjacency()
+    deg = adj.sum(axis=1)
+    nbr_sum = adj @ X
+    theta = np.empty_like(X)
+    zero = nbr_sum == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = X * deg[:, None] / nbr_sum
+    theta[~zero] = ratio[~zero]
+    theta[zero] = np.maximum(X[zero], 1.0)
+    return theta

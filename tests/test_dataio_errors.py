@@ -83,6 +83,10 @@ def repeat(line, at=None):
     return lambda lines: lines.insert(len(lines) if at is None else at - 1, lines[line - 1])
 
 
+def both(first, second):
+    return lambda lines: (first(lines), second(lines))
+
+
 def common_faults(name):
     """Faults every reader rejects the same way."""
     header = VALID[name][0]
@@ -126,6 +130,15 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("transition.csv", "unknown node", cell(3, 1, "99"), "line 3: unknown node 99"),
     ("transition.csv", "duplicate row", repeat(3), "line 9: duplicate entry for src 1 dst 2"),
     ("transition.csv", "missing row", drop(3), "missing entry for src 1 dst 2"),
+    ("transition.csv", "off-support row", insert(4, "1,3,0.25"), "line 4: src 1 dst 3 is not an edge"),
+    ("transition.csv", "zero off-support row", insert(2, "3,1,0.0"),
+     "line 2: src 3 dst 1 is not an edge"),
+    ("transition.csv", "negative weight", cell(5, 2, "-0.5"),
+     "src 2: transition matrix entries must be finite and non-negative"),
+    ("transition.csv", "row sum", cell(3, 2, "0.25"),
+     "src 1: transition matrix rows must sum to 1 within 1e-9"),
+    ("transition.csv", "zero diagonal", both(cell(7, 2, "1.0"), cell(8, 2, "0.0")),
+     "src 3: transition matrix diagonal must be strictly positive"),
     ("coefficients.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("coefficients.csv", "slice out of range", cell(5, 1, "3"), "line 5: slice 3 outside 1..2"),
     ("coefficients.csv", "filter out of range", cell(4, 2, "0"), "line 4: filter 0 outside 1..2"),

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from stgw import graphs
+import graphs_reference as reference
+from stgw import dataio, graphs
+from stgw.classify import anomaly_metric
+from stgw.gat import GatModel, extract_transition, influential_scores
 from stgw.errors import ValidationError
 from stgw.graphs import (CaseMatrix, NodeRecord, SpatioTemporalGraph,
                          TransitionMatrix, _with_lambda_max, base_laplacian,
@@ -263,3 +268,117 @@ class TestDownsampleMask:
     def test_sign_flip_invariance(self, rng):
         v = rng.standard_normal(9)
         assert np.array_equal(canonical_sign(v), canonical_sign(-v))
+
+
+def graph_with_isolated_node(rng):
+    """A random graph on 3..15 nodes plus one node with no edges, in a random position."""
+    n = int(rng.integers(3, 16))
+    lone = int(rng.integers(1, n + 2))
+    linked = [k for k in range(1, n + 2) if k != lone]
+    edges = [(a, b) for x, a in enumerate(linked) for b in linked[x + 1:] if rng.random() < 0.3]
+    return build_route_graph(make_nodes(n + 1), edges)
+
+
+class TestAgainstDenseReference:
+    """The sparse forms against the loop and dense-P forms of `graphs_reference`."""
+
+    @pytest.mark.parametrize("slices", [2, 3, 7])
+    def test_strong_product_csr_identical(self, rng, slices):
+        for _ in range(20):
+            g = graph_with_isolated_node(rng)
+            assert len(g.isolated_ids) >= 1
+            transition = random_transition(g, rng)
+            W = strong_product(g, transition, slices).weights
+            ref = reference.strong_product_weights(g, transition.P.toarray(), slices)
+            for name in ("indptr", "indices", "data"):
+                new, old = getattr(W, name), getattr(ref, name)
+                assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
+
+    def test_check_support_names_the_same_pair(self, rng):
+        for _ in range(20):
+            g = graph_with_isolated_node(rng)
+            A = g.dense_adjacency()
+            np.fill_diagonal(A, 1.0)
+            off = np.argwhere(A == 0)
+            for i, j in off[rng.choice(len(off), size=min(3, len(off)), replace=False)]:
+                A[i, j] = 1.0
+            P = A * rng.uniform(0.1, 1.0, A.shape)
+            P /= P.sum(axis=1, keepdims=True)
+            with pytest.raises(ValidationError) as ref:
+                reference.check_support(P, g)
+            with pytest.raises(ValidationError) as new:
+                TransitionMatrix(P=P).check_support(g)
+            assert str(new.value) == str(ref.value)
+
+    def test_influential_scores_and_theta(self, rng):
+        for _ in range(20):
+            g = graph_with_isolated_node(rng)
+            transition = random_transition(g, rng)
+            scores = influential_scores(transition)
+            ref = reference.influential_scores(transition.P.toarray())
+            assert np.all(np.abs(scores - ref) <= 1e-14 * np.abs(ref))
+            cases = CaseMatrix(values=rng.uniform(0.0, 5.0, (g.n, 6)) * (rng.random((g.n, 6)) < 0.8),
+                               weeks=6)
+            theta = anomaly_metric(cases, g)
+            ref = reference.anomaly_metric(cases.values, g)
+            assert np.all(np.abs(theta - ref) <= 1e-14 * np.abs(ref))
+
+
+class TestTransitionMatrixForm:
+    def test_read_only_canonical_csr(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        for given in (P, sp.coo_matrix(P), sp.csr_matrix(P)):
+            t = TransitionMatrix(P=given)
+            assert isinstance(t.P, sp.csr_matrix) and t.P.has_canonical_format
+            assert t.P.nnz == 7 and np.array_equal(t.P.toarray(), P)
+            with pytest.raises(ValueError):
+                t.P.data[0] = 1.0
+
+    def test_rejection_names_the_first_row(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.5], [0.0, 0.5, 0.6]])
+        with pytest.raises(ValidationError, match="sum to 1") as info:
+            TransitionMatrix(P=P)
+        assert info.value.row == 1
+
+
+class TestNoDenseAllocation:
+    """Support-only code allocates O(E + N), never an N x N array (here 128 MB)."""
+
+    N = 4000
+
+    @pytest.fixture(scope="class")
+    def banded(self):
+        """Each node linked to the next three, plus one isolated node: P^5 stays banded."""
+        n = self.N
+        edges = [(i, j) for i in range(1, n) for j in range(i + 1, min(i + 4, n))]
+        g = build_route_graph(make_nodes(n), edges)
+        model = GatModel.create(5, heads=2, head_dim=4, out_dim=4, seed=3)
+        X = np.random.default_rng(3).standard_normal((n, 5))
+        return g, model, X
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_below_n_squared_bytes(self, tmp_path, banded):
+        g, model, X = banded
+        transition = extract_transition(model, g, X)
+        cases = CaseMatrix(values=np.ones((self.N, 3)), weeks=3)
+        path = tmp_path / "transition.csv"
+        calls = {
+            "extract_transition": (extract_transition, model, g, X),
+            "check_support": (transition.check_support, g),
+            "strong_product": (strong_product, g, transition, 2),
+            "influential_scores": (influential_scores, transition),
+            "anomaly_metric": (anomaly_metric, cases, g),
+            "write_transition": (dataio.write_transition, path, g, transition),
+            "read_transition": (dataio.read_transition, path, g),
+        }
+        peaks = {name: self.peak_bytes(*call) for name, call in calls.items()}
+        assert all(peak < self.N ** 2 for peak in peaks.values()), peaks
