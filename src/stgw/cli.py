@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from . import pipeline
+from . import dataio, pipeline
 from .config import load_config
 from .errors import StgwError, ValidationError
 from .synth import AnomalyInjection, SyntheticSpec, write_dataset
@@ -34,7 +34,7 @@ def _load(args) -> "pipeline.RunConfig":
         cfg.io.out = args.out
     if getattr(args, "seed", None) is not None:
         cfg.gat.seed = args.seed
-    return cfg
+    return cfg.validate()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            os.makedirs(args.out, exist_ok=True)
+            dataio.ensure_dir(args.out)
             spec = SyntheticSpec(
                 nodes=args.nodes, weeks=args.weeks, rho=args.rho, seed=args.seed,
                 mode=args.mode, knn=args.knn, density=args.density,

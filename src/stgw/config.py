@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -56,6 +57,10 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
     def validate(self) -> "RunConfig":
+        for name, values in self.resolved().items():
+            for key, value in values.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValidationError(f"[{name}] {key} must be finite, got {value}")
         for name in ("gat", "sgwt"):
             section = getattr(self, name)
             for f in fields(section):
@@ -89,6 +94,10 @@ def _apply(cfg: RunConfig, data: dict) -> RunConfig:
             if key not in known:
                 raise ValidationError(f"unknown config key {key!r} in [{section_name}]")
             current = getattr(section, key)
+            if isinstance(current, (int, float)) and isinstance(raw, bool):
+                raise ValidationError(f"[{section_name}] {key} must be a number, got {raw!r}")
+            if isinstance(current, int) and isinstance(raw, float) and not raw.is_integer():
+                raise ValidationError(f"[{section_name}] {key} must be an integer, got {raw!r}")
             try:
                 if isinstance(current, int):
                     value = int(raw)

@@ -162,6 +162,22 @@ def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
         raise DataIOError(f"cannot write {path}: {exc}")
 
 
+def write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}")
+
+
+def ensure_dir(path) -> None:
+    """Create the directory `path` and its parents unless it already exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # e.g. `path` names an existing file
+        raise DataIOError(f"cannot create output directory {path}: {exc}")
+
+
 def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
     """Header line, then text chunks formatted by the caller (`repr`, as `fnum`)."""
     try:

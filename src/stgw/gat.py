@@ -42,12 +42,13 @@ def _leaky_grad(x, slope: float):
 def elu(x):
     """x for x >= 0, exp(x) - 1 below."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+    # one branch is exactly zero on each side; the operand order keeps -0.0
+    out = np.expm1(np.minimum(0.0, x)) + np.maximum(0.0, x)
     return out if out.ndim else float(out)
 
 
 def _elu_grad(x):
-    return np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0)
+    return np.exp(np.minimum(x, 0.0))
 
 
 def sigmoid(x):
@@ -137,15 +138,6 @@ class GatModel:
         """Flat parameter list in a fixed order (shared with gradients)."""
         return (list(self.layer1.weights) + list(self.layer1.attn)
                 + [self.layer2.weights[0], self.layer2.attn[0], self.theta])
-
-    def copy(self) -> "GatModel":
-        return GatModel(
-            layer1=GatLayerParams(weights=[W.copy() for W in self.layer1.weights],
-                                  attn=[a.copy() for a in self.layer1.attn]),
-            layer2=GatLayerParams(weights=[self.layer2.weights[0].copy()],
-                                  attn=[self.layer2.attn[0].copy()]),
-            theta=self.theta.copy(),
-        )
 
 
 @dataclass(eq=False)
@@ -389,14 +381,24 @@ def _pair_loss(X2, theta, pairs, labels) -> float:
     return bce_loss(_pair_outputs(X2, theta, pairs)[3], labels)
 
 
-def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope):
+def _pair_scatter(pairs: np.ndarray, n: int) -> sp.csr_matrix:
+    """N x 2B 0/1 matrix adding row k and row B + k onto the endpoints of pair k."""
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    return sp.csr_matrix((np.ones(len(ends)), (ends, np.arange(len(ends)))),
+                         shape=(n, len(ends)))
+
+
+def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, scatter=None):
     """Full forward pass plus hand-derived reverse-mode gradients.
 
     Returns (loss, grads, X2): grads are ordered exactly like model.parameters(),
     and X2 is the second-layer output, from which other pairs can be scored
-    without another forward pass.
+    without another forward pass.  `scatter` is `_pair_scatter(pairs, N)`,
+    built here when not given.
     """
     support = _as_support(neighborhoods, X.shape[0])
+    if scatter is None:
+        scatter = _pair_scatter(pairs, X.shape[0])
     X1, X2, (caches1, cache2) = _model_forward(model, X, support, slope)
     xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs)
     loss = bce_loss(q_raw, labels)
@@ -409,9 +411,6 @@ def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope):
     dtheta = prod.T @ draw
     dprod = np.outer(draw, model.theta)
     # scatter-add onto both endpoints' rows as one sparse product (np.add.at is slower)
-    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    scatter = sp.csr_matrix((np.ones(2 * batch), (ends, np.arange(2 * batch))),
-                            shape=(len(X2), 2 * batch))
     dX2 = scatter @ np.concatenate([dprod * xj, dprod * xi])
 
     W2 = model.layer2.weights[0]
@@ -488,22 +487,34 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
 
 
 class _Adam:
-    """Adaptive moment estimation with the standard decay constants."""
+    """Adaptive moment estimation with the standard decay constants, on one flat vector."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size: int, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m += (1.0 - self.beta1) * (grads - self.m)
+        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+
+
+def _flat_copy(model: GatModel) -> tuple[GatModel, np.ndarray]:
+    """A copy of `model` whose parameters are views of one vector, in parameters() order."""
+    params = model.parameters()
+    flat = np.concatenate([p.ravel() for p in params])
+    bounds = np.cumsum([0] + [p.size for p in params])
+    views = [flat[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
+    heads = model.layer1.head_count
+    copy = GatModel(layer1=GatLayerParams(weights=views[:heads], attn=views[heads:2 * heads]),
+                    layer2=GatLayerParams(weights=[views[-3]], attn=[views[-2]]),
+                    theta=views[-1])
+    return copy, flat
 
 
 def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
@@ -521,19 +532,20 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     train_pairs, train_labels = samples.subset("train")
     val_pairs, val_labels = samples.subset("validation")
 
-    work = model.copy()
-    params = work.parameters()
-    opt = _Adam(params, lr=cfg.learning_rate)
+    work, params = _flat_copy(model)
+    opt = _Adam(params.size, lr=cfg.learning_rate)
+    grads = np.empty_like(params)
+    scatter = _pair_scatter(train_pairs, X.shape[0])
 
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = params.copy()
     best_epoch = 0
     wait = 0
     history = {"train_loss": [], "val_loss": [], "best_epoch": 0}
 
     for epoch in range(cfg.max_epochs):
-        loss, grads, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
-                                          cfg.leaky_slope)
+        loss, grad_list, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
+                                              cfg.leaky_slope, scatter)
         # the step's forward pass also scores the validation pairs; tiny graphs
         # can yield an empty validation split, where the training loss is the
         # monitor so early stopping still works
@@ -548,17 +560,17 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_params[...] = params
             best_epoch = epoch
             wait = 0
         else:
             wait += 1
             if wait >= cfg.patience:
                 break
+        np.concatenate([g.ravel() for g in grad_list], out=grads)
         opt.step(params, grads)
 
-    for p, b in zip(params, best_params):
-        p[...] = b
+    params[...] = best_params
     history["best_epoch"] = best_epoch
     return work, history
 

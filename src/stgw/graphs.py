@@ -1,11 +1,12 @@
 """Route graphs, case signals, and the strong-product spatio-temporal graph.
 
 Everything downstream (attention training, wavelet transforms, torque
-classification) runs on the structures built here.  The adjacency, the
-transition matrix P and the product weights are CSR matrices on the graph's
-support.  Product-graph vertices are indexed slice-major: vertex
-``v = t * N + i`` is base node ``i`` in time slice ``t`` (both 0-based
-internally).
+classification) runs on the structures built here.  The adjacency and the
+transition matrix P are CSR matrices on the graph's support.  The product
+graph and its Laplacian are kept as N x N blocks and applied slice by slice;
+no (T*N) x (T*N) matrix is formed.  Product-graph vertices are indexed
+slice-major: vertex ``v = t * N + i`` is base node ``i`` in time slice ``t``
+(both 0-based internally).
 """
 
 from __future__ import annotations
@@ -149,11 +150,18 @@ class TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpatioTemporalGraph:
-    """Directed weighted product graph; `weights[u, v]` is the arc u -> v."""
+    """Directed product graph of `slice_count` copies of an N-node graph, as two blocks.
+
+    `weights[i, j]` is the arc (i,t) -> (j,t) inside every slice and
+    `temporal[i, j]` the arc (i,t) -> (j,t+1) into the next one, so the
+    product weights are kron(I_T, weights) + kron(shift_T, temporal).  A
+    single slice needs no `temporal` block.
+    """
 
     weights: sp.csr_matrix
     base_node_count: int
     slice_count: int
+    temporal: sp.csr_matrix | None = None
 
     @property
     def node_count(self) -> int:
@@ -161,14 +169,76 @@ class SpatioTemporalGraph:
 
     @property
     def arc_count(self) -> int:
-        return self.weights.nnz
+        forward = 0 if self.temporal is None else self.temporal.nnz
+        return self.slice_count * self.weights.nnz + (self.slice_count - 1) * forward
+
+
+class ProductLaplacian:
+    """diag(d) - W_s for the symmetrized product weights W_s = (W + W^T)/2, matrix-free.
+
+    W_s is block tridiagonal over the slices: `within` = (S + S^T)/2 on the
+    diagonal blocks, `forward` = R/2 above them and its transpose below, for
+    the product's within-slice block S and temporal block R.  `L @ x` works on
+    the (T, N) reshape of the slice-major vector x, so row block t of W_s x is
+    within x_t + forward x_{t+1} + forward^T x_{t-1}.
+    """
+
+    def __init__(self, graph: SpatioTemporalGraph):
+        S = sp.csr_matrix(graph.weights, dtype=float)
+        self.within = ((S + S.T) * 0.5).tocsr()
+        self.slices = graph.slice_count
+        n = self.within.shape[0]
+        self.shape = (n * self.slices, n * self.slices)
+        degrees = np.tile(_row_sums(self.within), (self.slices, 1))
+        self.forward = self.backward = None
+        if graph.temporal is not None and self.slices > 1:
+            self.forward = (sp.csr_matrix(graph.temporal, dtype=float) * 0.5).tocsr()
+            self.backward = self.forward.T.tocsr()
+            degrees[:-1] += _row_sums(self.forward)
+            degrees[1:] += _row_sums(self.backward)
+        self.degrees = degrees.reshape(-1)
+
+    def _symmetric_weights(self, x: np.ndarray) -> np.ndarray:
+        """W_s x as an (N, T) array: column t is row block t."""
+        # one C-ordered copy serves all three products; multiplying whole
+        # columns and dropping one is cheaper than copying two column ranges
+        cols = np.ascontiguousarray(x.reshape(self.slices, -1).T)
+        out = self.within @ cols
+        if self.forward is not None:
+            out[:, :-1] += (self.forward @ cols)[:, 1:]
+            out[:, 1:] += (self.backward @ cols)[:, :-1]
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = self.degrees * x.reshape(-1)
+        out -= self._symmetric_weights(x).T.reshape(-1)
+        return out.reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The dense (T*N) x (T*N) Laplacian, for the small-graph eigensolvers."""
+        n = self.within.shape[0]
+        within = self.within.toarray()
+        dense = np.diag(self.degrees)
+        for t in range(self.slices):
+            here = slice(t * n, (t + 1) * n)
+            dense[here, here] -= within
+            if self.forward is not None and t + 1 < self.slices:
+                ahead = slice((t + 1) * n, (t + 2) * n)
+                dense[here, ahead] -= self.forward.toarray()
+                dense[ahead, here] -= self.backward.toarray()
+        return dense
+
+
+def _row_sums(block: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(block.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricLaplacian:
     """Laplacian of the symmetrized weights of a directed graph (PSD)."""
 
-    matrix: sp.csr_matrix
+    matrix: ProductLaplacian
     lambda_max_estimate: float  # upper bound on the spectrum; the lambda_* fields say how
     lambda_method: str = "given"  # or "lanczos", "dense", "gershgorin"
     lambda_matvecs: int = 0
@@ -250,12 +320,12 @@ def build_route_graph(nodes: list[NodeRecord], edges: list[tuple[int, int]]) -> 
 
 
 def strong_product(base: RouteGraph, transition: TransitionMatrix, slices: int) -> SpatioTemporalGraph:
-    """Build the directed spatio-temporal graph of `slices` copies of `base`.
+    """The directed spatio-temporal graph of `slices` copies of `base`.
 
-    W = kron(I_T, P - diag P) + kron(S_T, P^T), S_T the one-step shift: spatial
-    arcs (i,t) -> (j,t) carry p_ij, and temporal arcs run strictly forward,
-    (i,t) -> (j,t+1) carrying p_ji (p_ii for j = i; the transposed-orientation
-    convention, which the Laplacian symmetrization downstream absorbs).
+    Spatial arcs (i,t) -> (j,t) carry p_ij (the block P - diag P), and
+    temporal arcs run strictly forward, (i,t) -> (j,t+1) carrying p_ji (the
+    block P^T, with p_ii for j = i; the transposed-orientation convention,
+    which the Laplacian symmetrization downstream absorbs).
     """
     if slices < 2:
         raise ValidationError("strong product needs at least 2 time slices")
@@ -264,41 +334,34 @@ def strong_product(base: RouteGraph, transition: TransitionMatrix, slices: int) 
     transition.check_support(base)
 
     P = transition.P
-    spatial = sp.kron(sp.identity(slices), P - sp.diags(P.diagonal()), format="csr")
-    temporal = sp.kron(sp.eye(slices, k=1), P.T, format="csr")
-    return SpatioTemporalGraph(weights=spatial + temporal, base_node_count=base.n,
-                               slice_count=slices)
+    temporal = P.T.tocsr()
+    temporal.eliminate_zeros()
+    return SpatioTemporalGraph(weights=P - sp.diags(P.diagonal()), base_node_count=base.n,
+                               slice_count=slices, temporal=temporal)
 
 
 def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
     """Symmetrized Laplacian of the directed weights, with its λmax bound.
 
     Each arc is averaged with its reverse, W_s = (W + W^T)/2, and the returned
-    matrix is the standard Laplacian diag(W_s 1) - W_s of those symmetric
+    operator is the standard Laplacian diag(W_s 1) - W_s of those symmetric
     weights.  Taking degrees from the symmetrized weights (rather than the raw
     out-weights) keeps the spectrum non-negative with smallest eigenvalue 0;
     the first and last time slices of a product graph are not flow-balanced,
     so the raw-out-degree variant would be indefinite and the spectral kernels
     (defined on [0, lambda_max]) could not be applied.
     """
-    return _with_lambda_max(_symmetrized_laplacian(g.weights))
+    return _with_lambda_max(ProductLaplacian(g))
 
 
-def _symmetrized_laplacian(weights: sp.spmatrix) -> sp.csr_matrix:
-    """diag(W_s 1) - W_s for W_s = (W + W^T)/2; W_s is freed before the Lanczos basis exists."""
-    W = weights.tocsr()
-    W_s = ((W + W.T) * 0.5).tocsr()
-    deg = np.asarray(W_s.sum(axis=1)).ravel()
-    return (sp.diags(deg) - W_s).tocsr()
-
-
-def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
+def _with_lambda_max(matrix: ProductLaplacian) -> SymmetricLaplacian:
     """Attach an upper bound on the largest eigenvalue of a symmetric matrix.
 
     Lanczos (ARPACK `eigsh` from a seeded start, so the bound repeats bit for
     bit) gives the top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv||
     bounds λmax from above (Zhou & Li 2011).  If ARPACK fails, the Gershgorin
-    bound is used with a warning and `lambda_method` "gershgorin".
+    bound 2 max d (W_s is non-negative with a zero diagonal) is used with a
+    warning and `lambda_method` "gershgorin".
     """
     n = matrix.shape[0]
     if n <= LANCZOS_VECTORS:  # ARPACK needs n > ncv
@@ -318,7 +381,7 @@ def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
         theta, vecs = eigsh(op, k=1, which="LA", ncv=LANCZOS_VECTORS, tol=LANCZOS_TOL, v0=v0)
     except ArpackError as exc:  # no convergence, or the zero matrix (no Krylov space)
         warnings.warn(f"Lanczos failed ({exc}); using Gershgorin bound")
-        return SymmetricLaplacian(matrix, float(abs(matrix).sum(axis=1).max()),
+        return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max()),
                                   lambda_method="gershgorin", lambda_matvecs=matvecs,
                                   lambda_residual=float("nan"))
     ritz, v = float(theta[0]), vecs[:, 0]
@@ -328,9 +391,14 @@ def _with_lambda_max(matrix: sp.csr_matrix) -> SymmetricLaplacian:
                               lambda_residual=residual)
 
 
+def _single_slice(base: RouteGraph) -> SpatioTemporalGraph:
+    return SpatioTemporalGraph(weights=base.adjacency.astype(float), base_node_count=base.n,
+                               slice_count=1)
+
+
 def base_laplacian(base: RouteGraph) -> SymmetricLaplacian:
     """Unweighted Laplacian of the route graph itself, with its λmax bound."""
-    return _with_lambda_max(_symmetrized_laplacian(base.adjacency.astype(float)))
+    return laplacian(_single_slice(base))
 
 
 def canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -347,7 +415,7 @@ def downsample_mask(base: RouteGraph) -> set[int]:
     """
     if base.n == 0:
         return set()
-    L = _symmetrized_laplacian(base.adjacency.astype(float)).toarray()
+    L = ProductLaplacian(_single_slice(base)).toarray()
     try:
         _, eigvecs = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

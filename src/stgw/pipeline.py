@@ -40,7 +40,7 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 
 def _ensure_out(cfg: RunConfig) -> None:
-    os.makedirs(cfg.io.out, exist_ok=True)
+    dataio.ensure_dir(cfg.io.out)
 
 
 def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
@@ -230,8 +230,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                                                  ranking["most"], top_k)}
     written = [_out(cfg, name) for name in svgs]
     for path, svg in zip(written, svgs.values()):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(svg)
+        dataio.write_text(path, svg)
     written.append(_manifest(cfg, "report", {"week": week, "mask": mask, "top_k": top_k}))
     return written
 
@@ -259,7 +258,7 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     Any stage failure removes the pipeline's output files (including partial
     ones from the failing stage) and re-raises with the stage name attached.
     """
-    os.makedirs(cfg.io.out, exist_ok=True)
+    _ensure_out(cfg)
     written: list[str] = []
     results = StageResults()
     stages = [

@@ -178,8 +178,8 @@ def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
         raise ValidationError("Chebyshev domain needs lambda_max > 0")
     theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
     samples = kernel((lambda_max / 2.0) * (np.cos(theta) + 1.0))
-    k = np.arange(order + 1)
-    return (2.0 / quad_points) * (np.cos(np.outer(k, theta)) @ samples)
+    basis = np.outer(np.arange(order + 1), theta)
+    return (2.0 / quad_points) * (np.cos(basis, out=basis) @ samples)
 
 
 @dataclass(frozen=True, eq=False)

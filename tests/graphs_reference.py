@@ -1,9 +1,11 @@
-"""Dense and per-slice forms of the support-only computations, kept as oracles.
+"""Dense, per-slice and assembled forms of the graph computations, kept as oracles.
 
 These are the loop `strong_product`, the dense `check_support`, the dense
 powers of `influential_scores` and the dense-adjacency `anomaly_metric` that
-`stgw` used while P was an N x N array.  They take P as a dense ndarray;
-tests compare the sparse code in `stgw` against them.
+`stgw` used while P was an N x N array; they take P as a dense ndarray.
+`product_weights` and `symmetrized_laplacian` assemble the (T*N) x (T*N) CSR
+matrices that `stgw` used before the product Laplacian became matrix-free.
+Tests compare the code in `stgw` against them.
 """
 
 import numpy as np
@@ -45,6 +47,23 @@ def strong_product_weights(base, P: np.ndarray, slices: int) -> sp.csr_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nt, nt),
     )
+
+
+def product_weights(product) -> sp.csr_matrix:
+    """W = kron(I_T, S) + kron(shift_T, R) from the product's two N x N blocks."""
+    T = product.slice_count
+    W = sp.kron(sp.identity(T), product.weights, format="csr")
+    if product.temporal is not None:
+        W = W + sp.kron(sp.eye(T, k=1), product.temporal, format="csr")
+    return W
+
+
+def symmetrized_laplacian(weights: sp.spmatrix) -> sp.csr_matrix:
+    """diag(W_s 1) - W_s for W_s = (W + W^T)/2."""
+    W = weights.tocsr()
+    W_s = ((W + W.T) * 0.5).tocsr()
+    deg = np.asarray(W_s.sum(axis=1)).ravel()
+    return (sp.diags(deg) - W_s).tocsr()
 
 
 def check_support(P: np.ndarray, graph) -> None:

@@ -6,8 +6,8 @@ import pytest
 
 import gat_dense_reference as dense
 from stgw.errors import NumericError, ValidationError
-from stgw.gat import (GatModel, TrainConfig, _evaluate_loss, _loss_and_grads,
-                      attention_coefficients, bce_loss, edge_accuracy, edge_probability,
+from stgw.gat import (GatModel, TrainConfig, _Adam, _elu_grad, _evaluate_loss, _flat_copy,
+                      _loss_and_grads, attention_coefficients, bce_loss, edge_accuracy, edge_probability,
                       elu, extract_transition, influential_scores, layer_forward,
                       leaky_relu, make_samples, negative_candidates, neighborhood_mask,
                       predict_edges, train)
@@ -37,6 +37,49 @@ class TestActivations:
         assert elu(0.0) == 0.0
         assert elu(1.0) == 1.0
         assert abs(elu(-1.0) - (math.exp(-1.0) - 1.0)) < 1e-15
+        assert isinstance(elu(-1.0), float)
+
+    def test_elu_and_grad_match_branch_forms_bitwise(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf,
+                          np.finfo(float).max, -np.finfo(float).max, 1e-300, -800.0])
+        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 4001)])
+        branch = np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+        branch_grad = np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0)
+        assert elu(x).tobytes() == branch.tobytes()
+        assert _elu_grad(x).tobytes() == branch_grad.tobytes()
+        assert math.copysign(1.0, elu(-0.0)) == -1.0
+
+
+def per_array_adam_steps(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as it ran on one array at a time, as the reference for the flat step."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for p, g, mk, vk in zip(params, grads, m, v):
+            mk += (1.0 - beta1) * (g - mk)
+            vk += (1.0 - beta2) * (g * g - vk)
+            p -= lr * (mk / bc1) / (np.sqrt(vk / bc2) + eps)
+
+
+class TestFlatAdam:
+    def test_flat_step_equals_per_array_steps(self, rng):
+        model = GatModel.create(6, heads=3, head_dim=4, out_dim=5, seed=2)
+        reference, _ = _flat_copy(model)
+        work, flat = _flat_copy(model)
+        grads_per_step = [[rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                           for p in model.parameters()] for _ in range(5)]
+        per_array_adam_steps(reference.parameters(), grads_per_step, lr=0.005)
+        opt = _Adam(flat.size, lr=0.005)
+        for grads in grads_per_step:
+            opt.step(flat, np.concatenate([g.ravel() for g in grads]))
+        for p, ref in zip(work.parameters(), reference.parameters()):
+            assert np.shares_memory(p, flat)
+            assert p.tobytes() == ref.tobytes()
+        for p, before in zip(model.parameters(), GatModel.create(6, heads=3, head_dim=4,
+                                                                 out_dim=5, seed=2).parameters()):
+            assert p.tobytes() == before.tobytes()  # the source model is untouched
 
 
 class TestAttention:

@@ -10,7 +10,7 @@ from stgw import dataio, graphs
 from stgw.classify import anomaly_metric
 from stgw.gat import GatModel, extract_transition, influential_scores
 from stgw.errors import ValidationError
-from stgw.graphs import (CaseMatrix, NodeRecord, SpatioTemporalGraph,
+from stgw.graphs import (CaseMatrix, NodeRecord, ProductLaplacian, SpatioTemporalGraph,
                          TransitionMatrix, _with_lambda_max, base_laplacian,
                          build_route_graph, canonical_sign, downsample_mask, laplacian,
                          normalize_cases, strong_product)
@@ -83,7 +83,7 @@ class TestStrongProduct:
         # 4 vertices, 8 arcs: 2 spatial per slice + self and cross temporal arcs
         assert product.node_count == 4
         assert product.arc_count == 8
-        W = product.weights.toarray()
+        W = reference.product_weights(product).toarray()
 
         def v(i, t):  # slice-major product vertex order, v = t*N + i
             return t * product.base_node_count + i
@@ -129,7 +129,7 @@ class TestStrongProduct:
         g = random_graph(6, 0.4, rng)
         transition = uniform_transition(g)
         product = strong_product(g, transition, 3)
-        W = product.weights.toarray()
+        W = reference.product_weights(product).toarray()
         n = g.n
         for t in range(3):
             for i in range(n):
@@ -148,14 +148,14 @@ class TestLaplacian:
     def test_directed_laplacian_row_sums_zero(self, rng):
         g = random_graph(7, 0.3, rng)
         product = strong_product(g, uniform_transition(g), 4)
-        W = product.weights
+        W = reference.product_weights(product)
         directed = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
         assert np.max(np.abs(directed.sum(axis=1))) < 1e-12
 
     def test_exact_symmetry(self, rng):
         g = random_graph(8, 0.3, rng)
         product = strong_product(g, uniform_transition(g), 3)
-        L = laplacian(product).matrix
+        L = laplacian(product).matrix.toarray()
         assert (abs(L - L.T)).max() == 0.0
 
     def test_quadratic_form_nonnegative(self, rng):
@@ -168,18 +168,102 @@ class TestLaplacian:
 
 
 @pytest.fixture(scope="module")
-def oracle_cases():
-    """20 product-graph Laplacians (at most 1,000 vertices) with a random
-    row-stochastic P on the support, each with its dense largest eigenvalue."""
-    cases = []
+def oracle_products():
+    """20 product graphs (at most 1,000 vertices) with a random row-stochastic P
+    on the support."""
+    products = []
     for seed in range(20):
         case = np.random.default_rng([seed, 5])
         n = int(case.integers(2, 50))
         g = random_graph(n, float(case.uniform(0.02, 0.4)), case)
         slices = int(case.integers(2, 1000 // n + 1))
-        lap = laplacian(strong_product(g, random_transition(g, case), slices))
+        products.append(strong_product(g, random_transition(g, case), slices))
+    return products
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(oracle_products):
+    """The oracle products' Laplacians, each with its dense largest eigenvalue."""
+    cases = []
+    for product in oracle_products:
+        lap = laplacian(product)
         cases.append((lap, np.linalg.eigvalsh(lap.matrix.toarray())[-1]))
     return cases
+
+
+def single_slices(rng):
+    """Single-slice graphs: symmetric 0/1 adjacencies and directed weights."""
+    for _ in range(10):
+        g = graph_with_isolated_node(rng)
+        yield SpatioTemporalGraph(weights=g.adjacency.astype(float), base_node_count=g.n,
+                                  slice_count=1)
+        directed = sp.random(g.n, g.n, density=0.3, random_state=rng, format="csr")
+        yield SpatioTemporalGraph(weights=directed, base_node_count=g.n, slice_count=1)
+
+
+class TestProductLaplacian:
+    """The matrix-free operator against the assembled CSR forms of `graphs_reference`."""
+
+    @staticmethod
+    def reference_laplacian(product):
+        return reference.symmetrized_laplacian(reference.product_weights(product))
+
+    def check_matvecs(self, product, rng):
+        op = ProductLaplacian(product)
+        ref = self.reference_laplacian(product)
+        assert op.shape == ref.shape
+        for _ in range(3):
+            x = rng.standard_normal(op.shape[0])
+            # relative to the size of the terms summed into each entry
+            scale = (abs(ref) @ np.abs(x)).max()
+            assert np.abs(op @ x - ref @ x).max() <= 1e-14 * scale
+            assert (op @ x[:, None]).shape == (op.shape[0], 1)
+
+    def test_matvec_matches_reference_on_oracle_products(self, rng, oracle_products):
+        for product in oracle_products:
+            self.check_matvecs(product, rng)
+
+    def test_matvec_matches_reference_on_single_slices(self, rng):
+        for product in single_slices(rng):
+            self.check_matvecs(product, rng)
+
+    def test_toarray_matches_reference(self, rng, oracle_products):
+        for product in oracle_products[:8] + list(single_slices(rng)):
+            dense = ProductLaplacian(product).toarray()
+            ref = self.reference_laplacian(product).toarray()
+            diagonal = np.eye(len(ref), dtype=bool)
+            assert np.array_equal(dense[~diagonal], ref[~diagonal])
+            # degrees are summed block by block, not along the assembled row
+            assert np.all(np.abs(dense[diagonal] - ref[diagonal]) <= 1e-14 * ref[diagonal])
+
+    def test_arc_count_formula(self, rng):
+        for slices in (2, 3, 7):
+            g = graph_with_isolated_node(rng)
+            product = strong_product(g, random_transition(g, rng), slices)
+            n, e = g.n, len(g.edges)
+            formula = slices * 2 * e + (slices - 1) * (n + 2 * e)
+            assert product.arc_count == formula == reference.product_weights(product).nnz
+
+    def test_no_product_sized_allocation(self):
+        """At N=2,000, T=104 the product and its operator stay far below one CSR L."""
+        n, slices = 2000, 104
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(i + 4, n + 1))]
+        g = build_route_graph(make_nodes(n), edges)
+        support = g.closed_neighborhoods().astype(float)
+        support.data = np.random.default_rng(8).uniform(0.1, 1.0, support.nnz)
+        rows = np.asarray(support.sum(axis=1)).ravel()
+        transition = TransitionMatrix(P=sp.diags(1.0 / rows) @ support)
+        e = len(edges)
+        nnz_l = slices * n + slices * 2 * e + 2 * (slices - 1) * (2 * e + n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            op = ProductLaplacian(strong_product(g, transition, slices))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (n * slices, n * slices)
+        assert peak < 12 * nnz_l / 10, (peak, nnz_l)
 
 
 class TestEstimateLambdaMax:
@@ -288,7 +372,7 @@ class TestAgainstDenseReference:
             g = graph_with_isolated_node(rng)
             assert len(g.isolated_ids) >= 1
             transition = random_transition(g, rng)
-            W = strong_product(g, transition, slices).weights
+            W = reference.product_weights(strong_product(g, transition, slices))
             ref = reference.strong_product_weights(g, transition.P.toarray(), slices)
             for name in ("indptr", "indices", "data"):
                 new, old = getattr(W, name), getattr(ref, name)

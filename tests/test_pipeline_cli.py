@@ -81,6 +81,32 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text,message", [
+        ("[gat]\nlr = nan\n", "[gat] lr must be finite, got nan"),
+        ("[sgwt]\nscale_hi = inf\n", "[sgwt] scale_hi must be finite, got inf"),
+        ("[classify]\ntheta_lo = -inf\n", "[classify] theta_lo must be finite, got -inf"),
+        ('{"gat": {"lr": NaN}}', "[gat] lr must be finite, got nan"),
+        ('{"gat": {"max_epochs": 2.7}}', "[gat] max_epochs must be an integer, got 2.7"),
+        ('{"sgwt": {"quad_points": 1e400}}', "[sgwt] quad_points must be an integer, got inf"),
+        ("[gat]\nmax_epochs = 2.7\n", "bad value for max_epochs in [gat]: '2.7'"),
+        ('{"gat": {"lr": true}}', "[gat] lr must be a number, got True"),
+    ])
+    def test_non_finite_or_non_integral_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["build-graph", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_seed_flag_is_validated(self, capsys):
+        assert main(["train", "--seed", "-1"]) == 2
+        assert "[gat] seed must be non-negative" in capsys.readouterr().err
+
+    def test_integral_json_float_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"gat": {"max_epochs": 20.0}}')
+        cfg = load_config(str(path))
+        assert cfg.gat.max_epochs == 20 and isinstance(cfg.gat.max_epochs, int)
+
 
 class TestPipeline:
     def test_full_run_outputs_within_budget(self, tmp_path):
@@ -250,6 +276,30 @@ class TestCli:
         )
         assert main(["build-graph", "--config", str(cfg_path)]) == 2
         assert "99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "transform", "classify", "rank",
+                                         "report", "run"])
+    def test_out_naming_a_file_exit_4(self, tmp_path, capsys, command):
+        main(["synth", "--out", str(tmp_path / "data"), "--nodes", "10", "--weeks", "4"])
+        cfg_path = tmp_path / "run.cfg"
+        data = tmp_path / "data"
+        cfg_path.write_text(f"[io]\nnodes = {data}/nodes.csv\nedges = {data}/edges.csv\n"
+                            f"cases = {data}/cases.csv\n")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        args = ["--out", str(taken)] + ([] if command == "synth" else ["--config", str(cfg_path)])
+        capsys.readouterr()
+        assert main([command] + args) == 4
+        assert f"cannot create output directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_unwritable_svg_exit_4(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        blocked = tmp_path / "out" / "slices.svg"
+        blocked.unlink()
+        blocked.mkdir()
+        assert main(["report", "--config", str(cfg_path)]) == 4
+        assert f"cannot write {blocked}" in capsys.readouterr().err
 
     def test_missing_file_exit_4(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
