@@ -108,6 +108,16 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _load(args)
+        window = _parse_weeks(args.weeks) if getattr(args, "weeks", None) else None
+        writers = {
+            "train": lambda: pipeline.stage_train(cfg),
+            "transform": lambda: pipeline.stage_transform(cfg),
+            "classify": lambda: pipeline.stage_classify(cfg),
+            "rank": lambda: pipeline.stage_rank(cfg, window),
+            "report": lambda: pipeline.stage_report(cfg, mask=args.mask, week=args.week),
+            "run": lambda: pipeline.run_pipeline(cfg, weeks=window, mask=args.mask,
+                                                 week=args.week),
+        }
         if args.command == "build-graph":
             info = pipeline.stage_build_graph(cfg)
             print(f"graph: {info['nodes']} nodes, {info['edges']} edges, "
@@ -115,31 +125,13 @@ def main(argv=None) -> int:
             if info["isolated"]:
                 print(f"warning: {len(info['isolated'])} isolated nodes: "
                       f"{info['isolated']}")
-        elif args.command == "train":
-            for path in pipeline.stage_train(cfg):
-                print(f"wrote {path}")
         elif args.command == "product":
             info = pipeline.stage_product(cfg)
             ok = "ok" if info["arcs"] == info["expected_arcs"] else "MISMATCH"
             print(f"product: {info['vertices']} vertices, {info['arcs']} arcs "
                   f"(identity {info['expected_arcs']}: {ok})")
-        elif args.command == "transform":
-            for path in pipeline.stage_transform(cfg):
-                print(f"wrote {path}")
-        elif args.command == "classify":
-            for path in pipeline.stage_classify(cfg):
-                print(f"wrote {path}")
-        elif args.command == "rank":
-            window = _parse_weeks(args.weeks) if args.weeks else None
-            for path in pipeline.stage_rank(cfg, window):
-                print(f"wrote {path}")
-        elif args.command == "report":
-            for path in pipeline.stage_report(cfg, mask=args.mask, week=args.week):
-                print(f"wrote {path}")
-        elif args.command == "run":
-            window = _parse_weeks(args.weeks) if args.weeks else None
-            for path in pipeline.run_pipeline(cfg, weeks=window, mask=args.mask,
-                                              week=args.week):
+        else:
+            for path in writers[args.command]():
                 print(f"wrote {path}")
         return 0
     except StgwError as exc:

@@ -11,6 +11,7 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataIOError, ValidationError, utf8_text
-from .gat import GatLayerParams, GatModel
+from .gat import GatModel
 from .graphs import CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph
 from .sgwt import CoefficientTable
 
@@ -152,22 +153,26 @@ class _Scatter:
         return self.grids
 
 
-def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
+@contextlib.contextmanager
+def _output(path):
+    """`path` opened for writing as UTF-8 text; an OSError exits 4 naming it."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}")
+
+
+def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_text(path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}")
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def ensure_dir(path) -> None:
@@ -180,12 +185,9 @@ def ensure_dir(path) -> None:
 
 def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
     """Header line, then text chunks formatted by the caller (`repr`, as `fnum`)."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}")
+    with _output(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(chunks)
 
 
 def read_nodes(path) -> list[NodeRecord]:
@@ -375,13 +377,6 @@ def read_rankings(path, graph: RouteGraph) -> dict:
     return grid.complete()
 
 
-def _tensor_names(heads: int) -> list[str]:
-    """Checkpoint tensor names, in `GatModel.parameters()` order."""
-    return ([f"layer1.weight.{k}" for k in range(heads)]
-            + [f"layer1.attn.{k}" for k in range(heads)]
-            + ["layer2.weight", "layer2.attn", "theta"])
-
-
 def save_checkpoint(path, model: GatModel) -> None:
     """Text checkpoint: magic line, then `tensor <name> <dims...>` + one value line."""
     def tensor_chunks(name, arr):
@@ -390,7 +385,7 @@ def save_checkpoint(path, model: GatModel) -> None:
         for k in range(0, flat.size, 1024):  # a value line can hold ~10^5 values
             yield " " * (k > 0) + " ".join(map(repr, flat[k:k + 1024].tolist()))
         yield "\n"
-    names = _tensor_names(model.layer1.head_count)
+    names = GatModel.parameter_names(model.layer1.head_count)
     _write_chunks(path, CHECKPOINT_MAGIC, (chunk for name, arr in zip(names, model.parameters())
                                            for chunk in tensor_chunks(name, arr)))
 
@@ -416,18 +411,11 @@ def load_checkpoint(path) -> GatModel:
         k += 2
 
     heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
-    missing = [name for name in _tensor_names(heads) if name not in tensors]
+    names = GatModel.parameter_names(heads)
+    missing = [name for name in names if name not in tensors]
     if missing or heads == 0:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")
-    return GatModel(
-        layer1=GatLayerParams(
-            weights=[tensors[f"layer1.weight.{k}"] for k in range(heads)],
-            attn=[tensors[f"layer1.attn.{k}"] for k in range(heads)],
-        ),
-        layer2=GatLayerParams(weights=[tensors["layer2.weight"]],
-                              attn=[tensors["layer2.attn"]]),
-        theta=tensors["theta"],
-    )
+    return GatModel.from_parameters([tensors[name] for name in names])
 
 
 def content_hash(path) -> str:
@@ -457,12 +445,9 @@ def update_manifest(path, section: str, values: dict) -> None:
                     key, _, value = line.partition("=")
                     sections[current][key.strip()] = value.strip()
     sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for name in sorted(sections):
-                fh.write(f"[{name}]\n")
-                for key in sorted(sections[name]):
-                    fh.write(f"{key} = {sections[name][key]}\n")
-                fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}")
+    with _output(path) as fh:
+        for name in sorted(sections):
+            fh.write(f"[{name}]\n")
+            for key in sorted(sections[name]):
+                fh.write(f"{key} = {sections[name][key]}\n")
+            fh.write("\n")

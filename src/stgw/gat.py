@@ -139,6 +139,22 @@ class GatModel:
         return (list(self.layer1.weights) + list(self.layer1.attn)
                 + [self.layer2.weights[0], self.layer2.attn[0], self.theta])
 
+    @staticmethod
+    def parameter_names(heads: int) -> list[str]:
+        """Names of the parameters() of a model with `heads` layer-1 heads, in order."""
+        return ([f"layer1.weight.{k}" for k in range(heads)]
+                + [f"layer1.attn.{k}" for k in range(heads)]
+                + ["layer2.weight", "layer2.attn", "theta"])
+
+    @classmethod
+    def from_parameters(cls, params: list[np.ndarray]) -> "GatModel":
+        """The model whose parameters() are `params` (the arrays themselves, not copies)."""
+        heads = (len(params) - 3) // 2
+        return cls(layer1=GatLayerParams(weights=list(params[:heads]),
+                                         attn=list(params[heads:2 * heads])),
+                   layer2=GatLayerParams(weights=[params[-3]], attn=[params[-2]]),
+                   theta=params[-1])
+
 
 @dataclass(eq=False)
 class TrainConfig:
@@ -146,7 +162,6 @@ class TrainConfig:
     patience: int = 100
     max_epochs: int = 3000
     seed: int = 0
-    leaky_slope: float = LEAKY_SLOPE
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -234,21 +249,16 @@ class _Support:
 
 
 def _as_support(neighborhoods, n: int) -> _Support:
-    """Accept a support, a RouteGraph, an N x N mask, or per-node neighbor index lists."""
+    """Accept a support, a RouteGraph or an N x N mask."""
     if isinstance(neighborhoods, _Support):
         support = neighborhoods
     elif isinstance(neighborhoods, RouteGraph):
         support = _Support.of_graph(neighborhoods)
-    elif isinstance(neighborhoods, np.ndarray) and neighborhoods.ndim == 2:
-        if neighborhoods.shape != (n, n):
-            raise ValidationError("neighborhood mask shape does not match the feature count")
+    elif isinstance(neighborhoods, np.ndarray) and neighborhoods.shape == (n, n):
         support = _Support.from_pattern(sp.csr_matrix(neighborhoods.astype(bool)))
     else:
-        nbrs = [np.asarray(list(nbr), dtype=int) for nbr in neighborhoods]
-        rows = np.repeat(np.arange(len(nbrs)), [len(nbr) for nbr in nbrs])
-        cols = np.concatenate(nbrs) if nbrs else np.zeros(0, dtype=int)
-        support = _Support.from_pattern(
-            sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n)))
+        raise ValidationError("neighborhoods must be a RouteGraph or an N x N mask "
+                              "matching the feature count")
     if support.n != n:
         raise ValidationError("neighborhood mask shape does not match the feature count")
     return support
@@ -327,31 +337,26 @@ def attention_coefficients(layer: GatLayerParams, features: np.ndarray,
             for W, a in zip(layer.weights, layer.attn)]
 
 
+def _layer_forward(layer: GatLayerParams, X, support: _Support, slope):
+    """The heads' outputs side by side, and each head's cache (Z, e, alpha, U)."""
+    outs, caches = zip(*(_head_forward(W, a, X, support, slope)
+                         for W, a in zip(layer.weights, layer.attn)))
+    return np.concatenate(outs, axis=1), caches
+
+
 def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
                   concat: bool = True, slope: float = LEAKY_SLOPE) -> np.ndarray:
     """ELU-activated attention aggregation; heads concatenated when requested."""
     X = np.asarray(features, dtype=float)
     _check_features(layer, X)
-    support = _as_support(neighborhoods, X.shape[0])
-    outs = [_head_forward(W, a, X, support, slope)[0]
-            for W, a in zip(layer.weights, layer.attn)]
-    if concat:
-        return np.concatenate(outs, axis=1)
-    if len(outs) != 1:
+    if not concat and layer.head_count != 1:
         raise ValidationError("concat=False is only defined for single-head layers")
-    return outs[0]
+    return _layer_forward(layer, X, _as_support(neighborhoods, X.shape[0]), slope)[0]
 
 
 def _model_forward(model: GatModel, X, support: _Support, slope):
-    caches1 = []
-    outs1 = []
-    for W, a in zip(model.layer1.weights, model.layer1.attn):
-        H, cache = _head_forward(W, a, X, support, slope)
-        outs1.append(H)
-        caches1.append(cache)
-    X1 = np.concatenate(outs1, axis=1)
-    X2, cache2 = _head_forward(model.layer2.weights[0], model.layer2.attn[0],
-                               X1, support, slope)
+    X1, caches1 = _layer_forward(model.layer1, X, support, slope)
+    X2, (cache2,) = _layer_forward(model.layer2, X1, support, slope)
     return X1, X2, (caches1, cache2)
 
 
@@ -510,11 +515,7 @@ def _flat_copy(model: GatModel) -> tuple[GatModel, np.ndarray]:
     flat = np.concatenate([p.ravel() for p in params])
     bounds = np.cumsum([0] + [p.size for p in params])
     views = [flat[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
-    heads = model.layer1.head_count
-    copy = GatModel(layer1=GatLayerParams(weights=views[:heads], attn=views[heads:2 * heads]),
-                    layer2=GatLayerParams(weights=[views[-3]], attn=[views[-2]]),
-                    theta=views[-1])
-    return copy, flat
+    return GatModel.from_parameters(views), flat
 
 
 def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
@@ -545,7 +546,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
     for epoch in range(cfg.max_epochs):
         loss, grad_list, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
-                                              cfg.leaky_slope, scatter)
+                                              LEAKY_SLOPE, scatter)
         # the step's forward pass also scores the validation pairs; tiny graphs
         # can yield an empty validation split, where the training loss is the
         # monitor so early stopping still works
@@ -595,10 +596,8 @@ def extract_transition(model: GatModel, base: RouteGraph, features,
                        slope: float = LEAKY_SLOPE) -> TransitionMatrix:
     """Transition matrix: second-layer attention evaluated on layer-1 outputs."""
     support = _Support.of_graph(base)
-    X1 = layer_forward(model.layer1, _feature_array(features), support, concat=True,
-                       slope=slope)
-    alpha, _, _ = _head_attention(model.layer2.weights[0], model.layer2.attn[0], X1,
-                                  support, slope)
+    # alpha from layer 2's cache (Z, e, alpha, U)
+    _, _, (_, (_, _, alpha, _)) = _model_forward(model, _feature_array(features), support, slope)
     return TransitionMatrix(P=support.matrix(alpha))
 
 

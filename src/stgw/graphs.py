@@ -216,18 +216,9 @@ class ProductLaplacian:
         return out.reshape(x.shape)
 
     def toarray(self) -> np.ndarray:
-        """The dense (T*N) x (T*N) Laplacian, for the small-graph eigensolvers."""
-        n = self.within.shape[0]
-        within = self.within.toarray()
-        dense = np.diag(self.degrees)
-        for t in range(self.slices):
-            here = slice(t * n, (t + 1) * n)
-            dense[here, here] -= within
-            if self.forward is not None and t + 1 < self.slices:
-                ahead = slice((t + 1) * n, (t + 2) * n)
-                dense[here, ahead] -= self.forward.toarray()
-                dense[ahead, here] -= self.backward.toarray()
-        return dense
+        """The dense (T*N) x (T*N) Laplacian, for the small-graph eigensolvers:
+        L applied to each identity column e_j gives column j."""
+        return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T
 
 
 def _row_sums(block: sp.csr_matrix) -> np.ndarray:

@@ -119,36 +119,25 @@ def render_ranking(graph: RouteGraph, a_bar: np.ndarray, least: np.ndarray,
     top = float(a_bar.max()) if graph.n else 1.0
     scale = bar_max / max(top, 1e-12)
 
-    order_least = np.argsort(least)[:k]
-    order_most = np.argsort(most)[:k]
-
     svg = [_svg_open(width, height),
            _title(f"Average anomaly score: top {k} each way", pad, 28)]
     y = 56.0
-    svg.append(f'<text x="{_f(pad)}" y="{_f(y)}" {FONT} font-size="13" '
-               f'fill="#882222">Least successful</text>\n')
-    y += 10
-    for i in order_least:
-        rec = graph.nodes[int(i)]
-        svg.append(f'<rect x="{_f(pad + 180)}" y="{_f(y)}" '
-                   f'width="{_f(max(a_bar[i] * scale, 0.5))}" height="16" fill="#d7191c"/>\n')
-        svg.append(f'<text x="{_f(pad + 172)}" y="{_f(y + 13)}" {FONT} font-size="12" '
-                   f'text-anchor="end" fill="#222222">{rec.name}</text>\n')
-        svg.append(f'<text x="{_f(pad + 186 + a_bar[i] * scale)}" y="{_f(y + 13)}" {FONT} '
-                   f'font-size="11" fill="#222222">{a_bar[i]:.3f}</text>\n')
-        y += 26
-    y += 18
-    svg.append(f'<text x="{_f(pad)}" y="{_f(y)}" {FONT} font-size="13" '
-               f'fill="#224488">Most successful</text>\n')
-    y += 10
-    for i in order_most:
-        rec = graph.nodes[int(i)]
-        svg.append(f'<rect x="{_f(pad + 180)}" y="{_f(y)}" '
-                   f'width="{_f(max(a_bar[i] * scale, 0.5))}" height="16" fill="#2c7bb6"/>\n')
-        svg.append(f'<text x="{_f(pad + 172)}" y="{_f(y + 13)}" {FONT} font-size="12" '
-                   f'text-anchor="end" fill="#222222">{rec.name}</text>\n')
-        svg.append(f'<text x="{_f(pad + 186 + a_bar[i] * scale)}" y="{_f(y + 13)}" {FONT} '
-                   f'font-size="11" fill="#222222">{a_bar[i]:.3f}</text>\n')
-        y += 26
+    for ranks, title, title_color, bar_color in (
+            (least, "Least successful", "#882222", "#d7191c"),
+            (most, "Most successful", "#224488", "#2c7bb6")):
+        svg.append(f'<text x="{_f(pad)}" y="{_f(y)}" {FONT} font-size="13" '
+                   f'fill="{title_color}">{title}</text>\n')
+        y += 10
+        for i in np.argsort(ranks)[:k]:
+            rec = graph.nodes[int(i)]
+            svg.append(f'<rect x="{_f(pad + 180)}" y="{_f(y)}" '
+                       f'width="{_f(max(a_bar[i] * scale, 0.5))}" height="16" '
+                       f'fill="{bar_color}"/>\n')
+            svg.append(f'<text x="{_f(pad + 172)}" y="{_f(y + 13)}" {FONT} font-size="12" '
+                       f'text-anchor="end" fill="#222222">{rec.name}</text>\n')
+            svg.append(f'<text x="{_f(pad + 186 + a_bar[i] * scale)}" y="{_f(y + 13)}" {FONT} '
+                       f'font-size="11" fill="#222222">{a_bar[i]:.3f}</text>\n')
+            y += 26
+        y += 18
     svg.append("</svg>\n")
     return "".join(svg)

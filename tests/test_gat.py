@@ -373,16 +373,15 @@ class TestDenseReference:
         for n, p, seed in ((5, 0.3, 0), (9, 0.5, 1), (16, 0.15, 2)):
             g = graph_with_isolated_node(n, p, rng)
             mask = neighborhood_mask(g)
-            lists = [np.flatnonzero(row) for row in mask]
             X = rng.standard_normal((n + 1, 6))
             model = GatModel.create(6, heads=3, head_dim=5, out_dim=4, seed=seed)
-            yield g, mask, lists, X, model
+            yield g, mask, X, model
 
     def test_attention_and_layer_forward(self, rng):
-        for g, mask, lists, X, model in self.cases(rng):
+        for g, mask, X, model in self.cases(rng):
             ref_attn = dense.attention_coefficients(model.layer1, X, mask, self.SLOPE)
             ref_layer = dense.layer_forward(model.layer1, X, mask, self.SLOPE)
-            for neighborhoods in (g, mask, lists):
+            for neighborhoods in (g, mask):
                 attn = attention_coefficients(model.layer1, X, neighborhoods, self.SLOPE)
                 for A, ref in zip(attn, ref_attn):
                     assert relative_error(A.toarray(), ref) < 1e-12
@@ -390,13 +389,13 @@ class TestDenseReference:
                 assert relative_error(out, ref_layer) < 1e-12
 
     def test_loss_and_grads(self, rng):
-        for g, mask, lists, X, model in self.cases(rng):
+        for g, mask, X, model in self.cases(rng):
             n = X.shape[0]
             pairs = rng.integers(0, n, size=(3 * n, 2))
             labels = (rng.random(3 * n) < 0.5).astype(float)
             ref_loss, ref_grads, ref_X2 = dense.loss_and_grads(model, X, mask, pairs,
                                                                labels, self.SLOPE)
-            for neighborhoods in (g, mask, lists):
+            for neighborhoods in (g, mask):
                 loss, grads, X2 = _loss_and_grads(model, X, neighborhoods, pairs, labels,
                                                   self.SLOPE)
                 assert abs(loss - ref_loss) <= 1e-12 * ref_loss
@@ -406,7 +405,7 @@ class TestDenseReference:
                     assert relative_error(grad, ref) < 1e-12
 
     def test_extract_transition(self, rng):
-        for g, mask, _, X, model in self.cases(rng):
+        for g, mask, X, model in self.cases(rng):
             P = extract_transition(model, g, X, slope=self.SLOPE).P.toarray()
             assert relative_error(P, dense.transition(model, X, mask, self.SLOPE)) < 1e-12
             assert P[-1, -1] == 1.0  # the isolated node attends only to itself
