@@ -26,6 +26,8 @@ def _parse_anomaly(text: str) -> AnomalyInjection:
         return AnomalyInjection(int(node), int(lo), int(hi), float(mult))
     except ValueError:
         raise ValidationError(f"bad --anomaly value {text!r}; expected node:lo:hi:mult")
+    except ValidationError as exc:
+        raise ValidationError(f"bad --anomaly value {text!r}: {exc}")
 
 
 def _load(args) -> "pipeline.RunConfig":
@@ -91,12 +93,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            dataio.ensure_dir(args.out)
             spec = SyntheticSpec(
                 nodes=args.nodes, weeks=args.weeks, rho=args.rho, seed=args.seed,
                 mode=args.mode, knn=args.knn, density=args.density,
                 anomalies=[_parse_anomaly(a) for a in args.anomaly],
             )
+            dataio.ensure_dir(args.out)
             graph, cases = write_dataset(
                 spec,
                 os.path.join(args.out, "nodes.csv"),

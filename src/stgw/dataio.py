@@ -6,7 +6,8 @@ with its file and line; keyed rows must appear exactly once.
 
 All writers are deterministic: fixed row order, shortest round-trip float
 formatting, and newline-terminated lines, so identical runs produce identical
-bytes.
+bytes.  Every writer goes through `_output`, which replaces a file only once
+its new contents are complete.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import csv
 import hashlib
 import itertools
+import math
 import operator
 import os
 import warnings
@@ -155,11 +157,27 @@ class _Scatter:
 
 @contextlib.contextmanager
 def _output(path):
-    """`path` opened for writing as UTF-8 text; an OSError exits 4 naming it."""
+    """A text file that replaces `path` once the block succeeds.
+
+    The block writes a temporary file in the same directory, which `os.replace`
+    then moves onto `path`; if the block fails, the temporary file is removed and
+    any previous `path` is left as it was.  An OSError exits 4 naming `path`.
+    """
+    target = os.fspath(path)
+    folder, name = os.path.split(target)
+    temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            with open(temporary, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(temporary, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+            raise
     except OSError as exc:
+        if exc.filename is not None:  # name `path`, not the temporary file
+            exc = OSError(exc.errno, exc.strerror, target)
         raise DataIOError(f"cannot write {path}: {exc}")
 
 
@@ -390,32 +408,52 @@ def save_checkpoint(path, model: GatModel) -> None:
                                            for chunk in tensor_chunks(name, arr)))
 
 
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _read_tensor(path, lines: list[str], k: int) -> tuple[str, np.ndarray]:
+    """Name and values of the tensor whose header is lines[k] (line k + 1 of the file)."""
+    parts = lines[k].split()
+    if len(parts) < 2 or parts[0] != "tensor":
+        raise ValidationError(f"{path}: line {k + 1}: expected a tensor header")
+    name, dims = parts[1], parts[2:]
+    for d in dims:
+        if not (d.isascii() and d.isdigit()):
+            raise ValidationError(f"{path}: line {k + 1}: tensor {name} dimension must be "
+                                  f"a non-negative integer, got {d!r}")
+    if k + 1 >= len(lines):
+        raise ValidationError(f"{path}: truncated tensor {name}")
+    tokens = lines[k + 1].split()
+    values = [_float_or_none(v) for v in tokens]
+    for text, x in zip(tokens, values):
+        if x is None or not math.isfinite(x):
+            raise ValidationError(f"{path}: line {k + 2}: tensor {name} values must be "
+                                  f"finite numbers, got {text!r}")
+    shape = tuple(map(int, dims))
+    if len(values) != math.prod(shape):
+        raise ValidationError(f"{path}: line {k + 2}: tensor {name} has wrong element count")
+    return name, np.array(values).reshape(shape)
+
+
 def load_checkpoint(path) -> GatModel:
     with utf8_text(path), _open_read(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: missing {CHECKPOINT_MAGIC} magic header")
-    tensors: dict[str, np.ndarray] = {}
-    k = 1
-    while k < len(lines):
-        if not lines[k].startswith("tensor "):
-            raise ValidationError(f"{path}: line {k + 1}: expected a tensor header")
-        parts = lines[k].split()
-        name, shape = parts[1], tuple(int(d) for d in parts[2:])
-        if k + 1 >= len(lines):
-            raise ValidationError(f"{path}: truncated tensor {name}")
-        values = np.array([float(v) for v in lines[k + 1].split()])
-        if values.size != int(np.prod(shape)):
-            raise ValidationError(f"{path}: tensor {name} has wrong element count")
-        tensors[name] = values.reshape(shape)
-        k += 2
-
+    tensors = dict(_read_tensor(path, lines, k) for k in range(1, len(lines), 2))
     heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
     names = GatModel.parameter_names(heads)
     missing = [name for name in names if name not in tensors]
     if missing or heads == 0:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")
-    return GatModel.from_parameters([tensors[name] for name in names])
+    try:
+        return GatModel.from_parameters([tensors[name] for name in names])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def content_hash(path) -> str:

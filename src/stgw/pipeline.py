@@ -3,8 +3,9 @@
 A full run shares one `StageResults` across its stages, so results pass in
 memory and no file it writes is parsed back; a staged command starts with an
 empty holder and reads the CSV interfaces, so any stage replays in isolation
-with the same output bytes.  A failed run clears the pipeline's output files
-(including partial ones) before the error propagates: no stale mix remains.
+with the same output bytes.  Every file is written atomically, and a failed
+run clears the pipeline's output files before the error propagates: no stale
+mix remains.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     """Full run: train -> transform -> classify -> rank -> report.
 
     The stages share one `StageResults`, so each result passes in memory.
-    Any stage failure removes the pipeline's output files (including partial
-    ones from the failing stage) and re-raises with the stage name attached.
+    Any stage failure removes the pipeline's output files and re-raises with
+    the stage name attached.
     """
     _ensure_out(cfg)
     written: list[str] = []

@@ -31,10 +31,12 @@ class AnomalyInjection:
     multiplier: float
 
     def __post_init__(self):
-        if self.multiplier <= 0:
-            raise ValidationError("anomaly multiplier must be positive")
+        if not (np.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValidationError(
+                f"anomaly multiplier must be positive and finite, got {self.multiplier!r}")
         if not 1 <= self.week_lo <= self.week_hi:
-            raise ValidationError("anomaly week range must be 1-based and ordered")
+            raise ValidationError(f"anomaly week range {self.week_lo}..{self.week_hi} "
+                                  "must be 1-based and ordered")
 
 
 @dataclass(eq=False)
@@ -57,9 +59,16 @@ class SyntheticSpec:
             raise ValidationError("rho must lie in [0, 1]")
         if self.mode not in ("geometric", "density"):
             raise ValidationError(f"unknown graph mode {self.mode!r}")
+        if self.knn < 0:
+            raise ValidationError(f"knn must be non-negative, got {self.knn}")
+        if not 0.0 <= self.density <= 1.0:
+            raise ValidationError(f"density must lie in [0, 1], got {self.density}")
         for a in self.anomalies:
+            if not 1 <= a.node_id <= self.nodes:
+                raise ValidationError(f"anomaly node {a.node_id} outside 1..{self.nodes}")
             if a.week_hi > self.weeks:
-                raise ValidationError("anomaly week range exceeds the series length")
+                raise ValidationError(f"anomaly week range {a.week_lo}..{a.week_hi} exceeds "
+                                      f"the series length {self.weeks}")
 
 
 def _knn_edges(positions: np.ndarray, k: int) -> set[tuple[int, int]]:

@@ -411,3 +411,46 @@ class TestManifestAndHash:
         assert dataio.content_hash(path) == "ce013625030ba8dba906f756967f9e9ca394464a"
         expected = hashlib.sha1(b"blob 6\0hello\n").hexdigest()
         assert dataio.content_hash(path) == expected
+
+
+class TestAtomicWrites:
+    """Every writer goes through one opener: a temporary file in the same
+    directory that replaces the target only once the whole file is written."""
+
+    @staticmethod
+    def rows_failing_with(exc):
+        yield [1, 2]
+        raise exc
+
+    @pytest.mark.parametrize("exc, error", [(RuntimeError("row 2"), RuntimeError),
+                                            (OSError(28, "No space left on device"), DataIOError)])
+    def test_failed_write_keeps_previous_file(self, tmp_path, exc, error):
+        path = tmp_path / "edges.csv"
+        dataio.write_edges(path, path_graph(3))
+        before = path.read_bytes()
+        with pytest.raises(error):
+            dataio.write_csv(path, dataio.EDGES_HEADER, self.rows_failing_with(exc))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.csv"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            dataio.write_csv(tmp_path / "edges.csv", dataio.EDGES_HEADER,
+                             self.rows_failing_with(RuntimeError("row 2")))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_io_error_names_the_target(self, tmp_path):
+        path = tmp_path / "absent" / "edges.csv"
+        with pytest.raises(DataIOError) as info:
+            dataio.write_edges(path, path_graph(3))
+        assert str(info.value) == (f"cannot write {path}: "
+                                   f"[Errno 2] No such file or directory: '{path}'")
+
+    def test_directory_in_the_way(self, tmp_path):
+        path = tmp_path / "slices.svg"
+        path.mkdir()
+        with pytest.raises(DataIOError) as info:
+            dataio.write_text(path, "<svg/>\n")
+        assert str(info.value) == f"cannot write {path}: [Errno 21] Is a directory: '{path}'"
+        assert path.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["slices.svg"]

@@ -1,4 +1,5 @@
-"""Error paths of the CSV readers: one malformed file per row of a table.
+"""Error paths of the CSV readers and the checkpoint reader: one malformed file
+per row of a table.
 
 Every row starts from a small valid file, applies one fault and requires
 `ValidationError` with the exact message, which names the file and either the
@@ -190,4 +191,50 @@ def test_fault_rejected_with_file_and_line(tmp_path, name, fault, edit, message)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ValidationError) as info:
         READ[name](path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+CHECKPOINT = ["GATCKPT1",
+              "tensor layer1.weight.0 1 2", "0.5 -0.25",
+              "tensor layer1.attn.0 2", "0.125 1.0",
+              "tensor layer2.weight 1 1", "2.0",
+              "tensor layer2.attn 2", "-1.0 0.75",
+              "tensor theta 1", "0.5"]
+
+CHECKPOINT_FAULTS = [
+    ("non-number value", replace(3, "0.5 x"),
+     "line 3: tensor layer1.weight.0 values must be finite numbers, got 'x'"),
+    ("nan value", replace(5, "nan 1.0"),
+     "line 5: tensor layer1.attn.0 values must be finite numbers, got 'nan'"),
+    ("inf value", replace(11, "-inf"),
+     "line 11: tensor theta values must be finite numbers, got '-inf'"),
+    ("non-integer dimension", replace(2, "tensor layer1.weight.0 1 x"),
+     "line 2: tensor layer1.weight.0 dimension must be a non-negative integer, got 'x'"),
+    ("negative dimension", replace(6, "tensor layer2.weight -1 1"),
+     "line 6: tensor layer2.weight dimension must be a non-negative integer, got '-1'"),
+    ("wrong element count", replace(7, "2.0 3.0"),
+     "line 7: tensor layer2.weight has wrong element count"),
+    ("no tensor header", replace(2, "layer1.weight.0 1 2"), "line 2: expected a tensor header"),
+    ("unnamed tensor", replace(10, "tensor "), "line 10: expected a tensor header"),
+    ("missing tensor", drop(10, 2), "incomplete checkpoint (missing ['theta'])"),
+    ("shape mismatch", both(replace(8, "tensor layer2.attn 3"), replace(9, "-1.0 0.75 1.0")),
+     "attention vector length must be twice the head dimension"),
+]
+
+
+def test_valid_checkpoint_reads(tmp_path):
+    path = tmp_path / "gat_model.ckpt"
+    path.write_text("\n".join(CHECKPOINT) + "\n", encoding="utf-8")
+    assert dataio.load_checkpoint(path).theta.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("fault,edit,message", CHECKPOINT_FAULTS,
+                         ids=[fault for fault, _, _ in CHECKPOINT_FAULTS])
+def test_checkpoint_fault_rejected_with_file_and_line(tmp_path, fault, edit, message):
+    lines = list(CHECKPOINT)
+    edit(lines)
+    path = tmp_path / "gat_model.ckpt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        dataio.load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"

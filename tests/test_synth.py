@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from stgw.cli import main
 from stgw.errors import ValidationError
 from stgw.gat import negative_candidates
 from stgw.graphs import normalize_cases
@@ -24,6 +25,34 @@ class TestSpecValidation:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(mode="banana")
+
+
+# `stgw synth --nodes 10 --weeks 4` plus one bad argument: exit 2 naming the value
+BAD_SYNTH_ARGUMENTS = [
+    (["--anomaly", "0:1:2:2.0"], "anomaly node 0 outside 1..10"),
+    (["--anomaly", "999:1:2:3.0"], "anomaly node 999 outside 1..10"),
+    (["--anomaly", "1:1:2:nan"],
+     "bad --anomaly value '1:1:2:nan': anomaly multiplier must be positive and finite, got nan"),
+    (["--anomaly", "1:1:2:inf"],
+     "bad --anomaly value '1:1:2:inf': anomaly multiplier must be positive and finite, got inf"),
+    (["--anomaly", "1:1:2:0"],
+     "bad --anomaly value '1:1:2:0': anomaly multiplier must be positive and finite, got 0.0"),
+    (["--anomaly", "1:3:2:2.0"],
+     "bad --anomaly value '1:3:2:2.0': anomaly week range 3..2 must be 1-based and ordered"),
+    (["--anomaly", "1:1:9:2.0"], "anomaly week range 1..9 exceeds the series length 4"),
+    (["--anomaly", "1:1:2"], "bad --anomaly value '1:1:2'; expected node:lo:hi:mult"),
+    (["--knn", "-1"], "knn must be non-negative, got -1"),
+    (["--mode", "density", "--density", "nan"], "density must lie in [0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("argument, message", BAD_SYNTH_ARGUMENTS,
+                         ids=[" ".join(argument) for argument, _ in BAD_SYNTH_ARGUMENTS])
+def test_bad_synth_argument_exit_2(tmp_path, capsys, argument, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--nodes", "10", "--weeks", "4"] + argument) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestGenerate:
