@@ -69,7 +69,7 @@ def log_normalize(scaled: np.ndarray) -> np.ndarray:
 
 
 def torque(normalized: np.ndarray) -> np.ndarray:
-    """Signed weighted sum of the 8 filter bands, weights (-4..-1, 1..4).
+    """Signed weighted sum of the 8 filter bands, weighted by TORQUE_WEIGHTS.
 
     Evaluated in matched opposite-weight pairs so rows with all-equal entries
     give exactly zero.
@@ -80,7 +80,7 @@ def torque(normalized: np.ndarray) -> np.ndarray:
         )
     phi = np.zeros(normalized.shape[0])
     for k in range(1, 5):
-        phi += (5 - k) * (normalized[:, 8 - k] - normalized[:, k - 1])
+        phi += TORQUE_WEIGHTS[8 - k] * (normalized[:, 8 - k] - normalized[:, k - 1])
     return phi
 
 

@@ -12,7 +12,9 @@ from .errors import StgwError, ValidationError
 from .synth import AnomalyInjection, SyntheticSpec, write_dataset
 
 
-def _parse_weeks(text: str) -> tuple[int, int]:
+def _parse_weeks(text: str | None) -> tuple[int, int] | None:
+    if not text:
+        return None
     try:
         lo, hi = text.split("..")
         return int(lo), int(hi)
@@ -34,7 +36,7 @@ def _load(args) -> "pipeline.RunConfig":
     cfg = load_config(args.config)
     if args.out is not None:
         cfg.io.out = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.gat.seed = args.seed
     return cfg.validate()
 
@@ -45,12 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatio-temporal graph wavelet pipeline: train, transform, classify, rank.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=True):
-        p.add_argument("--config", help="INI or JSON config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        if seed:
-            p.add_argument("--seed", type=int, help="seed override")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI or JSON config file")
+    common.add_argument("--out", help="output directory (overrides config)")
+    common.add_argument("--seed", type=int, help="seed override")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--weeks", help="ranking window a..b (1-based, inclusive)")
+    view = argparse.ArgumentParser(add_help=False)
+    view.add_argument("--mask", action=argparse.BooleanOptionalAction, default=False,
+                      help="hide downsampled nodes in the map")
+    view.add_argument("--week", type=int, help="week for the class map")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="directory for nodes/edges/cases.csv")
@@ -64,27 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anomaly", action="append", default=[],
                    metavar="NODE:LO:HI:MULT", help="inject an anomaly (repeatable)")
 
-    common(sub.add_parser("build-graph", help="validate inputs and print a summary"))
-    common(sub.add_parser("train", help="train the attention network"))
-    common(sub.add_parser("product", help="build the product graph and print stats"))
-    common(sub.add_parser("transform", help="wavelet-transform the case signal"))
-    common(sub.add_parser("classify", help="torque classes and anomaly scores"))
-
-    p = sub.add_parser("rank", help="rank cities by averaged a-score")
-    common(p)
-    p.add_argument("--weeks", help="ranking window a..b (1-based, inclusive)")
-
-    p = sub.add_parser("report", help="render the SVG bundle")
-    common(p)
-    p.add_argument("--mask", action=argparse.BooleanOptionalAction, default=False,
-                   help="hide downsampled nodes in the map")
-    p.add_argument("--week", type=int, help="week for the class map")
-
-    p = sub.add_parser("run", help="full pipeline")
-    common(p)
-    p.add_argument("--weeks", help="ranking window a..b (1-based, inclusive)")
-    p.add_argument("--mask", action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--week", type=int, help="week for the class map")
+    for name, parents, text in (
+            ("build-graph", [], "validate inputs and print a summary"),
+            ("train", [], "train the attention network"),
+            ("product", [], "build the product graph and print stats"),
+            ("transform", [], "wavelet-transform the case signal"),
+            ("classify", [], "torque classes and anomaly scores"),
+            ("rank", [window], "rank cities by averaged a-score"),
+            ("report", [view], "render the SVG bundle"),
+            ("run", [window, view], "full pipeline")):
+        sub.add_parser(name, parents=[common, *parents], help=text)
 
     return parser
 
@@ -110,15 +105,14 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _load(args)
-        window = _parse_weeks(args.weeks) if getattr(args, "weeks", None) else None
         writers = {
             "train": lambda: pipeline.stage_train(cfg),
             "transform": lambda: pipeline.stage_transform(cfg),
             "classify": lambda: pipeline.stage_classify(cfg),
-            "rank": lambda: pipeline.stage_rank(cfg, window),
-            "report": lambda: pipeline.stage_report(cfg, mask=args.mask, week=args.week),
-            "run": lambda: pipeline.run_pipeline(cfg, weeks=window, mask=args.mask,
-                                                 week=args.week),
+            "rank": lambda: pipeline.stage_rank(cfg, _parse_weeks(args.weeks)),
+            "report": lambda: pipeline.stage_report(cfg, args.mask, args.week),
+            "run": lambda: pipeline.run_pipeline(cfg, _parse_weeks(args.weeks), args.mask,
+                                                 args.week),
         }
         if args.command == "build-graph":
             info = pipeline.stage_build_graph(cfg)

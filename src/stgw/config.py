@@ -8,33 +8,24 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+from . import classify, sgwt
 from .errors import DataIOError, ValidationError, utf8_text
-
-
-@dataclass
-class GatSection:
-    heads: int = 7
-    hidden: int = 122
-    out: int = 88
-    lr: float = 0.005
-    patience: int = 100
-    max_epochs: int = 3000
-    seed: int = 0
+from .gat import TrainConfig
 
 
 @dataclass
 class SgwtSection:
-    filters: int = 8
-    cheb_order: int = 40
-    scale_lo: float = 1.0
-    scale_hi: float = 40.0
-    quad_points: int = 2 ** 14
+    filters: int = sgwt.DEFAULT_FILTERS
+    cheb_order: int = sgwt.DEFAULT_CHEB_ORDER
+    scale_lo: float = sgwt.SCALE_LO
+    scale_hi: float = sgwt.SCALE_HI
+    quad_points: int = sgwt.DEFAULT_QUAD_POINTS
 
 
 @dataclass
 class ClassifySection:
-    theta_hi: float = 1.5
-    theta_lo: float = 2.0 / 3.0
+    theta_hi: float = classify.THETA_HI
+    theta_lo: float = classify.THETA_LO
 
 
 @dataclass
@@ -45,13 +36,13 @@ class IoSection:
     out: str = "out"
 
 
-_SECTIONS = {"gat": GatSection, "sgwt": SgwtSection, "classify": ClassifySection,
+_SECTIONS = {"gat": TrainConfig, "sgwt": SgwtSection, "classify": ClassifySection,
              "io": IoSection}
 
 
 @dataclass
 class RunConfig:
-    gat: GatSection = field(default_factory=GatSection)
+    gat: TrainConfig = field(default_factory=TrainConfig)
     sgwt: SgwtSection = field(default_factory=SgwtSection)
     classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)

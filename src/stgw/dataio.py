@@ -223,7 +223,7 @@ def read_edges(path) -> list[tuple[int, int]]:
     return edges
 
 
-def read_cases(path, graph: RouteGraph, expected_weeks: int | None = None) -> CaseMatrix:
+def read_cases(path, graph: RouteGraph) -> CaseMatrix:
     """Long-format raw counts; every (node, week) pair must be present exactly once."""
     chunks = [rows for _, rows in _read_csv(path, CASES_HEADER, "i8,i8,f8")]
     rows = np.concatenate(chunks or [np.zeros(0, [(name, "i8") for name in CASES_HEADER])])
@@ -232,8 +232,6 @@ def read_cases(path, graph: RouteGraph, expected_weeks: int | None = None) -> Ca
     _reject(path, 2, week < 1, lambda k: f"week must be 1-based, got {week[k]}")
     _reject(path, 2, rows["cases"] < 0, lambda k: "cases must be non-negative")
     max_week = int(week.max(initial=0))
-    if expected_weeks is not None and max_week != expected_weeks:
-        raise ValidationError(f"{path}: found {max_week} weeks, expected {expected_weeks}")
     if max_week == 0:
         raise ValidationError(f"{path}: no case rows")
     grid = _Scatter(path, "entry", lambda i, t: f"node {ids[i]} week {t + 1}",
@@ -242,10 +240,9 @@ def read_cases(path, graph: RouteGraph, expected_weeks: int | None = None) -> Ca
     return CaseMatrix(values=grid.complete()["values"], weeks=max_week)
 
 
-def ingest(nodes_path, edges_path, cases_path,
-           expected_weeks: int | None = None) -> tuple[RouteGraph, CaseMatrix]:
+def ingest(nodes_path, edges_path, cases_path) -> tuple[RouteGraph, CaseMatrix]:
     graph = build_route_graph(read_nodes(nodes_path), read_edges(edges_path))
-    return graph, read_cases(cases_path, graph, expected_weeks)
+    return graph, read_cases(cases_path, graph)
 
 
 def write_nodes(path, nodes: Iterable[NodeRecord]) -> None:

@@ -22,6 +22,7 @@ from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
 
 LEAKY_SLOPE = 0.35
 Q_CLAMP = 1e-12
+HEADS, HIDDEN, OUT = 7, 122, 88  # layer-1 heads, layer-1 head width, layer-2 width
 _EDGE_BLOCK = 256
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
@@ -112,8 +113,8 @@ class GatModel:
             raise ValidationError("theta length must equal the layer-2 output dimension")
 
     @classmethod
-    def create(cls, feature_dim: int, heads: int = 7, head_dim: int = 122,
-               out_dim: int = 88, seed: int = 0) -> "GatModel":
+    def create(cls, feature_dim: int, heads: int = HEADS, head_dim: int = HIDDEN,
+               out_dim: int = OUT, *, seed: int) -> "GatModel":
         """Glorot-uniform initialization of every parameter group."""
         rng = np.random.default_rng(seed)
 
@@ -156,15 +157,21 @@ class GatModel:
                    theta=params[-1])
 
 
-@dataclass(eq=False)
+@dataclass
 class TrainConfig:
-    learning_rate: float = 0.005
+    """The `[gat]` config section. `train` reads lr, patience and max_epochs and draws
+    no random numbers; the rest is for `GatModel.create` (and the seed for `make_samples`)."""
+
+    heads: int = HEADS
+    hidden: int = HIDDEN
+    out: int = OUT
+    lr: float = 0.005
     patience: int = 100
     max_epochs: int = 3000
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if self.lr <= 0:
             raise ValidationError("learning rate must be positive")
         if self.patience < 1:
             raise ValidationError("patience must be at least 1")
@@ -497,19 +504,21 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
 class _Adam:
     """Adaptive moment estimation with the standard decay constants, on one flat vector."""
 
-    def __init__(self, size: int, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        self.m += (1.0 - self.beta1) * (grads - self.m)
-        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
+        self.m += (1.0 - self.BETA1) * (grads - self.m)
+        self.v += (1.0 - self.BETA2) * (grads * grads - self.v)
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
 def _flat_copy(model: GatModel) -> tuple[GatModel, np.ndarray]:
@@ -537,7 +546,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     val_pairs, val_labels = samples.subset("validation")
 
     work, params = _flat_copy(model)
-    opt = _Adam(params.size, lr=cfg.learning_rate)
+    opt = _Adam(params.size, lr=cfg.lr)
     grads = np.empty_like(params)
     scatter = _pair_scatter(train_pairs, X.shape[0])
 
@@ -587,12 +596,11 @@ def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray
     return q
 
 
-def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSets,
-                  subset: str = "test", threshold: float = 0.5) -> float:
-    """Classification accuracy of q > threshold against the edge labels."""
-    pairs, labels = samples.subset(subset)
+def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSets) -> float:
+    """Test-set accuracy of q > 0.5 against the edge labels."""
+    pairs, labels = samples.subset("test")
     q = predict_edges(model, base, features, pairs)
-    return float(np.mean((q > threshold) == (labels > 0.5)))
+    return float(np.mean((q > 0.5) == (labels > 0.5)))
 
 
 def extract_transition(model: GatModel, base: RouteGraph, features,
@@ -604,12 +612,12 @@ def extract_transition(model: GatModel, base: RouteGraph, features,
     return TransitionMatrix(P=support.matrix(alpha))
 
 
-def influential_scores(transition: TransitionMatrix, max_hop: int = 5) -> np.ndarray:
-    """Summed off-diagonal column mass of P^m for m = 1..max_hop, per node."""
+def influential_scores(transition: TransitionMatrix) -> np.ndarray:
+    """Summed off-diagonal column mass of P^m for m = 1..5, per node."""
     P = transition.P
     scores = np.zeros(P.shape[0])
     power = sp.identity(P.shape[0], format="csr")
-    for _ in range(max_hop):
+    for _ in range(5):
         power = power @ P
         scores += np.asarray(power.sum(axis=0)).ravel() - power.diagonal()
     return scores

@@ -74,20 +74,10 @@ def stage_train(cfg: RunConfig, results: StageResults | None = None) -> list[str
     results = results or StageResults()
     graph, _, features = load_inputs(cfg)
     samples = gat.make_samples(graph, seed=cfg.gat.seed)
-    model = gat.GatModel.create(
-        feature_dim=features.weeks,
-        heads=cfg.gat.heads,
-        head_dim=cfg.gat.hidden,
-        out_dim=cfg.gat.out,
-        seed=cfg.gat.seed,
-    )
-    train_cfg = gat.TrainConfig(
-        learning_rate=cfg.gat.lr,
-        patience=cfg.gat.patience,
-        max_epochs=cfg.gat.max_epochs,
-        seed=cfg.gat.seed,
-    )
-    trained, history = gat.train(model, graph, features, samples, train_cfg)
+    model = gat.GatModel.create(feature_dim=features.weeks, heads=cfg.gat.heads,
+                                head_dim=cfg.gat.hidden, out_dim=cfg.gat.out,
+                                seed=cfg.gat.seed)
+    trained, history = gat.train(model, graph, features, samples, cfg.gat)
     transition = results.transition = gat.extract_transition(trained, graph, features)
 
     transition_path = _out(cfg, "transition.csv")
@@ -207,7 +197,7 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
 
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
-                 top_k: int = 5, results: StageResults | None = None) -> list[str]:
+                 results: StageResults | None = None) -> list[str]:
     """Render the SVG bundle from the classification and ranking results."""
     _ensure_out(cfg)
     results = results or StageResults()
@@ -228,11 +218,11 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
             report.render_map(graph, data["labels"][:, week - 1], week, hidden),
             "slices.svg": report.render_slices(sigma, slice_classes),
             "ranking.svg": report.render_ranking(graph, ranking["a_bar"], ranking["least"],
-                                                 ranking["most"], top_k)}
+                                                 ranking["most"])}
     written = [_out(cfg, name) for name in svgs]
     for path, svg in zip(written, svgs.values()):
         dataio.write_text(path, svg)
-    written.append(_manifest(cfg, "report", {"week": week, "mask": mask, "top_k": top_k}))
+    written.append(_manifest(cfg, "report", {"week": week, "mask": mask, "top_k": report.TOP_K}))
     return written
 
 
@@ -267,7 +257,7 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
         ("transform", lambda: stage_transform(cfg, results)),
         ("classify", lambda: stage_classify(cfg, results)),
         ("rank", lambda: stage_rank(cfg, weeks, results)),
-        ("report", lambda: stage_report(cfg, mask, week, results=results)),
+        ("report", lambda: stage_report(cfg, mask, week, results)),
     ]
     for name, fn in stages:
         try:

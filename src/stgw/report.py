@@ -14,6 +14,7 @@ CLASS_COLORS = {1: "#2c7bb6", 2: "#abd9e9", 3: "#ffffbf", 4: "#fdae61", 5: "#d71
 CLASS_NAMES = {1: "V1 low", 2: "V2 mid-low", 3: "V3 uncertain",
                4: "V4 mid-high", 5: "V5 high"}
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+TOP_K = 5  # cities per panel of the ranking chart
 
 
 def _f(x: float) -> str:
@@ -110,9 +111,9 @@ def render_slices(sigma: np.ndarray, slice_classes: np.ndarray) -> str:
 
 
 def render_ranking(graph: RouteGraph, a_bar: np.ndarray, least: np.ndarray,
-                   most: np.ndarray, top_k: int = 5) -> str:
+                   most: np.ndarray) -> str:
     """Horizontal bars: top-k least successful (red) and most successful (blue)."""
-    k = min(top_k, graph.n)
+    k = min(TOP_K, graph.n)
     width, height = 720, 120 + 26 * 2 * k
     pad = 50.0
     bar_max = width - 330.0

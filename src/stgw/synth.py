@@ -112,14 +112,14 @@ def _connect_components(edges: set[tuple[int, int]], positions: np.ndarray) -> N
         edges.add((best[1], best[2]))
 
 
-def _diffused_factors(adjacency: np.ndarray, weeks: int, rng: np.random.Generator,
-                      rounds: int = 2, mix: float = 0.6) -> np.ndarray:
+def _diffused_factors(adjacency: np.ndarray, weeks: int, rng: np.random.Generator) -> np.ndarray:
     """Latent node factors smoothed along edges; rows standardized over time."""
+    mix = 0.6  # share of each of the two smoothing rounds taken from the neighbours
     n = adjacency.shape[0]
     hat = adjacency + np.eye(n)
     hat /= hat.sum(axis=1, keepdims=True)
     H = rng.standard_normal((n, weeks))
-    for _ in range(rounds):
+    for _ in range(2):
         H = (1.0 - mix) * H + mix * (hat @ H)
     H -= H.mean(axis=1, keepdims=True)
     std = H.std(axis=1, keepdims=True)
