@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import warnings
 from typing import Iterable
 
@@ -165,7 +166,7 @@ def _output(path):
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
-    temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")  # see `replaced_name`
     try:
         try:
             with open(temporary, "w", encoding="utf-8", newline="") as fh:
@@ -179,6 +180,12 @@ def _output(path):
         if exc.filename is not None:  # name `path`, not the temporary file
             exc = OSError(exc.errno, exc.strerror, target)
         raise DataIOError(f"cannot write {path}: {exc}")
+
+
+def replaced_name(name: str) -> str:
+    """The file that `name` would replace if it is an `_output` temporary file, else `name`."""
+    temporary = re.fullmatch(r"\.(.+)\.\d+\.tmp", name)
+    return temporary.group(1) if temporary else name
 
 
 def write_csv(path, header: list[str], rows: Iterable[list]) -> None:
@@ -213,13 +220,19 @@ def read_nodes(path) -> list[NodeRecord]:
     for line, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
         _reject(path, line, rows["population"] < 1, lambda k: "population must be >= 1")
         records += map(NodeRecord, *(rows[name].tolist() for name in NODES_HEADER))
+    ids = np.array([rec.node_id for rec in records], dtype=np.int64)
+    first = np.zeros(len(ids), dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    _reject(path, 2, ~first, lambda k: f"duplicate node_id {ids[k]}")
     return records
 
 
 def read_edges(path) -> list[tuple[int, int]]:
     edges = []
-    for _, rows in _read_csv(path, EDGES_HEADER, "i8,i8"):
-        edges += zip(rows["src_id"].tolist(), rows["dst_id"].tolist())
+    for line, rows in _read_csv(path, EDGES_HEADER, "i8,i8"):
+        src, dst = rows["src_id"], rows["dst_id"]
+        _reject(path, line, src == dst, lambda k: f"self-loop edge on node_id {src[k]}")
+        edges += zip(src.tolist(), dst.tolist())
     return edges
 
 
@@ -241,7 +254,12 @@ def read_cases(path, graph: RouteGraph) -> CaseMatrix:
 
 
 def ingest(nodes_path, edges_path, cases_path) -> tuple[RouteGraph, CaseMatrix]:
-    graph = build_route_graph(read_nodes(nodes_path), read_edges(edges_path))
+    nodes, edges = read_nodes(nodes_path), read_edges(edges_path)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    known = np.isin(ends, [rec.node_id for rec in nodes])
+    _reject(edges_path, 2, ~known.all(axis=1),
+            lambda k: f"edge references unknown node_id {ends[k][~known[k]][0]}")
+    graph = build_route_graph(nodes, edges)
     return graph, read_cases(cases_path, graph)
 
 

@@ -232,12 +232,14 @@ _OUTPUT_NAMES = ("transition.csv", "gat_model.ckpt", "coefficients.csv",
 
 
 def _remove_outputs(cfg: RunConfig) -> None:
-    """Drop every pipeline artifact so a failed run leaves no stale mix."""
+    """Drop every pipeline artifact, and every temporary file left for one by a killed
+    writer, so a failed run leaves no stale mix."""
     if not os.path.isdir(cfg.io.out):
         return
     for name in os.listdir(cfg.io.out):
-        if name in _OUTPUT_NAMES or (name.startswith("map_classes_week")
-                                     and name.endswith(".svg")):
+        target = dataio.replaced_name(name)
+        if target in _OUTPUT_NAMES or (target.startswith("map_classes_week")
+                                       and target.endswith(".svg")):
             os.remove(os.path.join(cfg.io.out, name))
 
 

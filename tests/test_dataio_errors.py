@@ -120,6 +120,8 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("nodes.csv", "population below 1", cell(3, 4, "0"), "line 3: population must be >= 1"),
     ("nodes.csv", "underscore digits", cell(2, 4, "1_000"),
      "line 2: population must be an integer, got '1_000'"),
+    ("nodes.csv", "duplicate node_id", repeat(2), "line 5: duplicate node_id 1"),
+    ("edges.csv", "self-loop", replace(3, "2,2"), "line 3: self-loop edge on node_id 2"),
     ("cases.csv", "unknown node", cell(4, 0, "99"), "line 4: unknown node 99"),
     ("cases.csv", "week 0", cell(2, 1, "0"), "line 2: week must be 1-based, got 0"),
     ("cases.csv", "negative count", cell(2, 2, "-1"), "line 2: cases must be non-negative"),

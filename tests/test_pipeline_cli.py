@@ -195,6 +195,21 @@ class TestPipeline:
         assert not any(n.endswith((".csv", ".svg", ".ckpt", ".txt"))
                        for n in os.listdir(bad.io.out))
 
+    def test_failure_clears_stale_temporary_files(self, tmp_path):
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path)
+        os.makedirs(cfg.io.out)
+        stale = [f".transition.csv.{os.getpid()}.tmp", ".map_classes_week2.svg.45.tmp",
+                 ".run-manifest.txt.6.tmp", ".ranking.svg.1234567.tmp"]
+        unrelated = [".notes.txt.7.tmp", "transition.csv.8.tmp", ".classes.csv.x.tmp",
+                     ".slices.csv.tmp", "notes.txt"]
+        for name in stale + unrelated:
+            (tmp_path / "out" / name).write_text("left behind\n")
+        cfg.sgwt.filters = 3
+        with pytest.raises(Exception, match="stage classify"):
+            run_pipeline(cfg)
+        assert sorted(os.listdir(cfg.io.out)) == sorted(unrelated)
+
     def test_rank_window(self, tmp_path):
         write_small_dataset(tmp_path)
         cfg = small_cfg(tmp_path)
@@ -399,6 +414,16 @@ class TestBadInputExit2:
         path.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"{path}: line 3: {message}" in capsys.readouterr().err
+
+    def test_edge_to_unknown_node(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "data" / "edges.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + ",999"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["build-graph", "--config", str(cfg_path)]) == 2
+        assert (f"{path}: line 4: edge references unknown node_id 999"
+                in capsys.readouterr().err)
 
     def test_non_utf8_input(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
