@@ -11,10 +11,9 @@ from .classify import (TorqueField, a_score, anomaly_metric, average_a_score,
 from .config import RunConfig, load_config
 from .errors import DataIOError, NumericError, StgwError, ValidationError
 from .gat import (GatLayerParams, GatModel, SampleSets, TrainConfig,
-                  attention_coefficients, bce_loss, edge_accuracy, edge_probability,
-                  elu, extract_transition, influential_scores, layer_forward,
-                  leaky_relu, make_samples, negative_candidates, neighborhood_mask,
-                  predict_edges, train)
+                  attention_coefficients, bce_loss, edge_accuracy, elu,
+                  extract_transition, influential_scores, layer_forward, leaky_relu,
+                  make_samples, negative_candidates, predict_edges, train)
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, SpatioTemporalGraph,
                      SymmetricLaplacian, TransitionMatrix, base_laplacian,
                      build_route_graph, canonical_sign, downsample_mask, laplacian,

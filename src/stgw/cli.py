@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import dataio, pipeline
 from .config import load_config
@@ -35,10 +36,10 @@ def _parse_anomaly(text: str) -> AnomalyInjection:
 def _load(args) -> "pipeline.RunConfig":
     cfg = load_config(args.config)
     if args.out is not None:
-        cfg.io.out = args.out
+        cfg.io = replace(cfg.io, out=args.out)
     if args.seed is not None:
-        cfg.gat.seed = args.seed
-    return cfg.validate()
+        cfg.gat = replace(cfg.gat, seed=args.seed)
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

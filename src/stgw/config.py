@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import classify, sgwt
-from .errors import DataIOError, ValidationError, utf8_text
+from .errors import DataIOError, ValidationError, check_section, utf8_text
 from .gat import TrainConfig
 
 
@@ -21,11 +20,22 @@ class SgwtSection:
     scale_hi: float = sgwt.SCALE_HI
     quad_points: int = sgwt.DEFAULT_QUAD_POINTS
 
+    def __post_init__(self):
+        check_section("sgwt", self, ("filters", "cheb_order", "scale_lo", "scale_hi",
+                                     "quad_points"))
+        if self.scale_lo >= self.scale_hi:
+            raise ValidationError("[sgwt] scale_lo must be below scale_hi")
+
 
 @dataclass
 class ClassifySection:
     theta_hi: float = classify.THETA_HI
     theta_lo: float = classify.THETA_LO
+
+    def __post_init__(self):
+        check_section("classify", self)
+        if self.theta_hi <= 0 or self.theta_lo <= 0:
+            raise ValidationError("[classify] thresholds must be positive")
 
 
 @dataclass
@@ -47,25 +57,6 @@ class RunConfig:
     classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)
 
-    def validate(self) -> "RunConfig":
-        for name, values in self.resolved().items():
-            for key, value in values.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValidationError(f"[{name}] {key} must be finite, got {value}")
-        for name in ("gat", "sgwt"):
-            section = getattr(self, name)
-            for f in fields(section):
-                value = getattr(section, f.name)
-                if isinstance(value, (int, float)) and value <= 0 and f.name != "seed":
-                    raise ValidationError(f"[{name}] {f.name} must be positive, got {value}")
-        if self.gat.seed < 0:
-            raise ValidationError("[gat] seed must be non-negative")
-        if self.classify.theta_hi <= 0 or self.classify.theta_lo <= 0:
-            raise ValidationError("[classify] thresholds must be positive")
-        if self.sgwt.scale_lo >= self.sgwt.scale_hi:
-            raise ValidationError("[sgwt] scale_lo must be below scale_hi")
-        return self
-
     def resolved(self) -> dict[str, dict]:
         """Every tunable with its resolved value, by section (manifest fodder)."""
         out = {}
@@ -76,11 +67,16 @@ class RunConfig:
 
 
 def _apply(cfg: RunConfig, data: dict) -> RunConfig:
+    """`cfg` with each section rebuilt from its parsed values, so it checks them."""
+    sections = {}
     for section_name, values in data.items():
         if section_name not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section_name}]")
+        if not isinstance(values, dict):
+            raise ValidationError(f"[{section_name}] must hold keys, got {values!r}")
         section = getattr(cfg, section_name)
         known = {f.name for f in fields(section)}
+        parsed = {}
         for key, raw in values.items():
             if key not in known:
                 raise ValidationError(f"unknown config key {key!r} in [{section_name}]")
@@ -98,15 +94,16 @@ def _apply(cfg: RunConfig, data: dict) -> RunConfig:
                     value = str(raw)
             except (TypeError, ValueError):
                 raise ValidationError(f"bad value for {key} in [{section_name}]: {raw!r}")
-            setattr(section, key, value)
-    return cfg
+            parsed[key] = value
+        sections[section_name] = replace(section, **parsed)
+    return replace(cfg, **sections)
 
 
 def load_config(path: str | None) -> RunConfig:
     """Defaults, optionally overridden by an INI or JSON file."""
     cfg = RunConfig()
     if path is None:
-        return cfg.validate()
+        return cfg
     if not os.path.exists(path):
         raise DataIOError(f"config file not found: {path}")
     with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
@@ -124,4 +121,4 @@ def load_config(path: str | None) -> RunConfig:
         except configparser.Error as exc:
             raise ValidationError(f"{path}: invalid config: {exc}")
         data = {name: dict(parser.items(name)) for name in parser.sections()}
-    return _apply(cfg, data).validate()
+    return _apply(cfg, data)

@@ -162,12 +162,17 @@ def _output(path):
 
     The block writes a temporary file in the same directory, which `os.replace`
     then moves onto `path`; if the block fails, the temporary file is removed and
-    any previous `path` is left as it was.  An OSError exits 4 naming `path`.
+    any previous `path` is left as it was.  Temporary files for `path` that a
+    killed writer left behind are removed first.  An OSError exits 4 naming `path`.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
     temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")  # see `replaced_name`
     try:
+        for entry in os.listdir(folder or "."):
+            if entry != name and replaced_name(entry) == name:
+                with contextlib.suppress(OSError):  # e.g. already gone
+                    os.remove(os.path.join(folder, entry))
         try:
             with open(temporary, "w", encoding="utf-8", newline="") as fh:
                 yield fh

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every stage; exit codes match the CLI contract."""
 
+import dataclasses
+import math
 from contextlib import contextmanager
 
 
@@ -25,6 +27,19 @@ class DataIOError(StgwError):
     """Missing or unreadable/unwritable files."""
 
     exit_code = 4
+
+
+def check_section(name: str, section, positive: tuple[str, ...] = ()) -> None:
+    """Reject the `[name]` config dataclass `section` if a float field is not finite,
+    or else if a field named in `positive` is not above zero."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"[{name}] {f.name} must be finite, got {value}")
+    for key in positive:
+        value = getattr(section, key)
+        if value <= 0:
+            raise ValidationError(f"[{name}] {key} must be positive, got {value}")
 
 
 @contextmanager

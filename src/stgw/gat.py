@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_section
 from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
 
 LEAKY_SLOPE = 0.35
@@ -29,15 +29,15 @@ TRAIN, VALIDATION, TEST = 0, 1, 2
 _SPLIT_CODE = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
 
 
-def leaky_relu(x, slope: float = LEAKY_SLOPE):
-    """x for x >= 0, slope * x below."""
+def leaky_relu(x):
+    """x for x >= 0, LEAKY_SLOPE * x below."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x < 0, slope * x, x)
+    out = np.where(x < 0, LEAKY_SLOPE * x, x)
     return out if out.ndim else float(out)
 
 
-def _leaky_grad(x, slope: float):
-    return np.where(x < 0, slope, 1.0)
+def _leaky_grad(x):
+    return np.where(x < 0, LEAKY_SLOPE, 1.0)
 
 
 def elu(x):
@@ -171,12 +171,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("learning rate must be positive")
-        if self.patience < 1:
-            raise ValidationError("patience must be at least 1")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be at least 1")
+        self.lr = float(self.lr)  # as a config file gives it, so messages read the same
+        check_section("gat", self, ("heads", "hidden", "out", "lr", "patience", "max_epochs"))
+        if self.seed < 0:
+            raise ValidationError("[gat] seed must be non-negative")
 
 
 @dataclass(eq=False)
@@ -196,13 +194,6 @@ class SampleSets:
         pairs, labels = self.subset(name)
         pos = int(labels.sum())
         return pos, len(labels) - pos
-
-
-def neighborhood_mask(base: RouteGraph) -> np.ndarray:
-    """Boolean N x N first-order neighborhoods including self-loops."""
-    mask = base.dense_adjacency() > 0
-    np.fill_diagonal(mask, True)
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,13 +220,9 @@ class _Support:
         return len(self.starts)
 
     @classmethod
-    def from_pattern(cls, pattern: sp.spmatrix) -> "_Support":
-        pattern = sp.csr_matrix(pattern)
-        pattern.sum_duplicates()  # also sorts each row's column indices
-        pattern.eliminate_zeros()
-        if np.any(pattern.diagonal() == 0):
-            raise ValidationError("every neighborhood must include the node itself")
-        n = pattern.shape[0]
+    def of_graph(cls, base: RouteGraph) -> "_Support":
+        pattern = base.closed_neighborhoods()  # canonical: sorted rows, each with its diagonal
+        n = base.n
         indptr, cols = pattern.indptr, pattern.indices
         rows = np.repeat(np.arange(n), np.diff(indptr))
         by_col = np.argsort(cols, kind="stable")
@@ -245,46 +232,26 @@ class _Support:
                    fwd=sp.csr_matrix((ones, cols, indptr), shape=(n, n)),
                    bwd=sp.csr_matrix((ones.copy(), rows[by_col], col_ptr), shape=(n, n)))
 
-    @classmethod
-    def of_graph(cls, base: RouteGraph) -> "_Support":
-        return cls.from_pattern(base.closed_neighborhoods())
-
     def matrix(self, alpha: np.ndarray) -> sp.csr_matrix:
         """A new N x N CSR matrix holding `alpha` on the support."""
         return sp.csr_matrix((alpha, self.cols.copy(), self.fwd.indptr.copy()),
                              shape=(self.n, self.n))
 
 
-def _as_support(neighborhoods, n: int) -> _Support:
-    """Accept a support, a RouteGraph or an N x N mask."""
-    if isinstance(neighborhoods, _Support):
-        support = neighborhoods
-    elif isinstance(neighborhoods, RouteGraph):
-        support = _Support.of_graph(neighborhoods)
-    elif isinstance(neighborhoods, np.ndarray) and neighborhoods.shape == (n, n):
-        support = _Support.from_pattern(sp.csr_matrix(neighborhoods.astype(bool)))
-    else:
-        raise ValidationError("neighborhoods must be a RouteGraph or an N x N mask "
-                              "matching the feature count")
-    if support.n != n:
-        raise ValidationError("neighborhood mask shape does not match the feature count")
-    return support
-
-
-def _head_attention(W, a, X, support: _Support, slope):
+def _head_attention(W, a, X, support: _Support):
     """Segment softmax over the support for one head; returns (alpha, Z, e)."""
     Z = X @ W.T
     o = W.shape[0]
     e = (Z @ a[:o])[support.rows] + (Z @ a[o:])[support.cols]
-    logits = leaky_relu(e, slope)
+    logits = leaky_relu(e)
     logits -= np.maximum.reduceat(logits, support.starts)[support.rows]
     ex = np.exp(logits)
     alpha = ex / np.add.reduceat(ex, support.starts)[support.rows]
     return alpha, Z, e
 
 
-def _head_forward(W, a, X, support: _Support, slope):
-    alpha, Z, e = _head_attention(W, a, X, support, slope)
+def _head_forward(W, a, X, support: _Support):
+    alpha, Z, e = _head_attention(W, a, X, support)
     support.fwd.data[:] = alpha
     U = support.fwd @ Z
     return elu(U), (Z, e, alpha, U)
@@ -305,7 +272,7 @@ def _edge_dots(support: _Support, left, right) -> np.ndarray:
     return out
 
 
-def _head_backward(W, a, X, support: _Support, slope, cache, dH):
+def _head_backward(W, a, X, support: _Support, cache, dH):
     """Gradients (dW, da, dZ) of one head; the caller forms dX = dZ @ W if needed."""
     Z, e, alpha, U = cache
     dU = dH * _elu_grad(U)
@@ -313,7 +280,7 @@ def _head_backward(W, a, X, support: _Support, slope, cache, dH):
     dZ = support.bwd @ dU
     dalpha = _edge_dots(support, dU, Z)
     dlogit = alpha * (dalpha - np.add.reduceat(alpha * dalpha, support.starts)[support.rows])
-    de = dlogit * _leaky_grad(e, slope)
+    de = dlogit * _leaky_grad(e)
     ds = np.add.reduceat(de, support.starts)
     dr = np.bincount(support.cols, weights=de, minlength=support.n)
     o = W.shape[0]
@@ -322,57 +289,49 @@ def _head_backward(W, a, X, support: _Support, slope, cache, dH):
     return dZ.T @ X, da, dZ
 
 
-def _check_features(layer: GatLayerParams, X: np.ndarray) -> None:
+def _check_features(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
+    """`features` as a float array with a row per node of `base` and a column per
+    input of `layer`."""
+    X = features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
     if X.ndim != 2 or X.shape[1] != layer.in_dim:
         raise ValidationError(
             f"feature matrix of shape {X.shape} does not match layer input "
             f"dimension {layer.in_dim}"
         )
+    if X.shape[0] != base.n:
+        raise ValidationError(f"feature matrix has {X.shape[0]} rows for {base.n} nodes")
+    return X
 
 
-def _feature_array(features) -> np.ndarray:
-    return features.values if isinstance(features, CaseMatrix) else np.asarray(features, float)
-
-
-def attention_coefficients(layer: GatLayerParams, features: np.ndarray,
-                           neighborhoods, slope: float = LEAKY_SLOPE) -> list[sp.csr_matrix]:
-    """Per-head row-stochastic attention matrices over the given neighborhoods."""
-    X = np.asarray(features, dtype=float)
-    _check_features(layer, X)
-    support = _as_support(neighborhoods, X.shape[0])
-    return [support.matrix(_head_attention(W, a, X, support, slope)[0])
+def attention_coefficients(layer: GatLayerParams, features,
+                           base: RouteGraph) -> list[sp.csr_matrix]:
+    """Per-head row-stochastic attention matrices over the closed neighborhoods."""
+    X = _check_features(layer, features, base)
+    support = _Support.of_graph(base)
+    return [support.matrix(_head_attention(W, a, X, support)[0])
             for W, a in zip(layer.weights, layer.attn)]
 
 
-def _layer_forward(layer: GatLayerParams, X, support: _Support, slope):
+def _layer_forward(layer: GatLayerParams, X, support: _Support):
     """Each head's output and its cache (Z, e, alpha, U), as two tuples."""
-    return tuple(zip(*(_head_forward(W, a, X, support, slope)
+    return tuple(zip(*(_head_forward(W, a, X, support)
                        for W, a in zip(layer.weights, layer.attn))))
 
 
-def layer_forward(layer: GatLayerParams, features: np.ndarray, neighborhoods,
-                  concat: bool = True, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    """ELU-activated attention aggregation; heads concatenated when requested."""
-    X = np.asarray(features, dtype=float)
-    _check_features(layer, X)
-    if not concat and layer.head_count != 1:
-        raise ValidationError("concat=False is only defined for single-head layers")
-    outs, _ = _layer_forward(layer, X, _as_support(neighborhoods, X.shape[0]), slope)
-    return np.concatenate(outs, axis=1) if concat else outs[0]
+def layer_forward(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
+    """ELU-activated attention aggregation, the heads' outputs side by side."""
+    X = _check_features(layer, features, base)
+    outs, _ = _layer_forward(layer, X, _Support.of_graph(base))
+    return np.concatenate(outs, axis=1)
 
 
-def _model_forward(model: GatModel, X, support: _Support, slope):
+def _model_forward(model: GatModel, X, support: _Support):
     # `outs1` lives until the return on purpose: at N=400, T=104, freeing the head
     # outputs before the layer-2 pass doubled training's page faults and cost ~5% CPU
-    outs1, caches1 = _layer_forward(model.layer1, X, support, slope)
+    outs1, caches1 = _layer_forward(model.layer1, X, support)
     X1 = np.concatenate(outs1, axis=1)
-    (X2,), (cache2,) = _layer_forward(model.layer2, X1, support, slope)
+    (X2,), (cache2,) = _layer_forward(model.layer2, X1, support)
     return X1, X2, (caches1, cache2)
-
-
-def edge_probability(xi: np.ndarray, xj: np.ndarray, theta: np.ndarray):
-    """Sigmoid of the theta-weighted Hadamard product; symmetric in (i, j)."""
-    return sigmoid((np.asarray(xi) * np.asarray(xj)) @ np.asarray(theta))
 
 
 def bce_loss(q, labels) -> float:
@@ -386,6 +345,7 @@ def bce_loss(q, labels) -> float:
 
 
 def _pair_outputs(X2, theta, pairs):
+    """Endpoint rows, their product, and q = sigmoid of its theta-weighted sum per pair."""
     xi = X2[pairs[:, 0]]
     xj = X2[pairs[:, 1]]
     prod = xi * xj
@@ -403,7 +363,7 @@ def _pair_scatter(pairs: np.ndarray, n: int) -> sp.csr_matrix:
                          shape=(n, len(ends)))
 
 
-def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, scatter=None):
+def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatter=None):
     """Full forward pass plus hand-derived reverse-mode gradients.
 
     Returns (loss, grads, X2): grads are ordered exactly like model.parameters(),
@@ -411,10 +371,9 @@ def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, sca
     without another forward pass.  `scatter` is `_pair_scatter(pairs, N)`,
     built here when not given.
     """
-    support = _as_support(neighborhoods, X.shape[0])
     if scatter is None:
         scatter = _pair_scatter(pairs, X.shape[0])
-    X1, X2, (caches1, cache2) = _model_forward(model, X, support, slope)
+    X1, X2, (caches1, cache2) = _model_forward(model, X, support)
     xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs)
     loss = bce_loss(q_raw, labels)
 
@@ -429,7 +388,7 @@ def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, sca
     dX2 = scatter @ np.concatenate([dprod * xj, dprod * xi])
 
     W2 = model.layer2.weights[0]
-    dW2, da2, dZ2 = _head_backward(W2, model.layer2.attn[0], X1, support, slope,
+    dW2, da2, dZ2 = _head_backward(W2, model.layer2.attn[0], X1, support,
                                    cache2, dX2)
     dX1 = dZ2 @ W2
 
@@ -437,7 +396,7 @@ def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, sca
     dW1s, da1s = [], []
     for k, (W, a) in enumerate(zip(model.layer1.weights, model.layer1.attn)):
         dH = dX1[:, k * o1:(k + 1) * o1]
-        dW, da, _ = _head_backward(W, a, X, support, slope, caches1[k], dH)
+        dW, da, _ = _head_backward(W, a, X, support, caches1[k], dH)
         dW1s.append(dW)
         da1s.append(da)
 
@@ -445,8 +404,8 @@ def _loss_and_grads(model: GatModel, X, neighborhoods, pairs, labels, slope, sca
     return loss, grads, X2
 
 
-def _evaluate_loss(model: GatModel, X, neighborhoods, pairs, labels, slope) -> float:
-    _, X2, _ = _model_forward(model, X, _as_support(neighborhoods, X.shape[0]), slope)
+def _evaluate_loss(model: GatModel, X, support: _Support, pairs, labels) -> float:
+    _, X2, _ = _model_forward(model, X, support)
     return _pair_loss(X2, model.theta, pairs, labels)
 
 
@@ -536,11 +495,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
     Returns the parameters of the best validation epoch and the loss history.
     """
-    X = _feature_array(features)
-    if X.shape[1] != model.layer1.in_dim:
-        raise ValidationError(
-            f"feature dimension {X.shape[1]} != layer-1 input {model.layer1.in_dim}"
-        )
+    X = _check_features(model.layer1, features, base)
     support = _Support.of_graph(base)
     train_pairs, train_labels = samples.subset("train")
     val_pairs, val_labels = samples.subset("validation")
@@ -558,7 +513,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
     for epoch in range(cfg.max_epochs):
         loss, grad_list, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
-                                              LEAKY_SLOPE, scatter)
+                                              scatter)
         # the step's forward pass also scores the validation pairs; tiny graphs
         # can yield an empty validation split, where the training loss is the
         # monitor so early stopping still works
@@ -588,12 +543,11 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     return work, history
 
 
-def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray,
-                  slope: float = LEAKY_SLOPE) -> np.ndarray:
+def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray) -> np.ndarray:
     """Edge probabilities q for the given node-index pairs."""
-    _, X2, _ = _model_forward(model, _feature_array(features), _Support.of_graph(base), slope)
-    _, _, _, q = _pair_outputs(X2, model.theta, np.asarray(pairs, dtype=int))
-    return q
+    X = _check_features(model.layer1, features, base)
+    _, X2, _ = _model_forward(model, X, _Support.of_graph(base))
+    return _pair_outputs(X2, model.theta, np.asarray(pairs, dtype=int))[3]
 
 
 def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSets) -> float:
@@ -603,12 +557,12 @@ def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSe
     return float(np.mean((q > 0.5) == (labels > 0.5)))
 
 
-def extract_transition(model: GatModel, base: RouteGraph, features,
-                       slope: float = LEAKY_SLOPE) -> TransitionMatrix:
+def extract_transition(model: GatModel, base: RouteGraph, features) -> TransitionMatrix:
     """Transition matrix: second-layer attention evaluated on layer-1 outputs."""
+    X = _check_features(model.layer1, features, base)
     support = _Support.of_graph(base)
     # alpha from layer 2's cache (Z, e, alpha, U)
-    _, _, (_, (_, _, alpha, _)) = _model_forward(model, _feature_array(features), support, slope)
+    _, _, (_, (_, _, alpha, _)) = _model_forward(model, X, support)
     return TransitionMatrix(P=support.matrix(alpha))
 
 

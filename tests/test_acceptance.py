@@ -15,8 +15,8 @@ from stgw.classify import (a_score, anomaly_metric, classify_nodes, log_normaliz
 from stgw.config import RunConfig
 from stgw.dataio import ingest, read_classes
 from stgw.gat import (GatModel, TrainConfig, attention_coefficients, edge_accuracy,
-                      extract_transition, make_samples, neighborhood_mask, train)
-from stgw.gat import _loss_and_grads, _evaluate_loss
+                      extract_transition, make_samples, train)
+from stgw.gat import _loss_and_grads, _evaluate_loss, _Support
 from stgw.graphs import (CaseMatrix, base_laplacian, build_route_graph, laplacian,
                          normalize_cases, strong_product)
 from stgw.pipeline import run_pipeline
@@ -108,12 +108,12 @@ def test_criterion_04_gradient_correctness():
         rng = np.random.default_rng(7)
         g = build_route_graph(make_nodes(6),
                               [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)])
-        mask = neighborhood_mask(g)
+        support = _Support.of_graph(g)
         X = rng.standard_normal((6, 7))
         model = GatModel.create(7, heads=3, head_dim=5, out_dim=4, seed=3)
         samples = make_samples(g, seed=11)
         pairs, labels = samples.subset("train")
-        _, grads, _ = _loss_and_grads(model, X, mask, pairs, labels, 0.35)
+        _, grads, _ = _loss_and_grads(model, X, support, pairs, labels)
 
         h = 1e-5
         params = model.parameters()
@@ -127,9 +127,9 @@ def test_criterion_04_gradient_correctness():
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + h
-                up = _evaluate_loss(model, X, mask, pairs, labels, 0.35)
+                up = _evaluate_loss(model, X, support, pairs, labels)
                 p[idx] = orig - h
-                down = _evaluate_loss(model, X, mask, pairs, labels, 0.35)
+                down = _evaluate_loss(model, X, support, pairs, labels)
                 p[idx] = orig
                 numeric[idx] = (up - down) / (2 * h)
             rel = (np.linalg.norm(analytic - numeric)

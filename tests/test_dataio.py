@@ -446,6 +446,14 @@ class TestAtomicWrites:
         assert str(info.value) == (f"cannot write {path}: "
                                    f"[Errno 2] No such file or directory: '{path}'")
 
+    def test_clears_its_own_stale_temporary_files(self, tmp_path):
+        stale = [".slices.svg.1.tmp", ".slices.svg.1234567.tmp"]
+        kept = [".ranking.svg.1.tmp", "slices.svg.1.tmp", ".slices.svg.tmp", ".slices.svg.x.tmp"]
+        for name in stale + kept:
+            (tmp_path / name).write_text("left behind\n")
+        dataio.write_text(tmp_path / "slices.svg", "<svg/>\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["slices.svg"])
+
     def test_directory_in_the_way(self, tmp_path):
         path = tmp_path / "slices.svg"
         path.mkdir()

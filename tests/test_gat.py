@@ -7,9 +7,9 @@ import pytest
 import gat_dense_reference as dense
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import (GatModel, TrainConfig, _Adam, _elu_grad, _evaluate_loss, _flat_copy,
-                      _loss_and_grads, attention_coefficients, bce_loss, edge_accuracy, edge_probability,
-                      elu, extract_transition, influential_scores, layer_forward,
-                      leaky_relu, make_samples, negative_candidates, neighborhood_mask,
+                      _loss_and_grads, _pair_outputs, _Support, attention_coefficients,
+                      bce_loss, edge_accuracy, elu, extract_transition, influential_scores,
+                      layer_forward, leaky_relu, make_samples, negative_candidates,
                       predict_edges, train)
 from stgw.graphs import TransitionMatrix, build_route_graph
 
@@ -87,13 +87,12 @@ class TestAttention:
         g = path_graph(4)
         model = GatModel.create(3, heads=2, head_dim=4, out_dim=4, seed=0)
         X = np.ones((4, 3)) * 1.7
+        mask = dense.neighborhood_mask(g)
+        sizes = mask.sum(axis=1)
         for A in attention_coefficients(model.layer1, X, g):
-            dense = A.toarray()
-            mask = neighborhood_mask(g)
-            sizes = mask.sum(axis=1)
             for i in range(4):
                 expected = np.where(mask[i], 1.0 / sizes[i], 0.0)
-                assert np.allclose(dense[i], expected, atol=1e-12)
+                assert np.allclose(A.toarray()[i], expected, atol=1e-12)
 
     def test_isolated_node_self_attention(self):
         g = build_route_graph(make_nodes(3), [(1, 2)])
@@ -141,7 +140,7 @@ class TestLayerForward:
         from stgw.gat import GatLayerParams
         layer = GatLayerParams(weights=[np.eye(3)], attn=[np.zeros(6)])
         x = np.array([[0.4, -1.2, 2.0]])
-        out = layer_forward(layer, x, g, concat=False)
+        out = layer_forward(layer, x, g)
         assert np.allclose(out[0], elu(x[0]), atol=1e-15)
 
     def test_zero_features_zero_output(self):
@@ -160,19 +159,26 @@ class TestLayerForward:
 
 
 class TestEdgeProbability:
+    """q = sigmoid(theta . (x_i * x_j)), through `_pair_outputs` and `predict_edges`."""
+
     def test_zero_theta_gives_half(self, rng):
-        xi, xj = rng.standard_normal((2, 8))
-        assert edge_probability(xi, xj, np.zeros(8)) == 0.5
+        g = random_graph(6, 0.4, rng)
+        model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=8)
+        model.theta[:] = 0.0
+        pairs = np.array([[0, 3], [1, 4], [2, 2], [5, 0]])
+        q = predict_edges(model, g, rng.standard_normal((6, 4)), pairs)
+        assert np.all(q == 0.5)
 
     def test_sigmoid_algebra(self):
-        xi = np.array([math.log(3.0)])
-        xj = np.array([1.0])
-        assert abs(edge_probability(xi, xj, np.array([1.0])) - 0.75) < 1e-12
+        X2 = np.array([[math.log(3.0)], [1.0]])
+        q = _pair_outputs(X2, np.array([1.0]), np.array([[0, 1]]))[3]
+        assert abs(q[0] - 0.75) < 1e-12
 
     def test_symmetry(self, rng):
-        xi, xj = rng.standard_normal((2, 8))
+        X2 = rng.standard_normal((2, 8))
         theta = rng.standard_normal(8)
-        assert edge_probability(xi, xj, theta) == edge_probability(xj, xi, theta)
+        q = _pair_outputs(X2, theta, np.array([[0, 1], [1, 0]]))[3]
+        assert q[0] == q[1]
 
 
 class TestBceLoss:
@@ -312,6 +318,29 @@ class TestTrain:
         assert len(hist["train_loss"]) > 0
 
 
+class TestNodeCount:
+    """Every entry point rejects a feature matrix without one row per node."""
+
+    ENTRY_POINTS = {
+        "train": lambda m, g, X, s: train(m, g, X, s, TrainConfig(max_epochs=1)),
+        "predict_edges": lambda m, g, X, s: predict_edges(m, g, X, s.pairs),
+        "edge_accuracy": edge_accuracy,
+        "extract_transition": lambda m, g, X, s: extract_transition(m, g, X),
+        "layer_forward": lambda m, g, X, s: layer_forward(m.layer1, X, g),
+        "attention_coefficients": lambda m, g, X, s: attention_coefficients(m.layer1, X, g),
+    }
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rows_must_match_graph(self, entry, rows):
+        g = build_route_graph(make_nodes(6),
+                              [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)])
+        model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=0)
+        X = np.random.default_rng(0).standard_normal((rows, 4))
+        with pytest.raises(ValidationError, match=f"{rows} rows for 6 nodes"):
+            self.ENTRY_POINTS[entry](model, g, X, make_samples(g, seed=0))
+
+
 class TestExtractTransition:
     def test_rows_and_support(self, rng):
         g = random_graph(7, 0.3, rng)
@@ -319,7 +348,7 @@ class TestExtractTransition:
         X = rng.standard_normal((7, 5))
         P = extract_transition(model, g, X).P.toarray()
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-9
-        mask = neighborhood_mask(g)
+        mask = dense.neighborhood_mask(g)
         assert np.all((P > 0) == mask) or np.all((P > 0)[~mask] == False)  # noqa: E712
         assert np.all(np.diag(P) > 0)
 
@@ -328,7 +357,7 @@ class TestExtractTransition:
         model = GatModel.create(3, heads=2, head_dim=4, out_dim=4, seed=7)
         X = np.ones((4, 3)) * 2.5
         P = extract_transition(model, g, X).P.toarray()
-        mask = neighborhood_mask(g)
+        mask = dense.neighborhood_mask(g)
         sizes = mask.sum(axis=1)
         for i in range(4):
             assert np.allclose(P[i, mask[i]], 1.0 / sizes[i], atol=1e-12)
@@ -367,47 +396,38 @@ class TestPredictions:
 class TestDenseReference:
     """The edge-list attention against the dense masked-softmax reference."""
 
-    SLOPE = 0.35
-
     def cases(self, rng):
         for n, p, seed in ((5, 0.3, 0), (9, 0.5, 1), (16, 0.15, 2)):
             g = graph_with_isolated_node(n, p, rng)
-            mask = neighborhood_mask(g)
             X = rng.standard_normal((n + 1, 6))
             model = GatModel.create(6, heads=3, head_dim=5, out_dim=4, seed=seed)
-            yield g, mask, X, model
+            yield g, X, model
 
     def test_attention_and_layer_forward(self, rng):
-        for g, mask, X, model in self.cases(rng):
-            ref_attn = dense.attention_coefficients(model.layer1, X, mask, self.SLOPE)
-            ref_layer = dense.layer_forward(model.layer1, X, mask, self.SLOPE)
-            for neighborhoods in (g, mask):
-                attn = attention_coefficients(model.layer1, X, neighborhoods, self.SLOPE)
-                for A, ref in zip(attn, ref_attn):
-                    assert relative_error(A.toarray(), ref) < 1e-12
-                out = layer_forward(model.layer1, X, neighborhoods, slope=self.SLOPE)
-                assert relative_error(out, ref_layer) < 1e-12
+        for g, X, model in self.cases(rng):
+            ref_attn = dense.attention_coefficients(model.layer1, X, g)
+            for A, ref in zip(attention_coefficients(model.layer1, X, g), ref_attn):
+                assert relative_error(A.toarray(), ref) < 1e-12
+            out = layer_forward(model.layer1, X, g)
+            assert relative_error(out, dense.layer_forward(model.layer1, X, g)) < 1e-12
 
     def test_loss_and_grads(self, rng):
-        for g, mask, X, model in self.cases(rng):
+        for g, X, model in self.cases(rng):
             n = X.shape[0]
             pairs = rng.integers(0, n, size=(3 * n, 2))
             labels = (rng.random(3 * n) < 0.5).astype(float)
-            ref_loss, ref_grads, ref_X2 = dense.loss_and_grads(model, X, mask, pairs,
-                                                               labels, self.SLOPE)
-            for neighborhoods in (g, mask):
-                loss, grads, X2 = _loss_and_grads(model, X, neighborhoods, pairs, labels,
-                                                  self.SLOPE)
-                assert abs(loss - ref_loss) <= 1e-12 * ref_loss
-                assert relative_error(X2, ref_X2) < 1e-12
-                assert len(grads) == len(ref_grads)
-                for grad, ref in zip(grads, ref_grads):
-                    assert relative_error(grad, ref) < 1e-12
+            ref_loss, ref_grads, ref_X2 = dense.loss_and_grads(model, X, g, pairs, labels)
+            loss, grads, X2 = _loss_and_grads(model, X, _Support.of_graph(g), pairs, labels)
+            assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+            assert relative_error(X2, ref_X2) < 1e-12
+            assert len(grads) == len(ref_grads)
+            for grad, ref in zip(grads, ref_grads):
+                assert relative_error(grad, ref) < 1e-12
 
     def test_extract_transition(self, rng):
-        for g, mask, X, model in self.cases(rng):
-            P = extract_transition(model, g, X, slope=self.SLOPE).P.toarray()
-            assert relative_error(P, dense.transition(model, X, mask, self.SLOPE)) < 1e-12
+        for g, X, model in self.cases(rng):
+            P = extract_transition(model, g, X).P.toarray()
+            assert relative_error(P, dense.transition(model, X, g)) < 1e-12
             assert P[-1, -1] == 1.0  # the isolated node attends only to itself
 
     def test_fused_validation_loss_is_exact(self, rng):
@@ -418,8 +438,8 @@ class TestDenseReference:
         val_pairs, val_labels = samples.subset("validation")
         assert len(val_pairs)
         _, hist = train(model, g, X, samples, TrainConfig(max_epochs=1))
-        assert hist["val_loss"][0] == _evaluate_loss(model, X, neighborhood_mask(g),
-                                                     val_pairs, val_labels, self.SLOPE)
+        assert hist["val_loss"][0] == _evaluate_loss(model, X, _Support.of_graph(g),
+                                                     val_pairs, val_labels)
 
 
 class TestNoDenseSquare:
@@ -435,6 +455,7 @@ class TestNoDenseSquare:
             trained, _ = train(model, g, X, samples, TrainConfig(max_epochs=2))
             predict_edges(trained, g, X, samples.pairs)
             edge_accuracy(trained, g, X, samples)
+            influential_scores(extract_transition(trained, g, X))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

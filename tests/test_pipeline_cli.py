@@ -9,6 +9,7 @@ from stgw import dataio
 from stgw.cli import main
 from stgw.config import RunConfig, load_config
 from stgw.errors import ValidationError
+from stgw.gat import TrainConfig
 from stgw.pipeline import (run_pipeline, stage_classify, stage_rank, stage_report,
                            stage_train, stage_transform)
 from stgw.synth import SyntheticSpec, write_dataset
@@ -90,12 +91,23 @@ class TestConfig:
         ('{"sgwt": {"quad_points": 1e400}}', "[sgwt] quad_points must be an integer, got inf"),
         ("[gat]\nmax_epochs = 2.7\n", "bad value for max_epochs in [gat]: '2.7'"),
         ('{"gat": {"lr": true}}', "[gat] lr must be a number, got True"),
+        ('{"gat": 5}', "[gat] must hold keys, got 5"),
     ])
     def test_non_finite_or_non_integral_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert main(["build-graph", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_library_and_file_share_one_check(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[gat]\nlr = 0\n")
+        with pytest.raises(ValidationError) as from_file:
+            load_config(str(path))
+        with pytest.raises(ValidationError) as from_library:
+            TrainConfig(lr=0)
+        assert str(from_file.value) == str(from_library.value) == \
+            "[gat] lr must be positive, got 0.0"
 
     def test_seed_flag_is_validated(self, capsys):
         assert main(["train", "--seed", "-1"]) == 2
@@ -209,6 +221,21 @@ class TestPipeline:
         with pytest.raises(Exception, match="stage classify"):
             run_pipeline(cfg)
         assert sorted(os.listdir(cfg.io.out)) == sorted(unrelated)
+
+    def test_staged_command_clears_stale_temporary_files(self, tmp_path):
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path)
+        os.makedirs(cfg.io.out)
+        stage_train(cfg)
+        out = tmp_path / "out"
+        (out / ".coefficients.csv.1.tmp").write_text("left behind\n")
+        (out / ".classes.csv.1.tmp").write_text("not transform's\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[io]\nnodes = {cfg.io.nodes}\nedges = {cfg.io.edges}\n"
+                          f"cases = {cfg.io.cases}\nout = {cfg.io.out}\n")
+        assert main(["transform", "--config", str(config)]) == 0
+        assert not (out / ".coefficients.csv.1.tmp").exists()
+        assert (out / ".classes.csv.1.tmp").exists()
 
     def test_rank_window(self, tmp_path):
         write_small_dataset(tmp_path)
