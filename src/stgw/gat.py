@@ -3,19 +3,21 @@
 Attention runs over the graph's closed neighborhoods only, as an edge list of
 2E + N entries (each edge both ways, plus every node's self-loop): per-head
 logits on the entries, a segment softmax per row, and sparse products for the
-aggregation and its transpose.  Gradients are hand-derived reverse-mode in
-plain numpy/scipy, so training stays dependency-free and bit-reproducible for a
-fixed seed, config and numpy/scipy build.  The trained second-layer attention
+aggregation and its transpose.  A layer runs all of its heads in one pass, and
+training allocates every array of an epoch once.  Gradients are hand-derived
+reverse-mode in plain numpy/scipy, so training stays dependency-free and
+bit-reproducible for a fixed seed, config and numpy/scipy build.  The trained second-layer attention
 matrix is the transition matrix consumed by the strong-product construction.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import NumericError, ValidationError, check_section
 from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
@@ -23,7 +25,6 @@ from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
 LEAKY_SLOPE = 0.35
 Q_CLAMP = 1e-12
 HEADS, HIDDEN, OUT = 7, 122, 88  # layer-1 heads, layer-1 head width, layer-2 width
-_EDGE_BLOCK = 256
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
 _SPLIT_CODE = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
@@ -36,20 +37,19 @@ def leaky_relu(x):
     return out if out.ndim else float(out)
 
 
-def _leaky_grad(x):
-    return np.where(x < 0, LEAKY_SLOPE, 1.0)
-
-
-def elu(x):
-    """x for x >= 0, exp(x) - 1 below."""
+def elu(x, out=None):
+    """x for x >= 0, exp(x) - 1 below; written into `out` (not `x`) when given."""
     x = np.asarray(x, dtype=float)
-    # one branch is exactly zero on each side; the operand order keeps -0.0
-    out = np.expm1(np.minimum(0.0, x)) + np.maximum(0.0, x)
+    # expm1(x) > x below zero; the operand order keeps -0.0
+    out = np.minimum(0.0, x, out=np.empty_like(x) if out is None else out)
+    np.expm1(out, out=out)
+    np.maximum(out, x, out=out)
     return out if out.ndim else float(out)
 
 
-def _elu_grad(x):
-    return np.exp(np.minimum(x, 0.0))
+def _elu_grad(x, out=None):
+    out = np.minimum(x, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 def sigmoid(x):
@@ -64,33 +64,36 @@ def sigmoid(x):
 
 @dataclass(eq=False)
 class GatLayerParams:
-    """One attention layer: per-head linear maps W (O x F) and score vectors (2O,)."""
+    """One attention layer of H heads: linear maps W (H x O x F) and score vectors a (H x 2O).
 
-    weights: list[np.ndarray]
-    attn: list[np.ndarray]
+    Per-head lists are stacked into new arrays; stacked arrays are kept as they are.
+    """
+
+    weights: np.ndarray
+    attn: np.ndarray
 
     def __post_init__(self):
-        if len(self.weights) != len(self.attn) or not self.weights:
+        if len(self.weights) != len(self.attn) or not len(self.weights):
             raise ValidationError("layer needs matching, non-empty weight/attention lists")
-        f_in = self.weights[0].shape[1]
-        o = self.weights[0].shape[0]
-        for W, a in zip(self.weights, self.attn):
-            if W.shape != (o, f_in):
-                raise ValidationError("all heads must share input and output dimensions")
-            if a.shape != (2 * o,):
-                raise ValidationError("attention vector length must be twice the head dimension")
+        shape = np.shape(self.weights[0])
+        if len(shape) != 2 or any(np.shape(W) != shape for W in self.weights):
+            raise ValidationError("all heads must share input and output dimensions")
+        if any(np.shape(a) != (2 * shape[0],) for a in self.attn):
+            raise ValidationError("attention vector length must be twice the head dimension")
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.attn = np.asarray(self.attn, dtype=float)
 
     @property
     def head_count(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights.shape[1]
 
 
 @dataclass(eq=False)
@@ -136,9 +139,10 @@ class GatModel:
         return cls(layer1=layer1, layer2=layer2, theta=theta)
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in a fixed order (shared with gradients)."""
-        return (list(self.layer1.weights) + list(self.layer1.attn)
-                + [self.layer2.weights[0], self.layer2.attn[0], self.theta])
+        """Flat parameter list in a fixed order (shared with gradients): one array per
+        head, as views of the stacked arrays."""
+        return [*self.layer1.weights, *self.layer1.attn,
+                self.layer2.weights[0], self.layer2.attn[0], self.theta]
 
     @staticmethod
     def parameter_names(heads: int) -> list[str]:
@@ -149,12 +153,24 @@ class GatModel:
 
     @classmethod
     def from_parameters(cls, params: list[np.ndarray]) -> "GatModel":
-        """The model whose parameters() are `params` (the arrays themselves, not copies)."""
+        """The model whose parameters() equal `params`: the weights and attention
+        vectors are copied into stacked arrays, theta is kept."""
         heads = (len(params) - 3) // 2
-        return cls(layer1=GatLayerParams(weights=list(params[:heads]),
-                                         attn=list(params[heads:2 * heads])),
+        return cls(layer1=GatLayerParams(weights=params[:heads], attn=params[heads:2 * heads]),
                    layer2=GatLayerParams(weights=[params[-3]], attn=[params[-2]]),
                    theta=params[-1])
+
+
+def _views(model: GatModel, vector: np.ndarray) -> GatModel:
+    """A model of `model`'s shapes whose stacked arrays are views of `vector`, laid out
+    in parameters() order."""
+    arrays, start = [], 0
+    for p in (model.layer1.weights, model.layer1.attn, model.layer2.weights,
+              model.layer2.attn, model.theta):
+        arrays.append(vector[start:start + p.size].reshape(p.shape))
+        start += p.size
+    W1, a1, W2, a2, theta = arrays
+    return GatModel(layer1=GatLayerParams(W1, a1), layer2=GatLayerParams(W2, a2), theta=theta)
 
 
 @dataclass
@@ -202,18 +218,18 @@ class _Support:
 
     Entry k links node `rows[k]` to `cols[k]`; row i occupies
     `starts[i]:starts[i + 1]` and always holds its diagonal entry, so no
-    `reduceat` segment is empty.  `by_col` reorders the entries column-major,
-    the CSR order of the transpose.  `fwd` and `bwd` are CSR patterns of A and
-    A^T, built once; each head writes its attention weights into their `.data`
-    before multiplying.
+    `reduceat` segment is empty, by rows or by columns.  `by_col` reorders the
+    entries column-major, the CSR order of the transpose, in which column j
+    starts at `col_starts[j]`.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    indptr: np.ndarray
     starts: np.ndarray
     by_col: np.ndarray
-    fwd: sp.csr_matrix
-    bwd: sp.csr_matrix
+    col_starts: np.ndarray
+    _patterns: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -222,71 +238,199 @@ class _Support:
     @classmethod
     def of_graph(cls, base: RouteGraph) -> "_Support":
         pattern = base.closed_neighborhoods()  # canonical: sorted rows, each with its diagonal
-        n = base.n
         indptr, cols = pattern.indptr, pattern.indices
-        rows = np.repeat(np.arange(n), np.diff(indptr))
+        rows = np.repeat(np.arange(base.n), np.diff(indptr))
         by_col = np.argsort(cols, kind="stable")
-        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        ones = np.ones(len(cols))
-        return cls(rows=rows, cols=cols, starts=indptr[:-1], by_col=by_col,
-                   fwd=sp.csr_matrix((ones, cols, indptr), shape=(n, n)),
-                   bwd=sp.csr_matrix((ones.copy(), rows[by_col], col_ptr), shape=(n, n)))
+        col_starts = np.searchsorted(cols[by_col], np.arange(base.n))
+        return cls(rows=rows, cols=cols, indptr=indptr, starts=indptr[:-1].astype(np.intp),
+                   by_col=by_col, col_starts=col_starts)
+
+    def heads(self, count: int) -> "_HeadPattern":
+        """The support replicated for `count` heads, built once per count."""
+        if count not in self._patterns:
+            self._patterns[count] = _HeadPattern.of_support(self, count)
+        return self._patterns[count]
 
     def matrix(self, alpha: np.ndarray) -> sp.csr_matrix:
-        """A new N x N CSR matrix holding `alpha` on the support."""
-        return sp.csr_matrix((alpha, self.cols.copy(), self.fwd.indptr.copy()),
+        """A new N x N CSR matrix holding `alpha` (one value per entry) on the support."""
+        return sp.csr_matrix((np.array(alpha), self.cols.copy(), self.indptr.copy()),
                              shape=(self.n, self.n))
 
 
-def _head_attention(W, a, X, support: _Support):
-    """Segment softmax over the support for one head; returns (alpha, Z, e)."""
-    Z = X @ W.T
-    o = W.shape[0]
-    e = (Z @ a[:o])[support.rows] + (Z @ a[o:])[support.cols]
-    logits = leaky_relu(e)
-    logits -= np.maximum.reduceat(logits, support.starts)[support.rows]
-    ex = np.exp(logits)
-    alpha = ex / np.add.reduceat(ex, support.starts)[support.rows]
-    return alpha, Z, e
+@dataclass(frozen=True, eq=False)
+class _HeadPattern:
+    """The support once per head, for H heads side by side in (N, H*O) arrays.
 
-
-def _head_forward(W, a, X, support: _Support):
-    alpha, Z, e = _head_attention(W, a, X, support)
-    support.fwd.data[:] = alpha
-    U = support.fwd @ Z
-    return elu(U), (Z, e, alpha, U)
-
-
-def _edge_dots(support: _Support, left, right) -> np.ndarray:
-    """left[rows[k]] . right[cols[k]] for every support entry k.
-
-    Gathered in blocks of `_EDGE_BLOCK` entries: two whole (2E + N) x O
-    gathers cost several times more, in fresh memory, than the arithmetic.
+    Row i*H + h of the (N*H, O) reshape, which costs no copy, is node i of head
+    h.  `fwd` and `bwd` are the CSR patterns of A and A^T over those rows, built
+    once; a layer gathers its (2E+N, H) attention weights, flattened, into their
+    `.data` through `fwd_order` and `bwd_order` before each product.
     """
-    out = np.empty(len(support.rows))
-    for start in range(0, len(out), _EDGE_BLOCK):
-        block = slice(start, start + _EDGE_BLOCK)
-        g = left[support.rows[block]]
-        g *= right[support.cols[block]]
-        g.sum(axis=1, out=out[block])
+
+    fwd: sp.csr_matrix
+    bwd: sp.csr_matrix
+    fwd_order: np.ndarray
+    bwd_order: np.ndarray
+
+    @classmethod
+    def of_support(cls, support: _Support, heads: int) -> "_HeadPattern":
+        n, m = support.n, len(support.rows)
+        k = np.repeat(np.arange(m), heads)  # entry and head of the flattened (2E+N, H)
+        h = np.tile(np.arange(heads), m)
+
+        def pattern(ends, others, starts):
+            order = np.lexsort((k, h, ends[k]))
+            indptr = np.append(0, np.cumsum(np.repeat(np.diff(starts, append=m), heads)))
+            matrix = sp.csr_matrix((np.zeros(m * heads), others[k[order]] * heads + h[order],
+                                    indptr), shape=(n * heads, n * heads))
+            return matrix, order
+
+        fwd, fwd_order = pattern(support.rows, support.cols, support.starts)
+        bwd, bwd_order = pattern(support.cols, support.rows, support.col_starts)
+        return cls(fwd=fwd, bwd=bwd, fwd_order=fwd_order, bwd_order=bwd_order)
+
+
+def _spmm(A: sp.csr_matrix, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`A @ B` for a CSR matrix A and C-contiguous B, written into C-contiguous `out`.
+
+    scipy's `A @ B` always allocates its result; this calls the same kernel on `out`.
+    """
+    if (B.shape[0] != A.shape[1] or out.shape != (A.shape[0], B.shape[1])
+            or not A.dtype == B.dtype == out.dtype == np.float64):
+        raise ValueError("_spmm needs float64 operands of matching shapes")
+    flat = np.reshape(out, -1, copy=False)
+    flat.fill(0.0)
+    _sparsetools.csr_matvecs(A.shape[0], A.shape[1], B.shape[1], A.indptr, A.indices, A.data,
+                             np.reshape(B, -1, copy=False), flat)
     return out
 
 
-def _head_backward(W, a, X, support: _Support, cache, dH):
-    """Gradients (dW, da, dZ) of one head; the caller forms dX = dZ @ W if needed."""
-    Z, e, alpha, U = cache
-    dU = dH * _elu_grad(U)
-    support.bwd.data[:] = alpha[support.by_col]
-    dZ = support.bwd @ dU
-    dalpha = _edge_dots(support, dU, Z)
-    dlogit = alpha * (dalpha - np.add.reduceat(alpha * dalpha, support.starts)[support.rows])
-    de = dlogit * _leaky_grad(e)
-    ds = np.add.reduceat(de, support.starts)
-    dr = np.bincount(support.cols, weights=de, minlength=support.n)
-    o = W.shape[0]
-    da = np.concatenate([Z.T @ ds, Z.T @ dr])
-    dZ += np.outer(ds, a[:o]) + np.outer(dr, a[o:])
-    return dZ.T @ X, da, dZ
+def _edge_dots(support: _Support, left, right, out, scratch) -> None:
+    """out[k, h] = left[rows[k], h] . right[cols[k], h] for every support entry k and head h.
+
+    `left` and `right` are (N, H*O).  The gathers go through `scratch`, a flat
+    buffer of at least 2*H*O values, as many entries at a time as fit.
+    """
+    width, heads = left.shape[1], out.shape[1]
+    block = len(scratch) // (2 * width)
+    gl = scratch[:block * width].reshape(block, width)
+    gr = scratch[block * width:2 * block * width].reshape(block, width)
+    for start in range(0, len(out), block):
+        stop = min(start + block, len(out))
+        g = np.take(left, support.rows[start:stop], axis=0, out=gl[:stop - start], mode="clip")
+        g *= np.take(right, support.cols[start:stop], axis=0, out=gr[:stop - start],
+                     mode="clip")
+        g.reshape(stop - start, heads, width // heads).sum(axis=2, out=out[start:stop])
+
+
+class _LayerWork:
+    """The arrays of one layer's forward and backward pass for one support, allocated once.
+
+    `grad_buffer` (at least `extra` values) holds the gradient of the layer's
+    output, `dout`; once the backward pass has consumed that gradient, the same
+    memory holds its row gathers and then dZ.
+    """
+
+    def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0):
+        n, m, heads = support.n, len(support.rows), layer.head_count
+        width = heads * layer.out_dim
+        self.pattern = support.heads(heads)
+        self.Z, self.U, self.out = (np.empty((n, width)) for _ in range(3))
+        self.sr = np.empty((2, n, heads))  # logit halves s and r, later ds and dr
+        self.seg = np.empty((n, heads))
+        self.alpha, self.tmp, self.dalpha = (np.empty((m, heads)) for _ in range(3))
+        self.negative = np.empty((m, heads), dtype=bool)  # where the logit is below zero
+        self.grad_buffer = np.empty(max(max(n, 2) * width, extra))
+        self.dout = self.grad_buffer[:n * width].reshape(n, width)
+
+
+def _attention(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> None:
+    """Z = X W^T for all heads at once, then each head's segment softmax of its
+    logits over the support into `lw.alpha`, a (2E+N, H) array."""
+    heads, o, f = layer.weights.shape
+    np.matmul(X, layer.weights.reshape(heads * o, f).T, out=lw.Z)
+    Z3 = lw.Z.reshape(len(X), heads, o)
+    s, r = lw.sr
+    np.einsum("nho,ho->nh", Z3, layer.attn[:, :o], out=s)
+    np.einsum("nho,ho->nh", Z3, layer.attn[:, o:], out=r)
+    logits, tmp, seg = lw.alpha, lw.tmp, lw.seg
+    np.take(s, support.rows, axis=0, out=logits, mode="clip")
+    logits += np.take(r, support.cols, axis=0, out=tmp, mode="clip")
+    np.less(logits, 0.0, out=lw.negative)
+    np.multiply(logits, LEAKY_SLOPE, out=logits, where=lw.negative)  # LeakyReLU
+    np.maximum.reduceat(logits, support.starts, axis=0, out=seg)
+    logits -= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+    np.exp(logits, out=logits)
+    np.add.reduceat(logits, support.starts, axis=0, out=seg)
+    logits /= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+
+
+def _layer_forward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> np.ndarray:
+    """ELU of the attention aggregation, every head in one pass; returns `lw.out`."""
+    _attention(layer, X, support, lw)
+    pattern = lw.pattern
+    np.take(lw.alpha.reshape(-1), pattern.fwd_order, out=pattern.fwd.data, mode="clip")
+    nh = len(X) * layer.head_count
+    _spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
+    return elu(lw.U, out=lw.out)
+
+
+def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
+                    grad: GatLayerParams, dX=None) -> None:
+    """Gradients of one layer, from the gradient of its output in `lw.dout`.
+
+    Writes dW and da into `grad` and, if given, dX = dZ W into `dX`.  Uses up
+    the forward pass's Z and U and the output gradient.
+    """
+    heads, o, f = layer.weights.shape
+    nh = len(X) * heads
+    dU = _elu_grad(lw.U, out=lw.U)
+    dU *= lw.dout
+    _edge_dots(support, dU, lw.Z, lw.dalpha, lw.grad_buffer)
+    alpha, tmp, seg, dlogit = lw.alpha, lw.tmp, lw.seg, lw.dalpha
+    np.multiply(alpha, dlogit, out=tmp)
+    np.add.reduceat(tmp, support.starts, axis=0, out=seg)
+    dlogit -= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+    dlogit *= alpha
+    np.multiply(dlogit, LEAKY_SLOPE, out=dlogit, where=lw.negative)  # now d(logit before LeakyReLU)
+    ds, dr = lw.sr
+    np.add.reduceat(dlogit, support.starts, axis=0, out=ds)
+    np.add.reduceat(np.take(dlogit, support.by_col, axis=0, out=tmp, mode="clip"),
+                    support.col_starts, axis=0, out=dr)
+    Z3 = lw.Z.reshape(len(X), heads, o)
+    np.einsum("nho,nh->ho", Z3, ds, out=grad.attn[:, :o])
+    np.einsum("nho,nh->ho", Z3, dr, out=grad.attn[:, o:])
+
+    pattern = lw.pattern
+    np.take(alpha.reshape(-1), pattern.bwd_order, out=pattern.bwd.data, mode="clip")
+    _spmm(pattern.bwd, dU.reshape(nh, o), out=lw.dout.reshape(nh, o))
+    dZ = lw.dout
+    # Z is spent: it holds ds (x) a_src + dr (x) a_dst per head
+    np.einsum("snh,sho->nho", lw.sr, layer.attn.reshape(heads, 2, o).transpose(1, 0, 2), out=Z3)
+    dZ += lw.Z
+    np.matmul(dZ.T, X, out=grad.weights.reshape(heads * o, f))
+    if dX is not None:
+        np.matmul(dZ, layer.weights.reshape(heads * o, f), out=dX)
+
+
+class _Workspace:
+    """Every array of a forward and backward pass of `model` on `support`, allocated
+    once and reused by each call: the two layers' arrays, the flat gradient with a
+    model of views on it (`grad`), and rows for up to `pairs` scored pairs.
+
+    The pair rows share layer 1's output-gradient buffer, which is free from the
+    start of a pass until layer 2's backward writes it.
+    """
+
+    def __init__(self, model: GatModel, support: _Support, pairs: int = 0):
+        self.width = model.layer2.out_dim
+        self.layer1 = _LayerWork(model.layer1, support, extra=3 * pairs * self.width)
+        self.layer2 = _LayerWork(model.layer2, support)
+        self.grads = np.empty(sum(p.size for p in model.parameters()))
+        self.grad = _views(model, self.grads)
+
+    def pair_rows(self, count: int) -> np.ndarray:
+        return self.layer1.grad_buffer[:3 * count * self.width].reshape(3 * count, self.width)
 
 
 def _check_features(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
@@ -308,30 +452,22 @@ def attention_coefficients(layer: GatLayerParams, features,
     """Per-head row-stochastic attention matrices over the closed neighborhoods."""
     X = _check_features(layer, features, base)
     support = _Support.of_graph(base)
-    return [support.matrix(_head_attention(W, a, X, support)[0])
-            for W, a in zip(layer.weights, layer.attn)]
-
-
-def _layer_forward(layer: GatLayerParams, X, support: _Support):
-    """Each head's output and its cache (Z, e, alpha, U), as two tuples."""
-    return tuple(zip(*(_head_forward(W, a, X, support)
-                       for W, a in zip(layer.weights, layer.attn))))
+    lw = _LayerWork(layer, support)
+    _attention(layer, X, support, lw)
+    return [support.matrix(alpha) for alpha in lw.alpha.T]
 
 
 def layer_forward(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
     """ELU-activated attention aggregation, the heads' outputs side by side."""
     X = _check_features(layer, features, base)
-    outs, _ = _layer_forward(layer, X, _Support.of_graph(base))
-    return np.concatenate(outs, axis=1)
+    support = _Support.of_graph(base)
+    return _layer_forward(layer, X, support, _LayerWork(layer, support))
 
 
-def _model_forward(model: GatModel, X, support: _Support):
-    # `outs1` lives until the return on purpose: at N=400, T=104, freeing the head
-    # outputs before the layer-2 pass doubled training's page faults and cost ~5% CPU
-    outs1, caches1 = _layer_forward(model.layer1, X, support)
-    X1 = np.concatenate(outs1, axis=1)
-    (X2,), (cache2,) = _layer_forward(model.layer2, X1, support)
-    return X1, X2, (caches1, cache2)
+def _model_forward(model: GatModel, X, support: _Support, ws: _Workspace):
+    """Both layers' outputs (X1, X2), views of `ws`."""
+    X1 = _layer_forward(model.layer1, X, support, ws.layer1)
+    return X1, _layer_forward(model.layer2, X1, support, ws.layer2)
 
 
 def bce_loss(q, labels) -> float:
@@ -344,69 +480,78 @@ def bce_loss(q, labels) -> float:
     return float(-np.mean(labels * np.log(qc) + (1.0 - labels) * np.log(1.0 - qc)))
 
 
-def _pair_outputs(X2, theta, pairs):
-    """Endpoint rows, their product, and q = sigmoid of its theta-weighted sum per pair."""
-    xi = X2[pairs[:, 0]]
-    xj = X2[pairs[:, 1]]
-    prod = xi * xj
+def _pair_outputs(X2, theta, pairs, rows=None):
+    """Endpoint rows, their product, and q = sigmoid of its theta-weighted sum per pair.
+
+    The three (B, O) arrays are the row blocks [xj; xi; prod] of `rows` (3B x O,
+    new if not given), so that xj and xi stack as one operand.  `pairs` must
+    hold node positions in [0, N).
+    """
+    b = len(pairs)
+    rows = np.empty((3 * b, X2.shape[1])) if rows is None else rows
+    xj, xi, prod = rows[:b], rows[b:2 * b], rows[2 * b:]
+    np.take(X2, pairs[:, 0], axis=0, out=xi, mode="clip")
+    np.take(X2, pairs[:, 1], axis=0, out=xj, mode="clip")
+    np.multiply(xi, xj, out=prod)
     return xi, xj, prod, sigmoid(prod @ theta)
 
 
-def _pair_loss(X2, theta, pairs, labels) -> float:
-    return bce_loss(_pair_outputs(X2, theta, pairs)[3], labels)
+def _pair_loss(X2, theta, pairs, labels, rows=None) -> float:
+    return bce_loss(_pair_outputs(X2, theta, pairs, rows)[3], labels)
 
 
 def _pair_scatter(pairs: np.ndarray, n: int) -> sp.csr_matrix:
-    """N x 2B 0/1 matrix adding row k and row B + k onto the endpoints of pair k."""
+    """N x 2B 0/1 matrix adding row k and row B + k onto the endpoints of pair k.
+
+    Each pair has its own two columns, so repeated pairs and (i, i) pairs add up.
+    """
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
     return sp.csr_matrix((np.ones(len(ends)), (ends, np.arange(len(ends)))),
                          shape=(n, len(ends)))
 
 
-def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatter=None):
+def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatter=None,
+                    ws: _Workspace | None = None):
     """Full forward pass plus hand-derived reverse-mode gradients.
 
     Returns (loss, grads, X2): grads are ordered exactly like model.parameters(),
     and X2 is the second-layer output, from which other pairs can be scored
-    without another forward pass.  `scatter` is `_pair_scatter(pairs, N)`,
-    built here when not given.
+    without another forward pass.  `scatter` is `_pair_scatter(pairs, N)` and
+    `ws` a `_Workspace` for at least len(pairs) pairs, each built here when not
+    given; grads and X2 are views of `ws`, valid until its next use.
     """
+    batch = len(pairs)
     if scatter is None:
         scatter = _pair_scatter(pairs, X.shape[0])
-    X1, X2, (caches1, cache2) = _model_forward(model, X, support)
-    xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs)
+    if ws is None:
+        ws = _Workspace(model, support, batch)
+    X1, X2 = _model_forward(model, X, support, ws)
+    rows = ws.pair_rows(batch)
+    xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs, rows)
     loss = bce_loss(q_raw, labels)
 
-    batch = len(pairs)
     # logit-form BCE gradient: exact wherever the loss clamp is inactive, and
     # still provides an escape direction when sigmoid saturates past the clamp
     draw = (q_raw - labels) / batch
 
-    dtheta = prod.T @ draw
-    dprod = np.outer(draw, model.theta)
+    grad = ws.grad
+    np.matmul(prod.T, draw, out=grad.theta)
+    # einsum: a broadcasting ufunc with `out` allocates ~128 KB of iterator buffers per call
+    dprod = np.einsum("b,o->bo", draw, model.theta, out=prod)
+    xj *= dprod
+    xi *= dprod
     # scatter-add onto both endpoints' rows as one sparse product (np.add.at is slower)
-    dX2 = scatter @ np.concatenate([dprod * xj, dprod * xi])
+    _spmm(scatter, rows[:2 * batch], out=ws.layer2.dout)
 
-    W2 = model.layer2.weights[0]
-    dW2, da2, dZ2 = _head_backward(W2, model.layer2.attn[0], X1, support,
-                                   cache2, dX2)
-    dX1 = dZ2 @ W2
-
-    o1 = model.layer1.out_dim
-    dW1s, da1s = [], []
-    for k, (W, a) in enumerate(zip(model.layer1.weights, model.layer1.attn)):
-        dH = dX1[:, k * o1:(k + 1) * o1]
-        dW, da, _ = _head_backward(W, a, X, support, caches1[k], dH)
-        dW1s.append(dW)
-        da1s.append(da)
-
-    grads = dW1s + da1s + [dW2, da2, dtheta]
-    return loss, grads, X2
+    _layer_backward(model.layer2, X1, support, ws.layer2, grad.layer2, dX=ws.layer1.dout)
+    _layer_backward(model.layer1, X, support, ws.layer1, grad.layer1)
+    return loss, grad.parameters(), X2
 
 
 def _evaluate_loss(model: GatModel, X, support: _Support, pairs, labels) -> float:
-    _, X2, _ = _model_forward(model, X, support)
-    return _pair_loss(X2, model.theta, pairs, labels)
+    ws = _Workspace(model, support, len(pairs))
+    _, X2 = _model_forward(model, X, support, ws)
+    return _pair_loss(X2, model.theta, pairs, labels, ws.pair_rows(len(pairs)))
 
 
 def negative_candidates(base: RouteGraph) -> list[tuple[int, int]]:
@@ -461,7 +606,10 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
 
 
 class _Adam:
-    """Adaptive moment estimation with the standard decay constants, on one flat vector."""
+    """Adaptive moment estimation with the standard decay constants, on one flat vector.
+
+    Updates in place, through two scratch vectors allocated with the moments.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -469,24 +617,36 @@ class _Adam:
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._scale = np.empty(size)
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        self.m += (1.0 - self.BETA1) * (grads - self.m)
-        self.v += (1.0 - self.BETA2) * (grads * grads - self.v)
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
+        step, scale = self._step, self._scale
+        np.subtract(grads, self.m, out=step)
+        step *= 1.0 - self.BETA1
+        self.m += step
+        np.multiply(grads, grads, out=step)
+        step -= self.v
+        step *= 1.0 - self.BETA2
+        self.v += step
+        # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
+        np.divide(self.m, bc1, out=step)
+        step *= self.lr
+        np.divide(self.v, bc2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.EPS
+        step /= scale
+        params -= step
 
 
 def _flat_copy(model: GatModel) -> tuple[GatModel, np.ndarray]:
     """A copy of `model` whose parameters are views of one vector, in parameters() order."""
-    params = model.parameters()
-    flat = np.concatenate([p.ravel() for p in params])
-    bounds = np.cumsum([0] + [p.size for p in params])
-    views = [flat[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
-    return GatModel.from_parameters(views), flat
+    flat = np.concatenate([p.ravel() for p in model.parameters()])
+    return _views(model, flat), flat
 
 
 def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
@@ -494,6 +654,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     """Full-batch training with early stopping on the validation loss.
 
     Returns the parameters of the best validation epoch and the loss history.
+    Every array an epoch needs is allocated once, before the first.
     """
     X = _check_features(model.layer1, features, base)
     support = _Support.of_graph(base)
@@ -502,8 +663,8 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 
     work, params = _flat_copy(model)
     opt = _Adam(params.size, lr=cfg.lr)
-    grads = np.empty_like(params)
     scatter = _pair_scatter(train_pairs, X.shape[0])
+    ws = _Workspace(work, support, max(len(train_pairs), len(val_pairs)))
 
     best_val = np.inf
     best_params = params.copy()
@@ -512,13 +673,13 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     history = {"train_loss": [], "val_loss": [], "best_epoch": 0}
 
     for epoch in range(cfg.max_epochs):
-        loss, grad_list, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels,
-                                              scatter)
+        loss, _, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels, scatter, ws)
         # the step's forward pass also scores the validation pairs; tiny graphs
         # can yield an empty validation split, where the training loss is the
         # monitor so early stopping still works
         if len(val_pairs):
-            val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels)
+            val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels,
+                                  ws.pair_rows(len(val_pairs)))
         else:
             val_loss = loss
         if not (np.isfinite(loss) and np.isfinite(val_loss)):
@@ -535,8 +696,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
             wait += 1
             if wait >= cfg.patience:
                 break
-        np.concatenate([g.ravel() for g in grad_list], out=grads)
-        opt.step(params, grads)
+        opt.step(params, ws.grads)
 
     params[...] = best_params
     history["best_epoch"] = best_epoch
@@ -546,8 +706,14 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
 def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray) -> np.ndarray:
     """Edge probabilities q for the given node-index pairs."""
     X = _check_features(model.layer1, features, base)
-    _, X2, _ = _model_forward(model, X, _Support.of_graph(base))
-    return _pair_outputs(X2, model.theta, np.asarray(pairs, dtype=int))[3]
+    pairs = np.asarray(pairs, dtype=int)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"pairs must be a P x 2 array, got shape {pairs.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= base.n):
+        raise ValidationError(f"pair node indices must lie in [0, {base.n})")
+    support = _Support.of_graph(base)
+    _, X2 = _model_forward(model, X, support, _Workspace(model, support))
+    return _pair_outputs(X2, model.theta, pairs)[3]
 
 
 def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSets) -> float:
@@ -561,9 +727,9 @@ def extract_transition(model: GatModel, base: RouteGraph, features) -> Transitio
     """Transition matrix: second-layer attention evaluated on layer-1 outputs."""
     X = _check_features(model.layer1, features, base)
     support = _Support.of_graph(base)
-    # alpha from layer 2's cache (Z, e, alpha, U)
-    _, _, (_, (_, _, alpha, _)) = _model_forward(model, X, support)
-    return TransitionMatrix(P=support.matrix(alpha))
+    ws = _Workspace(model, support)
+    _model_forward(model, X, support, ws)
+    return TransitionMatrix(P=support.matrix(ws.layer2.alpha[:, 0]))
 
 
 def influential_scores(transition: TransitionMatrix) -> np.ndarray:

@@ -10,7 +10,11 @@ boolean N x N mask from it.
 
 import numpy as np
 
-from stgw.gat import _elu_grad, _leaky_grad, _pair_outputs, bce_loss, elu, leaky_relu
+from stgw.gat import LEAKY_SLOPE, _elu_grad, _pair_outputs, bce_loss, elu, leaky_relu
+
+
+def leaky_grad(x):
+    return np.where(x < 0, LEAKY_SLOPE, 1.0)
 
 
 def neighborhood_mask(graph):
@@ -46,7 +50,7 @@ def head_backward(W, a, X, mask, cache, dH):
     dA = dU @ Z.T
     dZ = A.T @ dU
     dP = A * (dA - (A * dA).sum(axis=1, keepdims=True))
-    dE = dP * _leaky_grad(E)
+    dE = dP * leaky_grad(E)
     ds = dE.sum(axis=1)
     dr = dE.sum(axis=0)
     o = W.shape[0]

@@ -221,6 +221,10 @@ CHECKPOINT_FAULTS = [
     ("missing tensor", drop(10, 2), "incomplete checkpoint (missing ['theta'])"),
     ("shape mismatch", both(replace(8, "tensor layer2.attn 3"), replace(9, "-1.0 0.75 1.0")),
      "attention vector length must be twice the head dimension"),
+    ("heads of different shapes",
+     both(both(insert(4, "tensor layer1.weight.1 2 2"), insert(5, "1.0 2.0 3.0 4.0")),
+          both(insert(6, "tensor layer1.attn.1 2"), insert(7, "0.5 0.5"))),
+     "all heads must share input and output dimensions"),
 ]
 
 

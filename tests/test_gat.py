@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gat_dense_reference as dense
+from stgw import gat
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import (GatModel, TrainConfig, _Adam, _elu_grad, _evaluate_loss, _flat_copy,
-                      _loss_and_grads, _pair_outputs, _Support, attention_coefficients,
-                      bce_loss, edge_accuracy, elu, extract_transition, influential_scores,
+                      _loss_and_grads, _pair_outputs, _spmm, _Support, _Workspace,
+                      attention_coefficients, bce_loss, edge_accuracy, elu,
+                      extract_transition, influential_scores,
                       layer_forward, leaky_relu, make_samples, negative_candidates,
                       predict_edges, train)
 from stgw.graphs import TransitionMatrix, build_route_graph
@@ -384,6 +387,13 @@ class TestInfluentialScores:
 
 
 class TestPredictions:
+    @pytest.mark.parametrize("pair", [(0, 6), (-1, 2)])
+    def test_pairs_outside_the_graph_rejected(self, rng, pair):
+        g = random_graph(6, 0.4, rng)
+        model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=8)
+        with pytest.raises(ValidationError, match=r"\[0, 6\)"):
+            predict_edges(model, g, rng.standard_normal((6, 4)), np.array([pair]))
+
     def test_q_symmetric_in_pair_order(self, rng):
         g = random_graph(6, 0.4, rng)
         model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=8)
@@ -460,3 +470,96 @@ class TestNoDenseSquare:
         finally:
             tracemalloc.stop()
         assert peak < n * n
+
+
+class TestSpmm:
+    """`_spmm` against scipy's own `A @ B`, bit for bit, into a dirty output."""
+
+    @staticmethod
+    def check(A, B):
+        out = np.full((A.shape[0], B.shape[1]), np.nan)
+        assert _spmm(A, B, out) is out
+        assert out.tobytes() == (A @ B).tobytes()
+
+    def test_random_matrices_with_empty_rows(self, rng):
+        for _ in range(20):
+            n, m, k = (int(v) for v in rng.integers(1, 40, size=3))
+            used = rng.choice(n, size=max(1, n // 2), replace=False)  # the other rows stay empty
+            nnz = int(rng.integers(0, 4 * n))
+            A = sp.csr_matrix((rng.standard_normal(nnz), (rng.choice(used, nnz),
+                                                          rng.integers(0, m, nnz))),
+                              shape=(n, m))
+            if n > 1:
+                assert np.any(np.diff(A.indptr) == 0)
+            self.check(A, rng.standard_normal((m, k)))
+
+    def test_mismatched_operands_rejected(self, rng):
+        A = sp.csr_matrix(rng.standard_normal((4, 3)))
+        for B, out in ((np.ones((2, 5)), np.empty((4, 5))), (np.ones((3, 5)), np.empty((5, 4))),
+                       (np.ones((3, 5)), np.empty((4, 5), dtype=np.float32)),
+                       (np.ones((5, 3)).T, np.empty((4, 5)))):
+            with pytest.raises(ValueError):
+                _spmm(A, B, out)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_per_head_pattern(self, rng, heads):
+        support = _Support.of_graph(graph_with_isolated_node(9, 0.3, rng))
+        rows = support.n * heads
+        for A in (support.heads(heads).fwd, support.heads(heads).bwd):
+            A.data[:] = rng.uniform(size=A.nnz)
+            self.check(A, rng.standard_normal((rows, 5)))
+
+
+class TestWorkspace:
+    """One workspace serves every epoch of `train`."""
+
+    def test_reused_workspace_matches_fresh_call(self, rng):
+        g = graph_with_isolated_node(11, 0.3, rng)
+        X = rng.standard_normal((12, 5))
+        model = GatModel.create(5, heads=3, head_dim=4, out_dim=3, seed=1)
+        other = GatModel.create(5, heads=3, head_dim=4, out_dim=3, seed=2)
+        pairs = rng.integers(0, 12, size=(20, 2))
+        labels = (rng.random(20) < 0.5).astype(float)
+        other_pairs = rng.integers(0, 12, size=(30, 2))
+        other_labels = (rng.random(30) < 0.5).astype(float)
+
+        support = _Support.of_graph(g)
+        ws = _Workspace(model, support, 30)
+        _loss_and_grads(other, X, support, other_pairs, other_labels, ws=ws)
+        loss, grads, X2 = _loss_and_grads(model, X, support, pairs, labels, ws=ws)
+        ref_loss, ref_grads, ref_X2 = _loss_and_grads(model, X, _Support.of_graph(g),
+                                                      pairs, labels)
+        assert loss == ref_loss
+        assert X2.tobytes() == ref_X2.tobytes()
+        assert len(grads) == len(ref_grads)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.shares_memory(grad, ws.grads)
+            assert grad.tobytes() == ref.tobytes()
+
+    def test_second_epoch_allocates_no_large_array(self, rng, monkeypatch):
+        n = 150
+        g = random_graph(n, 0.03, rng)
+        X = rng.standard_normal((n, 8))
+        model = GatModel.create(8, heads=4, head_dim=64, out_dim=16, seed=0)
+        samples = make_samples(g, seed=0)
+        array_bytes = n * 4 * 64 * 8  # one N x H*O array of layer 1
+        # an epoch runs from one _loss_and_grads call to the next
+        marks = []
+        inner = gat._loss_and_grads
+
+        def marked(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            if len(marks) == 2:
+                tracemalloc.reset_peak()
+                marks[-1] = tracemalloc.get_traced_memory()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(gat, "_loss_and_grads", marked)
+        tracemalloc.start()
+        try:
+            train(model, g, X, samples, TrainConfig(max_epochs=3))
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 3
+        start, peak = marks[1][0], marks[2][1]
+        assert peak - start < array_bytes / 4
