@@ -13,7 +13,7 @@ matrix is the transition matrix consumed by the strong-product construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,11 +138,22 @@ class GatModel:
         theta = glorot((out_dim,), out_dim, 1)
         return cls(layer1=layer1, layer2=layer2, theta=theta)
 
+    def stacked(self) -> tuple[np.ndarray, ...]:
+        """The parameter arrays, each layer's heads stacked, in parameters() order."""
+        return (self.layer1.weights, self.layer1.attn, self.layer2.weights,
+                self.layer2.attn, self.theta)
+
+    @classmethod
+    def from_stacked(cls, arrays) -> "GatModel":
+        """The model whose stacked() are `arrays` (per-head lists are stacked)."""
+        W1, a1, W2, a2, theta = arrays
+        return cls(layer1=GatLayerParams(W1, a1), layer2=GatLayerParams(W2, a2), theta=theta)
+
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list in a fixed order (shared with gradients): one array per
-        head, as views of the stacked arrays."""
-        return [*self.layer1.weights, *self.layer1.attn,
-                self.layer2.weights[0], self.layer2.attn[0], self.theta]
+        head, as views of the stacked arrays, then theta."""
+        *layers, theta = self.stacked()
+        return [head for stack in layers for head in stack] + [theta]
 
     @staticmethod
     def parameter_names(heads: int) -> list[str]:
@@ -156,21 +167,16 @@ class GatModel:
         """The model whose parameters() equal `params`: the weights and attention
         vectors are copied into stacked arrays, theta is kept."""
         heads = (len(params) - 3) // 2
-        return cls(layer1=GatLayerParams(weights=params[:heads], attn=params[heads:2 * heads]),
-                   layer2=GatLayerParams(weights=[params[-3]], attn=[params[-2]]),
-                   theta=params[-1])
+        return cls.from_stacked((params[:heads], params[heads:2 * heads],
+                                 params[-3:-2], params[-2:-1], params[-1]))
 
 
 def _views(model: GatModel, vector: np.ndarray) -> GatModel:
     """A model of `model`'s shapes whose stacked arrays are views of `vector`, laid out
-    in parameters() order."""
-    arrays, start = [], 0
-    for p in (model.layer1.weights, model.layer1.attn, model.layer2.weights,
-              model.layer2.attn, model.theta):
-        arrays.append(vector[start:start + p.size].reshape(p.shape))
-        start += p.size
-    W1, a1, W2, a2, theta = arrays
-    return GatModel(layer1=GatLayerParams(W1, a1), layer2=GatLayerParams(W2, a2), theta=theta)
+    in parameters() order (each stacked array holds its heads contiguously)."""
+    stacked = model.stacked()
+    parts = np.split(vector, np.cumsum([p.size for p in stacked])[:-1])
+    return GatModel.from_stacked([part.reshape(p.shape) for part, p in zip(parts, stacked)])
 
 
 @dataclass
@@ -229,7 +235,6 @@ class _Support:
     starts: np.ndarray
     by_col: np.ndarray
     col_starts: np.ndarray
-    _patterns: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -244,12 +249,6 @@ class _Support:
         col_starts = np.searchsorted(cols[by_col], np.arange(base.n))
         return cls(rows=rows, cols=cols, indptr=indptr, starts=indptr[:-1].astype(np.intp),
                    by_col=by_col, col_starts=col_starts)
-
-    def heads(self, count: int) -> "_HeadPattern":
-        """The support replicated for `count` heads, built once per count."""
-        if count not in self._patterns:
-            self._patterns[count] = _HeadPattern.of_support(self, count)
-        return self._patterns[count]
 
     def matrix(self, alpha: np.ndarray) -> sp.csr_matrix:
         """A new N x N CSR matrix holding `alpha` (one value per entry) on the support."""
@@ -294,14 +293,18 @@ def _spmm(A: sp.csr_matrix, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`A @ B` for a CSR matrix A and C-contiguous B, written into C-contiguous `out`.
 
     scipy's `A @ B` always allocates its result; this calls the same kernel on `out`.
+    That kernel, `scipy.sparse._sparsetools.csr_matvecs(n_row, n_col, n_vecs, indptr,
+    indices, data, B, out)` with B and out flattened, is private to scipy, which may
+    change it without notice; `tests/test_gat.py::TestSpmm` checks it against `A @ B`.
     """
     if (B.shape[0] != A.shape[1] or out.shape != (A.shape[0], B.shape[1])
-            or not A.dtype == B.dtype == out.dtype == np.float64):
-        raise ValueError("_spmm needs float64 operands of matching shapes")
-    flat = np.reshape(out, -1, copy=False)
+            or not A.dtype == B.dtype == out.dtype == np.float64
+            or not (B.flags.c_contiguous and out.flags.c_contiguous)):
+        raise ValueError("_spmm needs C-contiguous float64 operands of matching shapes")
+    flat = out.reshape(-1)  # views, both operands being C-contiguous
     flat.fill(0.0)
     _sparsetools.csr_matvecs(A.shape[0], A.shape[1], B.shape[1], A.indptr, A.indices, A.data,
-                             np.reshape(B, -1, copy=False), flat)
+                             B.reshape(-1), flat)
     return out
 
 
@@ -334,7 +337,7 @@ class _LayerWork:
     def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0):
         n, m, heads = support.n, len(support.rows), layer.head_count
         width = heads * layer.out_dim
-        self.pattern = support.heads(heads)
+        self.pattern = _HeadPattern.of_support(support, heads)
         self.Z, self.U, self.out = (np.empty((n, width)) for _ in range(3))
         self.sr = np.empty((2, n, heads))  # logit halves s and r, later ds and dr
         self.seg = np.empty((n, heads))

@@ -9,8 +9,8 @@ import gat_dense_reference as dense
 from stgw import gat
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import (GatModel, TrainConfig, _Adam, _elu_grad, _evaluate_loss, _flat_copy,
-                      _loss_and_grads, _pair_outputs, _spmm, _Support, _Workspace,
-                      attention_coefficients, bce_loss, edge_accuracy, elu,
+                      _HeadPattern, _loss_and_grads, _pair_outputs, _spmm, _Support,
+                      _Workspace, attention_coefficients, bce_loss, edge_accuracy, elu,
                       extract_transition, influential_scores,
                       layer_forward, leaky_relu, make_samples, negative_candidates,
                       predict_edges, train)
@@ -497,7 +497,9 @@ class TestSpmm:
         A = sp.csr_matrix(rng.standard_normal((4, 3)))
         for B, out in ((np.ones((2, 5)), np.empty((4, 5))), (np.ones((3, 5)), np.empty((5, 4))),
                        (np.ones((3, 5)), np.empty((4, 5), dtype=np.float32)),
-                       (np.ones((5, 3)).T, np.empty((4, 5)))):
+                       (np.ones((5, 3)).T, np.empty((4, 5))),
+                       (np.ones((3, 5)), np.empty((4, 10))[:, ::2]),
+                       (np.ones((3, 5)), np.empty((5, 4)).T)):
             with pytest.raises(ValueError):
                 _spmm(A, B, out)
 
@@ -505,7 +507,8 @@ class TestSpmm:
     def test_per_head_pattern(self, rng, heads):
         support = _Support.of_graph(graph_with_isolated_node(9, 0.3, rng))
         rows = support.n * heads
-        for A in (support.heads(heads).fwd, support.heads(heads).bwd):
+        pattern = _HeadPattern.of_support(support, heads)
+        for A in (pattern.fwd, pattern.bwd):
             A.data[:] = rng.uniform(size=A.nnz)
             self.check(A, rng.standard_normal((rows, 5)))
 
