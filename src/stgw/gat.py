@@ -47,18 +47,31 @@ def elu(x, out=None):
     return out if out.ndim else float(out)
 
 
-def _elu_grad(x, out=None):
-    out = np.minimum(x, 0.0, out=out)
-    return np.exp(out, out=out)
+def _elu_slope(y, out):
+    """The derivative of elu at u, from y = elu(u): min(y, 0) + 1, which is
+    expm1(u) + 1 = exp(u) below zero and exactly 1 from -0.0 up; into `out`."""
+    np.minimum(y, 0.0, out=out)
+    out += 1.0
+    return out
+
+
+def _sigmoid(x, out, scratch):
+    """1 / (1 + exp(-x)) into `out` (which may be `x`), through `scratch`, as
+    exp(min(x, 0)) / (1 + exp(-|x|)): no exp overflows, and each value is the
+    same double as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
+    np.abs(x, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch += 1.0
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= scratch
+    return out
 
 
 def sigmoid(x):
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(x, np.empty_like(x), np.empty_like(x))
     return out if out.ndim else float(out)
 
 
@@ -243,7 +256,7 @@ class _Support:
     @classmethod
     def of_graph(cls, base: RouteGraph) -> "_Support":
         pattern = base.closed_neighborhoods()  # canonical: sorted rows, each with its diagonal
-        indptr, cols = pattern.indptr, pattern.indices
+        indptr, cols = pattern.indptr, pattern.indices.astype(np.intp)  # np.take's index type
         rows = np.repeat(np.arange(base.n), np.diff(indptr))
         by_col = np.argsort(cols, kind="stable")
         col_starts = np.searchsorted(cols[by_col], np.arange(base.n))
@@ -308,22 +321,28 @@ def _spmm(A: sp.csr_matrix, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK = 1 << 16  # values per operand in one gathered block of the edge dots
+
+
 def _edge_dots(support: _Support, left, right, out, scratch) -> None:
     """out[k, h] = left[rows[k], h] . right[cols[k], h] for every support entry k and head h.
 
-    `left` and `right` are (N, H*O).  The gathers go through `scratch`, a flat
-    buffer of at least 2*H*O values, as many entries at a time as fit.
+    `left` and `right` are (N, H*O).  Both operands' rows are gathered into
+    `scratch`, a flat buffer of at least 2*H*O values, in blocks of up to
+    `_BLOCK` values each (fewer if `scratch` is smaller), and each pair of
+    blocks is reduced by one einsum.
     """
     width, heads = left.shape[1], out.shape[1]
-    block = len(scratch) // (2 * width)
+    block = min(max(1, _BLOCK // width), len(scratch) // (2 * width))
     gl = scratch[:block * width].reshape(block, width)
     gr = scratch[block * width:2 * block * width].reshape(block, width)
     for start in range(0, len(out), block):
         stop = min(start + block, len(out))
-        g = np.take(left, support.rows[start:stop], axis=0, out=gl[:stop - start], mode="clip")
-        g *= np.take(right, support.cols[start:stop], axis=0, out=gr[:stop - start],
-                     mode="clip")
-        g.reshape(stop - start, heads, width // heads).sum(axis=2, out=out[start:stop])
+        k = stop - start
+        np.take(left, support.rows[start:stop], axis=0, out=gl[:k], mode="clip")
+        np.take(right, support.cols[start:stop], axis=0, out=gr[:k], mode="clip")
+        np.einsum("kho,kho->kh", gl[:k].reshape(k, heads, -1), gr[:k].reshape(k, heads, -1),
+                  out=out[start:stop])
 
 
 class _LayerWork:
@@ -331,15 +350,21 @@ class _LayerWork:
 
     `grad_buffer` (at least `extra` values) holds the gradient of the layer's
     output, `dout`; once the backward pass has consumed that gradient, the same
-    memory holds its row gathers and then dZ.
+    memory holds its row gathers and then dZ.  With `fold`, Z's memory also
+    fits one W, the rank-1 part of dW, which is written there once Z is spent.
     """
 
-    def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0):
+    def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0,
+                 fold: bool = False):
         n, m, heads = support.n, len(support.rows), layer.head_count
         width = heads * layer.out_dim
         self.pattern = _HeadPattern.of_support(support, heads)
-        self.Z, self.U, self.out = (np.empty((n, width)) for _ in range(3))
+        self.z_buffer = np.empty(max(n * width, layer.weights.size if fold else 0))
+        self.Z = self.z_buffer[:n * width].reshape(n, width)
+        self.U, self.out = np.empty((n, width)), np.empty((n, width))
         self.sr = np.empty((2, n, heads))  # logit halves s and r, later ds and dr
+        self.dsr = np.empty((heads, 2, n))  # the same, head-major, for batched matmuls
+        self.Q = np.empty((heads, 2, layer.in_dim))  # per head [ds dr]^T X
         self.seg = np.empty((n, heads))
         self.alpha, self.tmp, self.dalpha = (np.empty((m, heads)) for _ in range(3))
         self.negative = np.empty((m, heads), dtype=bool)  # where the logit is below zero
@@ -352,10 +377,11 @@ def _attention(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> N
     logits over the support into `lw.alpha`, a (2E+N, H) array."""
     heads, o, f = layer.weights.shape
     np.matmul(X, layer.weights.reshape(heads * o, f).T, out=lw.Z)
-    Z3 = lw.Z.reshape(len(X), heads, o)
+    # per head [s r] = a Z^T: one matmul batched over heads, on (H, ., .) views
+    np.matmul(layer.attn.reshape(heads, 2, o), lw.Z.reshape(len(X), heads, o).transpose(1, 2, 0),
+              out=lw.dsr)
+    np.copyto(lw.sr, lw.dsr.transpose(1, 2, 0))
     s, r = lw.sr
-    np.einsum("nho,ho->nh", Z3, layer.attn[:, :o], out=s)
-    np.einsum("nho,ho->nh", Z3, layer.attn[:, o:], out=r)
     logits, tmp, seg = lw.alpha, lw.tmp, lw.seg
     np.take(s, support.rows, axis=0, out=logits, mode="clip")
     logits += np.take(r, support.cols, axis=0, out=tmp, mode="clip")
@@ -383,11 +409,14 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
     """Gradients of one layer, from the gradient of its output in `lw.dout`.
 
     Writes dW and da into `grad` and, if given, dX = dZ W into `dX`.  Uses up
-    the forward pass's Z and U and the output gradient.
+    the forward pass's Z and U and the output gradient; the output stays.
+    dZ = A^T dU + ds (x) a_src + dr (x) a_dst per head.  Without dX the rank-1
+    terms go into dW through the (H, 2, F) product [ds dr]^T X, which needs
+    `lw` built with `fold`; with dX they are added to dZ itself.
     """
     heads, o, f = layer.weights.shape
     nh = len(X) * heads
-    dU = _elu_grad(lw.U, out=lw.U)
+    dU = _elu_slope(lw.out, out=lw.U)
     dU *= lw.dout
     _edge_dots(support, dU, lw.Z, lw.dalpha, lw.grad_buffer)
     alpha, tmp, seg, dlogit = lw.alpha, lw.tmp, lw.seg, lw.dalpha
@@ -400,40 +429,55 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
     np.add.reduceat(dlogit, support.starts, axis=0, out=ds)
     np.add.reduceat(np.take(dlogit, support.by_col, axis=0, out=tmp, mode="clip"),
                     support.col_starts, axis=0, out=dr)
-    Z3 = lw.Z.reshape(len(X), heads, o)
-    np.einsum("nho,nh->ho", Z3, ds, out=grad.attn[:, :o])
-    np.einsum("nho,nh->ho", Z3, dr, out=grad.attn[:, o:])
+    # per head da = [ds dr] Z, batched as in the forward
+    dsr, a3 = lw.dsr, layer.attn.reshape(heads, 2, o)
+    np.copyto(dsr, lw.sr.transpose(2, 0, 1))
+    Z3 = lw.Z.reshape(len(X), heads, o).transpose(1, 0, 2)
+    np.matmul(dsr, Z3, out=grad.attn.reshape(heads, 2, o))
 
     pattern = lw.pattern
     np.take(alpha.reshape(-1), pattern.bwd_order, out=pattern.bwd.data, mode="clip")
-    _spmm(pattern.bwd, dU.reshape(nh, o), out=lw.dout.reshape(nh, o))
     dZ = lw.dout
-    # Z is spent: it holds ds (x) a_src + dr (x) a_dst per head
-    np.einsum("snh,sho->nho", lw.sr, layer.attn.reshape(heads, 2, o).transpose(1, 0, 2), out=Z3)
-    dZ += lw.Z
-    np.matmul(dZ.T, X, out=grad.weights.reshape(heads * o, f))
-    if dX is not None:
+    _spmm(pattern.bwd, dU.reshape(nh, o), out=dZ.reshape(nh, o))
+    dW = grad.weights.reshape(heads * o, f)
+    if dX is None:
+        np.matmul(dZ.T, X, out=dW)
+        np.matmul(dsr, X, out=lw.Q)
+        # Z is spent: its memory takes the rank-1 part a (x) [ds dr]^T X of dW
+        rank1 = lw.z_buffer[:layer.weights.size].reshape(heads, o, f)
+        np.matmul(a3.transpose(0, 2, 1), lw.Q, out=rank1)
+        grad.weights += rank1
+    else:
+        # Z is spent: it holds ds (x) a_src + dr (x) a_dst per head
+        np.matmul(dsr.transpose(0, 2, 1), a3, out=Z3)
+        dZ += lw.Z
+        np.matmul(dZ.T, X, out=dW)
         np.matmul(dZ, layer.weights.reshape(heads * o, f), out=dX)
 
 
 class _Workspace:
     """Every array of a forward and backward pass of `model` on `support`, allocated
     once and reused by each call: the two layers' arrays, the flat gradient with a
-    model of views on it (`grad`), and rows for up to `pairs` scored pairs.
+    model of views on it (`grad`), and the buffers of up to `pairs` scored pairs.
 
-    The pair rows share layer 1's output-gradient buffer, which is free from the
-    start of a pass until layer 2's backward writes it.
+    The pair buffers share layer 1's output-gradient buffer, which is free from
+    the start of a pass until layer 2's backward writes it.
     """
 
     def __init__(self, model: GatModel, support: _Support, pairs: int = 0):
         self.width = model.layer2.out_dim
-        self.layer1 = _LayerWork(model.layer1, support, extra=3 * pairs * self.width)
+        self.layer1 = _LayerWork(model.layer1, support, extra=pairs * (3 * self.width + 4),
+                                 fold=True)
         self.layer2 = _LayerWork(model.layer2, support)
         self.grads = np.empty(sum(p.size for p in model.parameters()))
         self.grad = _views(model, self.grads)
 
-    def pair_rows(self, count: int) -> np.ndarray:
-        return self.layer1.grad_buffer[:3 * count * self.width].reshape(3 * count, self.width)
+    def pair_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The 3*count x O pair rows of `_pair_outputs` and four pair vectors (4 x count)."""
+        rows = 3 * count * self.width
+        buffer = self.layer1.grad_buffer
+        return (buffer[:rows].reshape(3 * count, self.width),
+                buffer[rows:rows + 4 * count].reshape(4, count))
 
 
 def _check_features(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
@@ -473,34 +517,51 @@ def _model_forward(model: GatModel, X, support: _Support, ws: _Workspace):
     return X1, _layer_forward(model.layer2, X1, support, ws.layer2)
 
 
+def _bce(q, labels, scratch) -> float:
+    """Mean binary cross-entropy of `bce_loss`, through three `scratch` rows of q's shape."""
+    if q.size == 0:
+        raise ValidationError("cannot evaluate loss on an empty sample subset")
+    qc, terms, negatives = scratch
+    np.clip(q, Q_CLAMP, 1.0 - Q_CLAMP, out=qc)
+    np.log(qc, out=terms)
+    terms *= labels                      # labels * log(qc)
+    np.subtract(1.0, qc, out=qc)
+    np.log(qc, out=qc)
+    qc *= np.subtract(1.0, labels, out=negatives)  # (1 - labels) * log(1 - qc)
+    terms += qc
+    return float(-terms.mean())
+
+
 def bce_loss(q, labels) -> float:
     """Mean binary cross-entropy with outputs clamped to [1e-12, 1 - 1e-12]."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     labels = np.atleast_1d(np.asarray(labels, dtype=float))
-    if q.size == 0:
-        raise ValidationError("cannot evaluate loss on an empty sample subset")
-    qc = np.clip(q, Q_CLAMP, 1.0 - Q_CLAMP)
-    return float(-np.mean(labels * np.log(qc) + (1.0 - labels) * np.log(1.0 - qc)))
+    return _bce(q, labels, np.empty((3,) + np.broadcast_shapes(q.shape, labels.shape)))
 
 
-def _pair_outputs(X2, theta, pairs, rows=None):
+def _pair_outputs(X2, theta, pairs, rows=None, vectors=None):
     """Endpoint rows, their product, and q = sigmoid of its theta-weighted sum per pair.
 
-    The three (B, O) arrays are the row blocks [xj; xi; prod] of `rows` (3B x O,
-    new if not given), so that xj and xi stack as one operand.  `pairs` must
-    hold node positions in [0, N).
+    The three (B, O) arrays are the row blocks [xj; xi; prod] of `rows` (3B x O),
+    so that xj and xi stack as one operand, and q is the first row of `vectors`
+    (B-long rows, the second one scratch); both are new if not given.  `pairs`
+    must hold node positions in [0, N).
     """
     b = len(pairs)
     rows = np.empty((3 * b, X2.shape[1])) if rows is None else rows
+    vectors = np.empty((2, b)) if vectors is None else vectors
     xj, xi, prod = rows[:b], rows[b:2 * b], rows[2 * b:]
     np.take(X2, pairs[:, 0], axis=0, out=xi, mode="clip")
     np.take(X2, pairs[:, 1], axis=0, out=xj, mode="clip")
     np.multiply(xi, xj, out=prod)
-    return xi, xj, prod, sigmoid(prod @ theta)
+    q = np.matmul(prod, theta, out=vectors[0])
+    return xi, xj, prod, _sigmoid(q, q, vectors[1])
 
 
-def _pair_loss(X2, theta, pairs, labels, rows=None) -> float:
-    return bce_loss(_pair_outputs(X2, theta, pairs, rows)[3], labels)
+def _pair_loss(X2, theta, pairs, labels, buffers) -> float:
+    """The loss of `pairs` through `buffers`, a `_Workspace.pair_buffers` pair."""
+    rows, vectors = buffers
+    return _bce(_pair_outputs(X2, theta, pairs, rows, vectors)[3], labels, vectors[1:])
 
 
 def _pair_scatter(pairs: np.ndarray, n: int) -> sp.csr_matrix:
@@ -529,13 +590,14 @@ def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatte
     if ws is None:
         ws = _Workspace(model, support, batch)
     X1, X2 = _model_forward(model, X, support, ws)
-    rows = ws.pair_rows(batch)
-    xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs, rows)
-    loss = bce_loss(q_raw, labels)
+    rows, vectors = ws.pair_buffers(batch)
+    xi, xj, prod, q_raw = _pair_outputs(X2, model.theta, pairs, rows, vectors)
+    loss = _bce(q_raw, labels, vectors[1:])
 
     # logit-form BCE gradient: exact wherever the loss clamp is inactive, and
     # still provides an escape direction when sigmoid saturates past the clamp
-    draw = (q_raw - labels) / batch
+    draw = np.subtract(q_raw, labels, out=vectors[1])
+    draw /= batch
 
     grad = ws.grad
     np.matmul(prod.T, draw, out=grad.theta)
@@ -554,7 +616,7 @@ def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatte
 def _evaluate_loss(model: GatModel, X, support: _Support, pairs, labels) -> float:
     ws = _Workspace(model, support, len(pairs))
     _, X2 = _model_forward(model, X, support, ws)
-    return _pair_loss(X2, model.theta, pairs, labels, ws.pair_rows(len(pairs)))
+    return _pair_loss(X2, model.theta, pairs, labels, ws.pair_buffers(len(pairs)))
 
 
 def negative_candidates(base: RouteGraph) -> list[tuple[int, int]]:
@@ -663,6 +725,8 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     support = _Support.of_graph(base)
     train_pairs, train_labels = samples.subset("train")
     val_pairs, val_labels = samples.subset("validation")
+    # column-major pairs: np.take gathers each endpoint column without copying it
+    train_pairs, val_pairs = np.asfortranarray(train_pairs), np.asfortranarray(val_pairs)
 
     work, params = _flat_copy(model)
     opt = _Adam(params.size, lr=cfg.lr)
@@ -682,7 +746,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
         # monitor so early stopping still works
         if len(val_pairs):
             val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels,
-                                  ws.pair_rows(len(val_pairs)))
+                                  ws.pair_buffers(len(val_pairs)))
         else:
             val_loss = loss
         if not (np.isfinite(loss) and np.isfinite(val_loss)):

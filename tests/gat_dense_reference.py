@@ -10,11 +10,15 @@ boolean N x N mask from it.
 
 import numpy as np
 
-from stgw.gat import LEAKY_SLOPE, _elu_grad, _pair_outputs, bce_loss, elu, leaky_relu
+from stgw.gat import LEAKY_SLOPE, _pair_outputs, bce_loss, elu, leaky_relu
 
 
 def leaky_grad(x):
     return np.where(x < 0, LEAKY_SLOPE, 1.0)
+
+
+def elu_grad(x):
+    return np.exp(np.minimum(x, 0.0))
 
 
 def neighborhood_mask(graph):
@@ -46,7 +50,7 @@ def head_forward(W, a, X, mask):
 
 def head_backward(W, a, X, mask, cache, dH):
     Z, E, A, U = cache
-    dU = dH * _elu_grad(U)
+    dU = dH * elu_grad(U)
     dA = dU @ Z.T
     dZ = A.T @ dU
     dP = A * (dA - (A * dA).sum(axis=1, keepdims=True))

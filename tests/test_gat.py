@@ -8,10 +8,11 @@ import scipy.sparse as sp
 import gat_dense_reference as dense
 from stgw import gat
 from stgw.errors import NumericError, ValidationError
-from stgw.gat import (GatModel, TrainConfig, _Adam, _elu_grad, _evaluate_loss, _flat_copy,
-                      _HeadPattern, _loss_and_grads, _pair_outputs, _spmm, _Support,
-                      _Workspace, attention_coefficients, bce_loss, edge_accuracy, elu,
-                      extract_transition, influential_scores,
+from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, _elu_slope,
+                      _evaluate_loss, _flat_copy, _HeadPattern, _layer_backward,
+                      _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs, _spmm,
+                      _Support, _Workspace, attention_coefficients, bce_loss, edge_accuracy,
+                      elu, extract_transition, influential_scores,
                       layer_forward, leaky_relu, make_samples, negative_candidates,
                       predict_edges, train)
 from stgw.graphs import TransitionMatrix, build_route_graph
@@ -50,8 +51,23 @@ class TestActivations:
         branch = np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
         branch_grad = np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0)
         assert elu(x).tobytes() == branch.tobytes()
-        assert _elu_grad(x).tobytes() == branch_grad.tobytes()
+        assert dense.elu_grad(x).tobytes() == branch_grad.tobytes()
         assert math.copysign(1.0, elu(-0.0)) == -1.0
+
+    def test_backward_derivative_from_the_output(self):
+        # min(y, 0) + 1 for y = elu(u) is 1 + expm1(u), rounded at the scale of 1: it is
+        # within 2^-53 (one ulp of [0.5, 1)) of exp(u), and so within one ulp of exp(u)
+        # itself where that is at least 0.5
+        tiny = np.finfo(float).smallest_subnormal
+        below = np.concatenate([-np.logspace(-320, 3, 4001), np.linspace(-40.0, 0.0, 4001)[:-1],
+                                [-tiny, -800.0, -np.inf]])
+        slope = _elu_slope(elu(below), np.empty_like(below))
+        error = np.abs(slope - np.exp(below))
+        assert np.all(error <= np.spacing(0.5))
+        near = below >= math.log(0.5)
+        assert np.all(error[near] <= np.spacing(np.exp(below[near])))
+        above = np.array([0.0, -0.0, tiny, 1e-300, 1.0, 40.0, np.finfo(float).max, np.inf])
+        assert _elu_slope(elu(above), np.empty_like(above)).tobytes() == np.ones(8).tobytes()
 
 
 def per_array_adam_steps(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -183,8 +199,25 @@ class TestEdgeProbability:
         q = _pair_outputs(X2, theta, np.array([[0, 1], [1, 0]]))[3]
         assert q[0] == q[1]
 
+    def test_sigmoid_matches_branch_forms_bitwise(self, rng):
+        x = np.concatenate([[0.0, -0.0, 1e-310, -1e-310, 800.0, -800.0, np.inf, -np.inf],
+                            rng.standard_normal(1000) * 30.0])
+        with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
+            branch = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        assert gat.sigmoid(x).tobytes() == branch.tobytes()
+        assert gat.sigmoid(-2.0) == math.exp(-2.0) / (1.0 + math.exp(-2.0))
+        assert np.isnan(gat.sigmoid(np.nan))
+
 
 class TestBceLoss:
+    def test_matches_clamped_formula_bitwise(self, rng):
+        q = np.concatenate([[0.0, 1.0, 1e-13, 1.0 - 1e-13], rng.random(500)])
+        labels = (rng.random(len(q)) < 0.5).astype(float)
+        qc = np.clip(q, 1e-12, 1.0 - 1e-12)
+        ref = float(-np.mean(labels * np.log(qc) + (1.0 - labels) * np.log(1.0 - qc)))
+        assert bce_loss(q, labels) == ref
+        assert bce_loss(0.25, 1.0) == -math.log(0.25)
+
     def test_uninformative_predictor(self):
         q = np.full(10, 0.5)
         labels = np.array([1.0] * 5 + [0.0] * 5)
@@ -566,3 +599,44 @@ class TestWorkspace:
         assert len(marks) == 3
         start, peak = marks[1][0], marks[2][1]
         assert peak - start < array_bytes / 4
+
+
+class TestBackwardKernels:
+    """The edge dots and the rank-1 fold of the layer backward against plain forms."""
+
+    @pytest.mark.parametrize("heads", [1, 7])
+    def test_edge_dots_match_per_entry_dots(self, rng, heads):
+        support = _Support.of_graph(graph_with_isolated_node(12, 0.3, rng))
+        m, o = len(support.rows), 5
+        left = rng.standard_normal((support.n, heads * o))
+        right = rng.standard_normal((support.n, heads * o))
+        ref = np.array([[np.dot(left[i, h * o:(h + 1) * o], right[j, h * o:(h + 1) * o])
+                         for h in range(heads)] for i, j in zip(support.rows, support.cols)])
+        uneven = next(b for b in range(2, m) if m % b)
+        assert heads * o * m <= gat._BLOCK  # so blocks of m and m + 3 rows take all at once
+        for block in (1, uneven, m, m + 3):
+            out = np.full((m, heads), np.nan)
+            _edge_dots(support, left, right, out, np.full(2 * heads * o * block, np.nan))
+            assert relative_error(out, ref) <= 1e-15
+
+    @pytest.mark.parametrize("n, f, heads, o", [(9, 4, 3, 5), (5, 17, 2, 6), (3, 40, 1, 7),
+                                                 (14, 14, 4, 2)])
+    def test_folded_dW_matches_materialized_dZ(self, rng, n, f, heads, o):
+        g = graph_with_isolated_node(n - 1, 0.4, rng)
+        support = _Support.of_graph(g)
+        layer = GatModel.create(f, heads=heads, head_dim=o, seed=int(rng.integers(100))).layer1
+        X = rng.standard_normal((n, f))
+        dout = rng.standard_normal((n, heads * o))
+
+        def backward(with_dX):
+            lw = _LayerWork(layer, support, fold=True)
+            _layer_forward(layer, X, support, lw)
+            lw.dout[...] = dout
+            grad = GatLayerParams(np.empty_like(layer.weights), np.empty_like(layer.attn))
+            # with dX, the rank-1 terms are added to dZ, which then gives dW
+            _layer_backward(layer, X, support, lw, grad, dX=np.empty((n, f)) if with_dX else None)
+            return grad
+
+        folded, materialized = backward(False), backward(True)
+        assert relative_error(folded.weights, materialized.weights) <= 1e-13
+        assert folded.attn.tobytes() == materialized.attn.tobytes()
