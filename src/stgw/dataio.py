@@ -21,6 +21,7 @@ import operator
 import os
 import re
 import warnings
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +29,8 @@ import scipy.sparse as sp
 
 from .errors import DataIOError, ValidationError, utf8_text
 from .gat import GatModel
-from .graphs import CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph
+from .graphs import (CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph,
+                     check_endpoints, check_nodes, check_self_loops, raise_first)
 from .sgwt import CoefficientTable
 
 CHECKPOINT_MAGIC = "GATCKPT1"
@@ -114,9 +116,7 @@ def _read_csv(path, header: list[str], formats: str, names: list[str] | None = N
 
 def _reject(path, line, bad, message) -> None:
     """Raise message(k) for the first True of `bad`, whose row k is on line `line + k`."""
-    k = np.flatnonzero(bad)
-    if k.size:
-        raise ValidationError(f"{path}: line {line + k[0]}: {message(k[0])}")
+    raise_first(bad, lambda k: f"{path}: line {line + k}: {message(k)}")
 
 
 def _positions(path, line, known, values, message: str) -> np.ndarray:
@@ -222,13 +222,10 @@ def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
 
 def read_nodes(path) -> list[NodeRecord]:
     records = []
-    for line, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
-        _reject(path, line, rows["population"] < 1, lambda k: "population must be >= 1")
+    for _, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
         records += map(NodeRecord, *(rows[name].tolist() for name in NODES_HEADER))
-    ids = np.array([rec.node_id for rec in records], dtype=np.int64)
-    first = np.zeros(len(ids), dtype=bool)
-    first[np.unique(ids, return_index=True)[1]] = True
-    _reject(path, 2, ~first, lambda k: f"duplicate node_id {ids[k]}")
+    check_nodes(np.array([rec.node_id for rec in records]),
+                np.array([rec.population for rec in records]), partial(_reject, path, 2))
     return records
 
 
@@ -236,7 +233,7 @@ def read_edges(path) -> list[tuple[int, int]]:
     edges = []
     for line, rows in _read_csv(path, EDGES_HEADER, "i8,i8"):
         src, dst = rows["src_id"], rows["dst_id"]
-        _reject(path, line, src == dst, lambda k: f"self-loop edge on node_id {src[k]}")
+        check_self_loops(np.column_stack((src, dst)), partial(_reject, path, line))
         edges += zip(src.tolist(), dst.tolist())
     return edges
 
@@ -260,10 +257,8 @@ def read_cases(path, graph: RouteGraph) -> CaseMatrix:
 
 def ingest(nodes_path, edges_path, cases_path) -> tuple[RouteGraph, CaseMatrix]:
     nodes, edges = read_nodes(nodes_path), read_edges(edges_path)
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    known = np.isin(ends, [rec.node_id for rec in nodes])
-    _reject(edges_path, 2, ~known.all(axis=1),
-            lambda k: f"edge references unknown node_id {ends[k][~known[k]][0]}")
+    check_endpoints(np.array(edges, dtype=np.int64).reshape(-1, 2),
+                    np.array([rec.node_id for rec in nodes]), partial(_reject, edges_path, 2))
     graph = build_route_graph(nodes, edges)
     return graph, read_cases(cases_path, graph)
 

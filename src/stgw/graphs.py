@@ -254,11 +254,37 @@ def normalize_cases(raw: CaseMatrix, populations: np.ndarray,
     pops = np.asarray(populations, dtype=float)
     if pops.shape[0] != raw.values.shape[0]:
         raise ValidationError("population vector length does not match case matrix")
-    bad = np.flatnonzero(~(pops > 0))
-    if bad.size:
-        which = node_ids[bad[0]] if node_ids is not None else bad[0]
-        raise ValidationError(f"node {which} has zero or missing population")
+    raise_first(~(pops > 0), lambda k: f"node {k if node_ids is None else node_ids[k]} "
+                                       "has zero or missing population")
     return CaseMatrix(values=1000.0 * raw.values / pops[:, None], weeks=raw.weeks)
+
+
+def raise_first(bad, message) -> None:
+    """Raise message(k) for the first True k of `bad`: the `reject(bad, message)` that
+    `build_route_graph` gives the input rules below (`dataio._reject` adds file and line)."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise ValidationError(message(k[0]))
+
+
+def check_nodes(ids: np.ndarray, populations: np.ndarray, reject) -> None:
+    """Population >= 1, and each node_id once (its second appearance is the bad record)."""
+    reject(populations < 1, lambda k: "population must be >= 1")
+    first = np.zeros(len(ids), dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    reject(~first, lambda k: f"duplicate node_id {ids[k]}")
+
+
+def check_self_loops(ends: np.ndarray, reject) -> None:
+    """No edge of the (E, 2) id pairs `ends` from a node to itself."""
+    reject(ends[:, 0] == ends[:, 1], lambda k: f"self-loop edge on node_id {ends[k, 0]}")
+
+
+def check_endpoints(ends: np.ndarray, ids: np.ndarray, reject) -> None:
+    """Every end of the (E, 2) id pairs `ends` is one of the node ids `ids`."""
+    known = np.isin(ends, ids)
+    reject(~known.all(axis=1),
+           lambda k: f"edge references unknown node_id {ends[k][~known[k]][0]}")
 
 
 def build_route_graph(nodes: list[NodeRecord], edges: list[tuple[int, int]]) -> RouteGraph:
@@ -267,46 +293,24 @@ def build_route_graph(nodes: list[NodeRecord], edges: list[tuple[int, int]]) -> 
     Duplicate and reversed-duplicate edges collapse to one; isolated nodes are
     kept but reported through `isolated_ids`.
     """
-    ids = [rec.node_id for rec in nodes]
-    seen: set[int] = set()
-    for nid in ids:
-        if nid in seen:
-            raise ValidationError(f"duplicate node_id {nid}")
-        seen.add(nid)
-    for rec in nodes:
-        if rec.population < 1:
-            raise ValidationError(f"node {rec.node_id} has population < 1")
-    id_to_index = {nid: k for k, nid in enumerate(ids)}
+    ids = np.array([rec.node_id for rec in nodes], dtype=np.int64)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    check_nodes(ids, np.array([rec.population for rec in nodes]), raise_first)
+    check_self_loops(ends, raise_first)
+    check_endpoints(ends, ids, raise_first)
 
-    n = len(nodes)
-    pair_set = set()
-    for src, dst in edges:
-        if src not in id_to_index or dst not in id_to_index:
-            missing = src if src not in id_to_index else dst
-            raise ValidationError(f"edge references unknown node_id {missing}")
-        if src == dst:
-            raise ValidationError(f"self-loop edge on node_id {src}")
-        i, j = sorted((id_to_index[src], id_to_index[dst]))
-        pair_set.add((i, j))
-    pairs = tuple(sorted(pair_set))
-
-    if pairs:
-        rows = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-        cols = np.array([p[1] for p in pairs] + [p[0] for p in pairs])
-        data = np.ones(rows.size, dtype=np.int8)
-        adjacency = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        adjacency = sp.csr_matrix((n, n), dtype=np.int8)
-
-    degree = np.asarray(adjacency.sum(axis=1)).ravel()
-    isolated = tuple(ids[i] for i in range(n) if degree[i] == 0)
-
+    # each edge as the key i * n + j of its index pair with i < j, once, ascending
+    n, order = len(ids), np.argsort(ids)
+    index = np.sort(order[np.searchsorted(ids, ends, sorter=order)], axis=1)
+    i, j = np.divmod(np.unique(index[:, 0] * n + index[:, 1]), n)
+    adjacency = sp.csr_matrix((np.ones(2 * i.size, dtype=np.int8),
+                               (np.concatenate((i, j)), np.concatenate((j, i)))), shape=(n, n))
     return RouteGraph(
         nodes=tuple(nodes),
         adjacency=adjacency,
-        edges=pairs,
-        isolated_ids=isolated,
-        _id_to_index=id_to_index,
+        edges=tuple(zip(i.tolist(), j.tolist())),
+        isolated_ids=tuple(ids[np.diff(adjacency.indptr) == 0].tolist()),
+        _id_to_index=dict(zip(ids.tolist(), range(n))),
     )
 
 
