@@ -168,12 +168,17 @@ def average_a_score(scores: np.ndarray, weeks: tuple[int, int] | None = None) ->
     """Per-node mean a-score over an inclusive 1-based week window (default all)."""
     scores = np.asarray(scores, dtype=float)
     t = scores.shape[1]
-    if weeks is None:
-        weeks = (1, t)
-    lo, hi = weeks
-    if not 1 <= lo <= hi <= t:
-        raise ValidationError(f"week window {lo}..{hi} outside 1..{t}")
+    lo, hi = weeks or (1, t)
+    check_window(lo, hi, t)
     return scores[:, lo - 1:hi].mean(axis=1)
+
+
+def check_window(lo: int, hi: int, weeks: int | None = None) -> None:
+    """Reject a 1-based inclusive week window that is reversed, starts before week 1 or,
+    once the series length `weeks` is known, ends after it."""
+    if not 1 <= lo <= hi <= (hi if weeks is None else weeks):
+        span = f"week {lo}" if lo == hi else f"week window {lo}..{hi}"
+        raise ValidationError(f"{span} outside 1..{'T' if weeks is None else weeks}")
 
 
 def rank_nodes(averages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import classify as cl
 from . import dataio, gat, report, sgwt
 from .config import RunConfig
-from .errors import StgwError, ValidationError
+from .errors import StgwError
 from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
                      normalize_cases, strong_product)
 
@@ -42,6 +42,15 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 def _ensure_out(cfg: RunConfig) -> None:
     dataio.ensure_dir(cfg.io.out)
+
+
+def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None) -> None:
+    """Reject the ranking window and the report week before any input is read; their
+    bounds against T are checked where T is known."""
+    if weeks is not None:
+        cl.check_window(*weeks)
+    if week is not None:
+        cl.check_window(week, week)
 
 
 def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
@@ -179,6 +188,7 @@ def stage_classify(cfg: RunConfig, results: StageResults | None = None) -> list[
 def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                results: StageResults | None = None) -> list[str]:
     """Average a-scores over the window plus influential scores -> rankings.csv."""
+    _check_weeks(weeks)
     _ensure_out(cfg)
     results = results or StageResults()
     graph, raw, _ = load_inputs(cfg)
@@ -199,6 +209,7 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  results: StageResults | None = None) -> list[str]:
     """Render the SVG bundle from the classification and ranking results."""
+    _check_weeks(week=week)
     _ensure_out(cfg)
     results = results or StageResults()
     graph, raw, _ = load_inputs(cfg)
@@ -210,8 +221,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
         # deterministic default: the week with the most top-grade anomalies
         per_week = (data["scores"] == 4).sum(axis=0)
         week = int(np.argmax(per_week)) + 1
-    if not 1 <= week <= raw.weeks:
-        raise ValidationError(f"report week {week} outside 1..{raw.weeks}")
+    cl.check_window(week, week, raw.weeks)
     hidden = downsample_mask(graph) if mask else set()
 
     svgs = {f"map_classes_week{week}.svg":
@@ -249,8 +259,10 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
     The stages share one `StageResults`, so each result passes in memory.
     Any stage failure removes the pipeline's output files and re-raises with
-    the stage name attached.
+    the stage name attached; a week window or report week that no series can
+    hold fails before the first stage.
     """
+    _check_weeks(weeks, week)
     _ensure_out(cfg)
     written: list[str] = []
     results = StageResults()
@@ -270,4 +282,4 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                 exc.args = (f"stage {name}: {exc}",)
                 raise
             raise StgwError(f"stage {name}: {exc}") from exc
-    return written
+    return list(dict.fromkeys(written))  # every stage updates the manifest

@@ -75,6 +75,39 @@ class TestBuildRouteGraph:
             build_route_graph(make_nodes(2), [(1, 1)])
 
 
+RULE_NODES = [NodeRecord(1, "Alpha", 42.0, -72.0, 1000), NodeRecord(2, "Beta", 42.1, -72.1, 2000),
+              NodeRecord(3, "Gamma", 42.2, -72.2, 1500)]
+RULE_EDGES = [(1, 2), (2, 3)]
+RULE_FAULTS = [  # rule, nodes, edges, file and line of the bad record, wording
+    ("population", RULE_NODES[:2] + [NodeRecord(3, "Gamma", 42.2, -72.2, 0)], RULE_EDGES,
+     "nodes.csv", 4, "population must be >= 1"),
+    ("duplicate node_id", RULE_NODES + [NodeRecord(2, "Beta", 0.0, 0.0, 5)], RULE_EDGES,
+     "nodes.csv", 5, "duplicate node_id 2"),
+    ("self-loop", RULE_NODES, RULE_EDGES + [(3, 3)],
+     "edges.csv", 4, "self-loop edge on node_id 3"),
+    ("unknown node", RULE_NODES, [(1, 2), (99, 3), (2, 3)],
+     "edges.csv", 3, "edge references unknown node_id 99"),
+]
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("nodes,edges,name,line,wording", [fault[1:] for fault in RULE_FAULTS],
+                             ids=[fault[0] for fault in RULE_FAULTS])
+    def test_library_and_files_share_wording(self, tmp_path, nodes, edges, name, line, wording):
+        """build_route_graph and the CSV ingest reject each fault alike; the file form adds
+        the file and line in front."""
+        with pytest.raises(ValidationError) as library:
+            build_route_graph(nodes, edges)
+        assert str(library.value) == wording
+        dataio.write_nodes(tmp_path / "nodes.csv", nodes)
+        dataio.write_csv(tmp_path / "edges.csv", dataio.EDGES_HEADER, edges)
+        dataio.write_csv(tmp_path / "cases.csv", dataio.CASES_HEADER,
+                         [[rec.node_id, 1, 5] for rec in RULE_NODES])
+        with pytest.raises(ValidationError) as files:
+            dataio.ingest(tmp_path / "nodes.csv", tmp_path / "edges.csv", tmp_path / "cases.csv")
+        assert str(files.value) == f"{tmp_path / name}: line {line}: {wording}"
+
+
 class TestStrongProduct:
     def test_k2_times_p2_arcs(self):
         g = path_graph(2)

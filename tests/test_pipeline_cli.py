@@ -280,6 +280,18 @@ class TestReport:
         svg = render_map(g, np.array([3, 3, 3, 3]), week=1)
         assert svg.count("<rect") == 2  # background + one legend swatch
 
+    def test_node_names_escaped(self):
+        from stgw.graphs import NodeRecord, build_route_graph
+        from stgw.report import render_map, render_ranking
+        name = "Ayer & Shirley <MA>"
+        g = build_route_graph([NodeRecord(1, name, 42.5, -71.6, 8000),
+                               NodeRecord(2, "Boston", 42.4, -71.1, 650000)], [(1, 2)])
+        for svg in (render_map(g, np.array([5, 1]), week=1),
+                    render_ranking(g, np.array([2.0, 0.5]), np.array([1, 2]), np.array([2, 1]))):
+            texts = [element.text for element in ET.fromstring(svg).iter()]
+            assert name in texts and "Boston" in texts
+            assert "Ayer &amp; Shirley &lt;MA&gt;" in svg
+
 
 class TestCli:
     def test_synth_and_run_exit_zero(self, tmp_path, capsys):
@@ -365,6 +377,39 @@ class TestCli:
         manifest = (tmp_path / "out" / "run-manifest.txt").read_text()
         assert "week_lo = 2" in manifest and "week_hi = 5" in manifest
         assert "mask = True" in manifest
+
+    def test_run_lists_each_file_once(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        data = tmp_path / "data"
+        main(["synth", "--out", str(data), "--nodes", "10", "--weeks", "4"])
+        cfg_path.write_text(f"[io]\nnodes = {data}/nodes.csv\nedges = {data}/edges.csv\n"
+                            f"cases = {data}/cases.csv\nout = {tmp_path}/out\n"
+                            "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 40\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        assert sorted(lines) == sorted(f"wrote {out / name}" for name in os.listdir(out))
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("run", ["--weeks", "5..3"], "week window 5..3 outside 1..T"),
+        ("run", ["--weeks", "0..2"], "week window 0..2 outside 1..T"),
+        ("run", ["--week", "0"], "week 0 outside 1..T"),
+        ("rank", ["--weeks", "3..2"], "week window 3..2 outside 1..T"),
+        ("rank", ["--weeks=-1..2"], "week window -1..2 outside 1..T"),
+        ("report", ["--week", "0"], "week 0 outside 1..T"),
+    ])
+    def test_bad_week_flags_rejected_before_any_stage(self, finished_run, tmp_path, capsys,
+                                                     monkeypatch, command, flags, message):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        before = read_out(tmp_path)
+
+        def refuse(*args):
+            raise AssertionError("a stage read its inputs")
+        monkeypatch.setattr(dataio, "ingest", refuse)
+        assert main([command, "--config", str(cfg_path)] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read_out(tmp_path) == before
 
     def test_report_week_out_of_range_exit_2(self, tmp_path):
         out = tmp_path / "data"
