@@ -6,8 +6,6 @@ identical inputs always render identical bytes; node names are XML-escaped.
 
 from __future__ import annotations
 
-from html import escape
-
 import numpy as np
 
 from .graphs import RouteGraph
@@ -21,6 +19,12 @@ TOP_K = 5  # cities per panel of the ranking chart
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _escape(text: str) -> str:
+    """`text` as XML character data. Importing `html` or `xml.sax.saxutils` for their
+    escape would raise a run's peak RSS by about 1 MB."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg_open(width: int, height: int) -> str:
@@ -72,7 +76,7 @@ def render_map(graph: RouteGraph, labels_week: np.ndarray, week: int,
         color = CLASS_COLORS[int(labels_week[i])]
         svg.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{color}" '
                    f'fill-opacity="0.85" stroke="#444444" stroke-width="0.4">'
-                   f'<title>{escape(rec.name, quote=False)}</title></circle>\n')
+                   f'<title>{_escape(rec.name)}</title></circle>\n')
     svg.append(_legend(present, width - 165, pad + 10))
     svg.append("</svg>\n")
     return "".join(svg)
@@ -137,7 +141,7 @@ def render_ranking(graph: RouteGraph, a_bar: np.ndarray, least: np.ndarray,
                        f'width="{_f(max(a_bar[i] * scale, 0.5))}" height="16" '
                        f'fill="{bar_color}"/>\n')
             svg.append(f'<text x="{_f(pad + 172)}" y="{_f(y + 13)}" {FONT} font-size="12" '
-                       f'text-anchor="end" fill="#222222">{escape(rec.name, quote=False)}</text>\n')
+                       f'text-anchor="end" fill="#222222">{_escape(rec.name)}</text>\n')
             svg.append(f'<text x="{_f(pad + 186 + a_bar[i] * scale)}" y="{_f(y + 13)}" {FONT} '
                        f'font-size="11" fill="#222222">{a_bar[i]:.3f}</text>\n')
             y += 26
