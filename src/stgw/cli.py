@@ -107,21 +107,20 @@ def main(argv=None) -> int:
 
         cfg = _load(args)
         writers = {
-            "train": lambda: pipeline.stage_train(cfg),
-            "transform": lambda: pipeline.stage_transform(cfg),
-            "classify": lambda: pipeline.stage_classify(cfg),
-            "rank": lambda: pipeline.stage_rank(cfg, _parse_weeks(args.weeks)),
-            "report": lambda: pipeline.stage_report(cfg, args.mask, args.week),
+            "train": lambda: pipeline.stage_train(cfg)[0],
+            "transform": lambda: pipeline.stage_transform(cfg)[0],
+            "classify": lambda: pipeline.stage_classify(cfg)[0],
+            "rank": lambda: pipeline.stage_rank(cfg, _parse_weeks(args.weeks))[0],
+            "report": lambda: pipeline.stage_report(cfg, args.mask, args.week)[0],
             "run": lambda: pipeline.run_pipeline(cfg, _parse_weeks(args.weeks), args.mask,
                                                  args.week),
         }
         if args.command == "build-graph":
-            info = pipeline.stage_build_graph(cfg)
-            print(f"graph: {info['nodes']} nodes, {info['edges']} edges, "
-                  f"{info['weeks']} weeks")
-            if info["isolated"]:
-                print(f"warning: {len(info['isolated'])} isolated nodes: "
-                      f"{info['isolated']}")
+            graph, raw, _ = pipeline.load_inputs(cfg)
+            print(f"graph: {graph.n} nodes, {len(graph.edges)} edges, {raw.weeks} weeks")
+            if graph.isolated_ids:
+                print(f"warning: {len(graph.isolated_ids)} isolated nodes: "
+                      f"{list(graph.isolated_ids)}")
         elif args.command == "product":
             info = pipeline.stage_product(cfg)
             ok = "ok" if info["arcs"] == info["expected_arcs"] else "MISMATCH"

@@ -1,23 +1,24 @@
-"""Stage orchestration: each stage writes its own interface files.
+"""Stage orchestration: pure stage functions, and edges that do the file I/O.
 
-A full run shares one `StageResults` across its stages, so results pass in
-memory and no file it writes is parsed back; a staged command starts with an
-empty holder and reads the CSV interfaces, so any stage replays in isolation
-with the same output bytes.  Every file is written atomically, and a failed
-run clears the pipeline's output files before the error propagates: no stale
-mix remains.
+`train`, `transform`, `classify`, `rank` and `render` take the `Inputs`, their
+upstream results and their config section, and return their result and its
+manifest facts without touching a file.  Each `stage_*` edge reads the inputs,
+takes the upstream result as an argument or else reads its CSV, and writes its
+files and manifest section, atomically.  A staged command thus replays any
+stage with the same output bytes as a full run, which parses nothing back; a
+failed run clears the pipeline's output files, so no stale mix remains.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import classify as cl
 from . import dataio, gat, report, sgwt
-from .config import RunConfig
+from .config import ClassifySection, RunConfig, SgwtSection
 from .errors import StgwError
 from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
                      normalize_cases, strong_product)
@@ -25,23 +26,15 @@ from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, 
 MANIFEST_NAME = "run-manifest.txt"
 
 
-@dataclass
-class StageResults:
-    """Results of the stages run so far in one invocation; None until made."""
-
-    transition: TransitionMatrix | None = None
-    coefficients: sgwt.CoefficientTable | None = None
-    classes: dict | None = None     # (N, T) grids, keyed as dataio.read_classes
-    slices: tuple | None = None     # (sigma, slice_classes)
-    rankings: dict | None = None    # keyed as dataio.read_rankings
+class Inputs(NamedTuple):
+    """The validated inputs: the graph, raw counts and per-thousand counts."""
+    graph: RouteGraph
+    raw: CaseMatrix
+    features: CaseMatrix
 
 
 def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.io.out, name)
-
-
-def _ensure_out(cfg: RunConfig) -> None:
-    dataio.ensure_dir(cfg.io.out)
 
 
 def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None) -> None:
@@ -59,49 +52,106 @@ def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
     return path
 
 
-def load_inputs(cfg: RunConfig) -> tuple[RouteGraph, CaseMatrix, CaseMatrix]:
-    """Ingest and validate the three input files; returns (graph, raw, per-thousand)."""
+def load_inputs(cfg: RunConfig) -> Inputs:
+    """Ingest and validate the three input files."""
     graph, raw = dataio.ingest(cfg.io.nodes, cfg.io.edges, cfg.io.cases)
-    features = normalize_cases(raw, graph.populations, graph.node_ids)
-    return graph, raw, features
+    return Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
 
 
-def stage_build_graph(cfg: RunConfig) -> dict:
-    """Validation pass; returns summary counts (writes nothing)."""
-    graph, raw, _ = load_inputs(cfg)
-    return {
-        "nodes": graph.n,
-        "edges": len(graph.edges),
-        "weeks": raw.weeks,
-        "isolated": list(graph.isolated_ids),
-    }
-
-
-def stage_train(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
-    """Train the attention network; writes transition.csv and the checkpoint."""
-    _ensure_out(cfg)
-    results = results or StageResults()
-    graph, _, features = load_inputs(cfg)
-    samples = gat.make_samples(graph, seed=cfg.gat.seed)
-    model = gat.GatModel.create(feature_dim=features.weeks, heads=cfg.gat.heads,
-                                head_dim=cfg.gat.hidden, out_dim=cfg.gat.out,
-                                seed=cfg.gat.seed)
-    trained, history = gat.train(model, graph, features, samples, cfg.gat)
-    transition = results.transition = gat.extract_transition(trained, graph, features)
-
-    transition_path = _out(cfg, "transition.csv")
-    ckpt_path = _out(cfg, "gat_model.ckpt")
-    dataio.write_transition(transition_path, graph, transition)
-    dataio.save_checkpoint(ckpt_path, trained)
-    manifest = _manifest(cfg, "gat", {
-        **cfg.resolved()["gat"],
+def train(inputs: Inputs,
+          config: gat.TrainConfig) -> tuple[TransitionMatrix, gat.GatModel, dict]:
+    """Train the attention network; returns P, the trained model and the run facts."""
+    graph, _, features = inputs
+    samples = gat.make_samples(graph, seed=config.seed)
+    model = gat.GatModel.create(feature_dim=features.weeks, heads=config.heads,
+                                head_dim=config.hidden, out_dim=config.out, seed=config.seed)
+    trained, history = gat.train(model, graph, features, samples, config)
+    return gat.extract_transition(trained, graph, features), trained, {
         "epochs_run": len(history["train_loss"]),
         "best_epoch": history["best_epoch"],
         "best_val_loss": dataio.fnum(history["val_loss"][history["best_epoch"]]),
-        "test_accuracy": dataio.fnum(
-            gat.edge_accuracy(trained, graph, features, samples)),
-    })
-    return [transition_path, ckpt_path, manifest]
+        "test_accuracy": dataio.fnum(gat.edge_accuracy(trained, graph, features, samples)),
+    }
+
+
+def transform(inputs: Inputs, transition: TransitionMatrix,
+              config: SgwtSection) -> tuple[sgwt.CoefficientTable, dict]:
+    """Strong product -> Laplacian -> dictionary -> fast transform -> coefficients."""
+    graph, raw, features = inputs
+    product = strong_product(graph, transition, raw.weeks)
+    lap = laplacian(product)
+    dictionary = sgwt.make_dictionary(lap.lambda_max_estimate, filters=config.filters,
+                                      scale_lo=config.scale_lo, scale_hi=config.scale_hi)
+    expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order,
+                                       quad_points=config.quad_points)
+    return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
+        "lambda_max": dataio.fnum(lap.lambda_max_estimate),
+        "lambda_method": lap.lambda_method,
+        "lambda_matvecs": lap.lambda_matvecs,
+        "lambda_residual": dataio.fnum(lap.lambda_residual),
+        "scales": " ".join(dataio.fnum(s) for s in dictionary.scales),
+        "weeks": raw.weeks,
+        "vertices": product.node_count,
+        "arcs": product.arc_count,
+    }
+
+
+def classify(inputs: Inputs, table: sgwt.CoefficientTable,
+             config: ClassifySection) -> tuple[dict, tuple, dict]:
+    """Coefficients -> torque classes, anomaly metric, a-scores, slice classes; returns
+    the (N, T) grids keyed as dataio.read_classes, (sigma, slice_classes) and facts."""
+    graph, raw, features = inputs
+    n, t = graph.n, raw.weeks
+    field = cl.classify_nodes(cl.torque(cl.log_normalize(cl.robust_scale(table))))
+    slices = cl.slice_classification(field.labels, n, t)
+    theta = cl.anomaly_metric(features, graph)
+    labels = cl.label_grid(field.labels, n, t)
+    scores = cl.a_score(labels, theta, config.theta_hi, config.theta_lo)
+    classes = {"phi": cl.label_grid(field.phi, n, t), "labels": labels, "theta": theta,
+               "scores": scores}
+    return classes, slices, {"phi_min": dataio.fnum(field.phi_min),
+                             "phi_max": dataio.fnum(field.phi_max)}
+
+
+def rank(inputs: Inputs, scores: np.ndarray, transition: TransitionMatrix,
+         weeks: tuple[int, int] | None = None) -> tuple[dict, dict]:
+    """Average a-scores over the window plus influential scores; returns the rankings,
+    keyed as dataio.read_rankings, and the window."""
+    a_bar = cl.average_a_score(scores, weeks)
+    least, most = cl.rank_nodes(a_bar)
+    rankings = dict(a_bar=a_bar, influential=gat.influential_scores(transition),
+                    least=least, most=most)
+    lo, hi = weeks if weeks is not None else (1, inputs.raw.weeks)
+    return rankings, {"week_lo": lo, "week_hi": hi}
+
+
+def render(inputs: Inputs, classes: dict, slices: tuple, rankings: dict, mask: bool = False,
+           week: int | None = None) -> tuple[dict[str, str], dict]:
+    """The SVG bundle keyed by file name, and the report facts."""
+    graph, raw, _ = inputs
+    if week is None:
+        # deterministic default: the week with the most top-grade anomalies
+        week = int(np.argmax((classes["scores"] == 4).sum(axis=0))) + 1
+    cl.check_window(week, week, raw.weeks)
+    hidden = downsample_mask(graph) if mask else set()
+    svgs = {f"map_classes_week{week}.svg":
+            report.render_map(graph, classes["labels"][:, week - 1], week, hidden),
+            "slices.svg": report.render_slices(*slices),
+            "ranking.svg": report.render_ranking(graph, rankings["a_bar"], rankings["least"],
+                                                 rankings["most"])}
+    return svgs, {"week": week, "mask": mask, "top_k": report.TOP_K}
+
+
+def stage_train(cfg: RunConfig) -> tuple[list[str], TransitionMatrix]:
+    """Train; write transition.csv and the checkpoint. Returns the paths written and P."""
+    dataio.ensure_dir(cfg.io.out)
+    inputs = load_inputs(cfg)
+    transition, trained, facts = train(inputs, cfg.gat)
+    transition_path, ckpt_path = _out(cfg, "transition.csv"), _out(cfg, "gat_model.ckpt")
+    dataio.write_transition(transition_path, inputs.graph, transition)
+    dataio.save_checkpoint(ckpt_path, trained)
+    manifest = _manifest(cfg, "gat", {**cfg.resolved()["gat"], **facts})
+    return [transition_path, ckpt_path, manifest], transition
 
 
 def stage_product(cfg: RunConfig) -> dict:
@@ -117,123 +167,67 @@ def stage_product(cfg: RunConfig) -> dict:
     }
 
 
-def stage_transform(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
-    """Strong product -> Laplacian -> dictionary -> fast transform -> coefficients.csv."""
-    _ensure_out(cfg)
-    results = results or StageResults()
-    graph, raw, features = load_inputs(cfg)
-    transition = results.transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
-    product = strong_product(graph, transition, raw.weeks)
-    lap = laplacian(product)
-    dictionary = sgwt.make_dictionary(
-        lap.lambda_max_estimate,
-        filters=cfg.sgwt.filters,
-        scale_lo=cfg.sgwt.scale_lo,
-        scale_hi=cfg.sgwt.scale_hi,
-    )
-    expansion = sgwt.expand_dictionary(dictionary, order=cfg.sgwt.cheb_order,
-                                       quad_points=cfg.sgwt.quad_points)
-    table = results.coefficients = sgwt.cheb_apply(lap, features.vertex_signal(), expansion)
-
+def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
+                    ) -> tuple[list[str], sgwt.CoefficientTable]:
+    """Transform P (else transition.csv); write coefficients.csv."""
+    dataio.ensure_dir(cfg.io.out)
+    inputs = graph, raw, _ = load_inputs(cfg)
+    transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
+    table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
     dataio.write_coefficients(coeff_path, graph, raw.weeks, table)
-    manifest = _manifest(cfg, "sgwt", {
-        **cfg.resolved()["sgwt"],
-        "lambda_max": dataio.fnum(lap.lambda_max_estimate),
-        "lambda_method": lap.lambda_method,
-        "lambda_matvecs": lap.lambda_matvecs,
-        "lambda_residual": dataio.fnum(lap.lambda_residual),
-        "scales": " ".join(dataio.fnum(s) for s in dictionary.scales),
-        "weeks": raw.weeks,
-        "vertices": product.node_count,
-        "arcs": product.arc_count,
-    })
-    _manifest(cfg, "inputs", {
-        "nodes_hash": dataio.content_hash(cfg.io.nodes),
-        "edges_hash": dataio.content_hash(cfg.io.edges),
-        "cases_hash": dataio.content_hash(cfg.io.cases),
-    })
-    return [coeff_path, manifest]
+    manifest = _manifest(cfg, "sgwt", {**cfg.resolved()["sgwt"], **facts})
+    _manifest(cfg, "inputs", {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
+                              for name in ("nodes", "edges", "cases")})
+    return [coeff_path, manifest], table
 
 
-def stage_classify(cfg: RunConfig, results: StageResults | None = None) -> list[str]:
-    """Coefficients -> torque classes, anomaly metric, a-scores, slice classes."""
-    _ensure_out(cfg)
-    results = results or StageResults()
-    graph, raw, features = load_inputs(cfg)
-    table = results.coefficients or dataio.read_coefficients(
-        _out(cfg, "coefficients.csv"), graph, raw.weeks, cfg.sgwt.filters)
-    normalized = cl.log_normalize(cl.robust_scale(table))
-    field = cl.classify_nodes(cl.torque(normalized))
-    n, t = graph.n, raw.weeks
-    sigma, slice_classes = results.slices = cl.slice_classification(field.labels, n, t)
-    theta = cl.anomaly_metric(features, graph)
-    labels = cl.label_grid(field.labels, n, t)
-    scores = cl.a_score(labels, theta, cfg.classify.theta_hi, cfg.classify.theta_lo)
-    phi = cl.label_grid(field.phi, n, t)
-    results.classes = {"phi": phi, "labels": labels, "theta": theta, "scores": scores}
-
-    classes_path = _out(cfg, "classes.csv")
-    slices_path = _out(cfg, "slices.csv")
-    dataio.write_classes(classes_path, graph, t, phi, labels, theta, scores)
-    dataio.write_slices(slices_path, sigma, slice_classes)
-    manifest = _manifest(cfg, "classify", {
-        **cfg.resolved()["classify"],
-        "phi_min": dataio.fnum(field.phi_min),
-        "phi_max": dataio.fnum(field.phi_max),
-    })
-    return [classes_path, slices_path, manifest]
+def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
+                   ) -> tuple[list[str], tuple[dict, tuple]]:
+    """Classify the coefficients (else coefficients.csv); write classes.csv, slices.csv."""
+    dataio.ensure_dir(cfg.io.out)
+    inputs = graph, raw, _ = load_inputs(cfg)
+    table = table or dataio.read_coefficients(_out(cfg, "coefficients.csv"), graph,
+                                              raw.weeks, cfg.sgwt.filters)
+    classes, slices, facts = classify(inputs, table, cfg.classify)
+    classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
+    dataio.write_classes(classes_path, graph, raw.weeks, classes["phi"], classes["labels"],
+                         classes["theta"], classes["scores"])
+    dataio.write_slices(slices_path, *slices)
+    manifest = _manifest(cfg, "classify", {**cfg.resolved()["classify"], **facts})
+    return [classes_path, slices_path, manifest], (classes, slices)
 
 
 def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
-               results: StageResults | None = None) -> list[str]:
-    """Average a-scores over the window plus influential scores -> rankings.csv."""
+               classes: dict | None = None, transition: TransitionMatrix | None = None
+               ) -> tuple[list[str], dict]:
+    """Rank from the classes and P (else their CSVs); write rankings.csv."""
     _check_weeks(weeks)
-    _ensure_out(cfg)
-    results = results or StageResults()
-    graph, raw, _ = load_inputs(cfg)
-    data = results.classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
-    transition = results.transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
-    a_bar = cl.average_a_score(data["scores"], weeks)
-    influential = gat.influential_scores(transition)
-    least, most = cl.rank_nodes(a_bar)
-    results.rankings = dict(a_bar=a_bar, influential=influential, least=least, most=most)
-
+    dataio.ensure_dir(cfg.io.out)
+    inputs = graph, raw, _ = load_inputs(cfg)
+    classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
+    rankings, facts = rank(inputs, classes["scores"], transition, weeks)
     rankings_path = _out(cfg, "rankings.csv")
-    dataio.write_rankings(rankings_path, graph, a_bar, influential, least, most)
-    lo, hi = weeks if weeks is not None else (1, raw.weeks)
-    manifest = _manifest(cfg, "rank", {"week_lo": lo, "week_hi": hi})
-    return [rankings_path, manifest]
+    dataio.write_rankings(rankings_path, graph, **rankings)
+    return [rankings_path, _manifest(cfg, "rank", facts)], rankings
 
 
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
-                 results: StageResults | None = None) -> list[str]:
-    """Render the SVG bundle from the classification and ranking results."""
+                 classes: dict | None = None, slices: tuple | None = None,
+                 rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
+    """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
     _check_weeks(week=week)
-    _ensure_out(cfg)
-    results = results or StageResults()
-    graph, raw, _ = load_inputs(cfg)
-    data = results.classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
-    sigma, slice_classes = results.slices or dataio.read_slices(_out(cfg, "slices.csv"))
-    ranking = results.rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
-
-    if week is None:
-        # deterministic default: the week with the most top-grade anomalies
-        per_week = (data["scores"] == 4).sum(axis=0)
-        week = int(np.argmax(per_week)) + 1
-    cl.check_window(week, week, raw.weeks)
-    hidden = downsample_mask(graph) if mask else set()
-
-    svgs = {f"map_classes_week{week}.svg":
-            report.render_map(graph, data["labels"][:, week - 1], week, hidden),
-            "slices.svg": report.render_slices(sigma, slice_classes),
-            "ranking.svg": report.render_ranking(graph, ranking["a_bar"], ranking["least"],
-                                                 ranking["most"])}
+    dataio.ensure_dir(cfg.io.out)
+    inputs = graph, raw, _ = load_inputs(cfg)
+    classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    slices = slices or dataio.read_slices(_out(cfg, "slices.csv"))
+    rankings = rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
+    svgs, facts = render(inputs, classes, slices, rankings, mask, week)
     written = [_out(cfg, name) for name in svgs]
     for path, svg in zip(written, svgs.values()):
         dataio.write_text(path, svg)
-    written.append(_manifest(cfg, "report", {"week": week, "mask": mask, "top_k": report.TOP_K}))
-    return written
+    return written + [_manifest(cfg, "report", facts)], svgs
 
 
 _OUTPUT_NAMES = ("transition.csv", "gat_model.ckpt", "coefficients.csv",
@@ -257,29 +251,30 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                  mask: bool = False, week: int | None = None) -> list[str]:
     """Full run: train -> transform -> classify -> rank -> report.
 
-    The stages share one `StageResults`, so each result passes in memory.
-    Any stage failure removes the pipeline's output files and re-raises with
-    the stage name attached; a week window or report week that no series can
-    hold fails before the first stage.
+    Each stage's result is handed to the next stage as an argument.  Any stage
+    failure removes the pipeline's output files and re-raises with the stage name
+    attached; a week window or report week that no series can hold fails before
+    the first stage.
     """
     _check_weeks(weeks, week)
-    _ensure_out(cfg)
+    dataio.ensure_dir(cfg.io.out)
     written: list[str] = []
-    results = StageResults()
-    stages = [
-        ("train", lambda: stage_train(cfg, results)),
-        ("transform", lambda: stage_transform(cfg, results)),
-        ("classify", lambda: stage_classify(cfg, results)),
-        ("rank", lambda: stage_rank(cfg, weeks, results)),
-        ("report", lambda: stage_report(cfg, mask, week, results)),
-    ]
-    for name, fn in stages:
+
+    def run(name, stage, *args):
         try:
-            written.extend(fn())
+            paths, result = stage(cfg, *args)
         except Exception as exc:
             _remove_outputs(cfg)
             if isinstance(exc, StgwError):
                 exc.args = (f"stage {name}: {exc}",)
                 raise
             raise StgwError(f"stage {name}: {exc}") from exc
+        written.extend(paths)
+        return result
+
+    transition = run("train", stage_train)
+    table = run("transform", stage_transform, transition)
+    classes, slices = run("classify", stage_classify, table)
+    rankings = run("rank", stage_rank, weeks, classes, transition)
+    run("report", stage_report, mask, week, classes, slices, rankings)
     return list(dict.fromkeys(written))  # every stage updates the manifest
