@@ -19,7 +19,7 @@ import numpy as np
 from . import classify as cl
 from . import dataio, gat, report, sgwt
 from .config import ClassifySection, RunConfig, SgwtSection
-from .errors import StgwError
+from .errors import StgwError, ValidationError
 from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
                      normalize_cases, strong_product)
 
@@ -37,13 +37,14 @@ def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.io.out, name)
 
 
-def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None) -> None:
-    """Reject the ranking window and the report week before any input is read; their
-    bounds against T are checked where T is known."""
+def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None,
+                 t: int | None = None) -> None:
+    """Reject a ranking window or report week outside 1..t; with t unknown, before any
+    input is read, reject one that is reversed or starts before week 1."""
     if weeks is not None:
-        cl.check_window(*weeks)
+        cl.check_window(*weeks, t)
     if week is not None:
-        cl.check_window(week, week)
+        cl.check_window(week, week, t)
 
 
 def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
@@ -52,9 +53,15 @@ def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
     return path
 
 
-def load_inputs(cfg: RunConfig) -> Inputs:
-    """Ingest and validate the three input files."""
+def load_inputs(cfg: RunConfig, weeks: tuple[int, int] | None = None,
+                week: int | None = None) -> Inputs:
+    """Ingest and validate the three input files; the series must span T >= 2 weeks,
+    and hold the ranking window `weeks` and report week `week` when given."""
+    _check_weeks(weeks, week)
     graph, raw = dataio.ingest(cfg.io.nodes, cfg.io.edges, cfg.io.cases)
+    if raw.weeks < 2:
+        raise ValidationError(f"{cfg.io.cases}: needs at least 2 weeks, got {raw.weeks}")
+    _check_weeks(weeks, week, raw.weeks)
     return Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
 
 
@@ -142,10 +149,14 @@ def render(inputs: Inputs, classes: dict, slices: tuple, rankings: dict, mask: b
     return svgs, {"week": week, "mask": mask, "top_k": report.TOP_K}
 
 
-def stage_train(cfg: RunConfig) -> tuple[list[str], TransitionMatrix]:
-    """Train; write transition.csv and the checkpoint. Returns the paths written and P."""
+def stage_train(cfg: RunConfig, weeks: tuple[int, int] | None = None,
+                week: int | None = None) -> tuple[list[str], TransitionMatrix]:
+    """Train; write transition.csv and the checkpoint. Returns the paths written and P.
+
+    `weeks` and `week` are a full run's ranking window and report week: checked here
+    against T, so a run that cannot finish stops before training."""
+    inputs = load_inputs(cfg, weeks, week)
     dataio.ensure_dir(cfg.io.out)
-    inputs = load_inputs(cfg)
     transition, trained, facts = train(inputs, cfg.gat)
     transition_path, ckpt_path = _out(cfg, "transition.csv"), _out(cfg, "gat_model.ckpt")
     dataio.write_transition(transition_path, inputs.graph, transition)
@@ -170,8 +181,8 @@ def stage_product(cfg: RunConfig) -> dict:
 def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
                     ) -> tuple[list[str], sgwt.CoefficientTable]:
     """Transform P (else transition.csv); write coefficients.csv."""
-    dataio.ensure_dir(cfg.io.out)
     inputs = graph, raw, _ = load_inputs(cfg)
+    dataio.ensure_dir(cfg.io.out)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
@@ -185,8 +196,8 @@ def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
 def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
                    ) -> tuple[list[str], tuple[dict, tuple]]:
     """Classify the coefficients (else coefficients.csv); write classes.csv, slices.csv."""
-    dataio.ensure_dir(cfg.io.out)
     inputs = graph, raw, _ = load_inputs(cfg)
+    dataio.ensure_dir(cfg.io.out)
     table = table or dataio.read_coefficients(_out(cfg, "coefficients.csv"), graph,
                                               raw.weeks, cfg.sgwt.filters)
     classes, slices, facts = classify(inputs, table, cfg.classify)
@@ -202,9 +213,8 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                classes: dict | None = None, transition: TransitionMatrix | None = None
                ) -> tuple[list[str], dict]:
     """Rank from the classes and P (else their CSVs); write rankings.csv."""
-    _check_weeks(weeks)
+    inputs = graph, raw, _ = load_inputs(cfg, weeks)
     dataio.ensure_dir(cfg.io.out)
-    inputs = graph, raw, _ = load_inputs(cfg)
     classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     rankings, facts = rank(inputs, classes["scores"], transition, weeks)
@@ -217,9 +227,8 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  classes: dict | None = None, slices: tuple | None = None,
                  rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
     """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
-    _check_weeks(week=week)
+    inputs = graph, raw, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
-    inputs = graph, raw, _ = load_inputs(cfg)
     classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
     slices = slices or dataio.read_slices(_out(cfg, "slices.csv"))
     rankings = rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
@@ -253,8 +262,8 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
     Each stage's result is handed to the next stage as an argument.  Any stage
     failure removes the pipeline's output files and re-raises with the stage name
-    attached; a week window or report week that no series can hold fails before
-    the first stage.
+    attached.  A week window or report week that no series can hold fails before
+    the first stage, and one that this series cannot hold before training.
     """
     _check_weeks(weeks, week)
     dataio.ensure_dir(cfg.io.out)
@@ -272,7 +281,7 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
         written.extend(paths)
         return result
 
-    transition = run("train", stage_train)
+    transition = run("train", stage_train, weeks, week)
     table = run("transform", stage_transform, transition)
     classes, slices = run("classify", stage_classify, table)
     rankings = run("rank", stage_rank, weeks, classes, transition)

@@ -5,14 +5,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from stgw import dataio
+from stgw import dataio, gat
 from stgw.cli import main
 from stgw.config import RunConfig, load_config
 from stgw.errors import ValidationError
 from stgw.gat import TrainConfig
-from stgw.pipeline import (run_pipeline, stage_classify, stage_rank, stage_report,
-                           stage_train, stage_transform)
-from stgw.synth import SyntheticSpec, write_dataset
+from stgw.graphs import TransitionMatrix, normalize_cases
+from stgw.pipeline import (Inputs, classify, rank, render, run_pipeline, stage_classify,
+                           stage_rank, stage_report, stage_train, stage_transform, train,
+                           transform)
+from stgw.synth import SyntheticSpec, generate, write_dataset
 
 SMALL = dict(nodes=14, weeks=6, rho=0.85, seed=8)
 
@@ -245,6 +247,41 @@ class TestPipeline:
         assert "week_lo = 2" in text and "week_hi = 4" in text
 
 
+class TestPureStages:
+    def test_method_runs_without_files(self, monkeypatch):
+        graph, raw = generate(SyntheticSpec(**SMALL))
+        inputs = Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+        cfg = RunConfig()
+        cfg.gat.heads, cfg.gat.hidden, cfg.gat.out, cfg.gat.max_epochs = 2, 8, 6, 20
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pure stage touched a file")
+        for name in dir(dataio):
+            if name.startswith(("read_", "write_", "save_", "load_")) or name in (
+                    "ingest", "update_manifest", "ensure_dir", "content_hash"):
+                monkeypatch.setattr(dataio, name, refuse)
+        monkeypatch.setattr("builtins.open", refuse)
+
+        learned, _, facts = train(inputs, cfg.gat)
+        assert learned.P.shape == (graph.n, graph.n)
+        assert set(facts) == {"epochs_run", "best_epoch", "best_val_loss", "test_accuracy"}
+        # a substituted P: uniform over each closed neighborhood
+        support = graph.closed_neighborhoods().astype(float)
+        uniform = TransitionMatrix(P=support.multiply(1.0 / support.sum(axis=1)))
+        table, facts = transform(inputs, uniform, cfg.sgwt)
+        assert table.values.shape == (graph.n * raw.weeks, cfg.sgwt.filters)
+        assert facts["arcs"] == raw.weeks * 2 * len(graph.edges) + (raw.weeks - 1) * (
+            graph.n + 2 * len(graph.edges))
+        classes, slices, _ = classify(inputs, table, cfg.classify)
+        assert classes["scores"].shape == (graph.n, raw.weeks)
+        rankings, facts = rank(inputs, classes["scores"], uniform, (2, 4))
+        assert sorted(rankings["least"]) == list(range(1, graph.n + 1))
+        assert facts == {"week_lo": 2, "week_hi": 4}
+        svgs, facts = render(inputs, classes, slices, rankings, mask=True, week=3)
+        assert sorted(svgs) == ["map_classes_week3.svg", "ranking.svg", "slices.svg"]
+        assert facts["week"] == 3 and facts["mask"] is True
+
+
 class TestReport:
     def setup_run(self, tmp_path):
         write_small_dataset(tmp_path)
@@ -410,6 +447,32 @@ class TestCli:
         assert main([command, "--config", str(cfg_path)] + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert read_out(tmp_path) == before
+
+    @pytest.mark.parametrize("weeks,flags,message", [
+        (12, ["--weeks", "2..99"], "week window 2..99 outside 1..12"),
+        (12, ["--week", "13"], "week 13 outside 1..12"),
+        (1, [], "{cases}: needs at least 2 weeks, got 1"),
+    ])
+    def test_series_too_short_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       weeks, flags, message):
+        data = tmp_path / "data"
+        main(["synth", "--out", str(data), "--nodes", "10", "--weeks", str(max(weeks, 2))])
+        cases = data / "cases.csv"
+        lines = cases.read_text().splitlines()
+        cases.write_text("\n".join(lines[:1] + [line for line in lines[1:]
+                                                if int(line.split(",")[1]) <= weeks]) + "\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[io]\nnodes = {data}/nodes.csv\nedges = {data}/edges.csv\n"
+                            f"cases = {cases}\nout = {tmp_path}/out\n")
+
+        def refuse(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(gat, "train", refuse)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)] + flags) == 2
+        assert capsys.readouterr().err == \
+            f"error: stage train: {message.format(cases=cases)}\n"
+        assert os.listdir(tmp_path / "out") == []
 
     def test_report_week_out_of_range_exit_2(self, tmp_path):
         out = tmp_path / "data"
