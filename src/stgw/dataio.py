@@ -22,7 +22,7 @@ import os
 import re
 import warnings
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -220,6 +220,14 @@ def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
+def _node_rows(node_ids, middles: list[str], values) -> Iterator[str]:
+    """One chunk per node: a line `{nid}{middle}{value!r}` for each of its middles,
+    in order; row i of `values`, raveled, holds node i's values."""
+    for nid, row in zip(node_ids, values if middles else ()):
+        cells = map(operator.add, middles, map(repr, row.ravel().tolist()))
+        yield f"{nid}" + f"\n{nid}".join(cells) + "\n"
+
+
 def read_nodes(path) -> list[NodeRecord]:
     records = []
     for _, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
@@ -274,10 +282,9 @@ def write_edges(path, graph: RouteGraph) -> None:
 
 
 def write_cases(path, graph: RouteGraph, cases: CaseMatrix) -> None:
-    rows = ([nid, week + 1, fnum(cases.values[i, week])]
-            for i, nid in enumerate(graph.node_ids)
-            for week in range(cases.weeks))
-    write_csv(path, CASES_HEADER, rows)
+    _write_chunks(path, ",".join(CASES_HEADER),
+                  _node_rows(graph.node_ids, [f",{t}," for t in range(1, cases.weeks + 1)],
+                             cases.values))
 
 
 def write_transition(path, graph: RouteGraph, transition: TransitionMatrix) -> None:
@@ -320,12 +327,8 @@ def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTa
     # the ",slice,filter," middle of each of a node's rows, in row order
     middles = [f",{t},{m}," for t in range(1, weeks + 1)
                for m in range(1, table.filter_count + 1)]
-
-    def node_rows(i, nid):
-        cells = map(operator.add, middles, map(repr, grid[:, i].ravel().tolist()))
-        return f"{nid}" + f"\n{nid}".join(cells) + "\n"
     _write_chunks(path, ",".join(COEFFS_HEADER),
-                  (node_rows(i, nid) for i, nid in enumerate(graph.node_ids)))
+                  _node_rows(graph.node_ids, middles, grid.transpose(1, 0, 2)))
 
 
 def read_coefficients(path, graph: RouteGraph, weeks: int,

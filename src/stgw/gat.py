@@ -37,13 +37,16 @@ def leaky_relu(x):
     return out if out.ndim else float(out)
 
 
-def elu(x, out=None):
-    """x for x >= 0, exp(x) - 1 below; written into `out` (not `x`) when given."""
+def elu(x, out=None, scratch=None):
+    """x for x >= 0, exp(x) - 1 below; written into `out` when given, which may be
+    `x` itself if `scratch`, an array of x's shape, is given too."""
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x) if out is None else out
+    tmp = out if scratch is None else scratch
     # expm1(x) > x below zero; the operand order keeps -0.0
-    out = np.minimum(0.0, x, out=np.empty_like(x) if out is None else out)
-    np.expm1(out, out=out)
-    np.maximum(out, x, out=out)
+    np.minimum(0.0, x, out=tmp)
+    np.expm1(tmp, out=tmp)
+    np.maximum(tmp, x, out=out)
     return out if out.ndim else float(out)
 
 
@@ -349,19 +352,23 @@ class _LayerWork:
     """The arrays of one layer's forward and backward pass for one support, allocated once.
 
     `grad_buffer` (at least `extra` values) holds the gradient of the layer's
-    output, `dout`; once the backward pass has consumed that gradient, the same
-    memory holds its row gathers and then dZ.  With `fold`, Z's memory also
-    fits one W, the rank-1 part of dW, which is written there once Z is spent.
+    output, `dout`; the forward pass's ELU uses it as scratch before that, and
+    once the backward pass has consumed the gradient, the same memory holds its
+    row gathers and then dZ.  With `fold`, Z's memory also fits one W, the
+    rank-1 part of dW, which is written there once Z is spent.  Without
+    `keep_output`, `out` is `U`: the ELU is written over its input, and the
+    backward pass turns it into dU, so the output lasts only until then.
     """
 
     def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0,
-                 fold: bool = False):
+                 fold: bool = False, keep_output: bool = False):
         n, m, heads = support.n, len(support.rows), layer.head_count
         width = heads * layer.out_dim
         self.pattern = _HeadPattern.of_support(support, heads)
         self.z_buffer = np.empty(max(n * width, layer.weights.size if fold else 0))
         self.Z = self.z_buffer[:n * width].reshape(n, width)
-        self.U, self.out = np.empty((n, width)), np.empty((n, width))
+        self.U = np.empty((n, width))
+        self.out = np.empty((n, width)) if keep_output else self.U
         self.sr = np.empty((2, n, heads))  # logit halves s and r, later ds and dr
         self.dsr = np.empty((heads, 2, n))  # the same, head-major, for batched matmuls
         self.Q = np.empty((heads, 2, layer.in_dim))  # per head [ds dr]^T X
@@ -401,7 +408,7 @@ def _layer_forward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) 
     np.take(lw.alpha.reshape(-1), pattern.fwd_order, out=pattern.fwd.data, mode="clip")
     nh = len(X) * layer.head_count
     _spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
-    return elu(lw.U, out=lw.out)
+    return elu(lw.U, out=lw.out, scratch=lw.dout)
 
 
 def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
@@ -409,7 +416,8 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
     """Gradients of one layer, from the gradient of its output in `lw.dout`.
 
     Writes dW and da into `grad` and, if given, dX = dZ W into `dX`.  Uses up
-    the forward pass's Z and U and the output gradient; the output stays.
+    the forward pass's Z and U and the output gradient; the output stays only
+    if `lw` keeps it apart from U.
     dZ = A^T dU + ds (x) a_src + dr (x) a_dst per head.  Without dX the rank-1
     terms go into dW through the (H, 2, F) product [ds dr]^T X, which needs
     `lw` built with `fold`; with dX they are added to dZ itself.
@@ -460,15 +468,18 @@ class _Workspace:
     once and reused by each call: the two layers' arrays, the flat gradient with a
     model of views on it (`grad`), and the buffers of up to `pairs` scored pairs.
 
-    The pair buffers share layer 1's output-gradient buffer, which is free from
-    the start of a pass until layer 2's backward writes it.
+    Layer 1's ELU is written over its pre-activation, so its output lasts until
+    layer 1's backward; layer 2 keeps its output, which scores pairs after the
+    backward pass.  The pair buffers share layer 1's output-gradient buffer,
+    which is free from the end of layer 1's forward (whose ELU uses it as
+    scratch) until layer 2's backward writes it.
     """
 
     def __init__(self, model: GatModel, support: _Support, pairs: int = 0):
         self.width = model.layer2.out_dim
         self.layer1 = _LayerWork(model.layer1, support, extra=pairs * (3 * self.width + 4),
                                  fold=True)
-        self.layer2 = _LayerWork(model.layer2, support)
+        self.layer2 = _LayerWork(model.layer2, support, keep_output=True)
         self.grads = np.empty(sum(p.size for p in model.parameters()))
         self.grad = _views(model, self.grads)
 
@@ -670,10 +681,16 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
     return SampleSets(pairs=pairs, labels=labels, split=split)
 
 
+# values per block of an Adam step; much smaller blocks cost more in per-call overhead
+_ADAM_BLOCK = 1 << 14
+
+
 class _Adam:
     """Adaptive moment estimation with the standard decay constants, on one flat vector.
 
-    Updates in place, through two scratch vectors allocated with the moments.
+    Updates in place, `_ADAM_BLOCK` values at a time, through two scratch
+    vectors of one block allocated with the moments; each value goes through
+    the same operations as in an update of the whole vector at once.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -682,30 +699,33 @@ class _Adam:
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._step = np.empty(size)
-        self._scale = np.empty(size)
+        self._step, self._scale = np.empty((2, min(size, _ADAM_BLOCK)))
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        step, scale = self._step, self._scale
-        np.subtract(grads, self.m, out=step)
-        step *= 1.0 - self.BETA1
-        self.m += step
-        np.multiply(grads, grads, out=step)
-        step -= self.v
-        step *= 1.0 - self.BETA2
-        self.v += step
-        # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
-        np.divide(self.m, bc1, out=step)
-        step *= self.lr
-        np.divide(self.v, bc2, out=scale)
-        np.sqrt(scale, out=scale)
-        scale += self.EPS
-        step /= scale
-        params -= step
+        block = len(self._step)
+        for start in range(0, len(params), block):
+            part = slice(start, start + block)
+            p, g, m, v = params[part], grads[part], self.m[part], self.v[part]
+            step, scale = self._step[:len(p)], self._scale[:len(p)]
+            np.subtract(g, m, out=step)
+            step *= 1.0 - self.BETA1
+            m += step
+            np.multiply(g, g, out=step)
+            step -= v
+            step *= 1.0 - self.BETA2
+            v += step
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
+            np.divide(m, bc1, out=step)
+            step *= self.lr
+            np.divide(v, bc2, out=scale)
+            np.sqrt(scale, out=scale)
+            scale += self.EPS
+            step /= scale
+            p -= step
 
 
 def _flat_copy(model: GatModel) -> tuple[GatModel, np.ndarray]:
@@ -729,6 +749,7 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     train_pairs, val_pairs = np.asfortranarray(train_pairs), np.asfortranarray(val_pairs)
 
     work, params = _flat_copy(model)
+    del model  # the caller's reference, if any, alone keeps the initial parameters
     opt = _Adam(params.size, lr=cfg.lr)
     scatter = _pair_scatter(train_pairs, X.shape[0])
     ws = _Workspace(work, support, max(len(train_pairs), len(val_pairs)))

@@ -70,9 +70,11 @@ def train(inputs: Inputs,
     """Train the attention network; returns P, the trained model and the run facts."""
     graph, _, features = inputs
     samples = gat.make_samples(graph, seed=config.seed)
-    model = gat.GatModel.create(feature_dim=features.weeks, heads=config.heads,
-                                head_dim=config.hidden, out_dim=config.out, seed=config.seed)
-    trained, history = gat.train(model, graph, features, samples, config)
+    # created in the call, so that training is left the only reference to the initial model
+    trained, history = gat.train(
+        gat.GatModel.create(feature_dim=features.weeks, heads=config.heads,
+                            head_dim=config.hidden, out_dim=config.out, seed=config.seed),
+        graph, features, samples, config)
     return gat.extract_transition(trained, graph, features), trained, {
         "epochs_run": len(history["train_loss"]),
         "best_epoch": history["best_epoch"],

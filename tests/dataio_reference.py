@@ -1,12 +1,12 @@
 """Row-per-cell reference writers and readers for the chunked ones in `stgw.dataio`.
 
-The writers are the `csv.writer` + `fnum` forms of `write_coefficients`,
-`write_classes`, `write_transition` and `save_checkpoint`: one formatted cell
-at a time, the sort done on Python tuples over a dense N x N mask.  The
-readers are the `csv.reader` forms of every `read_*`: one row at a time, each
-cell through `int()` or `float()`.  They live here only so the tests can
-require the chunked writers to produce the same bytes and the chunked readers
-the same arrays.
+The writers are the `csv.writer` + `fnum` forms of `write_cases`,
+`write_coefficients`, `write_classes`, `write_transition` and
+`save_checkpoint`: one formatted cell at a time, the sort done on Python
+tuples over a dense N x N mask.  The readers are the `csv.reader` forms of
+every `read_*`: one row at a time, each cell through `int()` or `float()`.
+They live here only so the tests can require the chunked writers to produce
+the same bytes and the chunked readers the same arrays.
 """
 
 import csv
@@ -19,6 +19,13 @@ from stgw.dataio import (CASES_HEADER, CHECKPOINT_MAGIC, CLASSES_HEADER, COEFFS_
 from stgw.errors import ValidationError
 from stgw.graphs import CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix
 from stgw.sgwt import CoefficientTable
+
+
+def write_cases(path, graph, cases):
+    rows = ([nid, week + 1, fnum(cases.values[i, week])]
+            for i, nid in enumerate(graph.node_ids)
+            for week in range(cases.weeks))
+    write_csv(path, CASES_HEADER, rows)
 
 
 def write_transition(path, graph, transition):

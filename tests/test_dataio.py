@@ -169,6 +169,18 @@ def awkward(shape, rng):
 
 
 class TestChunkedWritersMatchReference:
+    def test_cases(self, tmp_path, rng):
+        g = shuffled_id_graph(rng)
+        weeks = 6
+        values = awkward((g.n, weeks), rng)
+        # counts are non-negative: AWKWARD's -0.0 stays, its negatives turn positive
+        cases = CaseMatrix(values=np.where(values < 0, -values, values), weeks=weeks)
+        assert {-0.0, 5e-324, 1e16, 2.0, 12345.0} <= set(cases.values.ravel().tolist())
+        assert np.signbit(cases.values).any()
+        dataio.write_cases(tmp_path / "new.csv", g, cases)
+        reference.write_cases(tmp_path / "ref.csv", g, cases)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_coefficients(self, tmp_path, rng):
         g = shuffled_id_graph(rng)
         weeks = 4

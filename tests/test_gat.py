@@ -600,6 +600,62 @@ class TestWorkspace:
         start, peak = marks[1][0], marks[2][1]
         assert peak - start < array_bytes / 4
 
+    def test_training_peak_memory(self):
+        # 3.64-3.66 MB above the start, measured with numpy 2.4 and scipy 1.17; the
+        # bound allows 4% more.  A second N x H*O array in layer 1 (307,200 bytes) and
+        # Adam scratch of the parameters' size (27,328 values) instead of 16,384 values
+        # took it to 4.13-4.14 MB.
+        n, f = 150, 40
+        g = random_graph(n, 0.03, np.random.default_rng(0))
+        X = np.random.default_rng(1).standard_normal((n, f))
+        samples = make_samples(g, seed=0)
+        model = GatModel.create(f, heads=4, head_dim=64, out_dim=64, seed=0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(model, g, X, samples, TrainConfig(max_epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3_800_000
+
+    def test_layer1_elu_over_its_input_matches_elu_bitwise(self, rng, monkeypatch):
+        g = graph_with_isolated_node(11, 0.3, rng)
+        X = rng.standard_normal((12, 5))
+        model = GatModel.create(5, heads=3, head_dim=4, out_dim=3, seed=1)
+        support = _Support.of_graph(g)
+        lw = _Workspace(model, support, 20).layer1
+        assert lw.out is lw.U
+        # values the aggregation itself never yields (it cannot give -0.0), planted
+        # in U by the product that writes it
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [-0.0, 0.0, -tiny, tiny, -1e-300, -745.0, -800.0, 1e300, np.finfo(float).max]
+        tail = rng.standard_normal(lw.U.size - len(edges)) * 10.0 ** rng.integers(-3, 3,
+                                                                                  lw.U.size - len(edges))
+        U = np.concatenate([edges, tail]).reshape(lw.U.shape)
+        spmm = gat._spmm
+
+        def planted(A, B, out):
+            spmm(A, B, out)
+            if np.shares_memory(out, lw.U):
+                out[...] = U.reshape(out.shape)
+            return out
+
+        monkeypatch.setattr(gat, "_spmm", planted)
+        lw.grad_buffer.fill(np.nan)  # the ELU's scratch starts dirty
+        out = _layer_forward(model.layer1, X, support, lw)
+        monkeypatch.undo()
+        intact = elu(U)
+        assert out.tobytes() == intact.tobytes()
+        assert math.copysign(1.0, out[0, 0]) == -1.0
+        # with an output gradient of ones, the dU the backward leaves in U is the slope
+        lw.dout.fill(1.0)
+        grad = GatLayerParams(np.empty_like(model.layer1.weights),
+                              np.empty_like(model.layer1.attn))
+        with np.errstate(all="ignore"):
+            _layer_backward(model.layer1, X, support, lw, grad)
+        assert lw.U.tobytes() == _elu_slope(intact, np.empty_like(intact)).tobytes()
+
 
 class TestBackwardKernels:
     """The edge dots and the rank-1 fold of the layer backward against plain forms."""
