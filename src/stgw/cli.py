@@ -61,13 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="directory for nodes/edges/cases.csv")
-    p.add_argument("--nodes", type=int, default=60)
-    p.add_argument("--weeks", type=int, default=41)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mode", choices=["geometric", "density"], default="geometric")
-    p.add_argument("--knn", type=int, default=5)
-    p.add_argument("--density", type=float, default=0.08)
+    spec = SyntheticSpec()
+    p.add_argument("--nodes", type=int, default=spec.nodes)
+    p.add_argument("--weeks", type=int, default=spec.weeks)
+    p.add_argument("--rho", type=float, default=spec.rho)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--mode", choices=["geometric", "density"], default=spec.mode)
+    p.add_argument("--knn", type=int, default=spec.knn)
+    p.add_argument("--density", type=float, default=spec.density)
     p.add_argument("--anomaly", action="append", default=[],
                    metavar="NODE:LO:HI:MULT", help="inject an anomaly (repeatable)")
 

@@ -347,11 +347,9 @@ def read_coefficients(path, graph: RouteGraph, weeks: int,
     return CoefficientTable(values=grid.complete()["values"])
 
 
-def write_classes(path, graph: RouteGraph, weeks: int, phi_grid, labels_grid,
-                  theta_grid, score_grid) -> None:
+def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, scores) -> None:
     grids = [np.asarray(g, dtype=d)[:, :weeks]
-             for g, d in ((phi_grid, float), (labels_grid, int),
-                          (theta_grid, float), (score_grid, int))]
+             for g, d in ((phi, float), (labels, int), (theta, float), (scores, int))]
     _write_chunks(path, ",".join(CLASSES_HEADER), (
         "".join(f"{nid},{t},{phi!r},V{label},{theta!r},{score}\n"
                 for t, (phi, label, theta, score)

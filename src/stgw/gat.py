@@ -141,18 +141,14 @@ class GatModel:
             a = np.sqrt(6.0 / (fan_in + fan_out))
             return rng.uniform(-a, a, size=shape)
 
-        layer1 = GatLayerParams(
-            weights=[glorot((head_dim, feature_dim), feature_dim, head_dim)
-                     for _ in range(heads)],
-            attn=[glorot((2 * head_dim,), 2 * head_dim, 1) for _ in range(heads)],
-        )
+        # each group drawn in its stacked shape: the values run head after head
         cascade = heads * head_dim
-        layer2 = GatLayerParams(
-            weights=[glorot((out_dim, cascade), cascade, out_dim)],
-            attn=[glorot((2 * out_dim,), 2 * out_dim, 1)],
-        )
-        theta = glorot((out_dim,), out_dim, 1)
-        return cls(layer1=layer1, layer2=layer2, theta=theta)
+        return cls.from_stacked((
+            glorot((heads, head_dim, feature_dim), feature_dim, head_dim),
+            glorot((heads, 2 * head_dim), 2 * head_dim, 1),
+            glorot((1, out_dim, cascade), cascade, out_dim),
+            glorot((1, 2 * out_dim), 2 * out_dim, 1),
+            glorot((out_dim,), out_dim, 1)))
 
     def stacked(self) -> tuple[np.ndarray, ...]:
         """The parameter arrays, each layer's heads stacked, in parameters() order."""
@@ -662,22 +658,19 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
 
     n_pos, n_neg = len(positives), len(negatives)
     n_test = min(round(0.2 * n_pos), n_neg)
-    n_val_pos = round(0.2 * n_pos)
-    n_val_neg = min(round(0.2 * n_neg), n_neg - n_test)
 
-    split_pos = np.full(n_pos, TRAIN, dtype=np.int8)
-    perm = rng.permutation(n_pos)
-    split_pos[perm[:n_test]] = TEST
-    split_pos[perm[n_test:n_test + n_val_pos]] = VALIDATION
-
-    split_neg = np.full(n_neg, TRAIN, dtype=np.int8)
-    perm = rng.permutation(n_neg)
-    split_neg[perm[:n_test]] = TEST
-    split_neg[perm[n_test:n_test + n_val_neg]] = VALIDATION
+    def assign(count):
+        """A random n_test of `count` pairs to test, then a fifth, or what is left, to
+        validation, and the rest to training."""
+        split = np.full(count, TRAIN, dtype=np.int8)
+        perm = rng.permutation(count)
+        split[perm[:n_test]] = TEST
+        split[perm[n_test:n_test + min(round(0.2 * count), count - n_test)]] = VALIDATION
+        return split
 
     pairs = np.array(positives + negatives, dtype=int)
     labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
-    split = np.concatenate([split_pos, split_neg])
+    split = np.concatenate([assign(n_pos), assign(n_neg)])  # positives draw first
     return SampleSets(pairs=pairs, labels=labels, split=split)
 
 

@@ -2,11 +2,14 @@
 
 `train`, `transform`, `classify`, `rank` and `render` take the `Inputs`, their
 upstream results and their config section, and return their result and its
-manifest facts without touching a file.  Each `stage_*` edge reads the inputs,
-takes the upstream result as an argument or else reads its CSV, and writes its
-files and manifest section, atomically.  A staged command thus replays any
-stage with the same output bytes as a full run, which parses nothing back; a
-failed run clears the pipeline's output files, so no stale mix remains.
+manifest facts without touching a file.  The facts are plain values; the
+manifest edge formats them, a float as its shortest round-trip repr.  Each
+`stage_*` edge reads the inputs, takes the upstream result as an argument or
+else reads its CSV, and writes its files and its manifest section (the
+section's resolved config plus the facts), atomically.  A staged command thus
+replays any stage with the same output bytes as a full run, which parses
+nothing back; a failed run clears the pipeline's output files, so no stale mix
+remains.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None,
         cl.check_window(week, week, t)
 
 
-def _manifest(cfg: RunConfig, section: str, values: dict) -> str:
+def _manifest(cfg: RunConfig, section: str, facts: dict) -> str:
+    """Write a stage's facts over the section's resolved config, if it has one."""
     path = _out(cfg, MANIFEST_NAME)
-    dataio.update_manifest(path, section, values)
+    dataio.update_manifest(path, section, {**cfg.resolved().get(section, {}), **facts})
     return path
 
 
@@ -78,8 +82,8 @@ def train(inputs: Inputs,
     return gat.extract_transition(trained, graph, features), trained, {
         "epochs_run": len(history["train_loss"]),
         "best_epoch": history["best_epoch"],
-        "best_val_loss": dataio.fnum(history["val_loss"][history["best_epoch"]]),
-        "test_accuracy": dataio.fnum(gat.edge_accuracy(trained, graph, features, samples)),
+        "best_val_loss": float(history["val_loss"][history["best_epoch"]]),
+        "test_accuracy": float(gat.edge_accuracy(trained, graph, features, samples)),
     }
 
 
@@ -94,11 +98,11 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
     expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order,
                                        quad_points=config.quad_points)
     return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
-        "lambda_max": dataio.fnum(lap.lambda_max_estimate),
+        "lambda_max": float(lap.lambda_max_estimate),
         "lambda_method": lap.lambda_method,
         "lambda_matvecs": lap.lambda_matvecs,
-        "lambda_residual": dataio.fnum(lap.lambda_residual),
-        "scales": " ".join(dataio.fnum(s) for s in dictionary.scales),
+        "lambda_residual": float(lap.lambda_residual),
+        "scales": " ".join(map(repr, dictionary.scales.tolist())),
         "weeks": raw.weeks,
         "vertices": product.node_count,
         "arcs": product.arc_count,
@@ -108,7 +112,7 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
 def classify(inputs: Inputs, table: sgwt.CoefficientTable,
              config: ClassifySection) -> tuple[dict, tuple, dict]:
     """Coefficients -> torque classes, anomaly metric, a-scores, slice classes; returns
-    the (N, T) grids keyed as dataio.read_classes, (sigma, slice_classes) and facts."""
+    the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
     graph, raw, features = inputs
     n, t = graph.n, raw.weeks
     field = cl.classify_nodes(cl.torque(cl.log_normalize(cl.robust_scale(table))))
@@ -118,14 +122,13 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
     scores = cl.a_score(labels, theta, config.theta_hi, config.theta_lo)
     classes = {"phi": cl.label_grid(field.phi, n, t), "labels": labels, "theta": theta,
                "scores": scores}
-    return classes, slices, {"phi_min": dataio.fnum(field.phi_min),
-                             "phi_max": dataio.fnum(field.phi_max)}
+    return classes, slices, {"phi_min": float(field.phi_min), "phi_max": float(field.phi_max)}
 
 
 def rank(inputs: Inputs, scores: np.ndarray, transition: TransitionMatrix,
          weeks: tuple[int, int] | None = None) -> tuple[dict, dict]:
-    """Average a-scores over the window plus influential scores; returns the rankings,
-    keyed as dataio.read_rankings, and the window."""
+    """Average a-scores over the window plus influential scores; returns the rankings
+    a_bar, influential, least and most, and the window."""
     a_bar = cl.average_a_score(scores, weeks)
     least, most = cl.rank_nodes(a_bar)
     rankings = dict(a_bar=a_bar, influential=gat.influential_scores(transition),
@@ -163,7 +166,7 @@ def stage_train(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     transition_path, ckpt_path = _out(cfg, "transition.csv"), _out(cfg, "gat_model.ckpt")
     dataio.write_transition(transition_path, inputs.graph, transition)
     dataio.save_checkpoint(ckpt_path, trained)
-    manifest = _manifest(cfg, "gat", {**cfg.resolved()["gat"], **facts})
+    manifest = _manifest(cfg, "gat", facts)
     return [transition_path, ckpt_path, manifest], transition
 
 
@@ -189,7 +192,7 @@ def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
     table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
     dataio.write_coefficients(coeff_path, graph, raw.weeks, table)
-    manifest = _manifest(cfg, "sgwt", {**cfg.resolved()["sgwt"], **facts})
+    manifest = _manifest(cfg, "sgwt", facts)
     _manifest(cfg, "inputs", {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
                               for name in ("nodes", "edges", "cases")})
     return [coeff_path, manifest], table
@@ -204,10 +207,9 @@ def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
                                               raw.weeks, cfg.sgwt.filters)
     classes, slices, facts = classify(inputs, table, cfg.classify)
     classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
-    dataio.write_classes(classes_path, graph, raw.weeks, classes["phi"], classes["labels"],
-                         classes["theta"], classes["scores"])
+    dataio.write_classes(classes_path, graph, raw.weeks, **classes)
     dataio.write_slices(slices_path, *slices)
-    manifest = _manifest(cfg, "classify", {**cfg.resolved()["classify"], **facts})
+    manifest = _manifest(cfg, "classify", facts)
     return [classes_path, slices_path, manifest], (classes, slices)
 
 

@@ -265,6 +265,7 @@ class TestPureStages:
         learned, _, facts = train(inputs, cfg.gat)
         assert learned.P.shape == (graph.n, graph.n)
         assert set(facts) == {"epochs_run", "best_epoch", "best_val_loss", "test_accuracy"}
+        floats = [facts["best_val_loss"], facts["test_accuracy"]]
         # a substituted P: uniform over each closed neighborhood
         support = graph.closed_neighborhoods().astype(float)
         uniform = TransitionMatrix(P=support.multiply(1.0 / support.sum(axis=1)))
@@ -272,7 +273,11 @@ class TestPureStages:
         assert table.values.shape == (graph.n * raw.weeks, cfg.sgwt.filters)
         assert facts["arcs"] == raw.weeks * 2 * len(graph.edges) + (raw.weeks - 1) * (
             graph.n + 2 * len(graph.edges))
-        classes, slices, _ = classify(inputs, table, cfg.classify)
+        floats += [facts["lambda_max"], facts["lambda_residual"]]
+        classes, slices, facts = classify(inputs, table, cfg.classify)
+        floats += [facts["phi_min"], facts["phi_max"]]
+        # plain numbers: the manifest edge formats them
+        assert all(isinstance(value, float) for value in floats)
         assert classes["scores"].shape == (graph.n, raw.weeks)
         rankings, facts = rank(inputs, classes["scores"], uniform, (2, 4))
         assert sorted(rankings["least"]) == list(range(1, graph.n + 1))
