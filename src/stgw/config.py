@@ -25,6 +25,9 @@ class SgwtSection:
                                      "quad_points"))
         if self.scale_lo >= self.scale_hi:
             raise ValidationError("[sgwt] scale_lo must be below scale_hi")
+        if self.filters != classify.TORQUE_WEIGHTS.size:  # the torque weighs 8 bands
+            raise ValidationError(f"[sgwt] filters must be {classify.TORQUE_WEIGHTS.size}, "
+                                  f"got {self.filters}")
 
 
 @dataclass
@@ -36,6 +39,8 @@ class ClassifySection:
         check_section("classify", self)
         if self.theta_hi <= 0 or self.theta_lo <= 0:
             raise ValidationError("[classify] thresholds must be positive")
+        if self.theta_lo >= self.theta_hi:
+            raise ValidationError("[classify] theta_lo must be below theta_hi")
 
 
 @dataclass

@@ -94,6 +94,9 @@ class TestConfig:
         ("[gat]\nmax_epochs = 2.7\n", "bad value for max_epochs in [gat]: '2.7'"),
         ('{"gat": {"lr": true}}', "[gat] lr must be a number, got True"),
         ('{"gat": 5}', "[gat] must hold keys, got 5"),
+        ("[classify]\ntheta_hi = 0.5\ntheta_lo = 2.0\n",
+         "[classify] theta_lo must be below theta_hi"),
+        ("[sgwt]\nfilters = 3\n", "[sgwt] filters must be 8, got 3"),
     ])
     def test_non_finite_or_non_integral_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.cfg"
