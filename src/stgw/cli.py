@@ -14,7 +14,7 @@ from .synth import AnomalyInjection, SyntheticSpec, write_dataset
 
 
 def _parse_weeks(text: str | None) -> tuple[int, int] | None:
-    if not text:
+    if text is None:
         return None
     try:
         lo, hi = text.split("..")

@@ -36,9 +36,7 @@ class ClassifySection:
     theta_lo: float = classify.THETA_LO
 
     def __post_init__(self):
-        check_section("classify", self)
-        if self.theta_hi <= 0 or self.theta_lo <= 0:
-            raise ValidationError("[classify] thresholds must be positive")
+        check_section("classify", self, ("theta_hi", "theta_lo"))
         if self.theta_lo >= self.theta_hi:
             raise ValidationError("[classify] theta_lo must be below theta_hi")
 

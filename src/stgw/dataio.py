@@ -460,9 +460,18 @@ def load_checkpoint(path) -> GatModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: missing {CHECKPOINT_MAGIC} magic header")
-    tensors = dict(_read_tensor(path, lines, k) for k in range(1, len(lines), 2))
+    tensors, header_line = {}, {}
+    for k in range(1, len(lines), 2):
+        name, values = _read_tensor(path, lines, k)
+        if name in tensors:
+            raise ValidationError(f"{path}: line {k + 1}: repeated tensor {name}")
+        tensors[name], header_line[name] = values, k + 1
     heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
     names = GatModel.parameter_names(heads)
+    unknown = [name for name in tensors if name not in names]
+    if unknown:
+        raise ValidationError(f"{path}: line {header_line[unknown[0]]}: "
+                              f"unknown tensor {unknown[0]}")
     missing = [name for name in names if name not in tensors]
     if missing or heads == 0:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")

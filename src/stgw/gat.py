@@ -273,9 +273,10 @@ class _HeadPattern:
     """The support once per head, for H heads side by side in (N, H*O) arrays.
 
     Row i*H + h of the (N*H, O) reshape, which costs no copy, is node i of head
-    h.  `fwd` and `bwd` are the CSR patterns of A and A^T over those rows, built
-    once; a layer gathers its (2E+N, H) attention weights, flattened, into their
-    `.data` through `fwd_order` and `bwd_order` before each product.
+    h, and every head attends over the same support, so `fwd` is the CSR
+    pattern of support (x) I_H over those rows and `bwd` is its transpose, both
+    built once; a layer gathers its (2E+N, H) attention weights, flattened,
+    into their `.data` through `fwd_order` and `bwd_order` before each product.
     """
 
     fwd: sp.csr_matrix
@@ -285,19 +286,14 @@ class _HeadPattern:
 
     @classmethod
     def of_support(cls, support: _Support, heads: int) -> "_HeadPattern":
-        n, m = support.n, len(support.rows)
-        k = np.repeat(np.arange(m), heads)  # entry and head of the flattened (2E+N, H)
-        h = np.tile(np.arange(heads), m)
-
-        def pattern(ends, others, starts):
-            order = np.lexsort((k, h, ends[k]))
-            indptr = np.append(0, np.cumsum(np.repeat(np.diff(starts, append=m), heads)))
-            matrix = sp.csr_matrix((np.zeros(m * heads), others[k[order]] * heads + h[order],
-                                    indptr), shape=(n * heads, n * heads))
-            return matrix, order
-
-        fwd, fwd_order = pattern(support.rows, support.cols, support.starts)
-        bwd, bwd_order = pattern(support.cols, support.rows, support.col_starts)
+        n = support.n
+        ids = sp.csr_matrix((np.arange(1, len(support.rows) + 1), support.cols, support.indptr),
+                            shape=(n, n))  # entry k's id k + 1, so that none is zero
+        fwd = sp.kron(ids, sp.identity(heads, dtype=np.int64), format="csr")
+        fwd.data = (fwd.data - 1) * heads + fwd.tocoo().row % heads  # place in the flat (2E+N, H)
+        bwd = fwd.T.tocsr()
+        fwd_order, bwd_order = fwd.data, bwd.data
+        fwd.data, bwd.data = np.zeros(fwd.nnz), np.zeros(bwd.nnz)
         return cls(fwd=fwd, bwd=bwd, fwd_order=fwd_order, bwd_order=bwd_order)
 
 

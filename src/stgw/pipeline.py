@@ -227,6 +227,17 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     return [rankings_path, _manifest(cfg, "rank", facts)], rankings
 
 
+def _read_slices(path: str, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """`read_slices(path)`, which checks that the rows run from week 1 in order; they
+    must end at week t."""
+    sigma, classes = dataio.read_slices(path)
+    if len(sigma) < t:
+        raise ValidationError(f"{path}: missing week {len(sigma) + 1} of 1..{t}")
+    if len(sigma) > t:
+        raise ValidationError(f"{path}: line {t + 2}: week {t + 1} outside 1..{t}")
+    return sigma, classes
+
+
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  classes: dict | None = None, slices: tuple | None = None,
                  rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
@@ -234,7 +245,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
     inputs = graph, raw, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
     classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
-    slices = slices or dataio.read_slices(_out(cfg, "slices.csv"))
+    slices = slices or _read_slices(_out(cfg, "slices.csv"), raw.weeks)
     rankings = rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
     svgs, facts = render(inputs, classes, slices, rankings, mask, week)
     written = [_out(cfg, name) for name in svgs]
@@ -270,7 +281,6 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     the first stage, and one that this series cannot hold before training.
     """
     _check_weeks(weeks, week)
-    dataio.ensure_dir(cfg.io.out)
     written: list[str] = []
 
     def run(name, stage, *args):

@@ -196,10 +196,6 @@ class ChebyshevExpansion:
                                   "matrix of order >= 1")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def filter_count(self) -> int:
-        return self.coefficients.shape[0]
-
 
 def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_ORDER,
                       quad_points: int = DEFAULT_QUAD_POINTS) -> ChebyshevExpansion:

@@ -536,7 +536,7 @@ class TestSpmm:
             with pytest.raises(ValueError):
                 _spmm(A, B, out)
 
-    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 3, 7])
     def test_per_head_pattern(self, rng, heads):
         support = _Support.of_graph(graph_with_isolated_node(9, 0.3, rng))
         rows = support.n * heads

@@ -97,12 +97,22 @@ class TestConfig:
         ("[classify]\ntheta_hi = 0.5\ntheta_lo = 2.0\n",
          "[classify] theta_lo must be below theta_hi"),
         ("[sgwt]\nfilters = 3\n", "[sgwt] filters must be 8, got 3"),
+        ("[sgwt]\nscale_lo = 2.0\nscale_hi = 1.0\n", "[sgwt] scale_lo must be below scale_hi"),
+        ("[classify]\ntheta_hi = -1.0\n", "[classify] theta_hi must be positive, got -1.0"),
+        ("[bogus]\nheads = 3\n", "unknown config section [bogus]"),
+        ('{"gat": {"heads": 3}', "invalid JSON config: Expecting"),
+        ("heads = 3\n", "invalid config: File contains no section headers."),
     ])
     def test_non_finite_or_non_integral_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert main(["build-graph", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_missing_config_file_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "nope.cfg"
+        assert main(["build-graph", "--config", str(path)]) == 4
+        assert capsys.readouterr().err == f"error: config file not found: {path}\n"
 
     def test_library_and_file_share_one_check(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -443,6 +453,12 @@ class TestCli:
         ("rank", ["--weeks", "3..2"], "week window 3..2 outside 1..T"),
         ("rank", ["--weeks=-1..2"], "week window -1..2 outside 1..T"),
         ("report", ["--week", "0"], "week 0 outside 1..T"),
+        ("rank", ["--weeks="], "bad --weeks value ''; expected a..b"),
+        ("run", ["--weeks="], "bad --weeks value ''; expected a..b"),
+        ("rank", ["--weeks", "x"], "bad --weeks value 'x'; expected a..b"),
+        ("run", ["--weeks", "x"], "bad --weeks value 'x'; expected a..b"),
+        ("rank", ["--weeks", "1..2..3"], "bad --weeks value '1..2..3'; expected a..b"),
+        ("run", ["--weeks", "1..2..3"], "bad --weeks value '1..2..3'; expected a..b"),
     ])
     def test_bad_week_flags_rejected_before_any_stage(self, finished_run, tmp_path, capsys,
                                                      monkeypatch, command, flags, message):
@@ -480,7 +496,14 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)] + flags) == 2
         assert capsys.readouterr().err == \
             f"error: stage train: {message.format(cases=cases)}\n"
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
+
+    def test_run_with_missing_input_leaves_no_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[io]\nnodes = {tmp_path}/nope.csv\nout = {tmp_path}/out\n")
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        assert "stage train:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_report_week_out_of_range_exit_2(self, tmp_path):
         out = tmp_path / "data"
@@ -589,3 +612,15 @@ class TestSliceLabels:
         assert main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "slices.csv: line 3" in err and "slice_class" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:3], "missing week 3 of 1..4"),
+        (lambda lines: lines + ["5," + lines[-1].split(",", 1)[1]], "line 6: week 5 outside 1..4"),
+    ], ids=["truncated", "extended"])
+    def test_slices_not_covering_the_series_exit_2(self, finished_run, tmp_path, capsys,
+                                                   edit, message):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        slices = tmp_path / "out" / "slices.csv"
+        slices.write_text("\n".join(edit(slices.read_text().splitlines())) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {slices}: {message}\n"
