@@ -25,6 +25,9 @@ class SgwtSection:
                                      "quad_points"))
         if self.scale_lo >= self.scale_hi:
             raise ValidationError("[sgwt] scale_lo must be below scale_hi")
+        if self.quad_points <= self.cheb_order:  # a higher bin only aliases a lower one
+            raise ValidationError(f"[sgwt] quad_points must exceed cheb_order "
+                                  f"{self.cheb_order}, got {self.quad_points}")
         if self.filters != classify.TORQUE_WEIGHTS.size:  # the torque weighs 8 bands
             raise ValidationError(f"[sgwt] filters must be {classify.TORQUE_WEIGHTS.size}, "
                                   f"got {self.filters}")
@@ -59,6 +62,12 @@ class RunConfig:
     sgwt: SgwtSection = field(default_factory=SgwtSection)
     classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)
+
+    def check(self) -> None:
+        """Re-run every section's checks, which a value assigned after the section was
+        built has skipped."""
+        for name in _SECTIONS:
+            replace(getattr(self, name))
 
     def resolved(self) -> dict[str, dict]:
         """Every tunable with its resolved value, by section (manifest fodder)."""

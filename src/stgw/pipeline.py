@@ -59,8 +59,10 @@ def _manifest(cfg: RunConfig, section: str, facts: dict) -> str:
 
 def load_inputs(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                 week: int | None = None) -> Inputs:
-    """Ingest and validate the three input files; the series must span T >= 2 weeks,
-    and hold the ranking window `weeks` and report week `week` when given."""
+    """Check the config sections again, then ingest and validate the three input files;
+    the series must span T >= 2 weeks, and hold the ranking window `weeks` and report
+    week `week` when given."""
+    cfg.check()
     _check_weeks(weeks, week)
     graph, raw = dataio.ingest(cfg.io.nodes, cfg.io.edges, cfg.io.cases)
     if raw.weeks < 2:
@@ -98,6 +100,7 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
     expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order,
                                        quad_points=config.quad_points)
     return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
+        "cheb_error_bounds": " ".join(map(repr, expansion.error_bounds.tolist())),
         "lambda_max": float(lap.lambda_max_estimate),
         "lambda_method": lap.lambda_method,
         "lambda_matvecs": lap.lambda_matvecs,

@@ -4,9 +4,9 @@ The dictionary pairs one low-pass scaling filter with M-1 stretched copies of
 a piecewise band-pass kernel, log-spaced so the filters tile the spectrum.
 The exact transform diagonalizes the Laplacian (guarded to small graphs); the
 fast path expands the whole bank in shifted Chebyshev polynomials, one
-(filters, order+1) coefficient matrix from one quadrature pass, so filtering
-costs one sparse matrix-vector product per polynomial order, shared by all
-filters.
+(filters, order+1) coefficient matrix from one quadrature pass (one real FFT per
+filter), so filtering costs one sparse matrix-vector product per polynomial
+order, shared by all filters.
 """
 
 from __future__ import annotations
@@ -164,30 +164,56 @@ def exact_sgwt(L: SymmetricLaplacian, X: np.ndarray,
     return CoefficientTable(values=eigvecs @ (responses * xhat[:, None]))
 
 
+def _chebyshev_series(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
+                      order: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_0..c_order of each kernel column, and each column's tail sum
+    sum_{k=order+1}^{quad_points-1} |c_k|, from one real FFT per column."""
+    if order < 1:
+        raise ValidationError("Chebyshev order must be at least 1")
+    if quad_points <= order:
+        raise ValidationError(f"Chebyshev order {order} needs more than {order} "
+                              f"quadrature points, got {quad_points}")
+    if lambda_max <= 0:
+        raise ValidationError("Chebyshev domain needs lambda_max > 0")
+    theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
+    samples = kernel((lambda_max / 2.0) * (np.cos(theta) + 1.0))
+    columns = samples.reshape(quad_points, -1)
+    # the sum over the nodes is a DCT-II: the FFT of the mirrored samples, bin k turned
+    # by exp(-i*pi*k / 2Q); bin Q of the mirror is zero
+    twiddle = np.exp((-0.5j * np.pi / quad_points) * np.arange(quad_points)) / quad_points
+    coeffs = np.empty((order + 1, columns.shape[1]))
+    tails = np.empty(columns.shape[1])
+    for m, f in enumerate(columns.T):
+        c = (np.fft.rfft(np.concatenate((f, f[::-1])))[:quad_points] * twiddle).real
+        coeffs[:, m] = c[:order + 1]
+        tails[m] = np.abs(c[order + 1:]).sum()
+    return coeffs.reshape((order + 1,) + samples.shape[1:]), tails
+
+
 def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
                 order: int, quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
     """Chebyshev coefficients c_k of `kernel` on [0, lambda_max], k = 0..order.
 
     c_k = (2/pi) * int_0^pi cos(k*theta) * kernel((lambda_max/2)(cos theta + 1)) dtheta,
-    evaluated by the equal-weight quadrature at `quad_points` Chebyshev nodes.  A
-    kernel returning one column per filter gets one column of coefficients each.
+    evaluated by the equal-weight quadrature at `quad_points` Chebyshev nodes, which
+    must outnumber the coefficients (a higher bin only aliases a lower one).  A kernel
+    returning one column per filter gets one column of coefficients each.
     """
-    if order < 1:
-        raise ValidationError("Chebyshev order must be at least 1")
-    if lambda_max <= 0:
-        raise ValidationError("Chebyshev domain needs lambda_max > 0")
-    theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
-    samples = kernel((lambda_max / 2.0) * (np.cos(theta) + 1.0))
-    basis = np.outer(np.arange(order + 1), theta)
-    return (2.0 / quad_points) * (np.cos(basis, out=basis) @ samples)
+    return _chebyshev_series(kernel, lambda_max, order, quad_points)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevExpansion:
-    """Chebyshev coefficients on [0, lambda_max]: row m-1 is c_0..c_K of filter m."""
+    """Chebyshev coefficients on [0, lambda_max]: row m-1 is c_0..c_K of filter m.
+
+    `error_bounds[m-1]`, when given, is filter m's tail sum_{k>K} |c_k| over every
+    coefficient the quadrature yields.  Since |T_k| <= 1 it bounds the truncation
+    error on [0, lambda_max], up to the quadrature's aliasing.
+    """
 
     lambda_max: float
     coefficients: np.ndarray
+    error_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -195,13 +221,20 @@ class ChebyshevExpansion:
             raise ValidationError("Chebyshev coefficients must be a (filters, order+1) "
                                   "matrix of order >= 1")
         object.__setattr__(self, "coefficients", coeffs)
+        if self.error_bounds is not None:
+            bounds = np.asarray(self.error_bounds, dtype=float)
+            if bounds.shape != coeffs.shape[:1]:
+                raise ValidationError("Chebyshev error bounds need one value per filter")
+            object.__setattr__(self, "error_bounds", bounds)
 
 
 def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_ORDER,
                       quad_points: int = DEFAULT_QUAD_POINTS) -> ChebyshevExpansion:
-    """Expand every dictionary filter in one quadrature pass over a shared cosine basis."""
-    coeffs = cheb_coeffs(dictionary.evaluate_all, dictionary.lambda_max, order, quad_points)
-    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs.T)
+    """Expand every dictionary filter from one quadrature pass, with its error bound."""
+    coeffs, tails = _chebyshev_series(dictionary.evaluate_all, dictionary.lambda_max,
+                                      order, quad_points)
+    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs.T,
+                              error_bounds=tails)
 
 
 class OpCounter:

@@ -1,12 +1,24 @@
-"""Per-filter reference for the whole-bank Chebyshev filtering in `stgw.sgwt`.
+"""References for the Chebyshev coefficients and filtering in `stgw.sgwt`.
 
-`cheb_apply_per_filter` runs the same three-term recursion as `cheb_apply`, but
-updates each filter on its own and skips a filter whose coefficient list is
-shorter than the current order.  It lives here only so the tests can require
-`cheb_apply` to give the same bytes for the same coefficients.
+`cheb_coeffs_cosine` sums the quadrature directly, over a dense (order+1) x
+quad_points cosine basis, so the tests can hold the FFT in `cheb_coeffs` to
+it.  `cheb_apply_per_filter` runs the same three-term recursion as
+`cheb_apply`, but updates each filter on its own and skips a filter whose
+coefficient list is shorter than the current order.  It lives here only so the
+tests can require `cheb_apply` to give the same bytes for the same
+coefficients.
 """
 
 import numpy as np
+
+
+def cheb_coeffs_cosine(kernel, lambda_max, order, quad_points) -> np.ndarray:
+    """c_k = (2/Q) sum_j cos(k theta_j) kernel((lambda_max/2)(cos theta_j + 1)),
+    theta_j = pi (j + 1/2) / Q, k = 0..order; one column per kernel column."""
+    theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
+    samples = kernel((lambda_max / 2.0) * (np.cos(theta) + 1.0))
+    basis = np.outer(np.arange(order + 1), theta)
+    return (2.0 / quad_points) * (np.cos(basis, out=basis) @ samples)
 
 
 def cheb_apply_per_filter(matrix, X, lambda_max, coeffs) -> np.ndarray:

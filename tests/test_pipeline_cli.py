@@ -5,10 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from stgw import classify as cl
 from stgw import dataio, gat
 from stgw.cli import main
 from stgw.config import RunConfig, load_config
-from stgw.errors import ValidationError
+from stgw.errors import NumericError, ValidationError
 from stgw.gat import TrainConfig
 from stgw.graphs import TransitionMatrix, normalize_cases
 from stgw.pipeline import (Inputs, classify, rank, render, run_pipeline, stage_classify,
@@ -36,6 +37,10 @@ def small_cfg(tmp_path, out="out"):
     cfg.gat.max_epochs = 150
     cfg.gat.seed = 8
     return cfg
+
+
+def fail_torque(*args, **kwargs):
+    raise NumericError("planted torque failure")  # makes the classify stage fail
 
 
 def read_out(tmp_path, out="out"):
@@ -98,6 +103,8 @@ class TestConfig:
          "[classify] theta_lo must be below theta_hi"),
         ("[sgwt]\nfilters = 3\n", "[sgwt] filters must be 8, got 3"),
         ("[sgwt]\nscale_lo = 2.0\nscale_hi = 1.0\n", "[sgwt] scale_lo must be below scale_hi"),
+        ("[sgwt]\ncheb_order = 40\nquad_points = 8\n",
+         "[sgwt] quad_points must exceed cheb_order 40, got 8"),
         ("[classify]\ntheta_hi = -1.0\n", "[classify] theta_hi must be positive, got -1.0"),
         ("[bogus]\nheads = 3\n", "unknown config section [bogus]"),
         ('{"gat": {"heads": 3}', "invalid JSON config: Expecting"),
@@ -200,29 +207,29 @@ class TestPipeline:
                     "week_lo", "week_hi"):
             assert key in text
 
-    def test_failure_cleans_partial_outputs(self, tmp_path):
+    def test_failure_cleans_partial_outputs(self, tmp_path, monkeypatch):
         write_small_dataset(tmp_path)
         cfg = small_cfg(tmp_path)
-        cfg.sgwt.filters = 3  # torque requires exactly 8 filters -> classify fails
+        monkeypatch.setattr(cl, "torque", fail_torque)
         with pytest.raises(Exception, match="stage classify"):
             run_pipeline(cfg)
         leftovers = set(os.listdir(cfg.io.out))
         assert "transition.csv" not in leftovers
         assert "coefficients.csv" not in leftovers
 
-    def test_failure_clears_stale_outputs_from_prior_run(self, tmp_path):
+    def test_failure_clears_stale_outputs_from_prior_run(self, tmp_path, monkeypatch):
         write_small_dataset(tmp_path)
         good = small_cfg(tmp_path)
         run_pipeline(good)
         assert "rankings.csv" in os.listdir(good.io.out)
         bad = small_cfg(tmp_path)
-        bad.sgwt.filters = 3
+        monkeypatch.setattr(cl, "torque", fail_torque)
         with pytest.raises(Exception, match="stage classify"):
             run_pipeline(bad)
         assert not any(n.endswith((".csv", ".svg", ".ckpt", ".txt"))
                        for n in os.listdir(bad.io.out))
 
-    def test_failure_clears_stale_temporary_files(self, tmp_path):
+    def test_failure_clears_stale_temporary_files(self, tmp_path, monkeypatch):
         write_small_dataset(tmp_path)
         cfg = small_cfg(tmp_path)
         os.makedirs(cfg.io.out)
@@ -232,10 +239,27 @@ class TestPipeline:
                      ".slices.csv.tmp", "notes.txt"]
         for name in stale + unrelated:
             (tmp_path / "out" / name).write_text("left behind\n")
-        cfg.sgwt.filters = 3
+        monkeypatch.setattr(cl, "torque", fail_torque)
         with pytest.raises(Exception, match="stage classify"):
             run_pipeline(cfg)
         assert sorted(os.listdir(cfg.io.out)) == sorted(unrelated)
+
+    @pytest.mark.parametrize("section,values,message", [
+        ("classify", {"theta_hi": 0.5, "theta_lo": 2.0},
+         "[classify] theta_lo must be below theta_hi"),
+        ("sgwt", {"quad_points": 8}, "[sgwt] quad_points must exceed cheb_order 40, got 8"),
+    ])
+    def test_config_changed_after_construction_exit_2_untrained(self, tmp_path, section,
+                                                               values, message):
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path)
+        for key, value in values.items():
+            setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ValidationError) as info:
+            run_pipeline(cfg)
+        assert info.value.exit_code == 2
+        assert str(info.value) == f"stage train: {message}"
+        assert not os.path.exists(os.path.join(cfg.io.out, "transition.csv"))
 
     def test_staged_command_clears_stale_temporary_files(self, tmp_path):
         write_small_dataset(tmp_path)

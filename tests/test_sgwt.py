@@ -10,7 +10,7 @@ from stgw.sgwt import (KERNEL_ARGMAX, ChebyshevExpansion, OpCounter, cheb_apply,
                        make_dictionary, scaling_kernel, wavelet_kernel)
 
 from conftest import random_graph, random_transition, uniform_transition
-from sgwt_reference import cheb_apply_per_filter
+from sgwt_reference import cheb_apply_per_filter, cheb_coeffs_cosine
 
 
 def product_laplacian(n, t, rng, p=0.3):
@@ -160,6 +160,24 @@ class TestChebCoeffs:
         assert abs(c[1] - 1.0) < 1e-12
         assert np.max(np.abs(c[2:])) < 1e-12
 
+    @pytest.mark.parametrize("order,quad_points", [(40, 2 ** 14), (40, 4097), (40, 41),
+                                                   (10, 64)])
+    @pytest.mark.parametrize("lambda_max", [0.7, 12.3])
+    def test_fft_matches_cosine_sum(self, lambda_max, order, quad_points):
+        # even Q, odd Q and Q = order + 1, for the whole bank at once and for one
+        # filter as a 1-D kernel; the largest difference seen is 1.3e-15 (at Q = 41)
+        d = make_dictionary(lambda_max, 8)
+        for kernel in (d.evaluate_all, d.kernel(2)):
+            ours = cheb_coeffs(kernel, lambda_max, order, quad_points)
+            reference = cheb_coeffs_cosine(kernel, lambda_max, order, quad_points)
+            assert ours.shape == reference.shape
+            assert np.max(np.abs(ours - reference)) <= 2e-15
+
+    @pytest.mark.parametrize("order,quad_points", [(40, 40), (40, 8), (1, 1)])
+    def test_rejects_quadrature_no_larger_than_order(self, order, quad_points):
+        with pytest.raises(ValidationError, match="quadrature points"):
+            cheb_coeffs(lambda lam: lam, 2.0, order, quad_points)
+
     def test_doubling_points_stable(self):
         # the most stretched filters move by ~9e-12 when the node count doubles,
         # well inside the 1e-10 quadrature accuracy the expansion relies on
@@ -174,9 +192,8 @@ class TestExpandDictionary:
     @pytest.mark.parametrize("lambda_max", [0.7, 3.0, 12.3, 40.0])
     @pytest.mark.parametrize("order", [10, 40, 80])
     def test_rows_match_per_filter_coefficients(self, lambda_max, order):
-        # one matrix product sums in another order than one product per filter: the
-        # rows differ by a few ulps of the largest coefficient (about 1.44), at most
-        # 1.3e-15 over 40 values of lambda_max in [0.5, 100]
+        # the bank's columns and each filter alone take the same FFT of the same
+        # samples
         d = make_dictionary(lambda_max, 8)
         expansion = expand_dictionary(d, order=order)
         assert expansion.coefficients.shape == (8, order + 1)
@@ -195,6 +212,31 @@ class TestExpandDictionary:
         approx = np.polynomial.chebyshev.chebval(2.0 * lam / lambda_max - 1.0, coeffs.T)
         errors = np.max(np.abs(approx.T - d.evaluate_all(lam)), axis=0)
         assert np.all(errors <= 0.03), errors
+
+    @pytest.mark.parametrize("lambda_max", [3.0, 12.3, 40.0])
+    def test_error_bound_covers_grid_error(self, lambda_max):
+        # the tail sum of each filter's coefficients past K = 40 is at least the
+        # sup-norm error of its expansion on a 20,001-point grid of [0, lambda_max]
+        d = make_dictionary(lambda_max, 8)
+        expansion = expand_dictionary(d)
+        coeffs = expansion.coefficients.copy()
+        coeffs[:, 0] /= 2.0
+        lam = np.linspace(0.0, lambda_max, 20001)
+        approx = np.polynomial.chebyshev.chebval(2.0 * lam / lambda_max - 1.0, coeffs.T)
+        errors = np.max(np.abs(approx.T - d.evaluate_all(lam)), axis=0)
+        assert np.all(expansion.error_bounds >= errors), (expansion.error_bounds, errors)
+        assert np.all(expansion.error_bounds[:-1] <= 0.04)
+
+    @pytest.mark.parametrize("quad_points", [64, 101])
+    def test_error_bound_is_the_whole_tail(self, quad_points):
+        # with few nodes every coefficient past K is large enough to count, the last
+        # (k = Q - 1) included; the sums differ by rounding, at most 2.2e-14 here
+        d = make_dictionary(3.0, 8)
+        expansion = expand_dictionary(d, order=20, quad_points=quad_points)
+        every = cheb_coeffs_cosine(d.evaluate_all, 3.0, quad_points - 1, quad_points)
+        tails = np.abs(every[21:]).sum(axis=0)
+        assert np.max(np.abs(expansion.error_bounds - tails)) <= 1e-13
+        assert np.all(np.abs(every[-1, :-1]) > 1e-10)
 
     @pytest.mark.parametrize("coeffs", [[[2.0]], [2.0, 0.5]])
     def test_rejects_order_zero_or_flat_coefficients(self, coeffs):
