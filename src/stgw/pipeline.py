@@ -118,7 +118,9 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
     the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
     graph, raw, features = inputs
     n, t = graph.n, raw.weeks
-    field = cl.classify_nodes(cl.torque(cl.log_normalize(cl.robust_scale(table))))
+    # normalized over the scaled copy, so that no third (N*T, filters) array is live
+    scaled = cl.robust_scale(table)
+    field = cl.classify_nodes(cl.torque(cl.log_normalize(scaled, out=scaled)))
     slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
     labels = cl.label_grid(field.labels, n, t)

@@ -206,9 +206,10 @@ def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
 class ChebyshevExpansion:
     """Chebyshev coefficients on [0, lambda_max]: row m-1 is c_0..c_K of filter m.
 
-    `error_bounds[m-1]`, when given, is filter m's tail sum_{k>K} |c_k| over every
-    coefficient the quadrature yields.  Since |T_k| <= 1 it bounds the truncation
-    error on [0, lambda_max], up to the quadrature's aliasing.
+    `error_bounds[m-1]`, as `expand_dictionary` sets it, is filter m's tail
+    sum_{k>K} |c_k| over every coefficient the quadrature yields.  Since
+    |T_k| <= 1 it bounds the truncation error on [0, lambda_max], up to the
+    quadrature's aliasing.
     """
 
     lambda_max: float
@@ -221,11 +222,6 @@ class ChebyshevExpansion:
             raise ValidationError("Chebyshev coefficients must be a (filters, order+1) "
                                   "matrix of order >= 1")
         object.__setattr__(self, "coefficients", coeffs)
-        if self.error_bounds is not None:
-            bounds = np.asarray(self.error_bounds, dtype=float)
-            if bounds.shape != coeffs.shape[:1]:
-                raise ValidationError("Chebyshev error bounds need one value per filter")
-            object.__setattr__(self, "error_bounds", bounds)
 
 
 def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_ORDER,
