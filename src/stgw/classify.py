@@ -40,9 +40,10 @@ def robust_scale(table: CoefficientTable) -> np.ndarray:
     Zero-IQR columns fall back to dividing by the column max (warned); columns
     that are identically zero pass through unchanged.
     """
-    scaled = np.abs(table.values)
-    for m in range(scaled.shape[1]):
-        col = scaled[:, m]
+    absW = np.abs(table.values)
+    scaled = np.zeros_like(absW)
+    for m in range(absW.shape[1]):
+        col = absW[:, m]
         q1, q3 = np.percentile(col, [25.0, 75.0])
         r = q3 - q1
         if r == 0.0:
@@ -51,26 +52,19 @@ def robust_scale(table: CoefficientTable) -> np.ndarray:
                 warnings.warn(f"filter {m + 1} is identically zero; passing through")
                 continue
             warnings.warn(f"filter {m + 1} has zero IQR; scaling by column max")
-        col /= r
+        scaled[:, m] = col / r
     return scaled
 
 
-def log_normalize(scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ln(1 + S) / ln(1 + max S), per filter column; all-zero columns stay zero.
-
-    The result goes to `out` when it is given, which may be `scaled` itself.
-    """
+def log_normalize(scaled: np.ndarray) -> np.ndarray:
+    """ln(1 + S) / ln(1 + max S), per filter column; all-zero columns stay zero."""
     if np.any(scaled < 0):
         raise ValidationError("log normalization expects non-negative input")
-    out = np.zeros_like(scaled) if out is None else out
+    out = np.zeros_like(scaled)
     for m in range(scaled.shape[1]):
         top = scaled[:, m].max()
-        col = out[:, m]
         if top > 0.0:
-            np.log1p(scaled[:, m], out=col)
-            col /= np.log1p(top)
-        else:
-            col[:] = 0.0
+            out[:, m] = np.log1p(scaled[:, m]) / np.log1p(top)
     return out
 
 

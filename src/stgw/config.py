@@ -25,9 +25,10 @@ class SgwtSection:
                                      "quad_points"))
         if self.scale_lo >= self.scale_hi:
             raise ValidationError("[sgwt] scale_lo must be below scale_hi")
-        if self.quad_points <= self.cheb_order:  # a higher bin only aliases a lower one
-            raise ValidationError(f"[sgwt] quad_points must exceed cheb_order "
-                                  f"{self.cheb_order}, got {self.quad_points}")
+        least = sgwt.QUAD_MARGIN * (self.cheb_order + 1)  # for the error bounds
+        if self.quad_points < least:
+            raise ValidationError(f"[sgwt] quad_points must be at least {least} for "
+                                  f"cheb_order {self.cheb_order}, got {self.quad_points}")
         if self.filters != classify.TORQUE_WEIGHTS.size:  # the torque weighs 8 bands
             raise ValidationError(f"[sgwt] filters must be {classify.TORQUE_WEIGHTS.size}, "
                                   f"got {self.filters}")

@@ -118,9 +118,7 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
     the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
     graph, raw, features = inputs
     n, t = graph.n, raw.weeks
-    # normalized over the scaled copy, so that no third (N*T, filters) array is live
-    scaled = cl.robust_scale(table)
-    field = cl.classify_nodes(cl.torque(cl.log_normalize(scaled, out=scaled)))
+    field = cl.classify_nodes(cl.torque(cl.log_normalize(cl.robust_scale(table))))
     slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
     labels = cl.label_grid(field.labels, n, t)

@@ -104,7 +104,9 @@ class TestConfig:
         ("[sgwt]\nfilters = 3\n", "[sgwt] filters must be 8, got 3"),
         ("[sgwt]\nscale_lo = 2.0\nscale_hi = 1.0\n", "[sgwt] scale_lo must be below scale_hi"),
         ("[sgwt]\ncheb_order = 40\nquad_points = 8\n",
-         "[sgwt] quad_points must exceed cheb_order 40, got 8"),
+         "[sgwt] quad_points must be at least 164 for cheb_order 40, got 8"),
+        ("[sgwt]\ncheb_order = 10\nquad_points = 43\n",
+         "[sgwt] quad_points must be at least 44 for cheb_order 10, got 43"),
         ("[classify]\ntheta_hi = -1.0\n", "[classify] theta_hi must be positive, got -1.0"),
         ("[bogus]\nheads = 3\n", "unknown config section [bogus]"),
         ('{"gat": {"heads": 3}', "invalid JSON config: Expecting"),
@@ -247,7 +249,8 @@ class TestPipeline:
     @pytest.mark.parametrize("section,values,message", [
         ("classify", {"theta_hi": 0.5, "theta_lo": 2.0},
          "[classify] theta_lo must be below theta_hi"),
-        ("sgwt", {"quad_points": 8}, "[sgwt] quad_points must exceed cheb_order 40, got 8"),
+        ("sgwt", {"quad_points": 8},
+         "[sgwt] quad_points must be at least 164 for cheb_order 40, got 8"),
     ])
     def test_config_changed_after_construction_exit_2_untrained(self, tmp_path, section,
                                                                values, message):

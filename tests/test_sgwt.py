@@ -212,29 +212,40 @@ class TestExpandDictionary:
         approx = np.polynomial.chebyshev.chebval(2.0 * lam / lambda_max - 1.0, coeffs.T)
         errors = np.max(np.abs(approx.T - d.evaluate_all(lam)), axis=0)
         assert np.all(errors <= 0.03), errors
+        assert np.all(expand_dictionary(d).error_bounds[:-1] <= 0.04)
 
+    @pytest.mark.parametrize("order,quad_points", [(40, 2 ** 14), (40, 164), (10, 44)])
     @pytest.mark.parametrize("lambda_max", [3.0, 12.3, 40.0])
-    def test_error_bound_covers_grid_error(self, lambda_max):
-        # the tail sum of each filter's coefficients past K = 40 is at least the
-        # sup-norm error of its expansion on a 20,001-point grid of [0, lambda_max]
+    def test_error_bound_covers_grid_error(self, lambda_max, order, quad_points):
+        # the tail sum of each filter's coefficients past K is at least the sup-norm
+        # error of its expansion on a 20,001-point grid of [0, lambda_max], also at
+        # the fewest nodes allowed, 4(K + 1), where the error reaches 0.82 of the bound
         d = make_dictionary(lambda_max, 8)
-        expansion = expand_dictionary(d)
+        expansion = expand_dictionary(d, order=order, quad_points=quad_points)
         coeffs = expansion.coefficients.copy()
         coeffs[:, 0] /= 2.0
         lam = np.linspace(0.0, lambda_max, 20001)
         approx = np.polynomial.chebyshev.chebval(2.0 * lam / lambda_max - 1.0, coeffs.T)
         errors = np.max(np.abs(approx.T - d.evaluate_all(lam)), axis=0)
-        assert np.all(expansion.error_bounds >= errors), (expansion.error_bounds, errors)
-        assert np.all(expansion.error_bounds[:-1] <= 0.04)
+        # the last filter's series is exact; its grid error, up to 4.4e-16, is the
+        # rounding of evaluating it, which no truncation bound covers
+        assert np.all(expansion.error_bounds + 1e-15 >= errors), (expansion.error_bounds,
+                                                                 errors)
+
+    @pytest.mark.parametrize("order,quad_points", [(40, 163), (40, 41), (10, 43)])
+    def test_rejects_too_few_nodes_for_the_bound(self, order, quad_points):
+        # with 2(K + 1) nodes an order-10 expansion already errs by more than its tail
+        with pytest.raises(ValidationError, match=f"at least {4 * (order + 1)} quad"):
+            expand_dictionary(make_dictionary(3.0, 8), order=order, quad_points=quad_points)
 
     @pytest.mark.parametrize("quad_points", [64, 101])
     def test_error_bound_is_the_whole_tail(self, quad_points):
         # with few nodes every coefficient past K is large enough to count, the last
         # (k = Q - 1) included; the sums differ by rounding, at most 2.2e-14 here
         d = make_dictionary(3.0, 8)
-        expansion = expand_dictionary(d, order=20, quad_points=quad_points)
+        expansion = expand_dictionary(d, order=15, quad_points=quad_points)
         every = cheb_coeffs_cosine(d.evaluate_all, 3.0, quad_points - 1, quad_points)
-        tails = np.abs(every[21:]).sum(axis=0)
+        tails = np.abs(every[16:]).sum(axis=0)
         assert np.max(np.abs(expansion.error_bounds - tails)) <= 1e-13
         assert np.all(np.abs(every[-1, :-1]) > 1e-10)
 
