@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import NumericError, ValidationError
 
 LAMBDA_SAFETY = 1.01  # margin on the λmax bound, which the Chebyshev domain must cover
-LANCZOS_VECTORS = 20  # ARPACK basis size (ncv); smaller matrices are solved densely
+DENSE_LAMBDA_LIMIT = 20  # matrices with at most this many rows get λmax from eigvalsh
 LANCZOS_TOL = 1e-3    # relative accuracy of the Ritz value; the residual covers the rest
+LANCZOS_STEPS = 500   # step cap; a Lanczos still short of LANCZOS_TOL falls back to Gershgorin
+LANCZOS_CHECK = 10    # steps between convergence tests, each an eigh of the small T_m
 EIGEN_FLOOR = -1e-9   # numerical zero floor for Laplacian spectra
 
 
@@ -352,38 +353,74 @@ def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
 def _with_lambda_max(matrix: ProductLaplacian) -> SymmetricLaplacian:
     """Attach an upper bound on the largest eigenvalue of a symmetric matrix.
 
-    Lanczos (ARPACK `eigsh` from a seeded start, so the bound repeats bit for
-    bit) gives the top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv||
-    bounds λmax from above (Zhou & Li 2011).  If ARPACK fails, the Gershgorin
-    bound 2 max d (W_s is non-negative with a zero diagonal) is used with a
-    warning and `lambda_method` "gershgorin".
+    Lanczos from a seeded start (so the bound repeats bit for bit) gives the
+    top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv|| bounds λmax
+    from above (Zhou & Li 2011).  If Lanczos breaks down (β = 0: the Krylov
+    space is invariant, so θ need not be λmax) or has not converged within
+    LANCZOS_STEPS, the Gershgorin bound 2 max d (W_s is non-negative with a
+    zero diagonal) is used with a warning and `lambda_method` "gershgorin".
     """
     n = matrix.shape[0]
-    if n <= LANCZOS_VECTORS:  # ARPACK needs n > ncv
+    if n <= DENSE_LAMBDA_LIMIT:
         top = np.linalg.eigvalsh(matrix.toarray()).max(initial=0.0)
         return SymmetricLaplacian(matrix, LAMBDA_SAFETY * float(top), lambda_method="dense")
 
-    matvecs = 0
-
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return matrix @ x
-
-    op = LinearOperator(matrix.shape, matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        theta, vecs = eigsh(op, k=1, which="LA", ncv=LANCZOS_VECTORS, tol=LANCZOS_TOL, v0=v0)
-    except ArpackError as exc:  # no convergence, or the zero matrix (no Krylov space)
-        warnings.warn(f"Lanczos failed ({exc}); using Gershgorin bound")
+    start = np.random.default_rng(0).standard_normal(n)
+    last = min(n, LANCZOS_STEPS)  # T_n holds the whole spectrum in exact arithmetic
+    alphas, betas = [], []
+    for m, (_, alpha, beta) in enumerate(_lanczos(matrix, start), 1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0:
+            failure = "breakdown"
+            break
+        if m % LANCZOS_CHECK == 0 or m in (last, LANCZOS_STEPS):
+            # the test ARPACK applies: the Ritz residual |β_m y_m| within tol·θ
+            values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+            theta, y = float(values[-1]), vectors[:, -1]
+            if abs(beta * y[-1]) <= LANCZOS_TOL * theta:
+                failure = None
+                break
+        if m == LANCZOS_STEPS:
+            failure = f"no convergence in {m} steps"
+            break
+    if failure is not None:
+        warnings.warn(f"Lanczos failed ({failure}); using Gershgorin bound")
         return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max()),
-                                  lambda_method="gershgorin", lambda_matvecs=matvecs,
+                                  lambda_method="gershgorin", lambda_matvecs=m,
                                   lambda_residual=float("nan"))
-    ritz, v = float(theta[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(op.matvec(v) - ritz * v))
-    return SymmetricLaplacian(matrix, LAMBDA_SAFETY * (ritz + residual),
-                              lambda_method="lanczos", lambda_matvecs=matvecs,
+
+    # a second pass repeats the first one's arithmetic to rebuild v = Q_m y
+    v = np.zeros(n)
+    for weight, (q, _, _) in zip(y, _lanczos(matrix, start)):
+        v += weight * q
+    v /= np.linalg.norm(v)
+    residual = float(np.linalg.norm(matrix @ v - theta * v))
+    return SymmetricLaplacian(matrix, LAMBDA_SAFETY * (theta + residual),
+                              lambda_method="lanczos", lambda_matvecs=2 * m + 1,
                               lambda_residual=residual)
+
+
+def _lanczos(matrix: ProductLaplacian, start: np.ndarray):
+    """Plain three-term Lanczos: yield (q_j, α_j, β_j) for j = 1, 2, ..., one matvec each.
+
+    Only q_{j-1}, q_j and the next residual are held, so orthogonality is not
+    kept; a lost one only repeats converged Ritz values, and the caller's explicit
+    residual checks the vector it rebuilds.  Stops after yielding β_j = 0.
+    """
+    q_prev, beta = None, 0.0
+    q = start / np.linalg.norm(start)
+    while True:
+        w = matrix @ q
+        if q_prev is not None:
+            w -= beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        q_prev, q = q, w / beta
 
 
 def _single_slice(base: RouteGraph) -> SpatioTemporalGraph:

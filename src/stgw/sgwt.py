@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ValidationError
 from .graphs import EIGEN_FLOOR, SymmetricLaplacian
@@ -158,7 +157,7 @@ def exact_sgwt(L: SymmetricLaplacian, X: np.ndarray,
     if X.shape != (n,):
         raise ValidationError("signal length does not match Laplacian dimension")
 
-    eigvals, eigvecs = scipy.linalg.eigh(L.matrix.toarray())
+    eigvals, eigvecs = np.linalg.eigh(L.matrix.toarray())
     if eigvals[0] < EIGEN_FLOOR:
         raise NumericError(f"Laplacian eigenvalue {eigvals[0]} below floor {EIGEN_FLOOR}")
     eigvals = np.maximum(eigvals, 0.0)

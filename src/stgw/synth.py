@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graphs import CaseMatrix, NodeRecord, RouteGraph, build_route_graph
@@ -91,17 +90,28 @@ def _er_edges(n: int, density: float, rng: np.random.Generator) -> set[tuple[int
     return edges
 
 
+def _first_component(adjacency: sp.csr_matrix) -> np.ndarray:
+    """Mask of the nodes joined to node 0 by a path in the symmetric `adjacency`."""
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = (adjacency @ frontier > 0) & ~reached
+        reached |= frontier
+    return reached
+
+
 def _connect_components(edges: set[tuple[int, int]], positions: np.ndarray) -> None:
-    """Join components by their geometrically closest cross pair until connected."""
+    """Join node 0's component to the rest by the geometrically closest cross pair
+    until connected."""
     n = len(positions)
     while True:
         rows = np.array([e[0] for e in edges] + [e[1] for e in edges], dtype=int)
         cols = np.array([e[1] for e in edges] + [e[0] for e in edges], dtype=int)
         adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        n_comp, labels = connected_components(adj, directed=False)
-        if n_comp <= 1:
+        first = _first_component(adj)
+        if first.all():
             return
-        first = labels == labels[0]
         best = None
         for i in np.flatnonzero(first):
             for j in np.flatnonzero(~first):

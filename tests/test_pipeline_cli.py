@@ -1,6 +1,9 @@
 import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +390,31 @@ class TestCli:
             "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 60\n"
         )
         assert main(["run", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "out" / "rankings.csv").exists()
+
+    def test_run_loads_no_dense_scipy(self, tmp_path):
+        """`stgw synth` and `stgw run` in a fresh interpreter use only `scipy.sparse`."""
+        out = tmp_path / "data"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            f"[io]\nnodes = {out}/nodes.csv\nedges = {out}/edges.csv\n"
+            f"cases = {out}/cases.csv\nout = {tmp_path}/out\n"
+            "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 20\n"
+        )
+        script = (
+            "import sys\n"
+            "from stgw.cli import main\n"
+            f"assert main(['synth', '--out', {str(out)!r}, '--nodes', '12', '--weeks', '5', "
+            "'--mode', 'density', '--density', '0.05']) == 0\n"
+            f"assert main(['run', '--config', {str(cfg_path)!r}, '--mask']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True)
+        loaded = set(result.stdout.splitlines()[-1].split())  # after the commands' own output
+        assert "scipy.sparse" in loaded
+        assert not loaded & {"scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"}
         assert (tmp_path / "out" / "rankings.csv").exists()
 
     def test_build_graph_summary(self, tmp_path, capsys):

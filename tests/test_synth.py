@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from stgw.cli import main
 from stgw.errors import ValidationError
 from stgw.gat import negative_candidates
 from stgw.graphs import normalize_cases
-from stgw.synth import AnomalyInjection, SyntheticSpec, generate, write_dataset
+from stgw.synth import (AnomalyInjection, SyntheticSpec, _first_component, generate,
+                         write_dataset)
 
 
 class TestSpecValidation:
@@ -61,6 +63,19 @@ class TestGenerate:
             graph, _ = generate(SyntheticSpec(nodes=25, weeks=5, seed=3, mode=mode))
             n_comp, _ = connected_components(graph.adjacency, directed=False)
             assert n_comp == 1
+
+    def test_first_component_matches_connected_components(self):
+        rng = np.random.default_rng(11)
+        disconnected = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            upper = sp.triu(sp.random(n, n, density=float(rng.uniform(0.0, 0.08)),
+                                      random_state=rng), k=1)
+            adjacency = (upper + upper.T).tocsr()
+            n_comp, labels = connected_components(adjacency, directed=False)
+            disconnected += n_comp > 1
+            np.testing.assert_array_equal(_first_component(adjacency), labels == labels[0])
+        assert disconnected > 10
 
     def test_counts_nonnegative_integers(self):
         _, cases = generate(SyntheticSpec(nodes=20, weeks=6, seed=1))
