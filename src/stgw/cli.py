@@ -7,7 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import dataio, pipeline
+from . import pipeline
 from .config import load_config
 from .errors import StgwError, ValidationError
 from .synth import AnomalyInjection, SyntheticSpec, write_dataset
@@ -95,7 +95,6 @@ def main(argv=None) -> int:
                 mode=args.mode, knn=args.knn, density=args.density,
                 anomalies=[_parse_anomaly(a) for a in args.anomaly],
             )
-            dataio.ensure_dir(args.out)
             graph, cases = write_dataset(
                 spec,
                 os.path.join(args.out, "nodes.csv"),

@@ -253,6 +253,9 @@ def read_cases(path, graph: RouteGraph) -> CaseMatrix:
     ids, week = np.array(graph.node_ids), rows["week"]
     i = _positions(path, 2, ids, rows["node_id"], "unknown node {}")
     _reject(path, 2, week < 1, lambda k: f"week must be 1-based, got {week[k]}")
+    # no complete grid of len(rows) entries reaches a later week; check before allocating
+    _reject(path, 2, week > len(rows),
+            lambda k: f"week {week[k]} is past the {len(rows)} case rows")
     _reject(path, 2, rows["cases"] < 0, lambda k: "cases must be non-negative")
     max_week = int(week.max(initial=0))
     if max_week == 0:

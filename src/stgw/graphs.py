@@ -288,8 +288,10 @@ def check_endpoints(ends: np.ndarray, ids: np.ndarray, reject) -> None:
            lambda k: f"edge references unknown node_id {ends[k][~known[k]][0]}")
 
 
-def build_route_graph(nodes: list[NodeRecord], edges: list[tuple[int, int]]) -> RouteGraph:
-    """Assemble a validated RouteGraph from node records and undirected id pairs.
+def build_route_graph(nodes: list[NodeRecord],
+                      edges: list[tuple[int, int]] | np.ndarray) -> RouteGraph:
+    """Assemble a validated RouteGraph from node records and undirected id pairs,
+    given as a list of tuples or as an (E, 2) integer array.
 
     Duplicate and reversed-duplicate edges collapse to one; isolated nodes are
     kept but reported through `isolated_ids`.

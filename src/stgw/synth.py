@@ -8,6 +8,7 @@ negative pairs.  Generation is fully deterministic under the seed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,30 +71,17 @@ class SyntheticSpec:
                                       f"the series length {self.weeks}")
 
 
-def _knn_edges(positions: np.ndarray, k: int) -> set[tuple[int, int]]:
-    n = len(positions)
-    d2 = ((positions[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    edges = set()
-    for i in range(n):
-        for j in np.argsort(d2[i])[:min(k, n - 1)]:
-            edges.add((min(i, int(j)), max(i, int(j))))
-    return edges
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dx·dx + dy·dy between each point of `a` (rows) and each point of `b` (columns)."""
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)  # two (m, k) arrays
 
 
-def _er_edges(n: int, density: float, rng: np.random.Generator) -> set[tuple[int, int]]:
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                edges.add((i, j))
-    return edges
-
-
-def _first_component(adjacency: sp.csr_matrix) -> np.ndarray:
-    """Mask of the nodes joined to node 0 by a path in the symmetric `adjacency`."""
+def _first_component(adjacency: sp.csr_matrix, start: int = 0) -> np.ndarray:
+    """Mask of the nodes joined to node `start` by a path in the symmetric `adjacency`."""
     reached = np.zeros(adjacency.shape[0], dtype=bool)
-    reached[0] = True
+    reached[start] = True
     frontier = reached.copy()
     while frontier.any():
         frontier = (adjacency @ frontier > 0) & ~reached
@@ -101,34 +89,33 @@ def _first_component(adjacency: sp.csr_matrix) -> np.ndarray:
     return reached
 
 
-def _connect_components(edges: set[tuple[int, int]], positions: np.ndarray) -> None:
-    """Join node 0's component to the rest by the geometrically closest cross pair
-    until connected."""
+def _joined(pairs: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """`pairs` plus, while node 0's component is not everything, the closest pair
+    between it and the rest, ties going to the smaller (min, max) index pair."""
     n = len(positions)
-    while True:
-        rows = np.array([e[0] for e in edges] + [e[1] for e in edges], dtype=int)
-        cols = np.array([e[1] for e in edges] + [e[0] for e in edges], dtype=int)
-        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        first = _first_component(adj)
-        if first.all():
-            return
-        best = None
-        for i in np.flatnonzero(first):
-            for j in np.flatnonzero(~first):
-                dist = float(((positions[i] - positions[j]) ** 2).sum())
-                key = (dist, min(i, j), max(i, j))
-                if best is None or key < best:
-                    best = key
-        edges.add((best[1], best[2]))
+    ends = np.concatenate((pairs, pairs[:, ::-1]))
+    adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    reached, joins = _first_component(adjacency), [pairs]
+    while not reached.all():
+        inside, outside = np.flatnonzero(reached), np.flatnonzero(~reached)
+        d2 = _squared_distances(positions[inside], positions[outside])
+        rows, cols = np.nonzero(d2 == d2.min())
+        lo, hi = np.sort(np.column_stack((inside[rows], outside[cols])), axis=1).T
+        best = np.lexsort((hi, lo))[0]
+        joins.append([[lo[best], hi[best]]])
+        # the join adds the whole original component of its outside end
+        reached |= _first_component(adjacency, outside[cols[best]])
+    return np.concatenate(joins)
 
 
-def _diffused_factors(adjacency: np.ndarray, weeks: int, rng: np.random.Generator) -> np.ndarray:
-    """Latent node factors smoothed along edges; rows standardized over time."""
+def _diffused_factors(closed: sp.csr_matrix, weeks: int, rng: np.random.Generator) -> np.ndarray:
+    """Latent node factors smoothed along the closed neighborhoods `closed`; rows
+    standardized over time."""
     mix = 0.6  # share of each of the two smoothing rounds taken from the neighbours
-    n = adjacency.shape[0]
-    hat = adjacency + np.eye(n)
-    hat /= hat.sum(axis=1, keepdims=True)
-    H = rng.standard_normal((n, weeks))
+    hat = closed.astype(float)
+    sizes = np.diff(hat.indptr)
+    hat.data /= np.repeat(sizes, sizes)
+    H = rng.standard_normal((hat.shape[0], weeks))
     for _ in range(2):
         H = (1.0 - mix) * H + mix * (hat @ H)
     H -= H.mean(axis=1, keepdims=True)
@@ -139,15 +126,21 @@ def _diffused_factors(adjacency: np.ndarray, weeks: int, rng: np.random.Generato
 
 def generate(spec: SyntheticSpec) -> tuple[RouteGraph, CaseMatrix]:
     """Build the planted graph and the raw (count-valued) case matrix."""
+    n = spec.nodes
     rng = np.random.default_rng(spec.seed)
-    positions = rng.uniform(size=(spec.nodes, 2))
+    positions = rng.uniform(size=(n, 2))
     if spec.mode == "geometric":
-        edge_set = _knn_edges(positions, spec.knn)
+        d2 = _squared_distances(positions, positions)
+        np.fill_diagonal(d2, np.inf)
+        k = min(spec.knn, n - 1)
+        pairs = np.column_stack((np.arange(n).repeat(k),
+                                 np.argsort(d2, axis=1)[:, :k].ravel()))
     else:
-        edge_set = _er_edges(spec.nodes, spec.density, rng)
-    _connect_components(edge_set, positions)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(i.size) < spec.density
+        pairs = np.column_stack((i[keep], j[keep]))
 
-    populations = rng.integers(5_000, 120_000, size=spec.nodes)
+    populations = rng.integers(5_000, 120_000, size=n)
     nodes = [
         NodeRecord(
             node_id=i + 1,
@@ -156,30 +149,34 @@ def generate(spec: SyntheticSpec) -> tuple[RouteGraph, CaseMatrix]:
             lon=-73.0 + 2.0 * positions[i, 0],
             population=int(populations[i]),
         )
-        for i in range(spec.nodes)
+        for i in range(n)
     ]
-    id_edges = [(i + 1, j + 1) for i, j in sorted(edge_set)]
-    graph = build_route_graph(nodes, id_edges)
+    graph = build_route_graph(nodes, _joined(pairs, positions) + 1)
 
-    factors = _diffused_factors(graph.dense_adjacency(), spec.weeks, rng)
-    noise = rng.standard_normal((spec.nodes, spec.weeks))
+    factors = _diffused_factors(graph.closed_neighborhoods(), spec.weeks, rng)
+    noise = rng.standard_normal((n, spec.weeks))
     series = np.sqrt(spec.rho) * factors + np.sqrt(1.0 - spec.rho) * noise
     rates = np.maximum(BASE_RATE + RATE_SPREAD * series, 0.0)
 
     counts = np.rint(rates * populations[:, None] / 1000.0)
     for a in spec.anomalies:
-        i = graph.index_of(a.node_id)
-        counts[i, a.week_lo - 1:a.week_hi] = np.rint(
-            counts[i, a.week_lo - 1:a.week_hi] * a.multiplier
-        )
+        i, weeks = graph.index_of(a.node_id), slice(a.week_lo - 1, a.week_hi)
+        with np.errstate(over="ignore"):
+            counts[i, weeks] = np.rint(counts[i, weeks] * a.multiplier)
+        if not np.isfinite(counts[i, weeks]).all():
+            raise ValidationError(f"anomaly multiplier {a.multiplier!r} overflows node "
+                                  f"{a.node_id}'s counts over weeks {a.week_lo}..{a.week_hi}")
     return graph, CaseMatrix(values=counts, weeks=spec.weeks)
 
 
 def write_dataset(spec: SyntheticSpec, nodes_path, edges_path, cases_path) -> tuple[RouteGraph, CaseMatrix]:
-    """Generate and persist the three input CSVs; returns what was written."""
+    """Generate, then create the files' directories and persist the three input CSVs;
+    returns what was written."""
     from . import dataio
 
     graph, cases = generate(spec)
+    for path in (nodes_path, edges_path, cases_path):
+        dataio.ensure_dir(os.path.dirname(os.path.abspath(path)))
     dataio.write_nodes(nodes_path, graph.nodes)
     dataio.write_edges(edges_path, graph)
     dataio.write_cases(cases_path, graph, cases)

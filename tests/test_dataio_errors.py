@@ -125,6 +125,8 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("cases.csv", "unknown node", cell(4, 0, "99"), "line 4: unknown node 99"),
     ("cases.csv", "week 0", cell(2, 1, "0"), "line 2: week must be 1-based, got 0"),
     ("cases.csv", "negative count", cell(2, 2, "-1"), "line 2: cases must be non-negative"),
+    ("cases.csv", "absurd week", insert(8, "3,10000000000000,5.0"),
+     "line 8: week 10000000000000 is past the 7 case rows"),
     ("cases.csv", "non-ASCII digit", cell(2, 2, "５"),
      "line 2: cases must be a number, got '５'"),
     ("cases.csv", "duplicate row", repeat(2), "line 8: duplicate entry for node 1 week 1"),

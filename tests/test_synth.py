@@ -3,11 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import synth_reference as reference
 from stgw.cli import main
 from stgw.errors import ValidationError
 from stgw.gat import negative_candidates
 from stgw.graphs import normalize_cases
-from stgw.synth import (AnomalyInjection, SyntheticSpec, _first_component, generate,
+from stgw.synth import (AnomalyInjection, SyntheticSpec, _first_component, _joined, generate,
                          write_dataset)
 
 
@@ -43,6 +44,8 @@ BAD_SYNTH_ARGUMENTS = [
      "bad --anomaly value '1:3:2:2.0': anomaly week range 3..2 must be 1-based and ordered"),
     (["--anomaly", "1:1:9:2.0"], "anomaly week range 1..9 exceeds the series length 4"),
     (["--anomaly", "1:1:2"], "bad --anomaly value '1:1:2'; expected node:lo:hi:mult"),
+    (["--anomaly", "1:1:2:1e308"], "anomaly multiplier 1e+308 overflows node 1's counts "
+                                   "over weeks 1..2"),
     (["--knn", "-1"], "knn must be non-negative, got -1"),
     (["--mode", "density", "--density", "nan"], "density must lie in [0, 1], got nan"),
 ]
@@ -102,6 +105,35 @@ class TestGenerate:
         adjacent = corr[adj].mean()
         negatives = np.mean([corr[i, j] for i, j in negative_candidates(graph)])
         assert adjacent > negatives + 0.2
+
+
+ORACLE_GRAPHS = [{"mode": "geometric", "knn": k} for k in (0, 1, 5)] + [
+    {"mode": "density", "density": d} for d in (0.0, 0.02, 0.08)]
+
+
+class TestMatchesLoopReference:
+    @pytest.mark.parametrize("seed", [42, 7, 101])
+    @pytest.mark.parametrize("graph_spec", ORACLE_GRAPHS,
+                             ids=[f"{g['mode']}-{g.get('knn', g.get('density'))}"
+                                  for g in ORACLE_GRAPHS])
+    def test_generate(self, graph_spec, seed):
+        spec = SyntheticSpec(nodes=60, weeks=12, seed=seed,
+                             anomalies=[AnomalyInjection(3, 2, 5, 4.0)], **graph_spec)
+        graph, cases = generate(spec)
+        expected_graph, expected_cases = reference.generate(spec)
+        assert graph.edges == expected_graph.edges
+        assert [vars(rec) for rec in graph.nodes] == [vars(rec) for rec in expected_graph.nodes]
+        assert np.array_equal(cases.values, expected_cases.values)
+
+    def test_join_ties_go_to_the_smaller_index_pair(self):
+        # integer lattice points, so many cross pairs lie at exactly the same distance
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            positions = rng.integers(0, 4, size=(12, 2)).astype(float)
+            expected = set()
+            reference._connect_components(expected, positions)
+            joined = _joined(np.zeros((0, 2), dtype=np.int64), positions)
+            assert sorted(map(tuple, joined.tolist())) == sorted(expected)
 
 
 class TestWriteDataset:
