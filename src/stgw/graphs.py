@@ -156,7 +156,7 @@ class SpatioTemporalGraph:
     `weights[i, j]` is the arc (i,t) -> (j,t) inside every slice and
     `temporal[i, j]` the arc (i,t) -> (j,t+1) into the next one, so the
     product weights are kron(I_T, weights) + kron(shift_T, temporal).  A
-    single slice needs no `temporal` block.
+    single slice needs no `temporal` block: left out, it is an empty one.
     """
 
     weights: sp.csr_matrix
@@ -164,51 +164,51 @@ class SpatioTemporalGraph:
     slice_count: int
     temporal: sp.csr_matrix | None = None
 
+    def __post_init__(self):
+        if self.temporal is None:
+            object.__setattr__(self, "temporal", sp.csr_matrix(self.weights.shape))
+
     @property
     def node_count(self) -> int:
         return self.base_node_count * self.slice_count
 
     @property
     def arc_count(self) -> int:
-        forward = 0 if self.temporal is None else self.temporal.nnz
-        return self.slice_count * self.weights.nnz + (self.slice_count - 1) * forward
+        return self.slice_count * self.weights.nnz + (self.slice_count - 1) * self.temporal.nnz
 
 
 class ProductLaplacian:
     """diag(d) - W_s for the symmetrized product weights W_s = (W + W^T)/2, matrix-free.
 
-    W_s is block tridiagonal over the slices: `within` = (S + S^T)/2 on the
-    diagonal blocks, `forward` = R/2 above them and its transpose below, for
-    the product's within-slice block S and temporal block R.  `L @ x` works on
-    the (T, N) reshape of the slice-major vector x, so row block t of W_s x is
-    within x_t + forward x_{t+1} + forward^T x_{t-1}.
+    W_s is block tridiagonal over the slices: (S + S^T)/2 on the diagonal
+    blocks, R/2 above them and its transpose below, for the product's
+    within-slice block S and temporal block R.  `blocks` stacks the three, in
+    that order, as one (3N, N) CSR matrix, so `L @ x` is one sparse product
+    with the (N, T) reshape of the slice-major vector x plus two shifted adds:
+    row block t of W_s x is column t of the first block's product, column
+    t + 1 of the second's and column t - 1 of the third's.
     """
 
     def __init__(self, graph: SpatioTemporalGraph):
         S = sp.csr_matrix(graph.weights, dtype=float)
-        self.within = ((S + S.T) * 0.5).tocsr()
-        self.slices = graph.slice_count
-        n = self.within.shape[0]
+        R = sp.csr_matrix(graph.temporal, dtype=float) * 0.5
+        self.blocks = sp.vstack(((S + S.T) * 0.5, R, R.T), format="csr")
+        n, self.slices = S.shape[0], graph.slice_count
         self.shape = (n * self.slices, n * self.slices)
-        degrees = np.tile(_row_sums(self.within), (self.slices, 1))
-        self.forward = self.backward = None
-        if graph.temporal is not None and self.slices > 1:
-            self.forward = (sp.csr_matrix(graph.temporal, dtype=float) * 0.5).tocsr()
-            self.backward = self.forward.T.tocsr()
-            degrees[:-1] += _row_sums(self.forward)
-            degrees[1:] += _row_sums(self.backward)
+        within, forward, backward = np.asarray(self.blocks.sum(axis=1)).reshape(3, n)
+        degrees = np.tile(within, (self.slices, 1))
+        degrees[:-1] += forward
+        degrees[1:] += backward
         self.degrees = degrees.reshape(-1)
 
     def _symmetric_weights(self, x: np.ndarray) -> np.ndarray:
         """W_s x as an (N, T) array: column t is row block t."""
-        # one C-ordered copy serves all three products; multiplying whole
-        # columns and dropping one is cheaper than copying two column ranges
+        # multiplying whole columns and dropping one beats copying two column ranges
         cols = np.ascontiguousarray(x.reshape(self.slices, -1).T)
-        out = self.within @ cols
-        if self.forward is not None:
-            out[:, :-1] += (self.forward @ cols)[:, 1:]
-            out[:, 1:] += (self.backward @ cols)[:, :-1]
-        return out
+        out, n = self.blocks @ cols, len(cols)
+        out[:n, :-1] += out[n:2 * n, 1:]
+        out[:n, 1:] += out[2 * n:, :-1]
+        return out[:n]
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -220,10 +220,6 @@ class ProductLaplacian:
         """The dense (T*N) x (T*N) Laplacian, for the small-graph eigensolvers:
         L applied to each identity column e_j gives column j."""
         return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T
-
-
-def _row_sums(block: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(block.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True, eq=False)

@@ -167,10 +167,10 @@ def exact_sgwt(L: SymmetricLaplacian, X: np.ndarray,
     return CoefficientTable(values=eigvecs @ (responses * xhat[:, None]))
 
 
-def _chebyshev_series(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
-                      order: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_0..c_order of each kernel column, and each column's tail sum
-    sum_{k=order+1}^{quad_points-1} |c_k|, from one real FFT per column."""
+def _chebyshev_series(kernels: list[Callable], lambda_max: float, order: int,
+                      quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_0..c_order of each kernel, one row per kernel, and each kernel's
+    tail sum sum_{k=order+1}^{quad_points-1} |c_k|, from one real FFT per kernel."""
     if order < 1:
         raise ValidationError("Chebyshev order must be at least 1")
     if quad_points <= order:
@@ -179,18 +179,20 @@ def _chebyshev_series(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: fl
     if lambda_max <= 0:
         raise ValidationError("Chebyshev domain needs lambda_max > 0")
     theta = np.pi * (np.arange(quad_points) + 0.5) / quad_points
-    samples = kernel((lambda_max / 2.0) * (np.cos(theta) + 1.0))
-    columns = samples.reshape(quad_points, -1)
+    nodes = (lambda_max / 2.0) * (np.cos(theta) + 1.0)
     # the sum over the nodes is a DCT-II: the FFT of the mirrored samples, bin k turned
     # by exp(-i*pi*k / 2Q); bin Q of the mirror is zero
     twiddle = np.exp((-0.5j * np.pi / quad_points) * np.arange(quad_points)) / quad_points
-    coeffs = np.empty((order + 1, columns.shape[1]))
-    tails = np.empty(columns.shape[1])
-    for m, f in enumerate(columns.T):
+    coeffs = np.empty((len(kernels), order + 1))
+    tails = np.empty(len(kernels))
+    for m, kernel in enumerate(kernels):
+        f = np.asarray(kernel(nodes))
+        if f.shape != nodes.shape:
+            raise ValidationError(f"kernel must give one value per node, got shape {f.shape}")
         c = (np.fft.rfft(np.concatenate((f, f[::-1])))[:quad_points] * twiddle).real
-        coeffs[:, m] = c[:order + 1]
+        coeffs[m] = c[:order + 1]
         tails[m] = np.abs(c[order + 1:]).sum()
-    return coeffs.reshape((order + 1,) + samples.shape[1:]), tails
+    return coeffs, tails
 
 
 def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
@@ -199,10 +201,10 @@ def cheb_coeffs(kernel: Callable[[np.ndarray], np.ndarray], lambda_max: float,
 
     c_k = (2/pi) * int_0^pi cos(k*theta) * kernel((lambda_max/2)(cos theta + 1)) dtheta,
     evaluated by the equal-weight quadrature at `quad_points` Chebyshev nodes, which
-    must outnumber the coefficients (a higher bin only aliases a lower one).  A kernel
-    returning one column per filter gets one column of coefficients each.
+    must outnumber the coefficients (a higher bin only aliases a lower one).  The
+    kernel must map the nodes to one value each.
     """
-    return _chebyshev_series(kernel, lambda_max, order, quad_points)[0]
+    return _chebyshev_series([kernel], lambda_max, order, quad_points)[0][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +238,9 @@ def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_OR
         raise ValidationError(f"Chebyshev error bounds at order {order} need at least "
                               f"{QUAD_MARGIN * (order + 1)} quadrature points, "
                               f"got {quad_points}")
-    coeffs, tails = _chebyshev_series(dictionary.evaluate_all, dictionary.lambda_max,
-                                      order, quad_points)
-    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs.T,
+    kernels = [dictionary.kernel(m) for m in range(1, dictionary.filter_count + 1)]
+    coeffs, tails = _chebyshev_series(kernels, dictionary.lambda_max, order, quad_points)
+    return ChebyshevExpansion(lambda_max=dictionary.lambda_max, coefficients=coeffs,
                               error_bounds=tails)
 
 

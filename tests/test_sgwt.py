@@ -164,14 +164,23 @@ class TestChebCoeffs:
                                                    (10, 64)])
     @pytest.mark.parametrize("lambda_max", [0.7, 12.3])
     def test_fft_matches_cosine_sum(self, lambda_max, order, quad_points):
-        # even Q, odd Q and Q = order + 1, for the whole bank at once and for one
-        # filter as a 1-D kernel; the largest difference seen is 1.3e-15 (at Q = 41)
+        # even Q, odd Q and Q = order + 1, for each filter of the bank; the largest
+        # difference seen is 1.3e-15 (at Q = 41)
         d = make_dictionary(lambda_max, 8)
-        for kernel in (d.evaluate_all, d.kernel(2)):
-            ours = cheb_coeffs(kernel, lambda_max, order, quad_points)
-            reference = cheb_coeffs_cosine(kernel, lambda_max, order, quad_points)
-            assert ours.shape == reference.shape
+        for m in range(1, 9):
+            ours = cheb_coeffs(d.kernel(m), lambda_max, order, quad_points)
+            reference = cheb_coeffs_cosine(d.kernel(m), lambda_max, order, quad_points)
+            assert ours.shape == reference.shape == (order + 1,)
             assert np.max(np.abs(ours - reference)) <= 2e-15
+
+    @pytest.mark.parametrize("kernel", [make_dictionary(3.0, 8).evaluate_all,
+                                        lambda lam: lam[:, None], lambda lam: 1.0,
+                                        lambda lam: lam[1:]],
+                             ids=["bank", "column", "scalar", "short"])
+    def test_rejects_kernel_without_one_value_per_node(self, kernel):
+        # unchecked, the (Q, 8) bank would go through the FFT along its filter axis
+        with pytest.raises(ValidationError, match="one value per node"):
+            cheb_coeffs(kernel, 3.0, 10, 64)
 
     @pytest.mark.parametrize("order,quad_points", [(40, 40), (40, 8), (1, 1)])
     def test_rejects_quadrature_no_larger_than_order(self, order, quad_points):
