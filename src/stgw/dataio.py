@@ -366,8 +366,10 @@ def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
                     phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
                     theta=np.zeros(shape), scores=np.zeros(shape, dtype=int))
     for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
-        w = rows["week"]
+        w, score = rows["week"], rows["a_score"]
         _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
+        _reject(path, line, (score < 0) | (score > 4),
+                lambda k: f"a_score {score[k]} outside 0..4")
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
         labels = _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
                             "bad class label {!r}")
@@ -389,7 +391,13 @@ def read_slices(path) -> tuple[np.ndarray, np.ndarray]:
         week, expected = rows["week"], np.arange(line - 1, line - 1 + len(rows))
         _reject(path, line, week != expected, lambda k: f"week must be {expected[k]} "
                 f"(rows run 1..T in order), got {week[k]}")
-        sigma.append(rows["sigma"])
+        s = rows["sigma"]
+        outside = (s < 0) | (s > 1)
+        _reject(path, line, outside.any(axis=1), lambda k: f"sigma{np.argmax(outside[k]) + 1} "
+                f"{fnum(s[k][outside[k]][0])} outside [0, 1]")
+        _reject(path, line, np.abs(s.sum(axis=1) - 1.0) > 1e-9,
+                lambda k: f"sigmas sum to {fnum(s[k].sum())}, not 1 within 1e-9")
+        sigma.append(s)
         classes.append(1 + _positions(path, line, _LABELS, np.char.strip(rows["label"].astype(str)),
                                       "slice_class must be one of V1..V5, got {!r}"))
     return np.concatenate(sigma), np.concatenate(classes)
@@ -407,11 +415,30 @@ def read_rankings(path, graph: RouteGraph) -> dict:
     grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
                     a_bar=np.zeros(n), influential=np.zeros(n),
                     least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int))
+    ranked = {name: np.zeros(n, dtype=bool) for name in RANKINGS_HEADER[4:]}
     for line, rows in _read_csv(path, RANKINGS_HEADER, "i8,O,f8,f8,i8,i8"):
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
         grid.put(line, index, a_bar=rows["a_bar"], influential=rows["influential_score"],
                  least=rows["rank_least_successful"], most=rows["rank_most_successful"])
+        a_bar = rows["a_bar"]
+        _reject(path, line, (a_bar < 0) | (a_bar > 4),
+                lambda k: f"a_bar {fnum(a_bar[k])} outside [0, 4]")
+        for name, seen in ranked.items():
+            _check_ranks(path, line, name, rows[name], seen)
     return grid.complete()
+
+
+def _check_ranks(path, line, name: str, ranks: np.ndarray, seen: np.ndarray) -> None:
+    """Reject the first rank outside 1..len(seen) or given before, in these rows or in
+    the earlier ones that `seen` marks; then mark these."""
+    inside = (ranks >= 1) & (ranks <= len(seen))
+    index = np.where(inside, ranks - 1, 0)
+    first = np.zeros(len(ranks), dtype=bool)
+    first[np.unique(index, return_index=True)[1]] = True
+    _reject(path, line, ~inside | seen[index] | ~first,
+            lambda k: f"{name} {ranks[k]} " + ("repeated" if inside[k] else
+                                               f"outside 1..{len(seen)}"))
+    seen[index] = True
 
 
 def save_checkpoint(path, model: GatModel) -> None:

@@ -33,9 +33,15 @@ def _svg_open(width: int, height: int) -> str:
             f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n')
 
 
-def _title(text: str, x: float, y: float, size: int = 16) -> str:
-    return (f'<text x="{_f(x)}" y="{_f(y)}" {FONT} font-size="{size}" '
-            f'font-weight="bold" fill="#222222">{text}</text>\n')
+def _text(x: float, y: float, size: int, text: str, fill: str = "#222222",
+          attrs: str = "") -> str:
+    """A <text> element; `attrs` are the attributes between the size and the fill."""
+    return (f'<text x="{_f(x)}" y="{_f(y)}" {FONT} font-size="{size}" {attrs}'
+            f'fill="{fill}">{text}</text>\n')
+
+
+def _title(text: str, x: float, y: float) -> str:
+    return _text(x, y, 16, text, attrs='font-weight="bold" ')
 
 
 def _legend(present: list[int], x: float, y: float) -> str:
@@ -44,8 +50,7 @@ def _legend(present: list[int], x: float, y: float) -> str:
         cy = y + 22 * row
         parts.append(f'<rect x="{_f(x)}" y="{_f(cy)}" width="14" height="14" '
                      f'fill="{CLASS_COLORS[j]}" stroke="#555555"/>\n')
-        parts.append(f'<text x="{_f(x + 20)}" y="{_f(cy + 12)}" {FONT} '
-                     f'font-size="12" fill="#222222">{CLASS_NAMES[j]}</text>\n')
+        parts.append(_text(x + 20, cy + 12, 12, CLASS_NAMES[j]))
     return "".join(parts)
 
 
@@ -109,8 +114,8 @@ def render_slices(sigma: np.ndarray, slice_classes: np.ndarray) -> str:
                    f'fill="{CLASS_COLORS[marker]}" stroke="#333333" stroke-width="0.6">'
                    f'<title>week {t + 1}: V{marker}</title></circle>\n')
         if weeks <= 30 or (t + 1) % 5 == 0 or t == 0:
-            svg.append(f'<text x="{_f(x + bar_w / 2)}" y="{_f(base_y + 14)}" {FONT} '
-                       f'font-size="9" text-anchor="middle" fill="#222222">{t + 1}</text>\n')
+            svg.append(_text(x + bar_w / 2, base_y + 14, 9, str(t + 1),
+                             attrs='text-anchor="middle" '))
     svg.append(_legend([1, 2, 3, 4, 5], width - 155, pad + 20))
     svg.append("</svg>\n")
     return "".join(svg)
@@ -132,18 +137,16 @@ def render_ranking(graph: RouteGraph, a_bar: np.ndarray, least: np.ndarray,
     for ranks, title, title_color, bar_color in (
             (least, "Least successful", "#882222", "#d7191c"),
             (most, "Most successful", "#224488", "#2c7bb6")):
-        svg.append(f'<text x="{_f(pad)}" y="{_f(y)}" {FONT} font-size="13" '
-                   f'fill="{title_color}">{title}</text>\n')
+        svg.append(_text(pad, y, 13, title, fill=title_color))
         y += 10
         for i in np.argsort(ranks)[:k]:
             rec = graph.nodes[int(i)]
             svg.append(f'<rect x="{_f(pad + 180)}" y="{_f(y)}" '
                        f'width="{_f(max(a_bar[i] * scale, 0.5))}" height="16" '
                        f'fill="{bar_color}"/>\n')
-            svg.append(f'<text x="{_f(pad + 172)}" y="{_f(y + 13)}" {FONT} font-size="12" '
-                       f'text-anchor="end" fill="#222222">{_escape(rec.name)}</text>\n')
-            svg.append(f'<text x="{_f(pad + 186 + a_bar[i] * scale)}" y="{_f(y + 13)}" {FONT} '
-                       f'font-size="11" fill="#222222">{a_bar[i]:.3f}</text>\n')
+            svg.append(_text(pad + 172, y + 13, 12, _escape(rec.name),
+                             attrs='text-anchor="end" '))
+            svg.append(_text(pad + 186 + a_bar[i] * scale, y + 13, 11, f"{a_bar[i]:.3f}"))
             y += 26
         y += 18
     svg.append("</svg>\n")

@@ -91,20 +91,33 @@ def _first_component(adjacency: sp.csr_matrix, start: int = 0) -> np.ndarray:
 
 def _joined(pairs: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """`pairs` plus, while node 0's component is not everything, the closest pair
-    between it and the rest, ties going to the smaller (min, max) index pair."""
+    between it and the rest, ties going to the smaller (min, max) index pair.
+
+    Each outside node keeps its closest inside distance and partner (the smaller
+    index on a tie), updated from the nodes that each join brings inside.
+    """
     n = len(positions)
     ends = np.concatenate((pairs, pairs[:, ::-1]))
     adjacency = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
     reached, joins = _first_component(adjacency), [pairs]
+    entered = np.flatnonzero(reached)
+    nearest, partner = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
     while not reached.all():
-        inside, outside = np.flatnonzero(reached), np.flatnonzero(~reached)
-        d2 = _squared_distances(positions[inside], positions[outside])
-        rows, cols = np.nonzero(d2 == d2.min())
-        lo, hi = np.sort(np.column_stack((inside[rows], outside[cols])), axis=1).T
+        outside = np.flatnonzero(~reached)
+        d2 = _squared_distances(positions[entered], positions[outside])
+        first = d2.argmin(axis=0)  # the smallest index among tied minima
+        d2, candidate = d2[first, np.arange(len(outside))], entered[first]
+        known, known_partner = nearest[outside], partner[outside]
+        closer = (d2 < known) | ((d2 == known) & (candidate < known_partner))
+        nearest[outside[closer]], partner[outside[closer]] = d2[closer], candidate[closer]
+        tied = outside[nearest[outside] == nearest[outside].min()]
+        lo, hi = np.minimum(tied, partner[tied]), np.maximum(tied, partner[tied])
         best = np.lexsort((hi, lo))[0]
         joins.append([[lo[best], hi[best]]])
         # the join adds the whole original component of its outside end
-        reached |= _first_component(adjacency, outside[cols[best]])
+        component = _first_component(adjacency, tied[best])
+        reached |= component
+        entered = np.flatnonzero(component)
     return np.concatenate(joins)
 
 

@@ -318,15 +318,25 @@ class TestReadersMatchReference:
             same_array(new[key], ref[key])
 
     def test_slices(self, tmp_path, rng):
+        # class shares: each row's magnitudes (-0.0 stays) over their sum, as the
+        # reader requires sigmas in [0, 1] summing to 1
+        size = awkward((7, 5), rng)
+        size = np.where(size < 0, -size, size)
         path = tmp_path / "slices.csv"
-        dataio.write_slices(path, awkward((7, 5), rng), rng.integers(1, 6, size=7))
+        dataio.write_slices(path, size / size.sum(axis=1, keepdims=True),
+                            rng.integers(1, 6, size=7))
         awkward_rows(path, rng, shuffle=False)
         for a, b in zip(dataio.read_slices(path), reference.read_slices(path)):
             same_array(a, b)
 
     def test_rankings(self, tmp_path, rng, graph):
+        # a_bar in [0, 4], as the reader requires: negatives flip (-0.0 stays) and
+        # values above 4 become 4 / x
+        a_bar = awkward((graph.n,), rng)
+        a_bar = np.where(a_bar < 0, -a_bar, a_bar)
+        np.divide(4.0, a_bar, out=a_bar, where=a_bar > 4)
         path = tmp_path / "rankings.csv"
-        dataio.write_rankings(path, graph, awkward((graph.n,), rng),
+        dataio.write_rankings(path, graph, a_bar,
                               np.abs(awkward((graph.n,), rng)),
                               rng.permutation(graph.n) + 1, rng.permutation(graph.n) + 1)
         awkward_rows(path, rng)

@@ -154,16 +154,29 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("classes.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("classes.csv", "week out of range", cell(3, 1, "3"), "line 3: week 3 outside 1..2"),
     ("classes.csv", "bad class label", cell(4, 3, "V6"), "line 4: bad class label 'V6'"),
+    ("classes.csv", "a_score above 4", cell(3, 5, "7"), "line 3: a_score 7 outside 0..4"),
+    ("classes.csv", "negative a_score", cell(6, 5, "-1"), "line 6: a_score -1 outside 0..4"),
     ("classes.csv", "duplicate row", repeat(2), "line 8: duplicate entry for node 1 week 1"),
     ("classes.csv", "missing row", drop(5), "missing class rows for node 2 week 2"),
     ("slices.csv", "week out of range", cell(3, 0, "3"),
      "line 3: week must be 2 (rows run 1..T in order), got 3"),
     ("slices.csv", "bad slice label", cell(2, 6, "V9"),
      "line 2: slice_class must be one of V1..V5, got 'V9'"),
+    ("slices.csv", "sigma above 1", cell(2, 1, "1.5"), "line 2: sigma1 1.5 outside [0, 1]"),
+    ("slices.csv", "negative sigma", cell(3, 3, "-0.1"), "line 3: sigma3 -0.1 outside [0, 1]"),
+    ("slices.csv", "sigmas not summing to 1", cell(3, 3, "0.25"),
+     "line 3: sigmas sum to 1.25, not 1 within 1e-9"),
     ("slices.csv", "duplicate row", repeat(2, at=3),
      "line 3: week must be 2 (rows run 1..T in order), got 1"),
     ("slices.csv", "missing row", drop(2), "line 2: week must be 1 (rows run 1..T in order), got 2"),
     ("rankings.csv", "unknown node", cell(4, 0, "99"), "line 4: unknown node 99"),
+    ("rankings.csv", "a_bar above 4", cell(3, 2, "4.5"), "line 3: a_bar 4.5 outside [0, 4]"),
+    ("rankings.csv", "negative a_bar", cell(2, 2, "-0.5"), "line 2: a_bar -0.5 outside [0, 4]"),
+    ("rankings.csv", "rank above N", cell(4, 4, "4"), "line 4: rank_least_successful 4 outside 1..3"),
+    ("rankings.csv", "rank 0", cell(2, 5, "0"), "line 2: rank_most_successful 0 outside 1..3"),
+    ("rankings.csv", "repeated rank", cell(4, 5, "2"), "line 4: rank_most_successful 2 repeated"),
+    ("rankings.csv", "repeated rank before one out of range", both(cell(3, 4, "1"), cell(4, 4, "9")),
+     "line 3: rank_least_successful 1 repeated"),
     ("rankings.csv", "duplicate row", repeat(3), "line 5: duplicate entry for node 2"),
     ("rankings.csv", "missing row", drop(3), "missing entry for node 2"),
 ]
@@ -196,6 +209,18 @@ def test_fault_rejected_with_file_and_line(tmp_path, name, fault, edit, message)
     with pytest.raises(ValidationError) as info:
         READ[name](path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_repeated_rank_in_a_later_chunk(tmp_path, monkeypatch):
+    # ranks seen in earlier chunks count: one row per chunk here
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
+    lines = list(VALID["rankings.csv"])
+    cell(4, 4, "1")(lines)
+    path = tmp_path / "rankings.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        dataio.read_rankings(path, GRAPH)
+    assert str(info.value) == f"{path}: line 4: rank_least_successful 1 repeated"
 
 
 CHECKPOINT = ["GATCKPT1",

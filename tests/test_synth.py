@@ -7,9 +7,10 @@ import synth_reference as reference
 from stgw.cli import main
 from stgw.errors import ValidationError
 from stgw.gat import negative_candidates
+from stgw import synth
 from stgw.graphs import normalize_cases
-from stgw.synth import (AnomalyInjection, SyntheticSpec, _first_component, _joined, generate,
-                         write_dataset)
+from stgw.synth import (AnomalyInjection, SyntheticSpec, _first_component, _joined,
+                        _squared_distances, generate, write_dataset)
 
 
 class TestSpecValidation:
@@ -134,6 +135,36 @@ class TestMatchesLoopReference:
             reference._connect_components(expected, positions)
             joined = _joined(np.zeros((0, 2), dtype=np.int64), positions)
             assert sorted(map(tuple, joined.tolist())) == sorted(expected)
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_join_with_components_on_a_lattice(self, seed):
+        # components of several nodes and tied distances: a partner kept from an
+        # earlier join must lose a tie to a smaller index that enters later
+        rng = np.random.default_rng(seed)
+        positions = rng.integers(0, 6, size=(40, 2)).astype(float)
+        i, j = np.triu_indices(40, 1)
+        keep = rng.random(i.size) < 0.03
+        pairs = np.column_stack((i[keep], j[keep]))
+        expected = set(map(tuple, pairs.tolist()))
+        reference._connect_components(expected, positions)
+        joined = _joined(pairs, positions)
+        assert len(joined) > len(pairs) + 5
+        assert sorted(map(tuple, joined.tolist())) == sorted(expected)
+
+    def test_join_measures_each_cross_pair_once(self, monkeypatch):
+        # a node's distance to the outside is measured when it enters node 0's
+        # component, so all joins together measure at most N(N - 1)/2 pairs
+        sizes = []
+
+        def counted(a, b):
+            sizes.append(len(a) * len(b))
+            return _squared_distances(a, b)
+        monkeypatch.setattr(synth, "_squared_distances", counted)
+        n = 300
+        positions = np.random.default_rng(4).uniform(size=(n, 2))
+        joined = _joined(np.zeros((0, 2), dtype=np.int64), positions)
+        assert len(joined) == n - 1 == len(sizes)
+        assert sum(sizes) <= n * (n - 1) // 2
 
 
 class TestWriteDataset:
