@@ -154,7 +154,7 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("classes.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("classes.csv", "week out of range", cell(3, 1, "3"), "line 3: week 3 outside 1..2"),
     ("classes.csv", "bad class label", cell(4, 3, "V6"), "line 4: bad class label 'V6'"),
-    ("classes.csv", "a_score above 4", cell(3, 5, "7"), "line 3: a_score 7 outside 0..4"),
+    ("classes.csv", "a_score above 4", cell(3, 5, "5"), "line 3: a_score 5 outside 0..4"),
     ("classes.csv", "negative a_score", cell(6, 5, "-1"), "line 6: a_score -1 outside 0..4"),
     ("classes.csv", "duplicate row", repeat(2), "line 8: duplicate entry for node 1 week 1"),
     ("classes.csv", "missing row", drop(5), "missing class rows for node 2 week 2"),
@@ -164,8 +164,8 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
      "line 2: slice_class must be one of V1..V5, got 'V9'"),
     ("slices.csv", "sigma above 1", cell(2, 1, "1.5"), "line 2: sigma1 1.5 outside [0, 1]"),
     ("slices.csv", "negative sigma", cell(3, 3, "-0.1"), "line 3: sigma3 -0.1 outside [0, 1]"),
-    ("slices.csv", "sigmas not summing to 1", cell(3, 3, "0.25"),
-     "line 3: sigmas sum to 1.25, not 1 within 1e-9"),
+    ("slices.csv", "sigmas not summing to 1", cell(3, 3, "1e-8"),
+     "line 3: sigmas sum to 1.00000001, not 1 within 1e-9"),
     ("slices.csv", "duplicate row", repeat(2, at=3),
      "line 3: week must be 2 (rows run 1..T in order), got 1"),
     ("slices.csv", "missing row", drop(2), "line 2: week must be 1 (rows run 1..T in order), got 2"),
