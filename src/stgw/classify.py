@@ -35,15 +35,15 @@ class TorqueField:
 
 
 def robust_scale(table: CoefficientTable) -> np.ndarray:
-    """Per filter: |W| divided by the interquartile range of |W|.
+    """Per filter: |W| divided by the interquartile range of |W|, as a new array
+    (`table.values` is left as it is).
 
     Zero-IQR columns fall back to dividing by the column max (warned); columns
     that are identically zero pass through unchanged.
     """
-    absW = np.abs(table.values)
-    scaled = np.zeros_like(absW)
-    for m in range(absW.shape[1]):
-        col = absW[:, m]
+    scaled = np.abs(table.values)
+    for m in range(scaled.shape[1]):
+        col = scaled[:, m]
         q1, q3 = np.percentile(col, [25.0, 75.0])
         r = q3 - q1
         if r == 0.0:
@@ -52,20 +52,19 @@ def robust_scale(table: CoefficientTable) -> np.ndarray:
                 warnings.warn(f"filter {m + 1} is identically zero; passing through")
                 continue
             warnings.warn(f"filter {m + 1} has zero IQR; scaling by column max")
-        scaled[:, m] = col / r
+        col /= r
     return scaled
 
 
 def log_normalize(scaled: np.ndarray) -> np.ndarray:
-    """ln(1 + S) / ln(1 + max S), per filter column; all-zero columns stay zero."""
+    """ln(1 + S) / ln(1 + max S), per filter column; columns whose max is not positive
+    become zero.  Normalizes `scaled` in place and returns it."""
     if np.any(scaled < 0):
         raise ValidationError("log normalization expects non-negative input")
-    out = np.zeros_like(scaled)
     for m in range(scaled.shape[1]):
         top = scaled[:, m].max()
-        if top > 0.0:
-            out[:, m] = np.log1p(scaled[:, m]) / np.log1p(top)
-    return out
+        scaled[:, m] = np.log1p(scaled[:, m]) / np.log1p(top) if top > 0.0 else 0.0
+    return scaled
 
 
 def torque(normalized: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from .classify import THETA_HI, THETA_LO, a_score, rank_nodes
 from .errors import DataIOError, ValidationError, utf8_text
 from .gat import GatModel
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph,
@@ -360,7 +361,10 @@ def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, score
         for i, nid in enumerate(graph.node_ids)))
 
 
-def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
+def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA_HI,
+                 theta_lo: float = THETA_LO) -> dict:
+    """Every (node, week) exactly once; each a_score must be the one `classify.a_score`
+    gives the row's class and theta under these thresholds."""
     shape, ids = (graph.n, weeks), np.array(graph.node_ids)
     grid = _Scatter(path, "class rows", lambda i, t: f"node {ids[i]} week {t + 1}",
                     phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
@@ -371,10 +375,14 @@ def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
         _reject(path, line, (score < 0) | (score > 4),
                 lambda k: f"a_score {score[k]} outside 0..4")
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
-        labels = _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
-                            "bad class label {!r}")
-        grid.put(line, index, phi=rows["torque"], labels=labels + 1, theta=rows["theta"],
-                 scores=rows["a_score"])
+        labels = 1 + _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
+                                "bad class label {!r}")
+        theta = rows["theta"]
+        expected = a_score(labels, theta, theta_hi, theta_lo)
+        _reject(path, line, score != expected,
+                lambda k: f"a_score {score[k]} does not match class V{labels[k]} and theta "
+                          f"{fnum(theta[k])} (expected {expected[k]})")
+        grid.put(line, index, phi=rows["torque"], labels=labels, theta=theta, scores=score)
     return grid.complete()
 
 
@@ -411,11 +419,14 @@ def write_rankings(path, graph: RouteGraph, a_bar, influential, least, most) -> 
 
 
 def read_rankings(path, graph: RouteGraph) -> dict:
+    """One row per node; both rank columns must be the ones `classify.rank_nodes` gives
+    the a_bar column."""
     n, ids = graph.n, np.array(graph.node_ids)
     grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
                     a_bar=np.zeros(n), influential=np.zeros(n),
                     least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int))
     ranked = {name: np.zeros(n, dtype=bool) for name in RANKINGS_HEADER[4:]}
+    nodes = []  # the node of each row, in file order
     for line, rows in _read_csv(path, RANKINGS_HEADER, "i8,O,f8,f8,i8,i8"):
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
         grid.put(line, index, a_bar=rows["a_bar"], influential=rows["influential_score"],
@@ -425,7 +436,15 @@ def read_rankings(path, graph: RouteGraph) -> dict:
                 lambda k: f"a_bar {fnum(a_bar[k])} outside [0, 4]")
         for name, seen in ranked.items():
             _check_ranks(path, line, name, rows[name], seen)
-    return grid.complete()
+        nodes.append(index[0])
+    result = grid.complete()
+    # complete: row k, on line 2 + k, is node `order[k]`
+    order = np.concatenate(nodes)
+    for name, key, expected in zip(ranked, ("least", "most"), rank_nodes(result["a_bar"])):
+        got, want = result[key][order], expected[order]
+        _reject(path, 2, got != want, lambda k: f"{name} {got[k]} does not match the a_bar "
+                f"order (expected {want[k]})")
+    return result
 
 
 def _check_ranks(path, line, name: str, ranks: np.ndarray, seen: np.ndarray) -> None:

@@ -222,12 +222,18 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     """Rank from the classes and P (else their CSVs); write rankings.csv."""
     inputs = graph, raw, _ = load_inputs(cfg, weeks)
     dataio.ensure_dir(cfg.io.out)
-    classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    classes = classes or _read_classes(cfg, graph, raw.weeks)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     rankings, facts = rank(inputs, classes["scores"], transition, weeks)
     rankings_path = _out(cfg, "rankings.csv")
     dataio.write_rankings(rankings_path, graph, **rankings)
     return [rankings_path, _manifest(cfg, "rank", facts)], rankings
+
+
+def _read_classes(cfg: RunConfig, graph: RouteGraph, t: int) -> dict:
+    """classes.csv, whose a_scores must follow the run's [classify] thresholds."""
+    return dataio.read_classes(_out(cfg, "classes.csv"), graph, t,
+                               theta_hi=cfg.classify.theta_hi, theta_lo=cfg.classify.theta_lo)
 
 
 def _read_slices(path: str, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +253,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
     """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
     inputs = graph, raw, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
-    classes = classes or dataio.read_classes(_out(cfg, "classes.csv"), graph, raw.weeks)
+    classes = classes or _read_classes(cfg, graph, raw.weeks)
     slices = slices or _read_slices(_out(cfg, "slices.csv"), raw.weeks)
     rankings = rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
     svgs, facts = render(inputs, classes, slices, rankings, mask, week)

@@ -29,6 +29,9 @@ DEFAULT_QUAD_POINTS = 2 ** 14
 # stays smaller than the slack between bound and error
 QUAD_MARGIN = 4
 EXACT_DIMENSION_GUARD = 5000
+# rows of the scratch block through which cheb_apply adds each order's term to the
+# coefficients (256 KB for 8 filters)
+APPLY_ROWS = 4096
 
 # scale endpoints, in units of 1/lambda_max
 SCALE_LO = 1.0
@@ -258,7 +261,8 @@ def cheb_apply(L: SymmetricLaplacian, X: np.ndarray, expansion: ChebyshevExpansi
     The shifted polynomials Tbar_k follow the recursion
     Tbar_k = (4/lambda_max * L - 2) Tbar_{k-1} - Tbar_{k-2} with Tbar_0 = X and
     Tbar_1 = (2/lambda_max * L - 1) X; each order costs one matrix-vector
-    product and updates every filter at once.
+    product and updates every filter at once, through a scratch block of
+    APPLY_ROWS rows, so no order allocates an array of the output's size.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (L.n,):
@@ -275,8 +279,18 @@ def cheb_apply(L: SymmetricLaplacian, X: np.ndarray, expansion: ChebyshevExpansi
     C = expansion.coefficients
     t_prev, t_cur = X, (2.0 / lam) * matvec(X) - X
     out = np.outer(t_prev, 0.5 * C[:, 0])
-    out += np.outer(t_cur, C[:, 1])
+    scratch = np.empty((max(1, min(APPLY_ROWS, L.n)), C.shape[0]))
+    _add_outer(out, t_cur, C[:, 1], scratch)
     for k in range(2, C.shape[1]):
         t_prev, t_cur = t_cur, (4.0 / lam) * matvec(t_cur) - 2.0 * t_cur - t_prev
-        out += np.outer(t_cur, C[:, k])
+        _add_outer(out, t_cur, C[:, k], scratch)
     return CoefficientTable(values=out)
+
+
+def _add_outer(out: np.ndarray, t: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """out += outer(t, c), formed len(scratch) rows at a time in `scratch`: the same
+    products and sums as adding `np.outer(t, c)`, without an array of out's size."""
+    for a in range(0, len(out), len(scratch)):
+        block = scratch[:len(out) - a]
+        np.multiply(t[a:a + len(block), None], c, out=block)
+        out[a:a + len(block)] += block

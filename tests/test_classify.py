@@ -36,11 +36,31 @@ class TestRobustScale:
         s2 = robust_scale(CoefficientTable(values=10.0 * vals))
         assert np.allclose(s1, s2, atol=1e-12)
 
+    def test_table_values_unchanged(self, rng):
+        table = CoefficientTable(values=rng.standard_normal((30, 3)))
+        before = table.values.tobytes()
+        s = robust_scale(table)
+        assert table.values.tobytes() == before
+        assert not np.shares_memory(s, table.values)
+
+    def test_warnings_and_columns_in_one_table(self, rng):
+        # a zero-IQR column, an all-zero one and an ordinary one, side by side
+        vals = np.column_stack([np.r_[np.zeros(9), 4.0], np.zeros(10), rng.standard_normal(10)])
+        with pytest.warns(UserWarning) as caught:
+            s = robust_scale(CoefficientTable(values=vals))
+        assert [str(w.message) for w in caught] == [
+            "filter 1 has zero IQR; scaling by column max",
+            "filter 2 is identically zero; passing through"]
+        assert s[:, 0].tolist() == [0.0] * 9 + [1.0]
+        assert s[:, 1].tolist() == [0.0] * 10
+        q1, q3 = np.percentile(np.abs(vals[:, 2]), [25.0, 75.0])
+        assert s[:, 2].tobytes() == (np.abs(vals[:, 2]) / (q3 - q1)).tobytes()
+
 
 class TestLogNormalize:
     def test_max_maps_to_one(self, rng):
         s = np.abs(rng.standard_normal((20, 2))) + 0.1
-        out = log_normalize(s)
+        out = log_normalize(s.copy())
         assert np.max(out) == 1.0
         assert out[np.argmax(s[:, 0]), 0] == 1.0
 
@@ -51,8 +71,18 @@ class TestLogNormalize:
 
     def test_order_preserved(self, rng):
         s = np.abs(rng.standard_normal((50, 1)))
-        out = log_normalize(s)
+        out = log_normalize(s.copy())
         assert np.array_equal(np.argsort(s[:, 0]), np.argsort(out[:, 0]))
+
+    def test_normalizes_its_argument_in_place(self, rng):
+        s = np.abs(rng.standard_normal((20, 3)))
+        s[:, 1] = 0.0
+        with np.errstate(invalid="ignore"):  # 0/0 in the all-zero column
+            expected = np.log1p(s) / np.log1p(s.max(axis=0))
+        expected[:, 1] = 0.0
+        out = log_normalize(s)
+        assert out is s
+        assert out.tobytes() == expected.tobytes()
 
     def test_rank_correlation_through_both_steps(self, rng):
         vals = rng.standard_normal((40, 8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stgw import dataio
+from stgw.classify import a_score, rank_nodes
 from stgw.errors import DataIOError, ValidationError
 from stgw.gat import GatLayerParams, GatModel
 from stgw.graphs import CaseMatrix, NodeRecord, TransitionMatrix, build_route_graph
@@ -123,7 +124,7 @@ class TestRoundTrips:
         phi = rng.standard_normal((3, weeks))
         labels = rng.integers(1, 6, size=(3, weeks))
         theta = rng.uniform(0, 3, size=(3, weeks))
-        scores = rng.integers(0, 5, size=(3, weeks))
+        scores = a_score(labels, theta)  # the reader requires the grades of class and theta
         cpath = tmp_path / "classes.csv"
         dataio.write_classes(cpath, g, weeks, phi, labels, theta, scores)
         data = dataio.read_classes(cpath, g, weeks)
@@ -143,8 +144,7 @@ class TestRoundTrips:
         g = path_graph(4)
         a_bar = rng.uniform(0, 4, size=4)
         infl = rng.uniform(0, 3, size=4)
-        least = np.array([2, 1, 4, 3])
-        most = np.array([3, 4, 1, 2])
+        least, most = rank_nodes(a_bar)  # the reader requires the a_bar order
         path = tmp_path / "rankings.csv"
         dataio.write_rankings(path, g, a_bar, infl, least, most)
         back = dataio.read_rankings(path, g)
@@ -307,10 +307,11 @@ class TestReadersMatchReference:
     def test_classes(self, tmp_path, rng, graph):
         weeks = 5
         path = tmp_path / "classes.csv"
+        # a_scores graded from class and theta, as the reader requires
+        labels = rng.integers(1, 6, size=(graph.n, weeks))
+        theta = np.abs(awkward((graph.n, weeks), rng))
         dataio.write_classes(path, graph, weeks, awkward((graph.n, weeks), rng),
-                             rng.integers(1, 6, size=(graph.n, weeks)),
-                             np.abs(awkward((graph.n, weeks), rng)),
-                             rng.integers(0, 5, size=(graph.n, weeks)))
+                             labels, theta, a_score(labels, theta))
         awkward_rows(path, rng)
         new, ref = dataio.read_classes(path, graph, weeks), reference.read_classes(path, graph, weeks)
         assert list(new) == list(ref)
@@ -331,14 +332,13 @@ class TestReadersMatchReference:
 
     def test_rankings(self, tmp_path, rng, graph):
         # a_bar in [0, 4], as the reader requires: negatives flip (-0.0 stays) and
-        # values above 4 become 4 / x
+        # values above 4 become 4 / x; the ranks follow its order
         a_bar = awkward((graph.n,), rng)
         a_bar = np.where(a_bar < 0, -a_bar, a_bar)
         np.divide(4.0, a_bar, out=a_bar, where=a_bar > 4)
         path = tmp_path / "rankings.csv"
         dataio.write_rankings(path, graph, a_bar,
-                              np.abs(awkward((graph.n,), rng)),
-                              rng.permutation(graph.n) + 1, rng.permutation(graph.n) + 1)
+                              np.abs(awkward((graph.n,), rng)), *rank_nodes(a_bar))
         awkward_rows(path, rng)
         new, ref = dataio.read_rankings(path, graph), reference.read_rankings(path, graph)
         assert list(new) == list(ref)

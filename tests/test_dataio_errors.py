@@ -28,12 +28,12 @@ VALID = {
     "coefficients.csv": ["vertex_id,slice,filter,coef"] + [
         f"{n},{t},{m},{n + t / 4 - m}" for n in (1, 2, 3) for t in (1, 2) for m in (1, 2)],
     "classes.csv": ["node_id,week,torque,class,theta,a_score"] + [
-        f"{n},{w},{n - w / 2},V{n + w - 1},{w / 2},{n % 2}" for n in (1, 2, 3) for w in (1, 2)],
+        f"{n},{w},{n - w / 2},V{n + w - 1},{w / 2},2" for n in (1, 2, 3) for w in (1, 2)],
     "slices.csv": ["week,sigma1,sigma2,sigma3,sigma4,sigma5,slice_class",
                    "1,0.2,0.2,0.2,0.2,0.2,V1", "2,0.5,0.5,0.0,0.0,0.0,V2"],
     "rankings.csv": ["node_id,name,a_bar,influential_score,"
                      "rank_least_successful,rank_most_successful",
-                     "1,Alpha,0.5,0.25,1,3", "2,Beta,1.5,0.5,2,2", "3,Gamma,2.5,0.75,3,1"],
+                     "1,Alpha,2.5,0.25,1,3", "2,Beta,1.5,0.5,2,2", "3,Gamma,0.5,0.75,3,1"],
 }
 
 GRAPH = build_route_graph([NodeRecord(1, "Alpha", 42.0, -72.0, 1000),
@@ -156,6 +156,10 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("classes.csv", "bad class label", cell(4, 3, "V6"), "line 4: bad class label 'V6'"),
     ("classes.csv", "a_score above 4", cell(3, 5, "5"), "line 3: a_score 5 outside 0..4"),
     ("classes.csv", "negative a_score", cell(6, 5, "-1"), "line 6: a_score -1 outside 0..4"),
+    ("classes.csv", "a_score not the grade of class and theta", cell(2, 5, "4"),
+     "line 2: a_score 4 does not match class V1 and theta 0.5 (expected 2)"),
+    ("classes.csv", "a_score not the grade of a V4 spike", cell(7, 4, "1.5"),
+     "line 7: a_score 2 does not match class V4 and theta 1.5 (expected 3)"),
     ("classes.csv", "duplicate row", repeat(2), "line 8: duplicate entry for node 1 week 1"),
     ("classes.csv", "missing row", drop(5), "missing class rows for node 2 week 2"),
     ("slices.csv", "week out of range", cell(3, 0, "3"),
@@ -177,6 +181,10 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("rankings.csv", "repeated rank", cell(4, 5, "2"), "line 4: rank_most_successful 2 repeated"),
     ("rankings.csv", "repeated rank before one out of range", both(cell(3, 4, "1"), cell(4, 4, "9")),
      "line 3: rank_least_successful 1 repeated"),
+    ("rankings.csv", "least ranks against the a_bar order", both(cell(2, 4, "2"), cell(3, 4, "1")),
+     "line 2: rank_least_successful 2 does not match the a_bar order (expected 1)"),
+    ("rankings.csv", "most ranks against the a_bar order", both(cell(3, 5, "1"), cell(4, 5, "2")),
+     "line 3: rank_most_successful 1 does not match the a_bar order (expected 2)"),
     ("rankings.csv", "duplicate row", repeat(3), "line 5: duplicate entry for node 2"),
     ("rankings.csv", "missing row", drop(3), "missing entry for node 2"),
 ]
@@ -221,6 +229,32 @@ def test_repeated_rank_in_a_later_chunk(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as info:
         dataio.read_rankings(path, GRAPH)
     assert str(info.value) == f"{path}: line 4: rank_least_successful 1 repeated"
+
+
+def test_a_score_follows_the_given_thresholds(tmp_path):
+    # line 7 is a V4 row with theta 1.0: neutral by default, a spike once theta_hi is 1.0
+    path = tmp_path / "classes.csv"
+    path.write_text("\n".join(VALID["classes.csv"]) + "\n", encoding="utf-8")
+    dataio.read_classes(path, GRAPH, WEEKS, theta_hi=1.5, theta_lo=0.5)
+    with pytest.raises(ValidationError) as info:
+        dataio.read_classes(path, GRAPH, WEEKS, theta_hi=1.0, theta_lo=0.5)
+    assert str(info.value) == (f"{path}: line 7: a_score 2 does not match class V4 "
+                               "and theta 1.0 (expected 3)")
+
+
+def test_rank_order_names_the_line_of_each_row(tmp_path, monkeypatch):
+    # rows in reverse node order, one per chunk: node 2 is on line 3 and node 1 on line 4
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
+    header, *rows = VALID["rankings.csv"]
+    lines = [header] + rows[::-1]
+    cell(3, 4, "1")(lines)  # node 1's least rank on node 2's row
+    cell(4, 4, "2")(lines)
+    path = tmp_path / "rankings.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        dataio.read_rankings(path, GRAPH)
+    assert str(info.value) == (f"{path}: line 3: rank_least_successful 1 does not match "
+                               "the a_bar order (expected 2)")
 
 
 CHECKPOINT = ["GATCKPT1",

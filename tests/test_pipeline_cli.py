@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from stgw.graphs import TransitionMatrix, normalize_cases
 from stgw.pipeline import (Inputs, classify, rank, render, run_pipeline, stage_classify,
                            stage_rank, stage_report, stage_train, stage_transform, train,
                            transform)
+from stgw.sgwt import CoefficientTable
 from stgw.synth import SyntheticSpec, generate, write_dataset
 
 SMALL = dict(nodes=14, weeks=6, rho=0.85, seed=8)
@@ -329,6 +331,23 @@ class TestPureStages:
         assert sorted(svgs) == ["map_classes_week3.svg", "ranking.svg", "slices.svg"]
         assert facts["week"] == 3 and facts["mask"] is True
 
+    def test_classify_holds_one_array_beside_the_table(self):
+        # N=400, T=104, the benchmark's scale: the scaled |W| is the only (N*T, 8) array
+        # classify adds; the rest is per-vertex vectors.  Measured 1.38 table sizes
+        # against a bound of 1.6; scaling and normalizing into new arrays took 2.13
+        graph, raw = generate(SyntheticSpec(nodes=400, weeks=104, seed=42))
+        inputs = Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+        table = CoefficientTable(values=np.random.default_rng(0).standard_normal(
+            (graph.n * raw.weeks, 8)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            classify(inputs, table, RunConfig().classify)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * table.values.nbytes
+
 
 class TestReport:
     def setup_run(self, tmp_path):
@@ -635,6 +654,45 @@ class TestBadInputExit2:
         path.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"{path}: line 3: {message}" in capsys.readouterr().err
+
+    def test_a_score_against_class_and_theta(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "classes.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        expected, cells[5] = cells[5], "4" if cells[5] != "4" else "0"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["rank", "--config", str(cfg_path)]) == 2
+        assert (f"{path}: line 2: a_score {cells[5]} does not match class {cells[3]} and "
+                f"theta {cells[4]} (expected {expected})") in capsys.readouterr().err
+
+    def test_a_scores_graded_under_other_thresholds(self, finished_run, tmp_path, capsys):
+        # with theta_lo at 1e299 every V4/V5 row is a dip, which the file's grades are not
+        cfg_path = staged_copy(finished_run, tmp_path)
+        graph, raw = dataio.ingest(*(tmp_path / "data" / name
+                                     for name in ("nodes.csv", "edges.csv", "cases.csv")))
+        path = tmp_path / "out" / "classes.csv"
+        classes = dataio.read_classes(path, graph, raw.weeks)
+        regraded = cl.a_score(classes["labels"], classes["theta"], 1e300, 1e299)
+        assert (regraded != classes["scores"]).any()
+        with open(cfg_path, "a", encoding="utf-8") as fh:
+            fh.write("[classify]\ntheta_hi = 1e300\ntheta_lo = 1e299\n")
+        assert main(["rank", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line " in err and "does not match class V" in err
+
+    def test_ranks_against_a_bar_order(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "rankings.csv"
+        lines = path.read_text().splitlines()
+        first, second = lines[1].split(","), lines[2].split(",")
+        first[4], second[4] = second[4], first[4]
+        lines[1:3] = ",".join(first), ",".join(second)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert (f"{path}: line 2: rank_least_successful {first[4]} does not match the a_bar "
+                f"order (expected {second[4]})") in capsys.readouterr().err
 
     def test_edge_to_unknown_node(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
