@@ -372,8 +372,6 @@ def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA
     for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
         w, score = rows["week"], rows["a_score"]
         _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
-        _reject(path, line, (score < 0) | (score > 4),
-                lambda k: f"a_score {score[k]} outside 0..4")
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
         labels = 1 + _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
                                 "bad class label {!r}")
@@ -425,7 +423,6 @@ def read_rankings(path, graph: RouteGraph) -> dict:
     grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
                     a_bar=np.zeros(n), influential=np.zeros(n),
                     least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int))
-    ranked = {name: np.zeros(n, dtype=bool) for name in RANKINGS_HEADER[4:]}
     nodes = []  # the node of each row, in file order
     for line, rows in _read_csv(path, RANKINGS_HEADER, "i8,O,f8,f8,i8,i8"):
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
@@ -434,30 +431,16 @@ def read_rankings(path, graph: RouteGraph) -> dict:
         a_bar = rows["a_bar"]
         _reject(path, line, (a_bar < 0) | (a_bar > 4),
                 lambda k: f"a_bar {fnum(a_bar[k])} outside [0, 4]")
-        for name, seen in ranked.items():
-            _check_ranks(path, line, name, rows[name], seen)
         nodes.append(index[0])
     result = grid.complete()
     # complete: row k, on line 2 + k, is node `order[k]`
     order = np.concatenate(nodes)
-    for name, key, expected in zip(ranked, ("least", "most"), rank_nodes(result["a_bar"])):
+    for name, key, expected in zip(RANKINGS_HEADER[4:], ("least", "most"),
+                                   rank_nodes(result["a_bar"])):
         got, want = result[key][order], expected[order]
         _reject(path, 2, got != want, lambda k: f"{name} {got[k]} does not match the a_bar "
                 f"order (expected {want[k]})")
     return result
-
-
-def _check_ranks(path, line, name: str, ranks: np.ndarray, seen: np.ndarray) -> None:
-    """Reject the first rank outside 1..len(seen) or given before, in these rows or in
-    the earlier ones that `seen` marks; then mark these."""
-    inside = (ranks >= 1) & (ranks <= len(seen))
-    index = np.where(inside, ranks - 1, 0)
-    first = np.zeros(len(ranks), dtype=bool)
-    first[np.unique(index, return_index=True)[1]] = True
-    _reject(path, line, ~inside | seen[index] | ~first,
-            lambda k: f"{name} {ranks[k]} " + ("repeated" if inside[k] else
-                                               f"outside 1..{len(seen)}"))
-    seen[index] = True
 
 
 def save_checkpoint(path, model: GatModel) -> None:

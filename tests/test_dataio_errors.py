@@ -154,8 +154,10 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("classes.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("classes.csv", "week out of range", cell(3, 1, "3"), "line 3: week 3 outside 1..2"),
     ("classes.csv", "bad class label", cell(4, 3, "V6"), "line 4: bad class label 'V6'"),
-    ("classes.csv", "a_score above 4", cell(3, 5, "5"), "line 3: a_score 5 outside 0..4"),
-    ("classes.csv", "negative a_score", cell(6, 5, "-1"), "line 6: a_score -1 outside 0..4"),
+    ("classes.csv", "a_score above 4", cell(3, 5, "5"),
+     "line 3: a_score 5 does not match class V2 and theta 1.0 (expected 2)"),
+    ("classes.csv", "negative a_score", cell(6, 5, "-1"),
+     "line 6: a_score -1 does not match class V3 and theta 0.5 (expected 2)"),
     ("classes.csv", "a_score not the grade of class and theta", cell(2, 5, "4"),
      "line 2: a_score 4 does not match class V1 and theta 0.5 (expected 2)"),
     ("classes.csv", "a_score not the grade of a V4 spike", cell(7, 4, "1.5"),
@@ -176,11 +178,14 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
     ("rankings.csv", "unknown node", cell(4, 0, "99"), "line 4: unknown node 99"),
     ("rankings.csv", "a_bar above 4", cell(3, 2, "4.5"), "line 3: a_bar 4.5 outside [0, 4]"),
     ("rankings.csv", "negative a_bar", cell(2, 2, "-0.5"), "line 2: a_bar -0.5 outside [0, 4]"),
-    ("rankings.csv", "rank above N", cell(4, 4, "4"), "line 4: rank_least_successful 4 outside 1..3"),
-    ("rankings.csv", "rank 0", cell(2, 5, "0"), "line 2: rank_most_successful 0 outside 1..3"),
-    ("rankings.csv", "repeated rank", cell(4, 5, "2"), "line 4: rank_most_successful 2 repeated"),
+    ("rankings.csv", "rank above N", cell(4, 4, "4"),
+     "line 4: rank_least_successful 4 does not match the a_bar order (expected 3)"),
+    ("rankings.csv", "rank 0", cell(2, 5, "0"),
+     "line 2: rank_most_successful 0 does not match the a_bar order (expected 3)"),
+    ("rankings.csv", "repeated rank", cell(4, 5, "2"),
+     "line 4: rank_most_successful 2 does not match the a_bar order (expected 1)"),
     ("rankings.csv", "repeated rank before one out of range", both(cell(3, 4, "1"), cell(4, 4, "9")),
-     "line 3: rank_least_successful 1 repeated"),
+     "line 3: rank_least_successful 1 does not match the a_bar order (expected 2)"),
     ("rankings.csv", "least ranks against the a_bar order", both(cell(2, 4, "2"), cell(3, 4, "1")),
      "line 2: rank_least_successful 2 does not match the a_bar order (expected 1)"),
     ("rankings.csv", "most ranks against the a_bar order", both(cell(3, 5, "1"), cell(4, 5, "2")),
@@ -228,7 +233,8 @@ def test_repeated_rank_in_a_later_chunk(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError) as info:
         dataio.read_rankings(path, GRAPH)
-    assert str(info.value) == f"{path}: line 4: rank_least_successful 1 repeated"
+    assert str(info.value) == (f"{path}: line 4: rank_least_successful 1 does not match "
+                               "the a_bar order (expected 3)")
 
 
 def test_a_score_follows_the_given_thresholds(tmp_path):
