@@ -84,18 +84,22 @@ def torque(normalized: np.ndarray) -> np.ndarray:
 
 
 def classify_nodes(phi: np.ndarray) -> TorqueField:
-    """Equal-width quintiles of [phi_min, phi_max]; V1 closed at the bottom."""
+    """Quintile labels of `phi` (see `quintile_labels`); warns when all values are equal."""
     phi = np.asarray(phi, dtype=float)
     lo = float(phi.min())
     hi = float(phi.max())
+    if hi == lo:
+        warnings.warn("degenerate torque field (all values equal); every node in V1")
+    return TorqueField(phi=phi, labels=quintile_labels(phi, lo, hi), phi_min=lo, phi_max=hi)
+
+
+def quintile_labels(phi: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Classes 1..5 of `phi` by equal-width quintiles of [lo, hi], V1 closed at the
+    bottom; every value is V1 when lo == hi."""
     d = hi - lo
     if d == 0.0:
-        warnings.warn("degenerate torque field (all values equal); every node in V1")
-        labels = np.ones(phi.shape, dtype=int)
-    else:
-        labels = np.ceil(5.0 * (phi - lo) / d).astype(int)
-        labels = np.clip(labels, 1, 5)
-    return TorqueField(phi=phi, labels=labels, phi_min=lo, phi_max=hi)
+        return np.ones(phi.shape, dtype=int)
+    return np.clip(np.ceil(5.0 * (phi - lo) / d).astype(int), 1, 5)
 
 
 def label_grid(labels: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -116,12 +120,17 @@ def slice_classification(labels: np.ndarray, n: int, t: int) -> tuple[np.ndarray
     sigma = np.zeros((t, 5))
     for j in range(1, 6):
         sigma[:, j - 1] = (grid == j).sum(axis=0) / n
+    return sigma, dominant_classes(sigma)
+
+
+def dominant_classes(sigma: np.ndarray) -> np.ndarray:
+    """The slice class of each row of the (T, 5) class frequencies `sigma`, as
+    `slice_classification` defines it."""
     sigma_max = sigma.max(axis=0)
     ratios = np.divide(sigma, sigma_max, out=np.full_like(sigma, -np.inf),
                        where=sigma_max > 0)
     # argmax over reversed columns picks the largest class index on ties
-    classes = 5 - np.argmax(ratios[:, ::-1], axis=1)
-    return sigma, classes
+    return 5 - np.argmax(ratios[:, ::-1], axis=1)
 
 
 def anomaly_metric(cases: CaseMatrix, base: RouteGraph) -> np.ndarray:

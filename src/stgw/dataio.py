@@ -361,6 +361,15 @@ def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, score
         for i, nid in enumerate(graph.node_ids)))
 
 
+def _class_rows(path, graph: RouteGraph, weeks: int) -> Iterator[tuple]:
+    """(line of the first row, rows, their (node, week) cells) per chunk of classes.csv."""
+    ids = np.array(graph.node_ids)
+    for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
+        w = rows["week"]
+        _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
+        yield line, rows, (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
+
+
 def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA_HI,
                  theta_lo: float = THETA_LO) -> dict:
     """Every (node, week) exactly once; each a_score must be the one `classify.a_score`
@@ -369,19 +378,24 @@ def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA
     grid = _Scatter(path, "class rows", lambda i, t: f"node {ids[i]} week {t + 1}",
                     phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
                     theta=np.zeros(shape), scores=np.zeros(shape, dtype=int))
-    for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
-        w, score = rows["week"], rows["a_score"]
-        _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
-        index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
+    for line, rows, index in _class_rows(path, graph, weeks):
         labels = 1 + _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
                                 "bad class label {!r}")
-        theta = rows["theta"]
+        score, theta = rows["a_score"], rows["theta"]
         expected = a_score(labels, theta, theta_hi, theta_lo)
         _reject(path, line, score != expected,
                 lambda k: f"a_score {score[k]} does not match class V{labels[k]} and theta "
                           f"{fnum(theta[k])} (expected {expected[k]})")
         grid.put(line, index, phi=rows["torque"], labels=labels, theta=theta, scores=score)
     return grid.complete()
+
+
+def reject_class_rows(path, graph: RouteGraph, weeks: int, bad: np.ndarray, message) -> None:
+    """Reject the first row of the classes.csv at `path`, in file order, whose cell (i, t)
+    is True in the (N, T) grid `bad`, with `message(i, t)`; the file is read again to find
+    it, so call this only once `read_classes` has accepted the file."""
+    for line, _, index in _class_rows(path, graph, weeks):
+        _reject(path, line, bad[index], lambda k: message(*(ix[k] for ix in index)))
 
 
 def write_slices(path, sigma, slice_classes) -> None:

@@ -24,7 +24,7 @@ from . import dataio, gat, report, sgwt
 from .config import ClassifySection, RunConfig, SgwtSection
 from .errors import StgwError, ValidationError
 from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
-                     normalize_cases, strong_product)
+                     normalize_cases, raise_first, strong_product)
 
 MANIFEST_NAME = "run-manifest.txt"
 
@@ -231,19 +231,34 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
 
 def _read_classes(cfg: RunConfig, graph: RouteGraph, t: int) -> dict:
-    """classes.csv, whose a_scores must follow the run's [classify] thresholds."""
-    return dataio.read_classes(_out(cfg, "classes.csv"), graph, t,
-                               theta_hi=cfg.classify.theta_hi, theta_lo=cfg.classify.theta_lo)
+    """classes.csv, whose a_scores must follow the run's [classify] thresholds and whose
+    classes must be the torque quintiles that `classify.classify_nodes` gives."""
+    path = _out(cfg, "classes.csv")
+    classes = dataio.read_classes(path, graph, t, theta_hi=cfg.classify.theta_hi,
+                                  theta_lo=cfg.classify.theta_lo)
+    phi, labels = classes["phi"], classes["labels"]
+    lo, hi = phi.min(), phi.max()
+    expected = cl.quintile_labels(phi, lo, hi)
+    bad = labels != expected
+    if bad.any():
+        dataio.reject_class_rows(path, graph, t, bad, lambda i, w: (
+            f"class V{labels[i, w]} does not match torque {dataio.fnum(phi[i, w])} in the "
+            f"quintiles of [{dataio.fnum(lo)}, {dataio.fnum(hi)}] (expected V{expected[i, w]})"))
+    return classes
 
 
 def _read_slices(path: str, t: int) -> tuple[np.ndarray, np.ndarray]:
     """`read_slices(path)`, which checks that the rows run from week 1 in order; they
-    must end at week t."""
+    must end at week t, and each slice_class must be the one `classify.dominant_classes`
+    gives the sigma columns."""
     sigma, classes = dataio.read_slices(path)
     if len(sigma) < t:
         raise ValidationError(f"{path}: missing week {len(sigma) + 1} of 1..{t}")
     if len(sigma) > t:
         raise ValidationError(f"{path}: line {t + 2}: week {t + 1} outside 1..{t}")
+    expected = cl.dominant_classes(sigma)
+    raise_first(classes != expected, lambda k: f"{path}: line {k + 2}: slice_class "
+                f"V{classes[k]} does not match the sigma columns (expected V{expected[k]})")
     return sigma, classes
 
 

@@ -251,6 +251,24 @@ class TestPipeline:
             run_pipeline(cfg)
         assert sorted(os.listdir(cfg.io.out)) == sorted(unrelated)
 
+    def test_other_exception_in_a_stage_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an exception that is not an StgwError leaves the stage as one, with exit 1
+        out = tmp_path / "data"
+        main(["synth", "--out", str(out), "--nodes", "10", "--weeks", "4"])
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            f"[io]\nnodes = {out}/nodes.csv\nedges = {out}/edges.csv\n"
+            f"cases = {out}/cases.csv\nout = {tmp_path}/out\n"
+            "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 20\n"
+        )
+
+        def planted(*args, **kwargs):
+            raise ZeroDivisionError("planted torque failure")
+        monkeypatch.setattr(cl, "torque", planted)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: stage classify: planted torque failure\n"
+        assert os.listdir(tmp_path / "out") == []
+
     @pytest.mark.parametrize("section,values,message", [
         ("classify", {"theta_hi": 0.5, "theta_lo": 2.0},
          "[classify] theta_lo must be below theta_hi"),
@@ -447,6 +465,22 @@ class TestCli:
         assert main(["build-graph", "--config", str(cfg_path)]) == 0
         captured = capsys.readouterr().out
         assert "10 nodes" in captured and "4 weeks" in captured
+
+    def test_build_graph_warns_of_isolated_nodes(self, tmp_path, capsys):
+        (tmp_path / "nodes.csv").write_text(
+            "node_id,name,lat,lon,population\n1,Alpha,42.0,-72.0,1000\n"
+            "2,Beta,42.1,-72.1,2000\n3,Gamma,42.2,-72.2,1500\n")
+        (tmp_path / "edges.csv").write_text("src_id,dst_id\n1,2\n")
+        (tmp_path / "cases.csv").write_text("node_id,week,cases\n" + "".join(
+            f"{n},{w},{n * w}\n" for n in (1, 2, 3) for w in (1, 2)))
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            f"[io]\nnodes = {tmp_path}/nodes.csv\nedges = {tmp_path}/edges.csv\n"
+            f"cases = {tmp_path}/cases.csv\nout = {tmp_path}/out\n"
+        )
+        assert main(["build-graph", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == ("graph: 3 nodes, 1 edges, 2 weeks\n"
+                                           "warning: 1 isolated nodes: [3]\n")
 
     def test_validation_error_exit_2(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -682,6 +716,38 @@ class TestBadInputExit2:
         err = capsys.readouterr().err
         assert f"{path}: line " in err and "does not match class V" in err
 
+    @pytest.mark.parametrize("command", ["rank", "report"])
+    def test_class_against_torque_quintiles(self, finished_run, tmp_path, capsys, command):
+        # rows in reverse order; the class of two V1..V3 rows moves within V1..V3, so
+        # their a_score stays 2; the one earlier in the file is named
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "classes.csv"
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[::-1]]
+        first, *_, last = [k for k, cells in enumerate(rows) if cells[3] in ("V1", "V2", "V3")]
+        expected = rows[first][3]
+        for k in (last, first):
+            rows[k][3] = {"V1": "V2", "V2": "V3", "V3": "V2"}[rows[k][3]]
+        path.write_text("\n".join([header] + [",".join(cells) for cells in rows]) + "\n")
+        assert main([command, "--config", str(cfg_path)]) == 2
+        torques = [float(cells[2]) for cells in rows]
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {first + 2}: class {rows[first][3]} does not match torque "
+            f"{rows[first][2]} in the quintiles of [{min(torques)!r}, {max(torques)!r}] "
+            f"(expected {expected})\n")
+
+    def test_equal_torques_read_without_a_warning(self, finished_run, tmp_path, recwarn):
+        # all torques equal: every row is V1, and its a_score 2; only classify warns
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "classes.csv"
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for cells in rows:
+            cells[2:4], cells[5] = ["0.5", "V1"], "2"
+        path.write_text("\n".join([header] + [",".join(cells) for cells in rows]) + "\n")
+        assert main(["rank", "--config", str(cfg_path)]) == 0
+        assert not [w for w in recwarn if "degenerate" in str(w.message)]
+
     def test_ranks_against_a_bar_order(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
         path = tmp_path / "out" / "rankings.csv"
@@ -737,3 +803,27 @@ class TestSliceLabels:
         slices.write_text("\n".join(edit(slices.read_text().splitlines())) + "\n")
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {slices}: {message}\n"
+
+    def test_slice_class_against_sigma_exit_2(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        slices = tmp_path / "out" / "slices.csv"
+        lines = slices.read_text().splitlines()
+        head, expected = lines[2].rsplit(",", 1)
+        label = "V1" if expected != "V1" else "V2"
+        lines[2] = f"{head},{label}"
+        slices.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {slices}: line 3: slice_class {label} "
+                                           f"does not match the sigma columns (expected {expected})\n")
+
+    def test_missing_week_named_before_a_wrong_slice_class(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        slices = tmp_path / "out" / "slices.csv"
+        lines = slices.read_text().splitlines()[:3]
+        # week 1's class is wrong for the sigmas of weeks 1 and 2 as well
+        sigma = np.array([[float(x) for x in line.split(",")[1:6]] for line in lines[1:]])
+        head, _ = lines[1].rsplit(",", 1)
+        lines[1] = f"{head},V{1 + cl.dominant_classes(sigma)[0] % 5}"
+        slices.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {slices}: missing week 3 of 1..4\n"
