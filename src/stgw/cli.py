@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI or JSON config file")
+    common.add_argument("--config", help="INI config file")
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, help="seed override")
     window = argparse.ArgumentParser(add_help=False)

@@ -97,8 +97,8 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
     lap = laplacian(product)
     dictionary = sgwt.make_dictionary(lap.lambda_max_estimate, filters=config.filters,
                                       scale_lo=config.scale_lo, scale_hi=config.scale_hi)
-    expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order,
-                                       quad_points=config.quad_points)
+    expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order, quad_points=max(
+        sgwt.DEFAULT_QUAD_POINTS, sgwt.QUAD_MARGIN * (config.cheb_order + 1)))
     return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
         "cheb_error_bounds": " ".join(map(repr, expansion.error_bounds.tolist())),
         "lambda_max": float(lap.lambda_max_estimate),
