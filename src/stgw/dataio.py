@@ -430,9 +430,9 @@ def write_rankings(path, graph: RouteGraph, a_bar, influential, least, most) -> 
     write_csv(path, RANKINGS_HEADER, rows)
 
 
-def read_rankings(path, graph: RouteGraph) -> dict:
+def read_rankings(path, graph: RouteGraph, *, a_bar: np.ndarray | None = None) -> dict:
     """One row per node; both rank columns must be the ones `classify.rank_nodes` gives
-    the a_bar column."""
+    the a_bar column, and, given the expected `a_bar` by node, each a_bar must equal it."""
     n, ids = graph.n, np.array(graph.node_ids)
     grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
                     a_bar=np.zeros(n), influential=np.zeros(n),
@@ -442,9 +442,13 @@ def read_rankings(path, graph: RouteGraph) -> dict:
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
         grid.put(line, index, a_bar=rows["a_bar"], influential=rows["influential_score"],
                  least=rows["rank_least_successful"], most=rows["rank_most_successful"])
-        a_bar = rows["a_bar"]
-        _reject(path, line, (a_bar < 0) | (a_bar > 4),
-                lambda k: f"a_bar {fnum(a_bar[k])} outside [0, 4]")
+        got = rows["a_bar"]
+        _reject(path, line, (got < 0) | (got > 4),
+                lambda k: f"a_bar {fnum(got[k])} outside [0, 4]")
+        if a_bar is not None:
+            want = a_bar[index]
+            _reject(path, line, got != want, lambda k: f"a_bar {fnum(got[k])} does not match "
+                    f"the mean a_score over the ranking window (expected {fnum(want[k])})")
         nodes.append(index[0])
     result = grid.complete()
     # complete: row k, on line 2 + k, is node `order[k]`
@@ -537,22 +541,27 @@ def content_hash(path) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
+def read_manifest(path) -> dict[str, dict[str, str]]:
+    """The manifest's `key = value` lines by section, values as text."""
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    with utf8_text(path), _open_read(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1]
+                sections.setdefault(current, {})
+            elif "=" in line and current is not None:
+                key, _, value = line.partition("=")
+                sections[current][key.strip()] = value.strip()
+    return sections
+
+
 def update_manifest(path, section: str, values: dict) -> None:
     """Merge one section into the manifest, keeping sections and keys sorted."""
-    sections: dict[str, dict[str, str]] = {}
-    if os.path.exists(path):
-        current = None
-        with utf8_text(path), _open_read(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    current = line[1:-1]
-                    sections.setdefault(current, {})
-                elif "=" in line and current is not None:
-                    key, _, value = line.partition("=")
-                    sections[current][key.strip()] = value.strip()
+    sections = read_manifest(path) if os.path.exists(path) else {}
     sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
     with _output(path) as fh:
         for name in sorted(sections):

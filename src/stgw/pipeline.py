@@ -220,9 +220,9 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                classes: dict | None = None, transition: TransitionMatrix | None = None
                ) -> tuple[list[str], dict]:
     """Rank from the classes and P (else their CSVs); write rankings.csv."""
-    inputs = graph, raw, _ = load_inputs(cfg, weeks)
+    inputs = graph, _, _ = load_inputs(cfg, weeks)
     dataio.ensure_dir(cfg.io.out)
-    classes = classes or _read_classes(cfg, graph, raw.weeks)
+    classes = classes or _read_classes(cfg, inputs)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     rankings, facts = rank(inputs, classes["scores"], transition, weeks)
     rankings_path = _out(cfg, "rankings.csv")
@@ -230,13 +230,14 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     return [rankings_path, _manifest(cfg, "rank", facts)], rankings
 
 
-def _read_classes(cfg: RunConfig, graph: RouteGraph, t: int) -> dict:
-    """classes.csv, whose a_scores must follow the run's [classify] thresholds and whose
-    classes must be the torque quintiles that `classify.classify_nodes` gives."""
-    path = _out(cfg, "classes.csv")
+def _read_classes(cfg: RunConfig, inputs: Inputs) -> dict:
+    """classes.csv, whose a_scores must follow the run's [classify] thresholds, whose
+    classes must be the torque quintiles that `classify.classify_nodes` gives, and whose
+    thetas must be the `classify.anomaly_metric` of the cases."""
+    path, graph, t = _out(cfg, "classes.csv"), inputs.graph, inputs.raw.weeks
     classes = dataio.read_classes(path, graph, t, theta_hi=cfg.classify.theta_hi,
                                   theta_lo=cfg.classify.theta_lo)
-    phi, labels = classes["phi"], classes["labels"]
+    phi, labels, theta = classes["phi"], classes["labels"], classes["theta"]
     lo, hi = phi.min(), phi.max()
     expected = cl.quintile_labels(phi, lo, hi)
     bad = labels != expected
@@ -244,33 +245,60 @@ def _read_classes(cfg: RunConfig, graph: RouteGraph, t: int) -> dict:
         dataio.reject_class_rows(path, graph, t, bad, lambda i, w: (
             f"class V{labels[i, w]} does not match torque {dataio.fnum(phi[i, w])} in the "
             f"quintiles of [{dataio.fnum(lo)}, {dataio.fnum(hi)}] (expected V{expected[i, w]})"))
+    metric = cl.anomaly_metric(inputs.features, graph)
+    bad = theta != metric
+    if bad.any():
+        dataio.reject_class_rows(path, graph, t, bad, lambda i, w: (
+            f"theta {dataio.fnum(theta[i, w])} does not match the anomaly metric of the "
+            f"cases (expected {dataio.fnum(metric[i, w])})"))
     return classes
 
 
-def _read_slices(path: str, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_slices(path: str, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`read_slices(path)`, which checks that the rows run from week 1 in order; they
-    must end at week t, and each slice_class must be the one `classify.dominant_classes`
-    gives the sigma columns."""
+    must end at week T of the (N, T) class `labels`, and be the `classify.
+    slice_classification` of those labels: the sigma columns first, then slice_class."""
+    n, t = labels.shape
     sigma, classes = dataio.read_slices(path)
     if len(sigma) < t:
         raise ValidationError(f"{path}: missing week {len(sigma) + 1} of 1..{t}")
     if len(sigma) > t:
         raise ValidationError(f"{path}: line {t + 2}: week {t + 1} outside 1..{t}")
-    expected = cl.dominant_classes(sigma)
-    raise_first(classes != expected, lambda k: f"{path}: line {k + 2}: slice_class "
-                f"V{classes[k]} does not match the sigma columns (expected V{expected[k]})")
+    want_sigma, want_classes = cl.slice_classification(labels.T.ravel(), n, t)
+    if (sigma != want_sigma).any():
+        k, j = np.argwhere(sigma != want_sigma)[0]  # the first in row-major order
+        raise ValidationError(f"{path}: line {k + 2}: sigma{j + 1} {dataio.fnum(sigma[k, j])} "
+                              f"does not match the class shares of the week "
+                              f"(expected {dataio.fnum(want_sigma[k, j])})")
+    raise_first(classes != want_classes, lambda k: f"{path}: line {k + 2}: slice_class "
+                f"V{classes[k]} does not match the sigma columns (expected V{want_classes[k]})")
     return sigma, classes
+
+
+def _read_rankings(cfg: RunConfig, graph: RouteGraph, scores: np.ndarray) -> dict:
+    """rankings.csv, whose a_bar must be the mean of `scores` over the [rank] window
+    that `stage_rank` wrote to the manifest."""
+    path = _out(cfg, MANIFEST_NAME)
+    window = dataio.read_manifest(path).get("rank", {})
+    lo, hi = window.get("week_lo", ""), window.get("week_hi", "")
+    if not (lo.isdigit() and hi.isdigit()):
+        raise ValidationError(f"{path}: no [rank] week_lo and week_hi to average a_bar over")
+    try:
+        a_bar = cl.average_a_score(scores, (int(lo), int(hi)))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: [rank] {exc}") from None
+    return dataio.read_rankings(_out(cfg, "rankings.csv"), graph, a_bar=a_bar)
 
 
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  classes: dict | None = None, slices: tuple | None = None,
                  rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
     """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
-    inputs = graph, raw, _ = load_inputs(cfg, week=week)
+    inputs = graph, _, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
-    classes = classes or _read_classes(cfg, graph, raw.weeks)
-    slices = slices or _read_slices(_out(cfg, "slices.csv"), raw.weeks)
-    rankings = rankings or dataio.read_rankings(_out(cfg, "rankings.csv"), graph)
+    classes = classes or _read_classes(cfg, inputs)
+    slices = slices or _read_slices(_out(cfg, "slices.csv"), classes["labels"])
+    rankings = rankings or _read_rankings(cfg, graph, classes["scores"])
     svgs, facts = render(inputs, classes, slices, rankings, mask, week)
     written = [_out(cfg, name) for name in svgs]
     for path, svg in zip(written, svgs.values()):

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -348,7 +349,7 @@ class TestPureStages:
         bounds, coarse_bounds = (np.array(f["cheb_error_bounds"].split(), dtype=float)
                                  for f in (facts, coarse_facts))
         assert np.all(bounds <= coarse_bounds)
-        # both expansions lie within their bounds of the exact transform, per filter
+        # each expansion is within its bound times |x| of the exact transform, per filter
         norm = np.linalg.norm(inputs.features.vertex_signal())
         assert np.all(np.linalg.norm(table.values - coarse.values, axis=0)
                       <= (bounds + coarse_bounds) * norm)
@@ -740,6 +741,21 @@ class TestBadInputExit2:
             f"{rows[first][2]} in the quintiles of [{min(torques)!r}, {max(torques)!r}] "
             f"(expected {expected})\n")
 
+    @pytest.mark.parametrize("command", ["rank", "report"])
+    def test_theta_against_anomaly_metric(self, finished_run, tmp_path, capsys, command):
+        # a V1..V3 row, graded 2 whatever its theta, takes another theta
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "classes.csv"
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        k = next(k for k, cells in enumerate(rows) if cells[3] in ("V1", "V2", "V3"))
+        expected, rows[k][4] = rows[k][4], repr(1.25 * float(rows[k][4]) + 1.0)
+        path.write_text("\n".join([header] + [",".join(cells) for cells in rows]) + "\n")
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {k + 2}: theta {rows[k][4]} does not match the anomaly "
+            f"metric of the cases (expected {expected})\n")
+
     def test_equal_torques_read_without_a_warning(self, finished_run, tmp_path, recwarn):
         # all torques equal: every row is V1, and its a_score 2; only classify warns
         cfg_path = staged_copy(finished_run, tmp_path)
@@ -763,6 +779,36 @@ class TestBadInputExit2:
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert (f"{path}: line 2: rank_least_successful {first[4]} does not match the a_bar "
                 f"order (expected {second[4]})") in capsys.readouterr().err
+
+    def test_a_bar_against_mean_a_score(self, finished_run, tmp_path, capsys):
+        # the top node's a_bar rises halfway to 4: still the top, so no rank moves
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "rankings.csv"
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines[1:], 1) if line.split(",")[4] == "1")
+        cells = lines[k].split(",")
+        expected = cells[2]
+        assert float(expected) < 4
+        cells[2] = repr((float(expected) + 4) / 2)
+        lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {k + 1}: a_bar {cells[2]} does not match the mean a_score "
+            f"over the ranking window (expected {expected})\n")
+
+    @pytest.mark.parametrize("pattern,replacement,message", [
+        (r"\[rank\]\n(.+\n)*\n", "", "no [rank] week_lo and week_hi to average a_bar over"),
+        (r"week_hi = \d+", "week_hi = 99", "[rank] week window 1..99 outside 1..4"),
+    ], ids=["no_rank_section", "window_past_the_series"])
+    def test_manifest_rank_window_exit_2(self, finished_run, tmp_path, capsys, pattern,
+                                         replacement, message):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "run-manifest.txt"
+        text = path.read_text()
+        path.write_text(re.sub(pattern, replacement, text, count=1))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_edge_to_unknown_node(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
@@ -819,6 +865,21 @@ class TestSliceLabels:
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (f"error: {slices}: line 3: slice_class {label} "
                                            f"does not match the sigma columns (expected {expected})\n")
+
+    def test_sigma_against_class_shares_exit_2(self, finished_run, tmp_path, capsys):
+        # week 1's sigma1 swaps with the first sigma unequal to it: the row still sums to 1
+        cfg_path = staged_copy(finished_run, tmp_path)
+        slices = tmp_path / "out" / "slices.csv"
+        lines = slices.read_text().splitlines()
+        cells = lines[1].split(",")
+        m = next(m for m in range(2, 6) if cells[m] != cells[1])
+        cells[1], cells[m] = cells[m], cells[1]
+        lines[1] = ",".join(cells)
+        slices.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {slices}: line 2: sigma1 {cells[1]} does not match the class shares "
+            f"of the week (expected {cells[m]})\n")
 
     def test_missing_week_named_before_a_wrong_slice_class(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
