@@ -43,17 +43,22 @@ def robust_scale(table: CoefficientTable) -> np.ndarray:
     """
     scaled = np.abs(table.values)
     for m in range(scaled.shape[1]):
-        col = scaled[:, m]
-        q1, q3 = np.percentile(col, [25.0, 75.0])
-        r = q3 - q1
-        if r == 0.0:
-            r = col.max()
-            if r == 0.0:
-                warnings.warn(f"filter {m + 1} is identically zero; passing through")
-                continue
-            warnings.warn(f"filter {m + 1} has zero IQR; scaling by column max")
-        col /= r
+        scaled[:, m] /= _spread(scaled[:, m], m)
     return scaled
+
+
+def _spread(col: np.ndarray, m: int) -> float:
+    """What `robust_scale` divides filter m's |W| column `col` by: its interquartile
+    range, else its max (warned), else 1, which leaves a zero column as it is (warned)."""
+    q1, q3 = np.percentile(col, [25.0, 75.0])
+    r = q3 - q1
+    if r == 0.0:
+        r = col.max()
+        if r == 0.0:
+            warnings.warn(f"filter {m + 1} is identically zero; passing through")
+            return 1.0
+        warnings.warn(f"filter {m + 1} has zero IQR; scaling by column max")
+    return r
 
 
 def log_normalize(scaled: np.ndarray) -> np.ndarray:
@@ -62,12 +67,42 @@ def log_normalize(scaled: np.ndarray) -> np.ndarray:
     if np.any(scaled < 0):
         raise ValidationError("log normalization expects non-negative input")
     for m in range(scaled.shape[1]):
-        top = scaled[:, m].max()
-        scaled[:, m] = np.log1p(scaled[:, m]) / np.log1p(top) if top > 0.0 else 0.0
+        _log_normalize_column(scaled[:, m])
     return scaled
 
 
-def torque(normalized: np.ndarray) -> np.ndarray:
+def _log_normalize_column(col: np.ndarray) -> np.ndarray:
+    """`log_normalize` of one column, in place."""
+    top = col.max()
+    if top > 0.0:
+        np.log1p(col, out=col)
+        col /= np.log1p(top)
+    else:
+        col.fill(0.0)
+    return col
+
+
+class LogNormalized:
+    """`log_normalize(robust_scale(table))` as `torque` reads it: each column is formed
+    when it is indexed, so a torque holds two columns at a time, not a second grid.
+
+    The spreads are taken in filter order when the view is made, so the warnings
+    come as `robust_scale` gives them.
+    """
+
+    def __init__(self, table: CoefficientTable):
+        self.values = table.values
+        self.shape = self.values.shape
+        self.spreads = [_spread(np.abs(self.values[:, m]), m) for m in range(self.shape[1])]
+
+    def __getitem__(self, key: tuple[slice, int]) -> np.ndarray:
+        rows, m = key
+        col = np.abs(self.values[rows, m])
+        col /= self.spreads[m]
+        return _log_normalize_column(col)
+
+
+def torque(normalized: np.ndarray | LogNormalized) -> np.ndarray:
     """Signed weighted sum of the 8 filter bands, weighted by TORQUE_WEIGHTS.
 
     Evaluated in matched opposite-weight pairs so rows with all-equal entries
@@ -143,11 +178,10 @@ def anomaly_metric(cases: CaseMatrix, base: RouteGraph) -> np.ndarray:
     adj = base.adjacency.astype(float)
     deg = np.asarray(adj.sum(axis=1)).ravel()
     nbr_sum = adj @ X
-    theta = np.empty_like(X)
-    zero = nbr_sum == 0.0
+    theta = X * deg[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = X * deg[:, None] / nbr_sum
-    theta[~zero] = ratio[~zero]
+        theta /= nbr_sum
+    zero = nbr_sum == 0.0
     theta[zero] = np.maximum(X[zero], 1.0)
     return theta
 

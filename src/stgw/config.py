@@ -91,7 +91,7 @@ def _apply(cfg: RunConfig, data: dict[str, dict[str, str]]) -> RunConfig:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Defaults, optionally overridden by an INI file."""
+    """Defaults, optionally overridden by an INI file; every rejection names the file."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -105,4 +105,7 @@ def load_config(path: str | None) -> RunConfig:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ValidationError(f"{path}: invalid config: {exc}")
-    return _apply(cfg, {name: dict(parser.items(name)) for name in parser.sections()})
+    try:
+        return _apply(cfg, {name: dict(parser.items(name)) for name in parser.sections()})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

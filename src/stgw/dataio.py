@@ -48,7 +48,7 @@ _LABELS = np.array(SLICE_LABELS)
 RANKINGS_HEADER = ["node_id", "name", "a_bar", "influential_score",
                    "rank_least_successful", "rank_most_successful"]
 
-CHUNK_ROWS = 8192  # rows per `np.loadtxt` call; bounds a reader's transient memory
+CHUNK_ROWS = 2048  # rows per `np.loadtxt` call; bounds a reader's transient memory
 
 
 def fnum(x) -> str:

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import NumericError, ValidationError, check_section
-from .graphs import CaseMatrix, RouteGraph, TransitionMatrix
+from .graphs import CaseMatrix, RouteGraph, TransitionMatrix, spmm
 
 LEAKY_SLOPE = 0.35
 Q_CLAMP = 1e-12
@@ -297,25 +296,6 @@ class _HeadPattern:
         return cls(fwd=fwd, bwd=bwd, fwd_order=fwd_order, bwd_order=bwd_order)
 
 
-def _spmm(A: sp.csr_matrix, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`A @ B` for a CSR matrix A and C-contiguous B, written into C-contiguous `out`.
-
-    scipy's `A @ B` always allocates its result; this calls the same kernel on `out`.
-    That kernel, `scipy.sparse._sparsetools.csr_matvecs(n_row, n_col, n_vecs, indptr,
-    indices, data, B, out)` with B and out flattened, is private to scipy, which may
-    change it without notice; `tests/test_gat.py::TestSpmm` checks it against `A @ B`.
-    """
-    if (B.shape[0] != A.shape[1] or out.shape != (A.shape[0], B.shape[1])
-            or not A.dtype == B.dtype == out.dtype == np.float64
-            or not (B.flags.c_contiguous and out.flags.c_contiguous)):
-        raise ValueError("_spmm needs C-contiguous float64 operands of matching shapes")
-    flat = out.reshape(-1)  # views, both operands being C-contiguous
-    flat.fill(0.0)
-    _sparsetools.csr_matvecs(A.shape[0], A.shape[1], B.shape[1], A.indptr, A.indices, A.data,
-                             B.reshape(-1), flat)
-    return out
-
-
 _BLOCK = 1 << 16  # values per operand in one gathered block of the edge dots
 
 
@@ -399,7 +379,7 @@ def _layer_forward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) 
     pattern = lw.pattern
     np.take(lw.alpha.reshape(-1), pattern.fwd_order, out=pattern.fwd.data, mode="clip")
     nh = len(X) * layer.head_count
-    _spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
+    spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
     return elu(lw.U, out=lw.out, scratch=lw.dout)
 
 
@@ -438,7 +418,7 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
     pattern = lw.pattern
     np.take(alpha.reshape(-1), pattern.bwd_order, out=pattern.bwd.data, mode="clip")
     dZ = lw.dout
-    _spmm(pattern.bwd, dU.reshape(nh, o), out=dZ.reshape(nh, o))
+    spmm(pattern.bwd, dU.reshape(nh, o), out=dZ.reshape(nh, o))
     dW = grad.weights.reshape(heads * o, f)
     if dX is None:
         np.matmul(dZ.T, X, out=dW)
@@ -609,7 +589,7 @@ def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatte
     xj *= dprod
     xi *= dprod
     # scatter-add onto both endpoints' rows as one sparse product (np.add.at is slower)
-    _spmm(scatter, rows[:2 * batch], out=ws.layer2.dout)
+    spmm(scatter, rows[:2 * batch], out=ws.layer2.dout)
 
     _layer_backward(model.layer2, X1, support, ws.layer2, grad.layer2, dX=ws.layer1.dout)
     _layer_backward(model.layer1, X, support, ws.layer1, grad.layer1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import NumericError, ValidationError
 
@@ -180,46 +181,78 @@ class SpatioTemporalGraph:
 class ProductLaplacian:
     """diag(d) - W_s for the symmetrized product weights W_s = (W + W^T)/2, matrix-free.
 
-    W_s is block tridiagonal over the slices: (S + S^T)/2 on the diagonal
-    blocks, R/2 above them and its transpose below, for the product's
-    within-slice block S and temporal block R.  `blocks` stacks the three, in
-    that order, as one (3N, N) CSR matrix, so `L @ x` is one sparse product
-    with the (N, T) reshape of the slice-major vector x plus two shifted adds:
-    row block t of W_s x is column t of the first block's product, column
-    t + 1 of the second's and column t - 1 of the third's.
+    W_s is block tridiagonal over the slices: `within` = (S + S^T)/2 on the
+    diagonal blocks, `forward` = R/2 above them and `backward` = (R/2)^T below,
+    for the product's within-slice block S and temporal block R.  `apply`
+    multiplies node-major (N, T) vectors, whose column t is slice t: row block
+    t of W_s x is column t of `within` x, column t + 1 of `forward` x and
+    column t - 1 of `backward` x.  `L @ x` takes slice-major vectors.
     """
 
     def __init__(self, graph: SpatioTemporalGraph):
         S = sp.csr_matrix(graph.weights, dtype=float)
         R = sp.csr_matrix(graph.temporal, dtype=float) * 0.5
-        self.blocks = sp.vstack(((S + S.T) * 0.5, R, R.T), format="csr")
+        self.within, self.forward, self.backward = (S + S.T) * 0.5, R, R.T.tocsr()
         n, self.slices = S.shape[0], graph.slice_count
         self.shape = (n * self.slices, n * self.slices)
-        within, forward, backward = np.asarray(self.blocks.sum(axis=1)).reshape(3, n)
-        degrees = np.tile(within, (self.slices, 1))
-        degrees[:-1] += forward
-        degrees[1:] += backward
-        self.degrees = degrees.reshape(-1)
+        within, forward, backward = (np.asarray(block.sum(axis=1)).ravel()
+                                     for block in (self.within, self.forward, self.backward))
+        degrees = np.tile(within[:, None], (1, self.slices))
+        degrees[:, :-1] += forward[:, None]
+        degrees[:, 1:] += backward[:, None]
+        self.degrees = degrees  # node-major, as `apply` takes its vectors
 
-    def _symmetric_weights(self, x: np.ndarray) -> np.ndarray:
-        """W_s x as an (N, T) array: column t is row block t."""
-        # multiplying whole columns and dropping one beats copying two column ranges
-        cols = np.ascontiguousarray(x.reshape(self.slices, -1).T)
-        out, n = self.blocks @ cols, len(cols)
-        out[:n, :-1] += out[n:2 * n, 1:]
-        out[:n, 1:] += out[2 * n:, :-1]
-        return out[:n]
+    def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = L x for C-contiguous node-major (N, T) float arrays; allocates nothing.
+
+        `scratch` is overwritten.  Each entry is d x - (W_s x), with W_s x summed
+        within + forward + backward, so the bytes do not depend on the layout
+        that x came in.
+        """
+        flat, shifted = out.reshape(-1), scratch.reshape(-1)
+        spmm(self.within, x, out)
+        # the shifted adds run along the flattened rows, contiguous, so numpy needs no
+        # buffer; the column each leaves unused is zeroed first, so an add that wraps
+        # into the next row adds +0.0, which keeps every sum's bytes (spmm's sums
+        # start at +0.0, so they and sums of them are never -0.0)
+        spmm(self.forward, x, scratch)
+        scratch[:, 0] = 0.0
+        flat[:-1] += shifted[1:]
+        spmm(self.backward, x, scratch)
+        scratch[:, -1] = 0.0
+        flat[1:] += shifted[:-1]
+        np.multiply(self.degrees, x, out=scratch)
+        return np.subtract(scratch, out, out=out)
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = self.degrees * x.reshape(-1)
-        out -= self._symmetric_weights(x).T.reshape(-1)
-        return out.reshape(x.shape)
+        cols = np.ascontiguousarray(x.reshape(self.slices, -1).T)
+        out = self.apply(cols, np.empty_like(cols), np.empty_like(cols))
+        return out.T.reshape(x.shape)
 
     def toarray(self) -> np.ndarray:
         """The dense (T*N) x (T*N) Laplacian, for the small-graph eigensolvers:
         L applied to each identity column e_j gives column j."""
         return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T
+
+
+def spmm(A: sp.csr_matrix, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`A @ B` for a CSR matrix A and C-contiguous B, written into C-contiguous `out`.
+
+    scipy's `A @ B` always allocates its result; this calls the same kernel on `out`.
+    That kernel, `scipy.sparse._sparsetools.csr_matvecs(n_row, n_col, n_vecs, indptr,
+    indices, data, B, out)` with B and out flattened, is private to scipy, which may
+    change it without notice; `tests/test_graphs.py::TestSpmm` checks it against `A @ B`.
+    """
+    if (B.shape[0] != A.shape[1] or out.shape != (A.shape[0], B.shape[1])
+            or not A.dtype == B.dtype == out.dtype == np.float64
+            or not (B.flags.c_contiguous and out.flags.c_contiguous)):
+        raise ValueError("spmm needs C-contiguous float64 operands of matching shapes")
+    flat = out.reshape(-1)  # views, both operands being C-contiguous
+    flat.fill(0.0)
+    _sparsetools.csr_matvecs(A.shape[0], A.shape[1], B.shape[1], A.indptr, A.indices, A.data,
+                             B.reshape(-1), flat)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

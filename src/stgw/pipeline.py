@@ -118,7 +118,7 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
     the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
     graph, raw, features = inputs
     n, t = graph.n, raw.weeks
-    field = cl.classify_nodes(cl.torque(cl.log_normalize(cl.robust_scale(table))))
+    field = cl.classify_nodes(cl.torque(cl.LogNormalized(table)))
     slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
     labels = cl.label_grid(field.labels, n, t)

@@ -30,7 +30,8 @@ DEFAULT_QUAD_POINTS = 2 ** 14
 QUAD_MARGIN = 4
 EXACT_DIMENSION_GUARD = 5000
 # rows of the scratch block through which cheb_apply adds each order's term to the
-# coefficients (256 KB for 8 filters)
+# coefficients, rounded down to whole slices but at least one (250 KB for 8 filters at
+# N=400)
 APPLY_ROWS = 4096
 
 # scale endpoints, in units of 1/lambda_max
@@ -261,8 +262,11 @@ def cheb_apply(L: SymmetricLaplacian, X: np.ndarray, expansion: ChebyshevExpansi
     The shifted polynomials Tbar_k follow the recursion
     Tbar_k = (4/lambda_max * L - 2) Tbar_{k-1} - Tbar_{k-2} with Tbar_0 = X and
     Tbar_1 = (2/lambda_max * L - 1) X; each order costs one matrix-vector
-    product and updates every filter at once, through a scratch block of
-    APPLY_ROWS rows, so no order allocates an array of the output's size.
+    product and updates every filter at once.  The recursion runs on node-major
+    (N, T) vectors, the layout `ProductLaplacian.apply` takes, in three
+    rotating buffers and one scratch; each order's term is added to the
+    slice-major output through a scratch block of about APPLY_ROWS rows, so no
+    order allocates an array.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (L.n,):
@@ -271,26 +275,40 @@ def cheb_apply(L: SymmetricLaplacian, X: np.ndarray, expansion: ChebyshevExpansi
     if lam <= 0:
         raise ValidationError("expansion domain must be positive")
 
-    def matvec(t):
+    C = expansion.coefficients
+    slices = L.matrix.slices
+    n = L.n // slices
+    t_prev, t_cur, t_next, scratch = np.empty((4, n, slices))
+    np.copyto(t_prev, X.reshape(slices, n).T)
+    out = np.outer(X, 0.5 * C[:, 0])
+    block = np.empty((n * max(1, APPLY_ROWS // n) if n else 1, C.shape[0]))
+
+    def matvec(t, product):
         if op_counter is not None:
             op_counter.matvecs += 1
-        return L.matrix @ t
+        L.matrix.apply(t, product, scratch)
 
-    C = expansion.coefficients
-    t_prev, t_cur = X, (2.0 / lam) * matvec(X) - X
-    out = np.outer(t_prev, 0.5 * C[:, 0])
-    scratch = np.empty((max(1, min(APPLY_ROWS, L.n)), C.shape[0]))
-    _add_outer(out, t_cur, C[:, 1], scratch)
+    matvec(t_prev, t_cur)
+    t_cur *= 2.0 / lam
+    t_cur -= t_prev
+    _add_outer(out, t_cur, C[:, 1], block)
     for k in range(2, C.shape[1]):
-        t_prev, t_cur = t_cur, (4.0 / lam) * matvec(t_cur) - 2.0 * t_cur - t_prev
-        _add_outer(out, t_cur, C[:, k], scratch)
+        matvec(t_cur, t_next)
+        t_next *= 4.0 / lam
+        t_next -= np.multiply(t_cur, 2.0, out=scratch)
+        t_next -= t_prev
+        t_prev, t_cur, t_next = t_cur, t_next, t_prev
+        _add_outer(out, t_cur, C[:, k], block)
     return CoefficientTable(values=out)
 
 
-def _add_outer(out: np.ndarray, t: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
-    """out += outer(t, c), formed len(scratch) rows at a time in `scratch`: the same
-    products and sums as adding `np.outer(t, c)`, without an array of out's size."""
-    for a in range(0, len(out), len(scratch)):
-        block = scratch[:len(out) - a]
-        np.multiply(t[a:a + len(block), None], c, out=block)
-        out[a:a + len(block)] += block
+def _add_outer(out: np.ndarray, t: np.ndarray, c: np.ndarray, block: np.ndarray) -> None:
+    """out += outer(t, c) for the slice-major `out` and node-major (N, T) `t`, formed in
+    `block` a whole number of slices at a time: the same products and sums as adding
+    `np.outer` of t's slice-major form, without an array of out's size."""
+    n = len(t)
+    for a in range(0, len(out), len(block)):
+        rows = block[:len(out) - a]
+        first, span = a // n, len(rows) // n
+        np.multiply(t[:, first:first + span].T[:, :, None], c, out=rows.reshape(span, n, -1))
+        out[a:a + len(rows)] += rows

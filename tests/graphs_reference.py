@@ -4,7 +4,8 @@ These are the loop `strong_product`, the dense `check_support`, the dense
 powers of `influential_scores` and the dense-adjacency `anomaly_metric` that
 `stgw` used while P was an N x N array; they take P as a dense ndarray.
 `product_weights` and `symmetrized_laplacian` assemble the (T*N) x (T*N) CSR
-matrices that `stgw` used before the product Laplacian became matrix-free.
+matrices that `stgw` used before the product Laplacian became matrix-free, and
+`StackedLaplacian` is the matrix-free form that multiplied slice-major vectors.
 Tests compare the code in `stgw` against them.
 """
 
@@ -102,3 +103,43 @@ def anomaly_metric(X: np.ndarray, graph) -> np.ndarray:
     theta[~zero] = ratio[~zero]
     theta[zero] = np.maximum(X[zero], 1.0)
     return theta
+
+
+class StackedLaplacian:
+    """The matrix-free product Laplacian as `stgw` applied it to slice-major vectors
+    before its product took node-major buffers.
+
+    The three blocks [(S + S^T)/2; R/2; (R/2)^T] are stacked into one (3N, N) CSR
+    matrix, so `L @ x` is one sparse product with the (N, T) reshape of x, which
+    allocates the whole (3N, T) output, plus two shifted adds, then subtracted
+    from the slice-major degrees times x.  Tests require `ProductLaplacian` to give
+    the same bytes.
+    """
+
+    def __init__(self, graph):
+        S = sp.csr_matrix(graph.weights, dtype=float)
+        R = sp.csr_matrix(graph.temporal, dtype=float) * 0.5
+        self.blocks = sp.vstack(((S + S.T) * 0.5, R, R.T), format="csr")
+        n, self.slices = S.shape[0], graph.slice_count
+        self.shape = (n * self.slices, n * self.slices)
+        within, forward, backward = np.asarray(self.blocks.sum(axis=1)).reshape(3, n)
+        degrees = np.tile(within, (self.slices, 1))
+        degrees[:-1] += forward
+        degrees[1:] += backward
+        self.degrees = degrees.reshape(-1)
+
+    def _symmetric_weights(self, x: np.ndarray) -> np.ndarray:
+        cols = np.ascontiguousarray(x.reshape(self.slices, -1).T)
+        out, n = self.blocks @ cols, len(cols)
+        out[:n, :-1] += out[n:2 * n, 1:]
+        out[:n, 1:] += out[2 * n:, :-1]
+        return out[:n]
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = self.degrees * x.reshape(-1)
+        out -= self._symmetric_weights(x).T.reshape(-1)
+        return out.reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T

@@ -6,7 +6,9 @@ it.  `cheb_apply_per_filter` runs the same three-term recursion as
 `cheb_apply`, but updates each filter on its own and skips a filter whose
 coefficient list is shorter than the current order.  It lives here only so the
 tests can require `cheb_apply` to give the same bytes for the same
-coefficients.
+coefficients.  `cheb_apply_slice_major` is the recursion as `cheb_apply` ran it
+before it moved to node-major buffers: on slice-major vectors, each order's
+vector a new array, each order's term added as one outer product.
 """
 
 import numpy as np
@@ -45,4 +47,17 @@ def cheb_apply_per_filter(matrix, X, lambda_max, coeffs) -> np.ndarray:
             if len(coeffs[m]) > k:
                 out[:, m] += coeffs[m][k] * t_next
         t_prev, t_cur = t_cur, t_next
+    return out
+
+
+def cheb_apply_slice_major(matrix, X, lambda_max, C) -> np.ndarray:
+    """W = outer(X, C[:, 0]/2) + sum_k outer(Tbar_k(L) X, C[:, k]), all filters at once."""
+    X = np.asarray(X, dtype=float)
+    lam = lambda_max
+    t_prev, t_cur = X, (2.0 / lam) * (matrix @ X) - X
+    out = np.outer(t_prev, 0.5 * C[:, 0])
+    out += np.outer(t_cur, C[:, 1])
+    for k in range(2, C.shape[1]):
+        t_prev, t_cur = t_cur, (4.0 / lam) * (matrix @ t_cur) - 2.0 * t_cur - t_prev
+        out += np.outer(t_cur, C[:, k])
     return out

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from stgw.classify import (a_score, anomaly_metric, average_a_score, classify_nodes,
-                           label_grid, log_normalize, rank_nodes, robust_scale,
+from stgw.classify import (LogNormalized, a_score, anomaly_metric, average_a_score,
+                           classify_nodes, label_grid, log_normalize, rank_nodes, robust_scale,
                            slice_classification, torque)
 from stgw.errors import ValidationError
-from stgw.graphs import CaseMatrix, build_route_graph
+from stgw.graphs import CaseMatrix, build_route_graph, normalize_cases
 from stgw.sgwt import CoefficientTable
+from stgw.synth import SyntheticSpec, generate
 
 from conftest import make_nodes, path_graph, random_graph
 
@@ -112,6 +115,35 @@ class TestTorque:
             torque(np.zeros((3, 7)))
 
 
+class TestLogNormalized:
+    """The column view `pipeline.classify` gives `torque`, against the three steps."""
+
+    @staticmethod
+    def table(rng, filters=8):
+        # a zero-IQR column and an all-zero one among ordinary ones
+        vals = rng.standard_normal((30, filters))
+        vals[:, 2] = np.r_[np.zeros(29), 4.0]
+        vals[:, 5] = 0.0
+        return CoefficientTable(values=vals)
+
+    def test_same_columns_torque_and_warnings(self, rng):
+        table = self.table(rng)
+        with pytest.warns(UserWarning) as steps:
+            normalized = log_normalize(robust_scale(table))
+        with pytest.warns(UserWarning) as view:
+            lazy = LogNormalized(table)
+        assert [str(w.message) for w in view] == [str(w.message) for w in steps] == [
+            "filter 3 has zero IQR; scaling by column max",
+            "filter 6 is identically zero; passing through"]
+        for m in range(8):
+            assert lazy[:, m].tobytes() == normalized[:, m].tobytes()
+        assert torque(lazy).tobytes() == torque(normalized).tobytes()
+
+    def test_wrong_filter_count_rejected(self, rng):
+        with pytest.warns(UserWarning), pytest.raises(ValidationError, match="exactly 8"):
+            torque(LogNormalized(self.table(rng, filters=7)))
+
+
 class TestClassifyNodes:
     def test_uniform_grid_labels(self):
         field = classify_nodes(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
@@ -199,6 +231,21 @@ class TestAnomalyMetric:
         t1 = anomaly_metric(CaseMatrix(values=vals, weeks=6), g)
         t2 = anomaly_metric(CaseMatrix(values=7.0 * vals, weeks=6), g)
         assert np.allclose(t1, t2, rtol=1e-12)
+
+    def test_memory_is_two_grids(self):
+        # N=400, T=104: the neighbour sums and the result, plus the (N, T) mask of
+        # zero sums (an eighth of a grid).  Measured 0.77 MB against a 1.0 MB bound of
+        # three grids; a ratio grid, its masked copy and the mask's negation took 1.45 MB
+        graph, raw = generate(SyntheticSpec(nodes=400, weeks=104, seed=42))
+        cases = normalize_cases(raw, graph.populations)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            theta = anomaly_metric(cases, graph)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * theta.nbytes
 
 
 class TestAScore:

@@ -362,6 +362,24 @@ class TestReadersMatchReference:
         assert peak < table.values.nbytes + seen + 1024 * 512
         assert peak < path.stat().st_size
 
+    def test_memory_at_benchmark_scale(self, tmp_path):
+        # N=400, T=104, 8 filters: the grid, one bool per cell and one chunk of lines.
+        # Measured 3.47 MB, 0.47 MB above grid and bools (about 230 B per line of a
+        # 2,048-line chunk), against a bound 0.8 MB above them; 8,192-line chunks
+        # peaked at 4.77 MB
+        g, weeks = path_graph(400), 104
+        path = tmp_path / "coefficients.csv"
+        dataio.write_coefficients(path, g, weeks, CoefficientTable(
+            values=np.random.default_rng(0).standard_normal((g.n * weeks, 8))))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = dataio.read_coefficients(path, g, weeks, 8)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < table.values.nbytes + table.values.size + 800_000
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -10,7 +10,7 @@ from stgw import gat
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, _elu_slope,
                       _evaluate_loss, _flat_copy, _HeadPattern, _layer_backward,
-                      _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs, _spmm,
+                      _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs,
                       _Support, _Workspace, attention_coefficients, bce_loss, edge_accuracy,
                       elu, extract_transition, influential_scores,
                       layer_forward, leaky_relu, make_samples, negative_candidates,
@@ -505,47 +505,6 @@ class TestNoDenseSquare:
         assert peak < n * n
 
 
-class TestSpmm:
-    """`_spmm` against scipy's own `A @ B`, bit for bit, into a dirty output."""
-
-    @staticmethod
-    def check(A, B):
-        out = np.full((A.shape[0], B.shape[1]), np.nan)
-        assert _spmm(A, B, out) is out
-        assert out.tobytes() == (A @ B).tobytes()
-
-    def test_random_matrices_with_empty_rows(self, rng):
-        for _ in range(20):
-            n, m, k = (int(v) for v in rng.integers(1, 40, size=3))
-            used = rng.choice(n, size=max(1, n // 2), replace=False)  # the other rows stay empty
-            nnz = int(rng.integers(0, 4 * n))
-            A = sp.csr_matrix((rng.standard_normal(nnz), (rng.choice(used, nnz),
-                                                          rng.integers(0, m, nnz))),
-                              shape=(n, m))
-            if n > 1:
-                assert np.any(np.diff(A.indptr) == 0)
-            self.check(A, rng.standard_normal((m, k)))
-
-    def test_mismatched_operands_rejected(self, rng):
-        A = sp.csr_matrix(rng.standard_normal((4, 3)))
-        for B, out in ((np.ones((2, 5)), np.empty((4, 5))), (np.ones((3, 5)), np.empty((5, 4))),
-                       (np.ones((3, 5)), np.empty((4, 5), dtype=np.float32)),
-                       (np.ones((5, 3)).T, np.empty((4, 5))),
-                       (np.ones((3, 5)), np.empty((4, 10))[:, ::2]),
-                       (np.ones((3, 5)), np.empty((5, 4)).T)):
-            with pytest.raises(ValueError):
-                _spmm(A, B, out)
-
-    @pytest.mark.parametrize("heads", [1, 3, 7])
-    def test_per_head_pattern(self, rng, heads):
-        support = _Support.of_graph(graph_with_isolated_node(9, 0.3, rng))
-        rows = support.n * heads
-        pattern = _HeadPattern.of_support(support, heads)
-        for A in (pattern.fwd, pattern.bwd):
-            A.data[:] = rng.uniform(size=A.nnz)
-            self.check(A, rng.standard_normal((rows, 5)))
-
-
 class TestWorkspace:
     """One workspace serves every epoch of `train`."""
 
@@ -633,7 +592,7 @@ class TestWorkspace:
         tail = rng.standard_normal(lw.U.size - len(edges)) * 10.0 ** rng.integers(-3, 3,
                                                                                   lw.U.size - len(edges))
         U = np.concatenate([edges, tail]).reshape(lw.U.shape)
-        spmm = gat._spmm
+        spmm = gat.spmm
 
         def planted(A, B, out):
             spmm(A, B, out)
@@ -641,7 +600,7 @@ class TestWorkspace:
                 out[...] = U.reshape(out.shape)
             return out
 
-        monkeypatch.setattr(gat, "_spmm", planted)
+        monkeypatch.setattr(gat, "spmm", planted)
         lw.grad_buffer.fill(np.nan)  # the ELU's scratch starts dirty
         out = _layer_forward(model.layer1, X, support, lw)
         monkeypatch.undo()

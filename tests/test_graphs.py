@@ -7,12 +7,12 @@ import scipy.sparse as sp
 import graphs_reference as reference
 from stgw import dataio, graphs
 from stgw.classify import anomaly_metric
-from stgw.gat import GatModel, extract_transition, influential_scores
+from stgw.gat import GatModel, _HeadPattern, _Support, extract_transition, influential_scores
 from stgw.errors import ValidationError
 from stgw.graphs import (CaseMatrix, NodeRecord, ProductLaplacian, SpatioTemporalGraph,
                          TransitionMatrix, _with_lambda_max, base_laplacian,
                          build_route_graph, canonical_sign, downsample_mask, laplacian,
-                         normalize_cases, strong_product)
+                         normalize_cases, spmm, strong_product)
 
 from conftest import (make_nodes, path_graph, random_graph, random_transition,
                       uniform_transition)
@@ -200,25 +200,6 @@ class TestLaplacian:
 
 
 @pytest.fixture(scope="module")
-def oracle_products():
-    """20 product graphs (at most 1,000 vertices) with a random row-stochastic P
-    on the support, then three long paths and rings of 1,500 vertices.  Those
-    crowd the top of the spectrum, where a Lanczos that keeps no basis is most
-    likely to stop on an eigenvalue below the largest."""
-    products = []
-    for seed in range(20):
-        case = np.random.default_rng([seed, 5])
-        n = int(case.integers(2, 50))
-        g = random_graph(n, float(case.uniform(0.02, 0.4)), case)
-        slices = int(case.integers(2, 1000 // n + 1))
-        products.append(strong_product(g, random_transition(g, case), slices))
-    ring = build_route_graph(make_nodes(30), [(i, i % 30 + 1) for i in range(1, 31)])
-    for g, slices in ((path_graph(100), 15), (path_graph(3), 500), (ring, 50)):
-        products.append(strong_product(g, uniform_transition(g), slices))
-    return products
-
-
-@pytest.fixture(scope="module")
 def oracle_cases(oracle_products):
     """The oracle products' Laplacians, each with its dense largest eigenvalue."""
     cases = []
@@ -273,6 +254,43 @@ class TestProductLaplacian:
             # degrees are summed block by block, not along the assembled row
             assert np.all(np.abs(dense[diagonal] - ref[diagonal]) <= 1e-14 * ref[diagonal])
 
+    def test_bitwise_equal_to_stacked_product(self, rng, oracle_products):
+        """`L @ x` and `apply` give the bytes of the stacked (3N, N) product on the
+        oracle products, single slices, a product with an isolated node, and none."""
+        lone = graph_with_isolated_node(rng)
+        empty = strong_product(build_route_graph([], []),
+                               TransitionMatrix(P=sp.csr_matrix((0, 0))), 3)
+        for product in [*oracle_products, *single_slices(rng), empty,
+                        strong_product(lone, random_transition(lone, rng), 4)]:
+            op, stacked = ProductLaplacian(product), reference.StackedLaplacian(product)
+            x = rng.standard_normal(op.shape[0])
+            want = (stacked @ x).tobytes()
+            assert (op @ x).tobytes() == want
+            cols = np.ascontiguousarray(x.reshape(op.slices, -1).T)
+            out, scratch = np.full((2, *cols.shape), np.nan)  # dirty on entry
+            assert op.apply(cols, out, scratch) is out
+            assert out.T.tobytes() == want
+
+    def test_apply_allocates_nothing(self, rng):
+        # only the views' small objects: a tenth of one vector is far above them
+        g = random_graph(100, 0.05, rng)
+        op = ProductLaplacian(strong_product(g, random_transition(g, rng), 50))
+        x, out, scratch = np.empty((3, 100, 50))
+        x[...] = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            op.apply(x, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 10
+
+    def test_lambda_max_bitwise_equal_to_stacked_product(self, oracle_products, oracle_cases):
+        for product, (lap, _) in zip(oracle_products, oracle_cases):
+            stacked = _with_lambda_max(reference.StackedLaplacian(product))
+            assert (lap.lambda_max_estimate, lap.lambda_matvecs, lap.lambda_residual) == (
+                stacked.lambda_max_estimate, stacked.lambda_matvecs, stacked.lambda_residual)
+
     def test_arc_count_formula(self, rng):
         for slices in (2, 3, 7):
             g = graph_with_isolated_node(rng)
@@ -301,6 +319,47 @@ class TestProductLaplacian:
             tracemalloc.stop()
         assert op.shape == (n * slices, n * slices)
         assert peak < 12 * nnz_l / 10, (peak, nnz_l)
+
+
+class TestSpmm:
+    """`spmm` against scipy's own `A @ B`, bit for bit, into a dirty output."""
+
+    @staticmethod
+    def check(A, B):
+        out = np.full((A.shape[0], B.shape[1]), np.nan)
+        assert spmm(A, B, out) is out
+        assert out.tobytes() == (A @ B).tobytes()
+
+    def test_random_matrices_with_empty_rows(self, rng):
+        for _ in range(20):
+            n, m, k = (int(v) for v in rng.integers(1, 40, size=3))
+            used = rng.choice(n, size=max(1, n // 2), replace=False)  # the other rows stay empty
+            nnz = int(rng.integers(0, 4 * n))
+            A = sp.csr_matrix((rng.standard_normal(nnz), (rng.choice(used, nnz),
+                                                          rng.integers(0, m, nnz))),
+                              shape=(n, m))
+            if n > 1:
+                assert np.any(np.diff(A.indptr) == 0)
+            self.check(A, rng.standard_normal((m, k)))
+
+    def test_mismatched_operands_rejected(self, rng):
+        A = sp.csr_matrix(rng.standard_normal((4, 3)))
+        for B, out in ((np.ones((2, 5)), np.empty((4, 5))), (np.ones((3, 5)), np.empty((5, 4))),
+                       (np.ones((3, 5)), np.empty((4, 5), dtype=np.float32)),
+                       (np.ones((5, 3)).T, np.empty((4, 5))),
+                       (np.ones((3, 5)), np.empty((4, 10))[:, ::2]),
+                       (np.ones((3, 5)), np.empty((5, 4)).T)):
+            with pytest.raises(ValueError):
+                spmm(A, B, out)
+
+    @pytest.mark.parametrize("heads", [1, 3, 7])
+    def test_per_head_pattern(self, rng, heads):
+        support = _Support.of_graph(graph_with_isolated_node(rng))
+        rows = support.n * heads
+        pattern = _HeadPattern.of_support(support, heads)
+        for A in (pattern.fwd, pattern.bwd):
+            A.data[:] = rng.uniform(size=A.nnz)
+            self.check(A, rng.standard_normal((rows, 5)))
 
 
 class TestEstimateLambdaMax:

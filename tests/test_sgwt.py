@@ -6,15 +6,16 @@ import pytest
 import scipy.sparse as sp
 
 from stgw.errors import ValidationError
-from stgw.graphs import (TransitionMatrix, build_route_graph, laplacian, normalize_cases,
-                         strong_product)
+from stgw.graphs import (SpatioTemporalGraph, TransitionMatrix, build_route_graph, laplacian,
+                         normalize_cases, strong_product)
 from stgw.sgwt import (APPLY_ROWS, KERNEL_ARGMAX, ChebyshevExpansion, OpCounter, cheb_apply,
                        cheb_coeffs, exact_sgwt, expand_dictionary, kernel_amplitude,
                        make_dictionary, scaling_kernel, wavelet_kernel)
 from stgw.synth import SyntheticSpec, generate
 
-from conftest import random_graph, random_transition, uniform_transition
-from sgwt_reference import cheb_apply_per_filter, cheb_coeffs_cosine
+from conftest import make_nodes, random_graph, random_transition, uniform_transition
+from graphs_reference import StackedLaplacian
+from sgwt_reference import cheb_apply_per_filter, cheb_apply_slice_major, cheb_coeffs_cosine
 
 
 def product_laplacian(n, t, rng, p=0.3):
@@ -326,6 +327,24 @@ class TestChebApply:
                                           list(expansion.coefficients))
         assert ours.tobytes() == reference.tobytes()
 
+    def test_bitwise_equal_to_slice_major_recurrence(self, rng, oracle_products):
+        """The node-major recursion against the slice-major one over the stacked product,
+        on the oracle products, a product with an isolated node, a single slice and none."""
+        lone = build_route_graph(make_nodes(9), [(i, i + 1) for i in range(1, 8)])
+        cases = [*oracle_products, strong_product(lone, random_transition(lone, rng), 5),
+                 SpatioTemporalGraph(weights=lone.adjacency.astype(float), base_node_count=9,
+                                     slice_count=1),
+                 strong_product(build_route_graph([], []),
+                                TransitionMatrix(P=sp.csr_matrix((0, 0))), 3)]
+        for product in cases:
+            lap = laplacian(product)
+            X = rng.standard_normal(lap.n)
+            expansion = expand_dictionary(make_dictionary(lap.lambda_max_estimate or 1.0))
+            ours = cheb_apply(lap, X, expansion).values
+            reference = cheb_apply_slice_major(StackedLaplacian(product), X,
+                                               expansion.lambda_max, expansion.coefficients)
+            assert ours.tobytes() == reference.tobytes()
+
     def test_empty_signal(self):
         # a graph without nodes has an empty product; the scratch block keeps one row
         P = TransitionMatrix(P=sp.csr_matrix((0, 0)))
@@ -335,22 +354,22 @@ class TestChebApply:
 
     def test_memory_is_the_output_plus_one_product(self):
         # N=400, T=104, the benchmark's scale: besides the (N*T, 8) output, cheb_apply
-        # holds one Laplacian product's memory, t_prev, t_cur, one temporary of the
-        # recursion and the scratch block (0.26 MB, under one signal's 0.33 MB).
-        # Measured: 5.45 MB against a 5.85 MB bound; adding each order through a fresh
-        # (N*T, 8) outer product peaked at 6.12 MB
+        # holds four node-major (N, T) buffers (the recursion's three and the product's
+        # scratch), the scratch block (0.25 MB, under one signal's 0.33 MB) and, while
+        # the table checks the output, its (N*T, 8) finite mask (one signal's size).
+        # Measured: 4.59 MB against a 4.99 MB bound (the output plus seven signals,
+        # 0.4 MB above the measurement, room for two of numpy's 0.2 MB ufunc buffers);
+        # the slice-major recursion, with the stacked product's (3N, T) output, peaked
+        # at 5.45 MB
         graph, raw = generate(SyntheticSpec(nodes=400, weeks=104, seed=42))
         lap = laplacian(strong_product(graph, uniform_transition(graph), raw.weeks))
         X = normalize_cases(raw, graph.populations).vertex_signal()
         expansion = expand_dictionary(make_dictionary(lap.lambda_max_estimate))
         tracemalloc.start()
         try:
-            lap.matrix @ X
-            product = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             out = cheb_apply(lap, X, expansion).values
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + product + 4 * X.nbytes
+        assert peak <= out.nbytes + 7 * X.nbytes
