@@ -12,8 +12,8 @@ from .config import RunConfig, load_config
 from .errors import DataIOError, NumericError, StgwError, ValidationError
 from .gat import (GatLayerParams, GatModel, SampleSets, TrainConfig,
                   attention_coefficients, bce_loss, edge_accuracy, elu,
-                  extract_transition, influential_scores, layer_forward, leaky_relu,
-                  make_samples, negative_candidates, predict_edges, train)
+                  extract_transition, influential_scores, layer_forward, make_samples,
+                  negative_candidates, predict_edges, train)
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, SpatioTemporalGraph,
                      SymmetricLaplacian, TransitionMatrix, base_laplacian,
                      build_route_graph, canonical_sign, downsample_mask, laplacian,

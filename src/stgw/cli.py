@@ -116,8 +116,8 @@ def main(argv=None) -> int:
                                                  args.week),
         }
         if args.command == "build-graph":
-            graph, raw, _ = pipeline.load_inputs(cfg)
-            print(f"graph: {graph.n} nodes, {len(graph.edges)} edges, {raw.weeks} weeks")
+            graph, features = pipeline.load_inputs(cfg)
+            print(f"graph: {graph.n} nodes, {len(graph.edges)} edges, {features.weeks} weeks")
             if graph.isolated_ids:
                 print(f"warning: {len(graph.isolated_ids)} isolated nodes: "
                       f"{list(graph.isolated_ids)}")

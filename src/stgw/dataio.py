@@ -361,24 +361,20 @@ def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, score
         for i, nid in enumerate(graph.node_ids)))
 
 
-def _class_rows(path, graph: RouteGraph, weeks: int) -> Iterator[tuple]:
-    """(line of the first row, rows, their (node, week) cells) per chunk of classes.csv."""
-    ids = np.array(graph.node_ids)
-    for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
-        w = rows["week"]
-        _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
-        yield line, rows, (_positions(path, line, ids, rows["node_id"], "unknown node {}"), w - 1)
-
-
 def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA_HI,
                  theta_lo: float = THETA_LO) -> dict:
     """Every (node, week) exactly once; each a_score must be the one `classify.a_score`
-    gives the row's class and theta under these thresholds."""
+    gives the row's class and theta under these thresholds.  `lines` holds each cell's
+    line, for `reject_cells`."""
     shape, ids = (graph.n, weeks), np.array(graph.node_ids)
     grid = _Scatter(path, "class rows", lambda i, t: f"node {ids[i]} week {t + 1}",
                     phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
-                    theta=np.zeros(shape), scores=np.zeros(shape, dtype=int))
-    for line, rows, index in _class_rows(path, graph, weeks):
+                    theta=np.zeros(shape), scores=np.zeros(shape, dtype=int),
+                    lines=np.zeros(shape, dtype=np.int32))
+    for line, rows in _read_csv(path, CLASSES_HEADER, "i8,i8,f8,O,f8,i8"):
+        w = rows["week"]
+        _reject(path, line, (w < 1) | (w > weeks), lambda k: f"week {w[k]} outside 1..{weeks}")
+        i = _positions(path, line, ids, rows["node_id"], "unknown node {}")
         labels = 1 + _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
                                 "bad class label {!r}")
         score, theta = rows["a_score"], rows["theta"]
@@ -386,16 +382,18 @@ def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA
         _reject(path, line, score != expected,
                 lambda k: f"a_score {score[k]} does not match class V{labels[k]} and theta "
                           f"{fnum(theta[k])} (expected {expected[k]})")
-        grid.put(line, index, phi=rows["torque"], labels=labels, theta=theta, scores=score)
+        grid.put(line, (i, w - 1), phi=rows["torque"], labels=labels, theta=theta,
+                 scores=score, lines=np.arange(line, line + len(rows)))
     return grid.complete()
 
 
-def reject_class_rows(path, graph: RouteGraph, weeks: int, bad: np.ndarray, message) -> None:
-    """Reject the first row of the classes.csv at `path`, in file order, whose cell (i, t)
-    is True in the (N, T) grid `bad`, with `message(i, t)`; the file is read again to find
-    it, so call this only once `read_classes` has accepted the file."""
-    for line, _, index in _class_rows(path, graph, weeks):
-        _reject(path, line, bad[index], lambda k: message(*(ix[k] for ix in index)))
+def reject_cells(path, lines: np.ndarray, bad: np.ndarray, message) -> None:
+    """Reject, with `message(*cell)`, the True cell of `bad` whose row comes first in the
+    file at `path`; `lines` is the grid of row lines that `read_classes` and
+    `read_rankings` return."""
+    if bad.any():
+        cell = tuple(np.argwhere(bad)[np.argmin(lines[bad])])
+        raise ValidationError(f"{path}: line {lines[cell]}: {message(*cell)}")
 
 
 def write_slices(path, sigma, slice_classes) -> None:
@@ -432,16 +430,18 @@ def write_rankings(path, graph: RouteGraph, a_bar, influential, least, most) -> 
 
 def read_rankings(path, graph: RouteGraph, *, a_bar: np.ndarray | None = None) -> dict:
     """One row per node; both rank columns must be the ones `classify.rank_nodes` gives
-    the a_bar column, and, given the expected `a_bar` by node, each a_bar must equal it."""
+    the a_bar column, and, given the expected `a_bar` by node, each a_bar must equal it.
+    `lines` holds each node's line, for `reject_cells`."""
     n, ids = graph.n, np.array(graph.node_ids)
     grid = _Scatter(path, "entry", lambda i: f"node {ids[i]}",
                     a_bar=np.zeros(n), influential=np.zeros(n),
-                    least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int))
-    nodes = []  # the node of each row, in file order
+                    least=np.zeros(n, dtype=int), most=np.zeros(n, dtype=int),
+                    lines=np.zeros(n, dtype=np.int32))
     for line, rows in _read_csv(path, RANKINGS_HEADER, "i8,O,f8,f8,i8,i8"):
         index = (_positions(path, line, ids, rows["node_id"], "unknown node {}"),)
         grid.put(line, index, a_bar=rows["a_bar"], influential=rows["influential_score"],
-                 least=rows["rank_least_successful"], most=rows["rank_most_successful"])
+                 least=rows["rank_least_successful"], most=rows["rank_most_successful"],
+                 lines=np.arange(line, line + len(rows)))
         got = rows["a_bar"]
         _reject(path, line, (got < 0) | (got > 4),
                 lambda k: f"a_bar {fnum(got[k])} outside [0, 4]")
@@ -449,15 +449,12 @@ def read_rankings(path, graph: RouteGraph, *, a_bar: np.ndarray | None = None) -
             want = a_bar[index]
             _reject(path, line, got != want, lambda k: f"a_bar {fnum(got[k])} does not match "
                     f"the mean a_score over the ranking window (expected {fnum(want[k])})")
-        nodes.append(index[0])
     result = grid.complete()
-    # complete: row k, on line 2 + k, is node `order[k]`
-    order = np.concatenate(nodes)
     for name, key, expected in zip(RANKINGS_HEADER[4:], ("least", "most"),
                                    rank_nodes(result["a_bar"])):
-        got, want = result[key][order], expected[order]
-        _reject(path, 2, got != want, lambda k: f"{name} {got[k]} does not match the a_bar "
-                f"order (expected {want[k]})")
+        got = result[key]
+        reject_cells(path, result["lines"], got != expected, lambda i: f"{name} {got[i]} "
+                     f"does not match the a_bar order (expected {expected[i]})")
     return result
 
 

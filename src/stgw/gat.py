@@ -29,13 +29,6 @@ TRAIN, VALIDATION, TEST = 0, 1, 2
 _SPLIT_CODE = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
 
 
-def leaky_relu(x):
-    """x for x >= 0, LEAKY_SLOPE * x below."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0, LEAKY_SLOPE * x, x)
-    return out if out.ndim else float(out)
-
-
 def elu(x, out=None, scratch=None):
     """x for x >= 0, exp(x) - 1 below; written into `out` when given, which may be
     `x` itself if `scratch`, an array of x's shape, is given too."""

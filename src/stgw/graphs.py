@@ -21,7 +21,6 @@ from scipy.sparse import _sparsetools
 from .errors import NumericError, ValidationError
 
 LAMBDA_SAFETY = 1.01  # margin on the λmax bound, which the Chebyshev domain must cover
-DENSE_LAMBDA_LIMIT = 20  # matrices with at most this many rows get λmax from eigvalsh
 LANCZOS_TOL = 1e-3    # relative accuracy of the Ritz value; the residual covers the rest
 LANCZOS_STEPS = 500   # step cap; a Lanczos still short of LANCZOS_TOL falls back to Gershgorin
 LANCZOS_CHECK = 10    # steps between convergence tests, each an eigh of the small T_m
@@ -261,7 +260,7 @@ class SymmetricLaplacian:
 
     matrix: ProductLaplacian
     lambda_max_estimate: float  # upper bound on the spectrum; the lambda_* fields say how
-    lambda_method: str = "given"  # or "lanczos", "dense", "gershgorin"
+    lambda_method: str = "given"  # or "lanczos", "gershgorin"
     lambda_matvecs: int = 0
     lambda_residual: float = 0.0  # Ritz residual ||Lv - θv|| of a "lanczos" bound
 
@@ -392,10 +391,6 @@ def _with_lambda_max(matrix: ProductLaplacian) -> SymmetricLaplacian:
     zero diagonal) is used with a warning and `lambda_method` "gershgorin".
     """
     n = matrix.shape[0]
-    if n <= DENSE_LAMBDA_LIMIT:
-        top = np.linalg.eigvalsh(matrix.toarray()).max(initial=0.0)
-        return SymmetricLaplacian(matrix, LAMBDA_SAFETY * float(top), lambda_method="dense")
-
     start = np.random.default_rng(0).standard_normal(n)
     last = min(n, LANCZOS_STEPS)  # T_n holds the whole spectrum in exact arithmetic
     alphas, betas = [], []
@@ -417,7 +412,7 @@ def _with_lambda_max(matrix: ProductLaplacian) -> SymmetricLaplacian:
             break
     if failure is not None:
         warnings.warn(f"Lanczos failed ({failure}); using Gershgorin bound")
-        return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max()),
+        return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max(initial=0.0)),
                                   lambda_method="gershgorin", lambda_matvecs=m,
                                   lambda_residual=float("nan"))
 

@@ -30,9 +30,8 @@ MANIFEST_NAME = "run-manifest.txt"
 
 
 class Inputs(NamedTuple):
-    """The validated inputs: the graph, raw counts and per-thousand counts."""
+    """The validated inputs: the graph and its per-thousand counts."""
     graph: RouteGraph
-    raw: CaseMatrix
     features: CaseMatrix
 
 
@@ -68,13 +67,13 @@ def load_inputs(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     if raw.weeks < 2:
         raise ValidationError(f"{cfg.io.cases}: needs at least 2 weeks, got {raw.weeks}")
     _check_weeks(weeks, week, raw.weeks)
-    return Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+    return Inputs(graph, normalize_cases(raw, graph.populations, graph.node_ids))
 
 
 def train(inputs: Inputs,
           config: gat.TrainConfig) -> tuple[TransitionMatrix, gat.GatModel, dict]:
     """Train the attention network; returns P, the trained model and the run facts."""
-    graph, _, features = inputs
+    graph, features = inputs
     samples = gat.make_samples(graph, seed=config.seed)
     # created in the call, so that training is left the only reference to the initial model
     trained, history = gat.train(
@@ -92,13 +91,12 @@ def train(inputs: Inputs,
 def transform(inputs: Inputs, transition: TransitionMatrix,
               config: SgwtSection) -> tuple[sgwt.CoefficientTable, dict]:
     """Strong product -> Laplacian -> dictionary -> fast transform -> coefficients."""
-    graph, raw, features = inputs
-    product = strong_product(graph, transition, raw.weeks)
+    graph, features = inputs
+    product = strong_product(graph, transition, features.weeks)
     lap = laplacian(product)
     dictionary = sgwt.make_dictionary(lap.lambda_max_estimate, filters=config.filters,
                                       scale_lo=config.scale_lo, scale_hi=config.scale_hi)
-    expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order, quad_points=max(
-        sgwt.DEFAULT_QUAD_POINTS, sgwt.QUAD_MARGIN * (config.cheb_order + 1)))
+    expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order)
     return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
         "cheb_error_bounds": " ".join(map(repr, expansion.error_bounds.tolist())),
         "lambda_max": float(lap.lambda_max_estimate),
@@ -106,7 +104,7 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
         "lambda_matvecs": lap.lambda_matvecs,
         "lambda_residual": float(lap.lambda_residual),
         "scales": " ".join(map(repr, dictionary.scales.tolist())),
-        "weeks": raw.weeks,
+        "weeks": features.weeks,
         "vertices": product.node_count,
         "arcs": product.arc_count,
     }
@@ -116,8 +114,8 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
              config: ClassifySection) -> tuple[dict, tuple, dict]:
     """Coefficients -> torque classes, anomaly metric, a-scores, slice classes; returns
     the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
-    graph, raw, features = inputs
-    n, t = graph.n, raw.weeks
+    graph, features = inputs
+    n, t = graph.n, features.weeks
     field = cl.classify_nodes(cl.torque(cl.LogNormalized(table)))
     slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
@@ -136,18 +134,18 @@ def rank(inputs: Inputs, scores: np.ndarray, transition: TransitionMatrix,
     least, most = cl.rank_nodes(a_bar)
     rankings = dict(a_bar=a_bar, influential=gat.influential_scores(transition),
                     least=least, most=most)
-    lo, hi = weeks if weeks is not None else (1, inputs.raw.weeks)
+    lo, hi = weeks if weeks is not None else (1, inputs.features.weeks)
     return rankings, {"week_lo": lo, "week_hi": hi}
 
 
 def render(inputs: Inputs, classes: dict, slices: tuple, rankings: dict, mask: bool = False,
            week: int | None = None) -> tuple[dict[str, str], dict]:
     """The SVG bundle keyed by file name, and the report facts."""
-    graph, raw, _ = inputs
+    graph, features = inputs
     if week is None:
         # deterministic default: the week with the most top-grade anomalies
         week = int(np.argmax((classes["scores"] == 4).sum(axis=0))) + 1
-    cl.check_window(week, week, raw.weeks)
+    cl.check_window(week, week, features.weeks)
     hidden = downsample_mask(graph) if mask else set()
     svgs = {f"map_classes_week{week}.svg":
             report.render_map(graph, classes["labels"][:, week - 1], week, hidden),
@@ -175,10 +173,10 @@ def stage_train(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
 def stage_product(cfg: RunConfig) -> dict:
     """Diagnostic: build the product graph and report its arc structure."""
-    graph, raw, _ = load_inputs(cfg)
+    graph, features = load_inputs(cfg)
     transition = dataio.read_transition(_out(cfg, "transition.csv"), graph)
-    product = strong_product(graph, transition, raw.weeks)
-    e, n, t = len(graph.edges), graph.n, raw.weeks
+    product = strong_product(graph, transition, features.weeks)
+    e, n, t = len(graph.edges), graph.n, features.weeks
     return {
         "vertices": product.node_count,
         "arcs": product.arc_count,
@@ -189,12 +187,12 @@ def stage_product(cfg: RunConfig) -> dict:
 def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
                     ) -> tuple[list[str], sgwt.CoefficientTable]:
     """Transform P (else transition.csv); write coefficients.csv."""
-    inputs = graph, raw, _ = load_inputs(cfg)
+    inputs = graph, features = load_inputs(cfg)
     dataio.ensure_dir(cfg.io.out)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
-    dataio.write_coefficients(coeff_path, graph, raw.weeks, table)
+    dataio.write_coefficients(coeff_path, graph, features.weeks, table)
     manifest = _manifest(cfg, "sgwt", facts)
     _manifest(cfg, "inputs", {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
                               for name in ("nodes", "edges", "cases")})
@@ -204,13 +202,13 @@ def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
 def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
                    ) -> tuple[list[str], tuple[dict, tuple]]:
     """Classify the coefficients (else coefficients.csv); write classes.csv, slices.csv."""
-    inputs = graph, raw, _ = load_inputs(cfg)
+    inputs = graph, features = load_inputs(cfg)
     dataio.ensure_dir(cfg.io.out)
     table = table or dataio.read_coefficients(_out(cfg, "coefficients.csv"), graph,
-                                              raw.weeks, cfg.sgwt.filters)
+                                              features.weeks, cfg.sgwt.filters)
     classes, slices, facts = classify(inputs, table, cfg.classify)
     classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
-    dataio.write_classes(classes_path, graph, raw.weeks, **classes)
+    dataio.write_classes(classes_path, graph, features.weeks, **classes)
     dataio.write_slices(slices_path, *slices)
     manifest = _manifest(cfg, "classify", facts)
     return [classes_path, slices_path, manifest], (classes, slices)
@@ -220,7 +218,7 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                classes: dict | None = None, transition: TransitionMatrix | None = None
                ) -> tuple[list[str], dict]:
     """Rank from the classes and P (else their CSVs); write rankings.csv."""
-    inputs = graph, _, _ = load_inputs(cfg, weeks)
+    inputs = graph, _ = load_inputs(cfg, weeks)
     dataio.ensure_dir(cfg.io.out)
     classes = classes or _read_classes(cfg, inputs)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
@@ -234,23 +232,19 @@ def _read_classes(cfg: RunConfig, inputs: Inputs) -> dict:
     """classes.csv, whose a_scores must follow the run's [classify] thresholds, whose
     classes must be the torque quintiles that `classify.classify_nodes` gives, and whose
     thetas must be the `classify.anomaly_metric` of the cases."""
-    path, graph, t = _out(cfg, "classes.csv"), inputs.graph, inputs.raw.weeks
-    classes = dataio.read_classes(path, graph, t, theta_hi=cfg.classify.theta_hi,
-                                  theta_lo=cfg.classify.theta_lo)
+    path, (graph, features) = _out(cfg, "classes.csv"), inputs
+    classes = dataio.read_classes(path, graph, features.weeks,
+                                  theta_hi=cfg.classify.theta_hi, theta_lo=cfg.classify.theta_lo)
     phi, labels, theta = classes["phi"], classes["labels"], classes["theta"]
     lo, hi = phi.min(), phi.max()
     expected = cl.quintile_labels(phi, lo, hi)
-    bad = labels != expected
-    if bad.any():
-        dataio.reject_class_rows(path, graph, t, bad, lambda i, w: (
-            f"class V{labels[i, w]} does not match torque {dataio.fnum(phi[i, w])} in the "
-            f"quintiles of [{dataio.fnum(lo)}, {dataio.fnum(hi)}] (expected V{expected[i, w]})"))
-    metric = cl.anomaly_metric(inputs.features, graph)
-    bad = theta != metric
-    if bad.any():
-        dataio.reject_class_rows(path, graph, t, bad, lambda i, w: (
-            f"theta {dataio.fnum(theta[i, w])} does not match the anomaly metric of the "
-            f"cases (expected {dataio.fnum(metric[i, w])})"))
+    dataio.reject_cells(path, classes["lines"], labels != expected, lambda i, w: (
+        f"class V{labels[i, w]} does not match torque {dataio.fnum(phi[i, w])} in the "
+        f"quintiles of [{dataio.fnum(lo)}, {dataio.fnum(hi)}] (expected V{expected[i, w]})"))
+    metric = cl.anomaly_metric(features, graph)
+    dataio.reject_cells(path, classes["lines"], theta != metric, lambda i, w: (
+        f"theta {dataio.fnum(theta[i, w])} does not match the anomaly metric of the "
+        f"cases (expected {dataio.fnum(metric[i, w])})"))
     return classes
 
 
@@ -294,7 +288,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  classes: dict | None = None, slices: tuple | None = None,
                  rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
     """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
-    inputs = graph, _, _ = load_inputs(cfg, week=week)
+    inputs = graph, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
     classes = classes or _read_classes(cfg, inputs)
     slices = slices or _read_slices(_out(cfg, "slices.csv"), classes["labels"])

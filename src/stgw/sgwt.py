@@ -235,9 +235,12 @@ class ChebyshevExpansion:
 
 
 def expand_dictionary(dictionary: KernelDictionary, order: int = DEFAULT_CHEB_ORDER,
-                      quad_points: int = DEFAULT_QUAD_POINTS) -> ChebyshevExpansion:
+                      quad_points: int | None = None) -> ChebyshevExpansion:
     """Expand every dictionary filter from one quadrature pass, with its error bound;
-    the bound needs quad_points >= QUAD_MARGIN * (order + 1)."""
+    the bound needs quad_points >= QUAD_MARGIN * (order + 1), which the default,
+    max(DEFAULT_QUAD_POINTS, QUAD_MARGIN * (order + 1)), always meets."""
+    if quad_points is None:
+        quad_points = max(DEFAULT_QUAD_POINTS, QUAD_MARGIN * (order + 1))
     if quad_points < QUAD_MARGIN * (order + 1):
         raise ValidationError(f"Chebyshev error bounds at order {order} need at least "
                               f"{QUAD_MARGIN * (order + 1)} quadrature points, "

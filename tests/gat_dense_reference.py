@@ -10,7 +10,11 @@ boolean N x N mask from it.
 
 import numpy as np
 
-from stgw.gat import LEAKY_SLOPE, _pair_outputs, bce_loss, elu, leaky_relu
+from stgw.gat import LEAKY_SLOPE, _pair_outputs, bce_loss, elu
+
+
+def leaky_relu(x):
+    return np.where(x < 0, LEAKY_SLOPE * x, x)
 
 
 def leaky_grad(x):

@@ -254,6 +254,18 @@ def same_array(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_lines(path, graph, weeks=None):
+    """The line of each node's row, or of each (node, week) row given `weeks`, in the
+    (shuffled) file at `path`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    lines = np.zeros(graph.n if weeks is None else (graph.n, weeks), dtype=np.int32)
+    for line, row in enumerate(rows, start=2):
+        i = graph.index_of(int(row[0]))
+        lines[i if weeks is None else (i, int(row[1]) - 1)] = line
+    return lines
+
+
 class TestReadersMatchReference:
     """The chunked readers against the row-by-row ones on valid, awkward files."""
 
@@ -314,9 +326,10 @@ class TestReadersMatchReference:
                              labels, theta, a_score(labels, theta))
         awkward_rows(path, rng)
         new, ref = dataio.read_classes(path, graph, weeks), reference.read_classes(path, graph, weeks)
-        assert list(new) == list(ref)
+        assert list(new) == list(ref) + ["lines"]
         for key in ref:
             same_array(new[key], ref[key])
+        same_array(new["lines"], row_lines(path, graph, weeks))
 
     def test_slices(self, tmp_path, rng):
         # class shares: each row's magnitudes (-0.0 stays) over their sum, as the
@@ -341,9 +354,10 @@ class TestReadersMatchReference:
                               np.abs(awkward((graph.n,), rng)), *rank_nodes(a_bar))
         awkward_rows(path, rng)
         new, ref = dataio.read_rankings(path, graph), reference.read_rankings(path, graph)
-        assert list(new) == list(ref)
+        assert list(new) == list(ref) + ["lines"]
         for key in ref:
             same_array(new[key], ref[key])
+        same_array(new["lines"], row_lines(path, graph))
 
     def test_memory_is_one_chunk(self, tmp_path, rng, monkeypatch):
         # 32 chunks; about 250 B of transient memory per chunk row was measured

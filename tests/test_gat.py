@@ -13,8 +13,7 @@ from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, 
                       _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs,
                       _Support, _Workspace, attention_coefficients, bce_loss, edge_accuracy,
                       elu, extract_transition, influential_scores,
-                      layer_forward, leaky_relu, make_samples, negative_candidates,
-                      predict_edges, train)
+                      layer_forward, make_samples, negative_candidates, predict_edges, train)
 from stgw.graphs import TransitionMatrix, build_route_graph
 
 from conftest import make_nodes, path_graph, random_graph
@@ -32,11 +31,6 @@ def relative_error(fast, ref):
 
 
 class TestActivations:
-    def test_leaky_relu(self):
-        assert leaky_relu(-1.0) == -0.35
-        assert leaky_relu(2.0) == 2.0
-        assert leaky_relu(0.0) == 0.0
-
     def test_elu(self):
         assert elu(0.0) == 0.0
         assert elu(1.0) == 1.0

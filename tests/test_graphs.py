@@ -372,7 +372,9 @@ class TestEstimateLambdaMax:
         assert abs(est - 3.03) < 1e-3
 
     def test_degenerate_zero_matrix(self):
-        est = _with_lambda_max(sp.csr_matrix((1, 1))).lambda_max_estimate
+        # the zero Laplacian of one edgeless node: Lanczos breaks down at its first step
+        with pytest.warns(UserWarning, match="Gershgorin"):
+            est = base_laplacian(build_route_graph(make_nodes(1), [])).lambda_max_estimate
         assert est == 0.0
         from stgw.sgwt import make_dictionary
         with pytest.raises(ValidationError):
@@ -395,8 +397,16 @@ class TestEstimateLambdaMax:
             assert lap.lambda_max_estimate <= 1.02 * top
             assert lap.converged
 
+    def test_twenty_vertex_product_takes_lanczos(self, rng):
+        # 5 nodes x 4 slices: the Krylov space fills the whole space by step 20
+        g = random_graph(5, 0.3, rng)
+        lap = laplacian(strong_product(g, random_transition(g, rng), 4))
+        top = np.linalg.eigvalsh(lap.matrix.toarray())[-1]
+        assert lap.lambda_method == "lanczos"
+        assert top <= lap.lambda_max_estimate <= 1.02 * top
+
     def test_run_record(self, oracle_cases):
-        for lap, top in oracle_cases:  # all larger than DENSE_LAMBDA_LIMIT
+        for lap, top in oracle_cases:
             assert lap.lambda_method == "lanczos"
             assert 0 < lap.lambda_matvecs < lap.n
             assert lap.lambda_residual <= 1e-2 * top

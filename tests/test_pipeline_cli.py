@@ -299,7 +299,7 @@ class TestPipeline:
 class TestPureStages:
     def test_method_runs_without_files(self, monkeypatch):
         graph, raw = generate(SyntheticSpec(**SMALL))
-        inputs = Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+        inputs = Inputs(graph, normalize_cases(raw, graph.populations, graph.node_ids))
         cfg = RunConfig()
         cfg.gat.heads, cfg.gat.hidden, cfg.gat.out, cfg.gat.max_epochs = 2, 8, 6, 20
 
@@ -341,7 +341,7 @@ class TestPureStages:
         path.write_text("[sgwt]\ncheb_order = 4096\n")
         config = load_config(str(path)).sgwt
         graph, raw = generate(SyntheticSpec(**SMALL))
-        inputs = Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+        inputs = Inputs(graph, normalize_cases(raw, graph.populations, graph.node_ids))
         support = graph.closed_neighborhoods().astype(float)
         uniform = TransitionMatrix(P=support.multiply(1.0 / support.sum(axis=1)))
         table, facts = transform(inputs, uniform, config)
@@ -360,7 +360,7 @@ class TestPureStages:
         # time (0.75 table sizes).  Measured 0.55 table sizes; a scaled |W| grid, as
         # robust_scale makes, took 1.38
         graph, raw = generate(SyntheticSpec(nodes=400, weeks=104, seed=42))
-        inputs = Inputs(graph, raw, normalize_cases(raw, graph.populations, graph.node_ids))
+        inputs = Inputs(graph, normalize_cases(raw, graph.populations, graph.node_ids))
         table = CoefficientTable(values=np.random.default_rng(0).standard_normal(
             (graph.n * raw.weeks, 8)))
         tracemalloc.start()
@@ -741,6 +741,28 @@ class TestBadInputExit2:
             f"error: {path}: line {first + 2}: class {rows[first][3]} does not match torque "
             f"{rows[first][2]} in the quintiles of [{min(torques)!r}, {max(torques)!r}] "
             f"(expected {expected})\n")
+
+    def test_wrong_class_parses_the_file_once(self, finished_run, tmp_path, capsys,
+                                              monkeypatch):
+        # a V1 or V2 row moves to the other class, so its a_score stays 2; the reader's
+        # line grid names the row, so classes.csv is not parsed a second time
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "classes.csv"
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        k = next(k for k, cells in enumerate(rows) if cells[3] in ("V1", "V2"))
+        expected, rows[k][3] = rows[k][3], {"V1": "V2", "V2": "V1"}[rows[k][3]]
+        path.write_text("\n".join([header] + [",".join(cells) for cells in rows]) + "\n")
+        parsed, read_csv = [], dataio._read_csv
+
+        def counted(source, *args, **kwargs):
+            parsed.append(os.path.basename(source))
+            return read_csv(source, *args, **kwargs)
+        monkeypatch.setattr(dataio, "_read_csv", counted)
+        assert main(["rank", "--config", str(cfg_path)]) == 2
+        assert parsed.count("classes.csv") == 1
+        assert (f"{path}: line {k + 2}: class {rows[k][3]} does not match torque "
+                f"{rows[k][2]} in the quintiles of") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["rank", "report"])
     def test_theta_against_anomaly_metric(self, finished_run, tmp_path, capsys, command):

@@ -252,6 +252,12 @@ class TestExpandDictionary:
         with pytest.raises(ValidationError, match=f"at least {4 * (order + 1)} quad"):
             expand_dictionary(make_dictionary(3.0, 8), order=order, quad_points=quad_points)
 
+    def test_default_quadrature_follows_the_order(self):
+        # order 5,000 needs 4 x 5,001 nodes, more than DEFAULT_QUAD_POINTS = 2^14
+        expansion = expand_dictionary(make_dictionary(3.0, 8), order=5000)
+        assert expansion.coefficients.shape == (8, 5001)
+        assert np.all(np.isfinite(expansion.error_bounds))
+
     @pytest.mark.parametrize("quad_points", [64, 101])
     def test_error_bound_is_the_whole_tail(self, quad_points):
         # with few nodes every coefficient past K is large enough to count, the last
