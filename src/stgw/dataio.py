@@ -233,8 +233,7 @@ def read_nodes(path) -> list[NodeRecord]:
     records = []
     for _, rows in _read_csv(path, NODES_HEADER, "i8,O,f8,f8,i8"):
         records += map(NodeRecord, *(rows[name].tolist() for name in NODES_HEADER))
-    check_nodes(np.array([rec.node_id for rec in records]),
-                np.array([rec.population for rec in records]), partial(_reject, path, 2))
+    check_nodes(records, partial(_reject, path, 2))
     return records
 
 

@@ -11,6 +11,7 @@ slice-major: vertex ``v = t * N + i`` is base node ``i`` in time slice ``t``
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ LANCZOS_TOL = 1e-3    # relative accuracy of the Ritz value; the residual covers
 LANCZOS_STEPS = 500   # step cap; a Lanczos still short of LANCZOS_TOL falls back to Gershgorin
 LANCZOS_CHECK = 10    # steps between convergence tests, each an eigh of the small T_m
 EIGEN_FLOOR = -1e-9   # numerical zero floor for Laplacian spectra
+# the characters that XML 1.0 cannot hold, escaped or not; the SVG report writes node names
+NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -296,12 +299,18 @@ def raise_first(bad, message) -> None:
         raise ValidationError(message(k[0]))
 
 
-def check_nodes(ids: np.ndarray, populations: np.ndarray, reject) -> None:
-    """Population >= 1, and each node_id once (its second appearance is the bad record)."""
-    reject(populations < 1, lambda k: "population must be >= 1")
+def check_nodes(nodes: list[NodeRecord], reject) -> None:
+    """Population >= 1, each node_id once (its second appearance is the bad record), and
+    no character in a name that XML cannot hold."""
+    ids = np.array([rec.node_id for rec in nodes], dtype=np.int64)
+    reject(np.array([rec.population for rec in nodes]) < 1, lambda k: "population must be >= 1")
     first = np.zeros(len(ids), dtype=bool)
     first[np.unique(ids, return_index=True)[1]] = True
     reject(~first, lambda k: f"duplicate node_id {ids[k]}")
+    found = [NOT_XML.search(rec.name) for rec in nodes]
+    reject(np.array([m is not None for m in found], dtype=bool),
+           lambda k: f"name {nodes[k].name!r} holds U+{ord(found[k].group()):04X}, "
+                     "which XML cannot hold")
 
 
 def check_self_loops(ends: np.ndarray, reject) -> None:
@@ -326,7 +335,7 @@ def build_route_graph(nodes: list[NodeRecord],
     """
     ids = np.array([rec.node_id for rec in nodes], dtype=np.int64)
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    check_nodes(ids, np.array([rec.population for rec in nodes]), raise_first)
+    check_nodes(nodes, raise_first)
     check_self_loops(ends, raise_first)
     check_endpoints(ends, ids, raise_first)
 

@@ -8,8 +8,8 @@ manifest edge formats them, a float as its shortest round-trip repr.  Each
 else reads its CSV, and writes its files and its manifest section (the
 section's resolved config plus the facts), atomically.  A staged command thus
 replays any stage with the same output bytes as a full run, which parses
-nothing back; a failed run clears the pipeline's output files, so no stale mix
-remains.
+nothing back; a full run clears the pipeline's output files before its first
+stage and again if a stage fails, so no stale mix remains.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ _OUTPUT_NAMES = ("transition.csv", "gat_model.ckpt", "coefficients.csv",
 
 def _remove_outputs(cfg: RunConfig) -> None:
     """Drop every pipeline artifact, and every temporary file left for one by a killed
-    writer, so a failed run leaves no stale mix."""
+    writer, so a full run, failed or not, leaves no stale mix."""
     if not os.path.isdir(cfg.io.out):
         return
     for name in os.listdir(cfg.io.out):
@@ -321,12 +321,14 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                  mask: bool = False, week: int | None = None) -> list[str]:
     """Full run: train -> transform -> classify -> rank -> report.
 
-    Each stage's result is handed to the next stage as an argument.  Any stage
-    failure removes the pipeline's output files and re-raises with the stage name
+    Each stage's result is handed to the next stage as an argument.  The run
+    replaces the whole output set: the pipeline's output files are removed before
+    the first stage, and again if a stage fails, which re-raises with the stage name
     attached.  A week window or report week that no series can hold fails before
-    the first stage, and one that this series cannot hold before training.
+    anything is removed, and one that this series cannot hold before training.
     """
     _check_weeks(weeks, week)
+    _remove_outputs(cfg)
     written: list[str] = []
 
     def run(name, stage, *args):

@@ -86,6 +86,11 @@ RULE_FAULTS = [  # rule, nodes, edges, file and line of the bad record, wording
      "edges.csv", 4, "self-loop edge on node_id 3"),
     ("unknown node", RULE_NODES, [(1, 2), (99, 3), (2, 3)],
      "edges.csv", 3, "edge references unknown node_id 99"),
+] + [  # a name character that XML 1.0 cannot hold, which the SVG report would write
+    (f"name U+{ord(c):04X}", RULE_NODES[:2] + [NodeRecord(3, f"Gam{c}ma", 42.2, -72.2, 1500)],
+     RULE_EDGES, "nodes.csv", 4, f"name {'Gam' + c + 'ma'!r} holds U+{ord(c):04X}, "
+     "which XML cannot hold")
+    for c in ("\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ufffe", "\uffff")
 ]
 
 

@@ -387,6 +387,26 @@ class TestReport:
                 root = ET.parse(os.path.join(cfg.io.out, name)).getroot()
                 assert root.tag.endswith("svg")
 
+    @pytest.mark.parametrize("char,code", [("\t", 0), ("\x7f", 0), ("\ufffd", 0), ("&", 0),
+                                           ("\x0b", 2), ("\x01", 2), ("\ufffe", 2),
+                                           ("\uffff", 2)])
+    def test_every_svg_of_a_run_parses(self, finished_run, tmp_path, char, code):
+        # node 1's name holds `char`: a name that XML cannot hold exits 2 before any
+        # SVG is written, and every other one reaches SVGs that parse
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "data" / "nodes.csv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        cells = lines[1].split(",")
+        cells[1] = f"town{char}001"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == code
+        out = tmp_path / "out"
+        svgs = [name for name in os.listdir(out) if name.endswith(".svg")]
+        assert len(svgs) == (3 if code == 0 else 0)
+        for name in svgs:
+            assert ET.parse(out / name).getroot().tag.endswith("svg")
+
     def test_mask_removes_circles(self, tmp_path):
         cfg = self.setup_run(tmp_path)
         from stgw.dataio import ingest
@@ -422,6 +442,16 @@ class TestReport:
 
 
 class TestCli:
+    def test_run_replaces_the_whole_output_set(self, finished_run, tmp_path):
+        # the second run's class map is the only one left, as its manifest says
+        cfg_path = staged_copy(finished_run, tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--week", "3"]) == 0
+        assert main(["run", "--config", str(cfg_path), "--seed", "7", "--week", "4"]) == 0
+        out = tmp_path / "out"
+        assert sorted(name for name in os.listdir(out) if name.endswith(".svg")) == [
+            "map_classes_week4.svg", "ranking.svg", "slices.svg"]
+        assert dataio.read_manifest(out / "run-manifest.txt")["report"]["week"] == "4"
+
     def test_synth_and_run_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["synth", "--out", str(out), "--nodes", "12", "--weeks", "5",
@@ -832,6 +862,20 @@ class TestBadInputExit2:
         path.write_text(re.sub(pattern, replacement, text, count=1))
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_name_that_xml_cannot_hold(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "data" / "nodes.csv"
+        lines = path.read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[1] = "town\x0b001"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        for command in ("build-graph", "run"):
+            assert main([command, "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err == (f"error: {'stage train: ' * (command == 'run')}"
+                                               f"{path}: line 2: name 'town\\x0b001' holds "
+                                               "U+000B, which XML cannot hold\n")
 
     def test_edge_to_unknown_node(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
