@@ -19,6 +19,7 @@ from .graphs import CaseMatrix, RouteGraph
 from .sgwt import CoefficientTable
 
 TORQUE_WEIGHTS = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+# the paper's a-score thresholds on the anomaly metric (see `a_score`)
 THETA_HI = 1.5
 THETA_LO = 2.0 / 3.0
 NEUTRAL_SCORE = 2
@@ -186,12 +187,11 @@ def anomaly_metric(cases: CaseMatrix, base: RouteGraph) -> np.ndarray:
     return theta
 
 
-def a_score(labels: np.ndarray, theta: np.ndarray, theta_hi: float = THETA_HI,
-            theta_lo: float = THETA_LO) -> np.ndarray:
+def a_score(labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Integer anomaly grades for V4/V5 vertices; everything else is neutral 2.
 
-    V5 with theta >= theta_hi -> 4 (at-risk spike), V4 likewise -> 3;
-    V4 with theta <= theta_lo -> 1, V5 likewise -> 0 (best-performer dip);
+    Under the paper's thresholds: V5 with theta >= THETA_HI -> 4 (at-risk spike), V4
+    likewise -> 3; V4 with theta <= THETA_LO -> 1, V5 likewise -> 0 (best-performer dip);
     remaining V4/V5 vertices are ambiguous -> 2.
     """
     labels = np.asarray(labels, dtype=int)
@@ -199,10 +199,10 @@ def a_score(labels: np.ndarray, theta: np.ndarray, theta_hi: float = THETA_HI,
     if labels.shape != theta.shape:
         raise ValidationError("labels and anomaly metric must be aligned")
     scores = np.full(labels.shape, NEUTRAL_SCORE, dtype=int)
-    scores[(labels == 5) & (theta >= theta_hi)] = 4
-    scores[(labels == 4) & (theta >= theta_hi)] = 3
-    scores[(labels == 4) & (theta <= theta_lo)] = 1
-    scores[(labels == 5) & (theta <= theta_lo)] = 0
+    scores[(labels == 5) & (theta >= THETA_HI)] = 4
+    scores[(labels == 4) & (theta >= THETA_HI)] = 3
+    scores[(labels == 4) & (theta <= THETA_LO)] = 1
+    scores[(labels == 5) & (theta <= THETA_LO)] = 0
     return scores
 
 

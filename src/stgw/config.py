@@ -16,24 +16,9 @@ from .gat import TrainConfig
 class SgwtSection:
     filters: ClassVar[int] = classify.TORQUE_WEIGHTS.size  # the torque weighs 8 bands
     cheb_order: int = sgwt.DEFAULT_CHEB_ORDER
-    scale_lo: float = sgwt.SCALE_LO
-    scale_hi: float = sgwt.SCALE_HI
 
     def __post_init__(self):
-        check_section("sgwt", self, ("cheb_order", "scale_lo", "scale_hi"))
-        if self.scale_lo >= self.scale_hi:
-            raise ValidationError("[sgwt] scale_lo must be below scale_hi")
-
-
-@dataclass
-class ClassifySection:
-    theta_hi: float = classify.THETA_HI
-    theta_lo: float = classify.THETA_LO
-
-    def __post_init__(self):
-        check_section("classify", self, ("theta_hi", "theta_lo"))
-        if self.theta_lo >= self.theta_hi:
-            raise ValidationError("[classify] theta_lo must be below theta_hi")
+        check_section("sgwt", self, ("cheb_order",))
 
 
 @dataclass
@@ -44,15 +29,13 @@ class IoSection:
     out: str = "out"
 
 
-_SECTIONS = {"gat": TrainConfig, "sgwt": SgwtSection, "classify": ClassifySection,
-             "io": IoSection}
+_SECTIONS = {"gat": TrainConfig, "sgwt": SgwtSection, "io": IoSection}
 
 
 @dataclass
 class RunConfig:
     gat: TrainConfig = field(default_factory=TrainConfig)
     sgwt: SgwtSection = field(default_factory=SgwtSection)
-    classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)
 
     def check(self) -> None:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import THETA_HI, THETA_LO, a_score, rank_nodes
+from .classify import a_score, rank_nodes
 from .errors import DataIOError, ValidationError, utf8_text
 from .gat import GatModel
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph,
@@ -360,11 +360,10 @@ def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, score
         for i, nid in enumerate(graph.node_ids)))
 
 
-def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA_HI,
-                 theta_lo: float = THETA_LO) -> dict:
+def read_classes(path, graph: RouteGraph, weeks: int) -> dict:
     """Every (node, week) exactly once; each a_score must be the one `classify.a_score`
-    gives the row's class and theta under these thresholds.  `lines` holds each cell's
-    line, for `reject_cells`."""
+    gives the row's class and theta.  `lines` holds each cell's line, for
+    `reject_cells`."""
     shape, ids = (graph.n, weeks), np.array(graph.node_ids)
     grid = _Scatter(path, "class rows", lambda i, t: f"node {ids[i]} week {t + 1}",
                     phi=np.zeros(shape), labels=np.zeros(shape, dtype=int),
@@ -377,7 +376,7 @@ def read_classes(path, graph: RouteGraph, weeks: int, *, theta_hi: float = THETA
         labels = 1 + _positions(path, line, _LABELS, np.char.strip(rows["class"].astype(str)),
                                 "bad class label {!r}")
         score, theta = rows["a_score"], rows["theta"]
-        expected = a_score(labels, theta, theta_hi, theta_lo)
+        expected = a_score(labels, theta)
         _reject(path, line, score != expected,
                 lambda k: f"a_score {score[k]} does not match class V{labels[k]} and theta "
                           f"{fnum(theta[k])} (expected {expected[k]})")

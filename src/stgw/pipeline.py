@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classify as cl
 from . import dataio, gat, report, sgwt
-from .config import ClassifySection, RunConfig, SgwtSection
+from .config import RunConfig, SgwtSection
 from .errors import StgwError, ValidationError
 from .graphs import (CaseMatrix, RouteGraph, TransitionMatrix, downsample_mask, laplacian,
                      normalize_cases, raise_first, strong_product)
@@ -94,8 +94,7 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
     graph, features = inputs
     product = strong_product(graph, transition, features.weeks)
     lap = laplacian(product)
-    dictionary = sgwt.make_dictionary(lap.lambda_max_estimate, filters=config.filters,
-                                      scale_lo=config.scale_lo, scale_hi=config.scale_hi)
+    dictionary = sgwt.make_dictionary(lap.lambda_max_estimate, filters=config.filters)
     expansion = sgwt.expand_dictionary(dictionary, order=config.cheb_order)
     return sgwt.cheb_apply(lap, features.vertex_signal(), expansion), {
         "cheb_error_bounds": " ".join(map(repr, expansion.error_bounds.tolist())),
@@ -110,8 +109,7 @@ def transform(inputs: Inputs, transition: TransitionMatrix,
     }
 
 
-def classify(inputs: Inputs, table: sgwt.CoefficientTable,
-             config: ClassifySection) -> tuple[dict, tuple, dict]:
+def classify(inputs: Inputs, table: sgwt.CoefficientTable) -> tuple[dict, tuple, dict]:
     """Coefficients -> torque classes, anomaly metric, a-scores, slice classes; returns
     the (N, T) grids phi, labels, theta and scores, (sigma, slice_classes) and facts."""
     graph, features = inputs
@@ -120,7 +118,7 @@ def classify(inputs: Inputs, table: sgwt.CoefficientTable,
     slices = cl.slice_classification(field.labels, n, t)
     theta = cl.anomaly_metric(features, graph)
     labels = cl.label_grid(field.labels, n, t)
-    scores = cl.a_score(labels, theta, config.theta_hi, config.theta_lo)
+    scores = cl.a_score(labels, theta)
     classes = {"phi": cl.label_grid(field.phi, n, t), "labels": labels, "theta": theta,
                "scores": scores}
     return classes, slices, {"phi_min": float(field.phi_min), "phi_max": float(field.phi_max)}
@@ -206,7 +204,7 @@ def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
     dataio.ensure_dir(cfg.io.out)
     table = table or dataio.read_coefficients(_out(cfg, "coefficients.csv"), graph,
                                               features.weeks, cfg.sgwt.filters)
-    classes, slices, facts = classify(inputs, table, cfg.classify)
+    classes, slices, facts = classify(inputs, table)
     classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
     dataio.write_classes(classes_path, graph, features.weeks, **classes)
     dataio.write_slices(slices_path, *slices)
@@ -229,12 +227,11 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
 
 
 def _read_classes(cfg: RunConfig, inputs: Inputs) -> dict:
-    """classes.csv, whose a_scores must follow the run's [classify] thresholds, whose
+    """classes.csv, whose a_scores must follow the paper's thresholds, whose
     classes must be the torque quintiles that `classify.classify_nodes` gives, and whose
     thetas must be the `classify.anomaly_metric` of the cases."""
     path, (graph, features) = _out(cfg, "classes.csv"), inputs
-    classes = dataio.read_classes(path, graph, features.weeks,
-                                  theta_hi=cfg.classify.theta_hi, theta_lo=cfg.classify.theta_lo)
+    classes = dataio.read_classes(path, graph, features.weeks)
     phi, labels, theta = classes["phi"], classes["labels"], classes["theta"]
     lo, hi = phi.min(), phi.max()
     expected = cl.quintile_labels(phi, lo, hi)

@@ -34,7 +34,8 @@ EXACT_DIMENSION_GUARD = 5000
 # N=400)
 APPLY_ROWS = 4096
 
-# scale endpoints, in units of 1/lambda_max
+# the paper's scale endpoints, in units of 1/lambda_max (Hammond, Vandergheynst and
+# Gribonval 2011)
 SCALE_LO = 1.0
 SCALE_HI = 40.0
 
@@ -77,8 +78,8 @@ class KernelDictionary:
     """Filter bank: index 1 is the scaling function, index M the finest scale.
 
     `scales` is strictly decreasing; filter m (2-based) uses scales[m-2], so the
-    coarsest stretch s_{M-1} = scale_hi/lambda_max comes first and the finest
-    s_1 = scale_lo/lambda_max comes last.
+    coarsest stretch s_{M-1} = SCALE_HI/lambda_max comes first and the finest
+    s_1 = SCALE_LO/lambda_max comes last.
     """
 
     lambda_max: float
@@ -105,20 +106,18 @@ class KernelDictionary:
         return np.column_stack(cols)
 
 
-def make_dictionary(lambda_max: float, filters: int = DEFAULT_FILTERS,
-                    scale_lo: float = SCALE_LO, scale_hi: float = SCALE_HI) -> KernelDictionary:
-    """Log-spaced dictionary of `filters` kernels covering [0, lambda_max]."""
+def make_dictionary(lambda_max: float, filters: int = DEFAULT_FILTERS) -> KernelDictionary:
+    """Log-spaced dictionary of `filters` kernels covering [0, lambda_max], its wavelet
+    scales between the paper's endpoints SCALE_HI/lambda_max and SCALE_LO/lambda_max."""
     if lambda_max <= 0:
         raise ValidationError("dictionary needs lambda_max > 0 (degenerate spectrum)")
     if filters < 2:
         raise ValidationError("dictionary needs at least 2 filters")
-    if not 0 < scale_lo < scale_hi:
-        raise ValidationError("scale endpoints must satisfy 0 < scale_lo < scale_hi")
     if filters == 2:
         warnings.warn("degenerate dictionary: single wavelet scale")
-        scales = np.array([scale_lo / lambda_max])
+        scales = np.array([SCALE_LO / lambda_max])
     else:
-        scales = np.geomspace(scale_hi / lambda_max, scale_lo / lambda_max, filters - 1)
+        scales = np.geomspace(SCALE_HI / lambda_max, SCALE_LO / lambda_max, filters - 1)
     return KernelDictionary(
         lambda_max=float(lambda_max),
         scales=scales,

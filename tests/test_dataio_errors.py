@@ -237,17 +237,6 @@ def test_repeated_rank_in_a_later_chunk(tmp_path, monkeypatch):
                                "the a_bar order (expected 3)")
 
 
-def test_a_score_follows_the_given_thresholds(tmp_path):
-    # line 7 is a V4 row with theta 1.0: neutral by default, a spike once theta_hi is 1.0
-    path = tmp_path / "classes.csv"
-    path.write_text("\n".join(VALID["classes.csv"]) + "\n", encoding="utf-8")
-    dataio.read_classes(path, GRAPH, WEEKS, theta_hi=1.5, theta_lo=0.5)
-    with pytest.raises(ValidationError) as info:
-        dataio.read_classes(path, GRAPH, WEEKS, theta_hi=1.0, theta_lo=0.5)
-    assert str(info.value) == (f"{path}: line 7: a_score 2 does not match class V4 "
-                               "and theta 1.0 (expected 3)")
-
-
 def test_rank_order_names_the_line_of_each_row(tmp_path, monkeypatch):
     # rows in reverse node order, one per chunk: node 2 is on line 3 and node 1 on line 4
     monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
