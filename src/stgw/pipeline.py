@@ -1,8 +1,8 @@
 """Stage orchestration: pure stage functions, and edges that do the file I/O.
 
 `train`, `transform`, `classify`, `rank` and `render` take the `Inputs`, their
-upstream results and their config section, and return their result and its
-manifest facts without touching a file.  The facts are plain values; the
+upstream results and their config section or flags, if any, and return their
+result and its manifest facts without touching a file.  The facts are plain values; the
 manifest edge formats them, a float as its shortest round-trip repr.  Each
 `stage_*` edge reads the inputs, takes the upstream result as an argument or
 else reads its CSV, and writes its files and its manifest section (the
