@@ -226,7 +226,7 @@ def check_window(lo: int, hi: int, weeks: int | None = None) -> None:
 def rank_nodes(averages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1-based rank positions: least-successful (descending) and most-successful.
 
-    Ties resolve by node index so rankings are deterministic.
+    Ties resolve by node index, which for a route graph is ascending node_id.
     """
     n = len(averages)
     order_desc = np.lexsort((np.arange(n), -averages))

@@ -12,7 +12,7 @@ from .errors import DataIOError, ValidationError, check_section, utf8_text
 from .gat import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgwtSection:
     filters: ClassVar[int] = classify.TORQUE_WEIGHTS.size  # the torque weighs 8 bands
     cheb_order: int = sgwt.DEFAULT_CHEB_ORDER
@@ -21,7 +21,7 @@ class SgwtSection:
         check_section("sgwt", self, ("cheb_order",))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IoSection:
     nodes: str = "nodes.csv"
     edges: str = "edges.csv"
@@ -37,12 +37,6 @@ class RunConfig:
     gat: TrainConfig = field(default_factory=TrainConfig)
     sgwt: SgwtSection = field(default_factory=SgwtSection)
     io: IoSection = field(default_factory=IoSection)
-
-    def check(self) -> None:
-        """Re-run every section's checks, which a value assigned after the section was
-        built has skipped."""
-        for name in _SECTIONS:
-            replace(getattr(self, name))
 
     def resolved(self) -> dict[str, dict]:
         """Every tunable with its resolved value, by section (manifest fodder)."""

@@ -121,13 +121,13 @@ def _reject(path, line, bad, message) -> None:
 
 
 def _positions(path, line, known, values, message: str) -> np.ndarray:
-    """Index in `known` of each value; the first value not in it is rejected with its line."""
-    order = np.argsort(known, kind="stable")
-    pos = np.searchsorted(known, values, sorter=order)
+    """Index in `known` of each value; the first value not in it is rejected with its line.
+    `known` is ascending: a graph's node ids, or `_LABELS`."""
+    pos = np.searchsorted(known, values)
     found = pos < len(known)
-    found[found] = known[order[pos[found]]] == values[found]
+    found[found] = known[pos[found]] == values[found]
     _reject(path, line, ~found, lambda k: message.format(values[k].item()))
-    return order[pos]
+    return pos
 
 
 class _Scatter:
@@ -139,13 +139,15 @@ class _Scatter:
         self.seen = np.zeros(next(iter(grids.values())).shape, dtype=bool)
 
     def put(self, line, index, **columns) -> None:
-        """Store the rows from `line` on at the cells `index`; a key seen before is rejected."""
-        was, filled = self.seen[index], np.count_nonzero(self.seen)
-        self.seen[index] = True
-        if np.count_nonzero(self.seen) - filled < len(was):
-            _, first = np.unique(np.ravel_multi_index(index, self.seen.shape), return_index=True)
+        """Store the rows from `line` on at the cells `index`; a key seen before, in an
+        earlier chunk or this one, is rejected.  No step scans the whole grid."""
+        was, flat = self.seen[index], np.ravel_multi_index(index, self.seen.shape)
+        ordered = np.sort(flat)
+        if was.any() or (ordered[1:] == ordered[:-1]).any():
+            _, first = np.unique(flat, return_index=True)
             _reject(self.path, line, was | ~np.isin(np.arange(len(was)), first),
                     lambda k: "duplicate entry for " + self.describe(*(ix[k] for ix in index)))
+        self.seen[index] = True
         for name, values in columns.items():
             self.grids[name][index] = values
 
@@ -291,11 +293,10 @@ def write_cases(path, graph: RouteGraph, cases: CaseMatrix) -> None:
 
 
 def write_transition(path, graph: RouteGraph, transition: TransitionMatrix) -> None:
-    """Every structurally allowed entry (edges plus diagonal), ascending (src, dst)."""
+    """Every structurally allowed entry (edges plus diagonal) in the support's CSR order,
+    which is ascending (src, dst) since the graph holds its nodes in ascending id."""
     ids = np.array(graph.node_ids)
     rows, cols = graph.closed_neighborhoods().nonzero()
-    order = np.lexsort((ids[cols], ids[rows]))
-    rows, cols = rows[order], cols[order]
     write_csv(path, TRANSITION_HEADER,
               zip(ids[rows].tolist(), ids[cols].tolist(),
                   map(repr, np.asarray(transition.P[rows, cols]).ravel().tolist())))

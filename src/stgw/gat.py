@@ -183,7 +183,7 @@ def _views(model: GatModel, vector: np.ndarray) -> GatModel:
     return GatModel.from_stacked([part.reshape(p.shape) for part, p in zip(parts, stacked)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The `[gat]` config section. `train` reads lr, patience and max_epochs and draws
     no random numbers; the rest is for `GatModel.create` (and the seed for `make_samples`)."""
@@ -197,7 +197,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.lr = float(self.lr)  # as a config file gives it, so messages read the same
+        # as a config file gives it, so messages read the same
+        object.__setattr__(self, "lr", float(self.lr))
         check_section("gat", self, ("heads", "hidden", "out", "lr", "patience", "max_epochs"))
         if self.seed < 0:
             raise ValidationError("[gat] seed must be non-negative")

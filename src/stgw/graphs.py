@@ -43,7 +43,7 @@ class NodeRecord:
 
 @dataclass(frozen=True, eq=False)
 class RouteGraph:
-    """Undirected, self-loop-free spatial graph over a fixed node order.
+    """Undirected, self-loop-free spatial graph over its nodes in ascending node_id.
 
     `adjacency` is a binary CSR matrix; `edges` holds each undirected edge once
     as an index pair (i, j) with i < j.  Isolated nodes are retained and listed
@@ -328,7 +328,8 @@ def check_endpoints(ends: np.ndarray, ids: np.ndarray, reject) -> None:
 def build_route_graph(nodes: list[NodeRecord],
                       edges: list[tuple[int, int]] | np.ndarray) -> RouteGraph:
     """Assemble a validated RouteGraph from node records and undirected id pairs,
-    given as a list of tuples or as an (E, 2) integer array.
+    given as a list of tuples or as an (E, 2) integer array.  The graph holds the
+    nodes in ascending node_id, whatever their order in `nodes`.
 
     Duplicate and reversed-duplicate edges collapse to one; isolated nodes are
     kept but reported through `isolated_ids`.
@@ -338,10 +339,10 @@ def build_route_graph(nodes: list[NodeRecord],
     check_nodes(nodes, raise_first)
     check_self_loops(ends, raise_first)
     check_endpoints(ends, ids, raise_first)
+    nodes, ids = sorted(nodes, key=lambda rec: rec.node_id), np.sort(ids)  # one node order
 
     # each edge as the key i * n + j of its index pair with i < j, once, ascending
-    n, order = len(ids), np.argsort(ids)
-    index = np.sort(order[np.searchsorted(ids, ends, sorter=order)], axis=1)
+    n, index = len(ids), np.sort(np.searchsorted(ids, ends), axis=1)
     i, j = np.divmod(np.unique(index[:, 0] * n + index[:, 1]), n)
     adjacency = sp.csr_matrix((np.ones(2 * i.size, dtype=np.int8),
                                (np.concatenate((i, j)), np.concatenate((j, i)))), shape=(n, n))

@@ -58,10 +58,8 @@ def _manifest(cfg: RunConfig, section: str, facts: dict) -> str:
 
 def load_inputs(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                 week: int | None = None) -> Inputs:
-    """Check the config sections again, then ingest and validate the three input files;
-    the series must span T >= 2 weeks, and hold the ranking window `weeks` and report
-    week `week` when given."""
-    cfg.check()
+    """Ingest and validate the three input files; the series must span T >= 2 weeks, and
+    hold the ranking window `weeks` and report week `week` when given."""
     _check_weeks(weeks, week)
     graph, raw = dataio.ingest(cfg.io.nodes, cfg.io.edges, cfg.io.cases)
     if raw.weeks < 2:

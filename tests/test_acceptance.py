@@ -12,7 +12,7 @@ import pytest
 
 from stgw.classify import (a_score, anomaly_metric, classify_nodes, log_normalize,
                            robust_scale, torque)
-from stgw.config import RunConfig
+from stgw.config import IoSection, RunConfig
 from stgw.dataio import ingest, read_classes
 from stgw.gat import (GatModel, TrainConfig, attention_coefficients, edge_accuracy,
                       extract_transition, make_samples, train)
@@ -232,15 +232,9 @@ def anomaly_dataset(tmp_path_factory):
 
 
 def _anomaly_cfg(root, out):
-    cfg = RunConfig()
-    cfg.io.nodes = str(root / "nodes.csv")
-    cfg.io.edges = str(root / "edges.csv")
-    cfg.io.cases = str(root / "cases.csv")
-    cfg.io.out = str(out)
-    cfg.gat.heads, cfg.gat.hidden, cfg.gat.out = 4, 24, 16
-    cfg.gat.max_epochs = 400
-    cfg.gat.seed = 1
-    return cfg
+    return RunConfig(gat=TrainConfig(heads=4, hidden=24, out=16, max_epochs=400, seed=1),
+                     io=IoSection(nodes=str(root / "nodes.csv"), edges=str(root / "edges.csv"),
+                                  cases=str(root / "cases.csv"), out=str(out)))
 
 
 def test_criterion_09_anomaly_branches(anomaly_dataset, tmp_path):

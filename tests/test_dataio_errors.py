@@ -237,6 +237,36 @@ def test_repeated_rank_in_a_later_chunk(tmp_path, monkeypatch):
                                "the a_bar order (expected 3)")
 
 
+@pytest.mark.parametrize("chunk_rows,at,message", [
+    (1, 9, "line 9: duplicate entry for src 1 dst 1"),  # in a later chunk
+    (2, 9, "line 9: duplicate entry for src 1 dst 1"),
+    (2, 3, "line 3: duplicate entry for src 1 dst 1"),  # inside one chunk
+])
+def test_duplicate_key_across_and_inside_chunks(tmp_path, monkeypatch, chunk_rows, at,
+                                                message):
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", chunk_rows)
+    lines = list(VALID["transition.csv"])
+    repeat(2, at)(lines)
+    path = tmp_path / "transition.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        dataio.read_transition(path, GRAPH)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_duplicate_node_id_in_unsorted_nodes_names_its_line(tmp_path):
+    # node ids 3, 2, 1, 2 on lines 2..5: the checks run in file order, before the graph
+    # sorts the records by node_id (sorted first, the second 2 would be record 3, line 4)
+    header, *rows = VALID["nodes.csv"]
+    paths = [tmp_path / name for name in ("nodes.csv", "edges.csv", "cases.csv")]
+    for path, lines in zip(paths, ([header] + rows[::-1] + rows[1:2],
+                                   VALID["edges.csv"], VALID["cases.csv"])):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        dataio.ingest(*paths)
+    assert str(info.value) == f"{paths[0]}: line 5: duplicate node_id 2"
+
+
 def test_rank_order_names_the_line_of_each_row(tmp_path, monkeypatch):
     # rows in reverse node order, one per chunk: node 2 is on line 3 and node 1 on line 4
     monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)

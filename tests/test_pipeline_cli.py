@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import re
 import shutil
@@ -13,7 +15,7 @@ import pytest
 from stgw import classify as cl
 from stgw import dataio, gat
 from stgw.cli import main
-from stgw.config import RunConfig, load_config
+from stgw.config import IoSection, RunConfig, load_config
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import TrainConfig
 from stgw.graphs import TransitionMatrix, normalize_cases
@@ -34,15 +36,10 @@ def write_small_dataset(tmp_path, **kwargs):
 
 
 def small_cfg(tmp_path, out="out"):
-    cfg = RunConfig()
-    cfg.io.nodes = str(tmp_path / "nodes.csv")
-    cfg.io.edges = str(tmp_path / "edges.csv")
-    cfg.io.cases = str(tmp_path / "cases.csv")
-    cfg.io.out = str(tmp_path / out)
-    cfg.gat.heads, cfg.gat.hidden, cfg.gat.out = 3, 12, 8
-    cfg.gat.max_epochs = 150
-    cfg.gat.seed = 8
-    return cfg
+    return RunConfig(gat=TrainConfig(heads=3, hidden=12, out=8, max_epochs=150, seed=8),
+                     io=IoSection(nodes=str(tmp_path / "nodes.csv"),
+                                  edges=str(tmp_path / "edges.csv"),
+                                  cases=str(tmp_path / "cases.csv"), out=str(tmp_path / out)))
 
 
 def fail_torque(*args, **kwargs):
@@ -262,15 +259,15 @@ class TestPipeline:
     ])
     def test_config_changed_after_construction_exit_2_untrained(self, tmp_path, section,
                                                                values, message):
-        write_small_dataset(tmp_path)
-        cfg = small_cfg(tmp_path)
+        # a section cannot be changed in place, and a changed copy is checked as it is built
+        part = getattr(small_cfg(tmp_path), section)
         for key, value in values.items():
-            setattr(getattr(cfg, section), key, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, key, value)
         with pytest.raises(ValidationError) as info:
-            run_pipeline(cfg)
+            dataclasses.replace(part, **values)
         assert info.value.exit_code == 2
-        assert str(info.value) == f"stage train: {message}"
-        assert not os.path.exists(os.path.join(cfg.io.out, "transition.csv"))
+        assert str(info.value) == message
 
     def test_staged_command_clears_stale_temporary_files(self, tmp_path):
         write_small_dataset(tmp_path)
@@ -299,8 +296,7 @@ class TestPureStages:
     def test_method_runs_without_files(self, monkeypatch):
         graph, raw = generate(SyntheticSpec(**SMALL))
         inputs = Inputs(graph, normalize_cases(raw, graph.populations, graph.node_ids))
-        cfg = RunConfig()
-        cfg.gat.heads, cfg.gat.hidden, cfg.gat.out, cfg.gat.max_epochs = 2, 8, 6, 20
+        cfg = RunConfig(gat=TrainConfig(heads=2, hidden=8, out=6, max_epochs=20))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a pure stage touched a file")
@@ -672,6 +668,35 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert main(["product", "--config", str(cfg_path)]) == 0
         assert "identity" in capsys.readouterr().out
+
+    def test_outputs_do_not_depend_on_the_row_order_of_nodes(self, finished_run, tmp_path):
+        """Every output lists nodes in ascending node_id: `stgw run --mask` over nodes.csv
+        with its data rows reversed writes the same bytes, and so do staged `rank` and
+        `report` that read the first run's files against the reversed rows.  The manifest
+        is compared without its nodes_hash line, which hashes the nodes.csv bytes."""
+        data = finished_run / "data"
+        header, *rows = (data / "nodes.csv").read_text().splitlines(keepends=True)
+        reversed_nodes = tmp_path / "nodes.csv"
+        reversed_nodes.write_text(header + "".join(rows[::-1]))
+
+        def stgw(nodes, out, *commands):
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(f"[io]\nnodes = {nodes}\nedges = {data}/edges.csv\n"
+                                f"cases = {data}/cases.csv\nout = {tmp_path / out}\n"
+                                "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 40\n")
+            for command in commands:
+                assert main(command + ["--config", str(cfg_path)]) == 0
+            files = read_out(tmp_path, out)
+            manifest, found = re.subn(rb"nodes_hash = \w+\n", b"", files["run-manifest.txt"])
+            assert found == 1
+            return {name: hashlib.sha256(manifest if name == "run-manifest.txt" else text)
+                    .hexdigest() for name, text in files.items()}
+
+        forward = stgw(data / "nodes.csv", "forward", ["run", "--mask"])
+        assert len(forward) == 10
+        assert stgw(reversed_nodes, "reversed", ["run", "--mask"]) == forward
+        shutil.copytree(tmp_path / "forward", tmp_path / "staged")
+        assert stgw(reversed_nodes, "staged", ["rank"], ["report", "--mask"]) == forward
 
 
 @pytest.fixture(scope="module")
