@@ -3,16 +3,22 @@
 Attention runs over the graph's closed neighborhoods only, as an edge list of
 2E + N entries (each edge both ways, plus every node's self-loop): per-head
 logits on the entries, a segment softmax per row, and sparse products for the
-aggregation and its transpose.  A layer runs all of its heads in one pass, and
-training allocates every array of an epoch once.  Gradients are hand-derived
-reverse-mode in plain numpy/scipy, so training stays dependency-free and
-bit-reproducible for a fixed seed, config and numpy/scipy build.  The trained second-layer attention
+aggregation and its transpose.  A layer runs all of its heads in one pass, but
+layer 1 runs as two fixed head groups, the first ceil(H/2) heads and the rest;
+when a second CPU is free, training runs the second group, and half of each Adam
+step, on a worker thread.  Training allocates every array of an epoch once.
+Gradients are hand-derived reverse-mode in plain numpy/scipy, so training stays
+dependency-free and bit-reproducible for a fixed seed, config, numpy/scipy build
+and BLAS thread count, on one CPU or two.  The trained second-layer attention
 matrix is the transition matrix consumed by the strong-product construction.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,72 @@ HEADS, HIDDEN, OUT = 7, 122, 88  # layer-1 heads, layer-1 head width, layer-2 wi
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
 _SPLIT_CODE = {"train": TRAIN, "validation": VALIDATION, "test": TEST}
+
+# `train` gives layer 1's second head group a thread from this many layer-1 output
+# values (N*H*O) on.  Median epoch on 2 vCPUs with one BLAS thread, serial against
+# threaded: 4.7 against 5.1 ms at 51,240 values (N=60, T=41), 9.4 against 8.2 ms at
+# 85,400 (N=100, T=104), 13.5 against 11.3 ms at 128,100 (N=150) and 34 against 23 ms
+# at 341,600 (N=400)
+_THREAD_MIN_VALUES = 100_000
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _second_cpu_free(values: int) -> bool:
+    """Whether to train a layer 1 of `values` output values on two threads: from
+    `_THREAD_MIN_VALUES` values on, with two CPUs, and with BLAS held to one thread
+    (one of its variables set, and each one set saying 1)."""
+    settings = [os.environ[name] for name in _BLAS_THREAD_VARIABLES if name in os.environ]
+    return (values >= _THREAD_MIN_VALUES and _cpu_count() >= 2 and bool(settings)
+            and all(setting.strip() == "1" for setting in settings))
+
+
+def _under_errstate(state: dict, call):
+    with np.errstate(**state):
+        return call()
+
+
+class _Worker:
+    """Runs lists of zero-argument calls: the first in the caller, the rest after it
+    or, if `threaded`, meanwhile on one thread of its own, under the caller's numpy
+    error state (which numpy keeps per thread).  Their exceptions reach the caller;
+    `close` ends the thread."""
+
+    def __init__(self, threaded: bool = False):
+        self._pool = ThreadPoolExecutor(max_workers=1) if threaded else None
+
+    def run(self, calls) -> None:
+        if self._pool is None:
+            for call in calls:
+                call()
+            return
+        state = np.geterr()
+        futures = [self._pool.submit(_under_errstate, state, call) for call in calls[1:]]
+        try:
+            calls[0]()
+        finally:  # the thread is done with the caller's arrays before either goes on
+            for future in futures:
+                future.result()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+_SERIAL = _Worker()
+
+
+def _row_halves(fn, *arrays) -> list:
+    """fn over the first and over the second half of the rows of `arrays`, as two calls."""
+    cut = (len(arrays[0]) + 1) // 2
+    return [functools.partial(fn, *(a[:cut] for a in arrays)),
+            functools.partial(fn, *(a[cut:] for a in arrays))]
 
 
 def elu(x, out=None, scratch=None):
@@ -308,8 +380,8 @@ def _edge_dots(support: _Support, left, right, out, scratch) -> None:
     for start in range(0, len(out), block):
         stop = min(start + block, len(out))
         k = stop - start
-        np.take(left, support.rows[start:stop], axis=0, out=gl[:k], mode="clip")
-        np.take(right, support.cols[start:stop], axis=0, out=gr[:k], mode="clip")
+        left.take(support.rows[start:stop], axis=0, out=gl[:k], mode="clip")
+        right.take(support.cols[start:stop], axis=0, out=gr[:k], mode="clip")
         np.einsum("kho,kho->kh", gl[:k].reshape(k, heads, -1), gr[:k].reshape(k, heads, -1),
                   out=out[start:stop])
 
@@ -317,32 +389,38 @@ def _edge_dots(support: _Support, left, right, out, scratch) -> None:
 class _LayerWork:
     """The arrays of one layer's forward and backward pass for one support, allocated once.
 
-    `grad_buffer` (at least `extra` values) holds the gradient of the layer's
-    output, `dout`; the forward pass's ELU uses it as scratch before that, and
-    once the backward pass has consumed the gradient, the same memory holds its
-    row gathers and then dZ.  With `fold`, Z's memory also fits one W, the
-    rank-1 part of dW, which is written there once Z is spent.  Without
-    `keep_output`, `out` is `U`: the ELU is written over its input, and the
-    backward pass turns it into dU, so the output lasts only until then.
+    `scratch` holds the gradient of the layer's output, `dout`; the forward
+    pass's ELU uses it before that, and once `_elu_backward` has consumed the
+    gradient, the same memory holds the edge dots' row gathers and then dZ.  With `fold`, Z's memory also fits one W, the rank-1 part of dW,
+    which is written there once Z is spent.  Without `keep_output`, `out` is `U`:
+    the ELU is written over its input, and `_elu_backward` turns it into dU.
+
+    A head group of a `_Workspace` is given its memory as `shared` instead: its
+    column block `out` of layer 1's output, its U, Z's memory and the edge dots'
+    scratch.  It has no `dout`, and its dZ goes into Z's memory.
     """
 
-    def __init__(self, layer: GatLayerParams, support: _Support, extra: int = 0,
-                 fold: bool = False, keep_output: bool = False):
+    def __init__(self, layer: GatLayerParams, support: _Support, fold: bool = False,
+                 keep_output: bool = False, shared=None):
         n, m, heads = support.n, len(support.rows), layer.head_count
         width = heads * layer.out_dim
         self.pattern = _HeadPattern.of_support(support, heads)
-        self.z_buffer = np.empty(max(n * width, layer.weights.size if fold else 0))
+        if shared is None:
+            self.z_buffer = np.empty(max(n * width, layer.weights.size if fold else 0))
+            self.U = np.empty((n, width))
+            self.out = np.empty((n, width)) if keep_output else self.U
+            self.scratch = np.empty(max(n, 2) * width)
+            self.dout = self.dZ = self.scratch[:n * width].reshape(n, width)
+        else:
+            self.out, self.U, self.z_buffer, self.scratch = shared
+            self.dZ = self.z_buffer[:n * width].reshape(n, width)
         self.Z = self.z_buffer[:n * width].reshape(n, width)
-        self.U = np.empty((n, width))
-        self.out = np.empty((n, width)) if keep_output else self.U
         self.sr = np.empty((2, n, heads))  # logit halves s and r, later ds and dr
         self.dsr = np.empty((heads, 2, n))  # the same, head-major, for batched matmuls
         self.Q = np.empty((heads, 2, layer.in_dim))  # per head [ds dr]^T X
         self.seg = np.empty((n, heads))
         self.alpha, self.tmp, self.dalpha = (np.empty((m, heads)) for _ in range(3))
         self.negative = np.empty((m, heads), dtype=bool)  # where the logit is below zero
-        self.grad_buffer = np.empty(max(max(n, 2) * width, extra))
-        self.dout = self.grad_buffer[:n * width].reshape(n, width)
 
 
 def _attention(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> None:
@@ -356,52 +434,70 @@ def _attention(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> N
     np.copyto(lw.sr, lw.dsr.transpose(1, 2, 0))
     s, r = lw.sr
     logits, tmp, seg = lw.alpha, lw.tmp, lw.seg
-    np.take(s, support.rows, axis=0, out=logits, mode="clip")
-    logits += np.take(r, support.cols, axis=0, out=tmp, mode="clip")
+    # the take methods, not np.take, whose wrapper costs as much as a small take
+    s.take(support.rows, axis=0, out=logits, mode="clip")
+    logits += r.take(support.cols, axis=0, out=tmp, mode="clip")
     np.less(logits, 0.0, out=lw.negative)
     np.multiply(logits, LEAKY_SLOPE, out=logits, where=lw.negative)  # LeakyReLU
     np.maximum.reduceat(logits, support.starts, axis=0, out=seg)
-    logits -= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+    logits -= seg.take(support.rows, axis=0, out=tmp, mode="clip")
     np.exp(logits, out=logits)
     np.add.reduceat(logits, support.starts, axis=0, out=seg)
-    logits /= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+    logits /= seg.take(support.rows, axis=0, out=tmp, mode="clip")
+
+
+def _aggregate(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> np.ndarray:
+    """The attention aggregation U of every head in one pass; returns `lw.U`."""
+    _attention(layer, X, support, lw)
+    pattern = lw.pattern
+    lw.alpha.reshape(-1).take(pattern.fwd_order, out=pattern.fwd.data, mode="clip")
+    nh = len(X) * layer.head_count
+    spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
+    return lw.U
 
 
 def _layer_forward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> np.ndarray:
     """ELU of the attention aggregation, every head in one pass; returns `lw.out`."""
-    _attention(layer, X, support, lw)
-    pattern = lw.pattern
-    np.take(lw.alpha.reshape(-1), pattern.fwd_order, out=pattern.fwd.data, mode="clip")
-    nh = len(X) * layer.head_count
-    spmm(pattern.fwd, lw.Z.reshape(nh, -1), out=lw.U.reshape(nh, -1))
+    _aggregate(layer, X, support, lw)
     return elu(lw.U, out=lw.out, scratch=lw.dout)
 
 
+def _group_forward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork) -> None:
+    """A head group's aggregation, copied into its column block of layer 1's U."""
+    np.copyto(lw.out, _aggregate(layer, X, support, lw))
+
+
+def _elu_backward(y, dout, out) -> None:
+    """dU = elu'(U) dout into `out`, which may be y, the slope taken from y = elu(U)."""
+    dU = _elu_slope(y, out=out)
+    dU *= dout
+
+
 def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
-                    grad: GatLayerParams, dX=None) -> None:
-    """Gradients of one layer, from the gradient of its output in `lw.dout`.
+                    grad: GatLayerParams, dX=None, worker: _Worker = _SERIAL) -> None:
+    """Gradients of one layer, from dU in `lw.U` (see `_elu_backward`), which may be
+    the caller's head group of layer 1.
 
     Writes dW and da into `grad` and, if given, dX = dZ W into `dX`.  Uses up
-    the forward pass's Z and U and the output gradient; the output stays only
-    if `lw` keeps it apart from U.
+    the forward pass's Z and dU.
     dZ = A^T dU + ds (x) a_src + dr (x) a_dst per head.  Without dX the rank-1
     terms go into dW through the (H, 2, F) product [ds dr]^T X, which needs
-    `lw` built with `fold`; with dX they are added to dZ itself.
+    `lw` built with `fold`; with dX they are added to dZ itself, and dW = dZ^T X
+    runs on `worker` while the caller writes dX.
     """
     heads, o, f = layer.weights.shape
     nh = len(X) * heads
-    dU = _elu_slope(lw.out, out=lw.U)
-    dU *= lw.dout
-    _edge_dots(support, dU, lw.Z, lw.dalpha, lw.grad_buffer)
+    dU = lw.U
+    _edge_dots(support, dU, lw.Z, lw.dalpha, lw.scratch)
     alpha, tmp, seg, dlogit = lw.alpha, lw.tmp, lw.seg, lw.dalpha
     np.multiply(alpha, dlogit, out=tmp)
     np.add.reduceat(tmp, support.starts, axis=0, out=seg)
-    dlogit -= np.take(seg, support.rows, axis=0, out=tmp, mode="clip")
+    dlogit -= seg.take(support.rows, axis=0, out=tmp, mode="clip")
     dlogit *= alpha
     np.multiply(dlogit, LEAKY_SLOPE, out=dlogit, where=lw.negative)  # now d(logit before LeakyReLU)
     ds, dr = lw.sr
     np.add.reduceat(dlogit, support.starts, axis=0, out=ds)
-    np.add.reduceat(np.take(dlogit, support.by_col, axis=0, out=tmp, mode="clip"),
+    np.add.reduceat(dlogit.take(support.by_col, axis=0, out=tmp, mode="clip"),
                     support.col_starts, axis=0, out=dr)
     # per head da = [ds dr] Z, batched as in the forward
     dsr, a3 = lw.dsr, layer.attn.reshape(heads, 2, o)
@@ -410,14 +506,14 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
     np.matmul(dsr, Z3, out=grad.attn.reshape(heads, 2, o))
 
     pattern = lw.pattern
-    np.take(alpha.reshape(-1), pattern.bwd_order, out=pattern.bwd.data, mode="clip")
-    dZ = lw.dout
+    alpha.reshape(-1).take(pattern.bwd_order, out=pattern.bwd.data, mode="clip")
+    dZ = lw.dZ
     spmm(pattern.bwd, dU.reshape(nh, o), out=dZ.reshape(nh, o))
     dW = grad.weights.reshape(heads * o, f)
     if dX is None:
         np.matmul(dZ.T, X, out=dW)
         np.matmul(dsr, X, out=lw.Q)
-        # Z is spent: its memory takes the rank-1 part a (x) [ds dr]^T X of dW
+        # Z and dZ are spent: Z's memory takes the rank-1 part a (x) [ds dr]^T X of dW
         rank1 = lw.z_buffer[:layer.weights.size].reshape(heads, o, f)
         np.matmul(a3.transpose(0, 2, 1), lw.Q, out=rank1)
         grad.weights += rank1
@@ -425,36 +521,100 @@ def _layer_backward(layer: GatLayerParams, X, support: _Support, lw: _LayerWork,
         # Z is spent: it holds ds (x) a_src + dr (x) a_dst per head
         np.matmul(dsr.transpose(0, 2, 1), a3, out=Z3)
         dZ += lw.Z
-        np.matmul(dZ.T, X, out=dW)
-        np.matmul(dZ, layer.weights.reshape(heads * o, f), out=dX)
+        worker.run([functools.partial(np.matmul, dZ.T, X, out=dW),
+                    functools.partial(np.matmul, dZ, layer.weights.reshape(heads * o, f),
+                                      out=dX)])
+
+
+def _head_groups(heads: int) -> list[slice]:
+    """Layer 1's fixed head groups: the first ceil(H/2) heads, then the rest, if any."""
+    cut = (heads + 1) // 2
+    return [slice(0, cut), slice(cut, heads)][:1 + (cut < heads)]
+
+
+def _head_group(layer: GatLayerParams, heads: slice) -> GatLayerParams:
+    """The heads `heads` of `layer`, as views; built without a new layer's checks,
+    which cost more than a group's pass on a small graph."""
+    group = object.__new__(GatLayerParams)
+    group.weights, group.attn = layer.weights[heads], layer.attn[heads]
+    return group
 
 
 class _Workspace:
     """Every array of a forward and backward pass of `model` on `support`, allocated
-    once and reused by each call: the two layers' arrays, the flat gradient with a
-    model of views on it (`grad`), and the buffers of up to `pairs` scored pairs.
+    once and reused by each call: the work of layer 1's head groups (`layer1`) and of
+    layer 2, the flat gradient with a model of views on it (`grad`), and the buffers
+    of up to `pairs` scored pairs.  `worker` runs the second head group's share; it
+    runs in the caller unless `train` gives it a thread.
 
-    Layer 1's ELU is written over its pre-activation, so its output lasts until
-    layer 1's backward; layer 2 keeps its output, which scores pairs after the
-    backward pass.  The pair buffers share layer 1's output-gradient buffer,
-    which is free from the end of layer 1's forward (whose ELU uses it as
-    scratch) until layer 2's backward writes it.
+    Layer 1 keeps three buffers of N x H*O values, which its head groups share out:
+    - `X1`: each group copies its U into its column block, then the ELU, its slope
+      and dU are written over the whole (a ufunc on a strided block would allocate
+      iterator buffers), and each group copies its block of dU out.  Its two flat
+      halves are then the groups' edge-dot scratch.
+    - The gradient buffer: each group's U, in a contiguous part; ELU scratch; the
+      pair buffers; dX, written by layer 2's backward; each group's dU.
+    - Z's buffer: each group's Z, in a part of its own; its dZ; the rank-1 part of
+      its dW.
     """
 
     def __init__(self, model: GatModel, support: _Support, pairs: int = 0):
+        layer1, n = model.layer1, support.n
+        o = layer1.out_dim
+        width = layer1.head_count * o
         self.width = model.layer2.out_dim
-        self.layer1 = _LayerWork(model.layer1, support, extra=pairs * (3 * self.width + 4),
-                                 fold=True)
+        self.groups = _head_groups(layer1.head_count)
+        self._x1 = np.empty(max(n, 4) * width)  # each half fits a group's two gathered rows
+        self.X1 = self._x1[:n * width].reshape(n, width)
+        self.grad_buffer = np.empty(max(n * width, pairs * (3 * self.width + 4)))
+        self.dX = self.grad_buffer[:n * width].reshape(n, width)
+        z_rows = max(n, layer1.in_dim)  # a group's Z, or its rank-1 part of dW
+        self._z = z_buffer = np.empty(z_rows * width)
+        self.layer1 = []
+        for heads, half in zip(self.groups, np.array_split(self._x1, 2)):
+            start, stop = heads.start * o, heads.stop * o
+            shared = (self.X1[:, start:stop],
+                      self.grad_buffer[n * start:n * stop].reshape(n, stop - start),
+                      z_buffer[z_rows * start:z_rows * stop], half)
+            self.layer1.append(_LayerWork(_head_group(layer1, heads), support, shared=shared))
         self.layer2 = _LayerWork(model.layer2, support, keep_output=True)
         self.grads = np.empty(sum(p.size for p in model.parameters()))
         self.grad = _views(model, self.grads)
+        self.worker = _SERIAL
 
     def pair_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The 3*count x O pair rows of `_pair_outputs` and four pair vectors (4 x count)."""
         rows = 3 * count * self.width
-        buffer = self.layer1.grad_buffer
-        return (buffer[:rows].reshape(3 * count, self.width),
-                buffer[rows:rows + 4 * count].reshape(4, count))
+        return (self.grad_buffer[:rows].reshape(3 * count, self.width),
+                self.grad_buffer[rows:rows + 4 * count].reshape(4, count))
+
+    def idle_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers that hold nothing from the end of a pass to the next one:
+        layer 1's output and Z's buffer."""
+        return self._x1, self._z
+
+    def _group_calls(self, fn, layer: GatLayerParams, X, support: _Support, *grad) -> list:
+        """fn(head group of `layer`, X, support, the group's work[, head group of grad])
+        for each of layer 1's head groups, as zero-argument calls."""
+        return [functools.partial(fn, _head_group(layer, heads), X, support, lw,
+                                  *(_head_group(g, heads) for g in grad))
+                for heads, lw in zip(self.groups, self.layer1)]
+
+    def layer1_forward(self, layer: GatLayerParams, X, support: _Support) -> np.ndarray:
+        """Layer 1's output X1: each head group's U, copied into its column block, then
+        the ELU over the whole, each step shared with `worker`."""
+        self.worker.run(self._group_calls(_group_forward, layer, X, support))
+        self.worker.run(_row_halves(elu, self.X1, self.X1, self.dX))
+        return self.X1
+
+    def layer1_backward(self, layer: GatLayerParams, X, support: _Support,
+                        grad: GatLayerParams) -> None:
+        """Layer 1's gradients into `grad`, from dX, the gradient of its output: dU over
+        the whole of X1, then each group's block of it copied out into its U, then
+        the groups' backward passes, each step shared with `worker`."""
+        self.worker.run(_row_halves(_elu_backward, self.X1, self.dX, self.X1))
+        self.worker.run([functools.partial(np.copyto, lw.U, lw.out) for lw in self.layer1])
+        self.worker.run(self._group_calls(_layer_backward, layer, X, support, grad))
 
 
 def _check_features(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarray:
@@ -490,7 +650,7 @@ def layer_forward(layer: GatLayerParams, features, base: RouteGraph) -> np.ndarr
 
 def _model_forward(model: GatModel, X, support: _Support, ws: _Workspace):
     """Both layers' outputs (X1, X2), views of `ws`."""
-    X1 = _layer_forward(model.layer1, X, support, ws.layer1)
+    X1 = ws.layer1_forward(model.layer1, X, support)
     return X1, _layer_forward(model.layer2, X1, support, ws.layer2)
 
 
@@ -528,8 +688,8 @@ def _pair_outputs(X2, theta, pairs, rows=None, vectors=None):
     rows = np.empty((3 * b, X2.shape[1])) if rows is None else rows
     vectors = np.empty((2, b)) if vectors is None else vectors
     xj, xi, prod = rows[:b], rows[b:2 * b], rows[2 * b:]
-    np.take(X2, pairs[:, 0], axis=0, out=xi, mode="clip")
-    np.take(X2, pairs[:, 1], axis=0, out=xj, mode="clip")
+    X2.take(pairs[:, 0], axis=0, out=xi, mode="clip")
+    X2.take(pairs[:, 1], axis=0, out=xj, mode="clip")
     np.multiply(xi, xj, out=prod)
     q = np.matmul(prod, theta, out=vectors[0])
     return xi, xj, prod, _sigmoid(q, q, vectors[1])
@@ -585,8 +745,10 @@ def _loss_and_grads(model: GatModel, X, support: _Support, pairs, labels, scatte
     # scatter-add onto both endpoints' rows as one sparse product (np.add.at is slower)
     spmm(scatter, rows[:2 * batch], out=ws.layer2.dout)
 
-    _layer_backward(model.layer2, X1, support, ws.layer2, grad.layer2, dX=ws.layer1.dout)
-    _layer_backward(model.layer1, X, support, ws.layer1, grad.layer1)
+    _elu_backward(ws.layer2.out, ws.layer2.dout, out=ws.layer2.U)
+    _layer_backward(model.layer2, X1, support, ws.layer2, grad.layer2, dX=ws.dX,
+                    worker=ws.worker)
+    ws.layer1_backward(model.layer1, X, support, grad.layer1)
     return loss, grad.parameters(), X2
 
 
@@ -644,47 +806,59 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
     return SampleSets(pairs=pairs, labels=labels, split=split)
 
 
-# values per block of an Adam step; much smaller blocks cost more in per-call overhead
+# values per block of an Adam step through scratch of its own; much smaller blocks
+# cost more in per-call overhead
 _ADAM_BLOCK = 1 << 14
 
 
 class _Adam:
     """Adaptive moment estimation with the standard decay constants, on one flat vector.
 
-    Updates in place, `_ADAM_BLOCK` values at a time, through two scratch
-    vectors of one block allocated with the moments; each value goes through
-    the same operations as in an update of the whole vector at once.
+    Updates in place, in two halves of the vector, the second on a worker.  Each
+    half goes through its own flat buffer of `scratch`, a pair, as many values at
+    a time as half the buffer holds.  By default each buffer holds two blocks of
+    `_ADAM_BLOCK` values (of the vector's size, if smaller) and is allocated with
+    the moments; `train` lends it two of the workspace's, which hold nothing
+    between passes.  Each value goes through the same operations as in an update
+    of the whole vector at once, so neither the halves nor the block size change
+    a bit.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, size: int, lr):
+    def __init__(self, size: int, lr, scratch=None):
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._step, self._scale = np.empty((2, min(size, _ADAM_BLOCK)))
+        self._scratch = np.empty((2, 2 * min(size, _ADAM_BLOCK))) if scratch is None else scratch
         self.t = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, worker: _Worker = _SERIAL) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        block = len(self._step)
+        cut = len(params) // 2
+        worker.run([functools.partial(self._update, half, params, grads, scratch, bc1, bc2)
+                    for half, scratch in zip((slice(0, cut), slice(cut, None)), self._scratch)])
+
+    def _update(self, half: slice, params, grads, scratch, bc1: float, bc2: float) -> None:
+        block = len(scratch) // 2
+        params, grads, m, v = params[half], grads[half], self.m[half], self.v[half]
         for start in range(0, len(params), block):
             part = slice(start, start + block)
-            p, g, m, v = params[part], grads[part], self.m[part], self.v[part]
-            step, scale = self._step[:len(p)], self._scale[:len(p)]
-            np.subtract(g, m, out=step)
+            p, g, mk, vk = params[part], grads[part], m[part], v[part]
+            step, scale = scratch[:2 * len(p)].reshape(2, len(p))
+            np.subtract(g, mk, out=step)
             step *= 1.0 - self.BETA1
-            m += step
+            mk += step
             np.multiply(g, g, out=step)
-            step -= v
+            step -= vk
             step *= 1.0 - self.BETA2
-            v += step
+            vk += step
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order
-            np.divide(m, bc1, out=step)
+            np.divide(mk, bc1, out=step)
             step *= self.lr
-            np.divide(v, bc2, out=scale)
+            np.divide(vk, bc2, out=scale)
             np.sqrt(scale, out=scale)
             scale += self.EPS
             step /= scale
@@ -701,21 +875,24 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
           cfg: TrainConfig) -> tuple[GatModel, dict]:
     """Full-batch training with early stopping on the validation loss.
 
-    Returns the parameters of the best validation epoch and the loss history.
-    Every array an epoch needs is allocated once, before the first.
+    Returns the parameters of the best validation epoch and the loss history, and
+    warns if that is epoch 0.  Every array an epoch needs is allocated once, before
+    the first.  With a second CPU free (see `_second_cpu_free`), layer 1's second
+    head group and the second half of each Adam step run on a worker thread,
+    which has ended when this returns.
     """
     X = _check_features(model.layer1, features, base)
     support = _Support.of_graph(base)
     train_pairs, train_labels = samples.subset("train")
     val_pairs, val_labels = samples.subset("validation")
-    # column-major pairs: np.take gathers each endpoint column without copying it
+    # column-major pairs: take gathers each endpoint column without copying it
     train_pairs, val_pairs = np.asfortranarray(train_pairs), np.asfortranarray(val_pairs)
 
     work, params = _flat_copy(model)
     del model  # the caller's reference, if any, alone keeps the initial parameters
-    opt = _Adam(params.size, lr=cfg.lr)
     scatter = _pair_scatter(train_pairs, X.shape[0])
     ws = _Workspace(work, support, max(len(train_pairs), len(val_pairs)))
+    opt = _Adam(params.size, lr=cfg.lr, scratch=ws.idle_buffers())
 
     best_val = np.inf
     best_params = params.copy()
@@ -723,34 +900,41 @@ def train(model: GatModel, base: RouteGraph, features, samples: SampleSets,
     wait = 0
     history = {"train_loss": [], "val_loss": [], "best_epoch": 0}
 
-    for epoch in range(cfg.max_epochs):
-        loss, _, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels, scatter, ws)
-        # the step's forward pass also scores the validation pairs; tiny graphs
-        # can yield an empty validation split, where the training loss is the
-        # monitor so early stopping still works
-        if len(val_pairs):
-            val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels,
-                                  ws.pair_buffers(len(val_pairs)))
-        else:
-            val_loss = loss
-        if not (np.isfinite(loss) and np.isfinite(val_loss)):
-            raise NumericError(f"training diverged (non-finite loss) at epoch {epoch}")
-        history["train_loss"].append(loss)
-        history["val_loss"].append(val_loss)
+    ws.worker = _Worker(threaded=len(ws.groups) == 2 and _second_cpu_free(ws.X1.size))
+    try:
+        for epoch in range(cfg.max_epochs):
+            loss, _, X2 = _loss_and_grads(work, X, support, train_pairs, train_labels, scatter, ws)
+            # the step's forward pass also scores the validation pairs; tiny graphs
+            # can yield an empty validation split, where the training loss is the
+            # monitor so early stopping still works
+            if len(val_pairs):
+                val_loss = _pair_loss(X2, work.theta, val_pairs, val_labels,
+                                      ws.pair_buffers(len(val_pairs)))
+            else:
+                val_loss = loss
+            if not (np.isfinite(loss) and np.isfinite(val_loss)):
+                raise NumericError(f"training diverged (non-finite loss) at epoch {epoch}")
+            history["train_loss"].append(loss)
+            history["val_loss"].append(val_loss)
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params[...] = params
-            best_epoch = epoch
-            wait = 0
-        else:
-            wait += 1
-            if wait >= cfg.patience:
-                break
-        opt.step(params, ws.grads)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params[...] = params
+                best_epoch = epoch
+                wait = 0
+            else:
+                wait += 1
+                if wait >= cfg.patience:
+                    break
+            opt.step(params, ws.grads, ws.worker)
+    finally:
+        ws.worker.close()
 
     params[...] = best_params
     history["best_epoch"] = best_epoch
+    if best_epoch == 0:
+        warnings.warn("the best validation loss is at epoch 0: the parameters, and the "
+                      "transition matrix from them, are the initial attention")
     return work, history
 
 

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ import scipy.sparse as sp
 import gat_dense_reference as dense
 from stgw import gat
 from stgw.errors import NumericError, ValidationError
-from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, _elu_slope,
-                      _evaluate_loss, _flat_copy, _HeadPattern, _layer_backward,
+from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, _elu_backward,
+                      _elu_slope, _evaluate_loss, _flat_copy, _HeadPattern, _layer_backward,
                       _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs,
                       _Support, _Workspace, attention_coefficients, bce_loss, edge_accuracy,
                       elu, extract_transition, influential_scores,
@@ -93,6 +96,16 @@ class TestFlatAdam:
         for p, before in zip(model.parameters(), GatModel.create(6, heads=3, head_dim=4,
                                                                  out_dim=5, seed=2).parameters()):
             assert p.tobytes() == before.tobytes()  # the source model is untouched
+
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_short_vector(self, size, rng):
+        # one half may be empty, and a half may hold fewer values than a block
+        params, grads = rng.standard_normal(size), rng.standard_normal(size)
+        reference = [params.copy()]
+        per_array_adam_steps(reference, [[grads]], lr=0.005)
+        _Adam(size, lr=0.005).step(params, grads)
+        assert params.tobytes() == reference[0].tobytes()
 
 
 class TestAttention:
@@ -347,6 +360,19 @@ class TestTrain:
         trained, hist = train(model, g, X, samples, TrainConfig(max_epochs=30, seed=0))
         assert len(hist["train_loss"]) > 0
 
+    def test_best_epoch_zero_warns(self, rng):
+        g, X, model, samples = self._setup(rng)
+        with pytest.warns(UserWarning, match="best validation loss is at epoch 0"):
+            _, hist = train(model, g, X, samples, TrainConfig(max_epochs=1))
+        assert hist["best_epoch"] == 0
+
+    def test_later_best_epoch_does_not_warn(self, rng):
+        g, X, model, samples = self._setup(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, hist = train(model, g, X, samples, TrainConfig(max_epochs=40))
+        assert hist["best_epoch"] > 0
+
 
 class TestNodeCount:
     """Every entry point rejects a feature matrix without one row per node."""
@@ -577,10 +603,11 @@ class TestWorkspace:
         X = rng.standard_normal((12, 5))
         model = GatModel.create(5, heads=3, head_dim=4, out_dim=3, seed=1)
         support = _Support.of_graph(g)
-        lw = _Workspace(model, support, 20).layer1
-        assert lw.out is lw.U
+        ws = _Workspace(model, support, 20)
+        lw = ws.layer1[0]  # the first head group
+        assert np.shares_memory(lw.out, ws.X1) and not np.shares_memory(lw.U, ws.X1)
         # values the aggregation itself never yields (it cannot give -0.0), planted
-        # in U by the product that writes it
+        # in the group's U by the product that writes it
         tiny = np.finfo(float).smallest_subnormal
         edges = [-0.0, 0.0, -tiny, tiny, -1e-300, -745.0, -800.0, 1e300, np.finfo(float).max]
         tail = rng.standard_normal(lw.U.size - len(edges)) * 10.0 ** rng.integers(-3, 3,
@@ -595,19 +622,136 @@ class TestWorkspace:
             return out
 
         monkeypatch.setattr(gat, "spmm", planted)
-        lw.grad_buffer.fill(np.nan)  # the ELU's scratch starts dirty
-        out = _layer_forward(model.layer1, X, support, lw)
+        ws.grad_buffer.fill(np.nan)  # the ELU's scratch starts dirty
+        out = ws.layer1_forward(model.layer1, X, support)[:, :U.shape[1]]
         monkeypatch.undo()
         intact = elu(U)
         assert out.tobytes() == intact.tobytes()
         assert math.copysign(1.0, out[0, 0]) == -1.0
         # with an output gradient of ones, the dU the backward leaves in U is the slope
-        lw.dout.fill(1.0)
+        ws.dX.fill(1.0)
         grad = GatLayerParams(np.empty_like(model.layer1.weights),
                               np.empty_like(model.layer1.attn))
         with np.errstate(all="ignore"):
-            _layer_backward(model.layer1, X, support, lw, grad)
+            ws.layer1_backward(model.layer1, X, support, grad)
         assert lw.U.tobytes() == _elu_slope(intact, np.empty_like(intact)).tobytes()
+
+
+class TestParallelTraining:
+    """Layer 1's second head group on a worker thread changes no bit, and the thread
+    leaves no trace."""
+
+    # heads split 3 + 2, at a column where a split X W^T rounds apart from a whole one
+    FEATURES, HEADS, HIDDEN = 6, 5, 60
+
+    def _case(self):
+        """A graph whose layer-1 output (N*H*O values) is just above the size from
+        which `train` uses the worker, with its features and samples."""
+        n = gat._THREAD_MIN_VALUES // (self.HEADS * self.HIDDEN) + 1
+        g = random_graph(n, 3.0 / n, np.random.default_rng(3))
+        X = np.random.default_rng(4).standard_normal((n, self.FEATURES))
+        return g, X, make_samples(g, seed=0)
+
+    def _model(self):
+        return GatModel.create(self.FEATURES, heads=self.HEADS, head_dim=self.HIDDEN, seed=0)
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(gat, "_cpu_count", lambda: count)
+        for name in gat._BLAS_THREAD_VARIABLES:
+            monkeypatch.setenv(name, "1")
+
+    @staticmethod
+    def _on_group1(monkeypatch, name, action):
+        """Wrap gat.`name` so that `action()` runs before each call on the second head
+        group of layer 1."""
+        inner = getattr(gat, name)
+        heads = TestParallelTraining.HEADS
+        second = heads - (heads + 1) // 2
+
+        def wrapped(layer, *args, **kwargs):
+            if layer.head_count == second and layer.in_dim == TestParallelTraining.FEATURES:
+                action()
+            return inner(layer, *args, **kwargs)
+
+        monkeypatch.setattr(gat, name, wrapped)
+
+    def test_second_thread_changes_no_bit(self, monkeypatch):
+        g, X, samples = self._case()
+        cfg = TrainConfig(max_epochs=6, patience=6)
+        seen = []
+        self._on_group1(monkeypatch, "_layer_backward", lambda: seen.append(threading.get_ident()))
+        runs = []
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2):
+            self._cpus(monkeypatch, cpus)
+            seen.clear()
+            sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock often
+            try:
+                trained, history = train(self._model(), g, X, samples, cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append((trained, history, extract_transition(trained, g, X).P, set(seen)))
+        (serial, serial_history, serial_P, serial_seen), (threaded, history, P, threaded_seen) = runs
+        assert serial_seen == {threading.get_ident()}
+        assert len(threaded_seen) == 1 and threading.get_ident() not in threaded_seen
+        for p, q in zip(serial.parameters(), threaded.parameters(), strict=True):
+            assert p.tobytes() == q.tobytes()
+        assert np.array(serial_history["train_loss"]).tobytes() == \
+            np.array(history["train_loss"]).tobytes()
+        assert np.array(serial_history["val_loss"]).tobytes() == \
+            np.array(history["val_loss"]).tobytes()
+        assert serial_history["best_epoch"] == history["best_epoch"] > 0  # trained parameters
+        assert serial_P.data.tobytes() == P.data.tobytes()
+        assert np.array_equal(serial_P.indices, P.indices)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch):
+        class GroupFailure(Exception):
+            pass
+
+        def fail():
+            raise GroupFailure("second head group")
+
+        g, X, samples = self._case()
+        self._cpus(monkeypatch, 2)
+        self._on_group1(monkeypatch, "_layer_backward", fail)
+        before = threading.enumerate()
+        with pytest.raises(GroupFailure, match="second head group"):
+            train(self._model(), g, X, samples,
+                  TrainConfig(max_epochs=2))
+        assert threading.enumerate() == before
+
+    def test_callers_errstate_applies_in_the_worker(self, monkeypatch):
+        g, X, samples = self._case()
+        self._cpus(monkeypatch, 2)
+        seen = []
+        self._on_group1(monkeypatch, "_group_forward",
+                        lambda: seen.append((threading.get_ident(), np.geterr()["over"])))
+        with np.errstate(over="raise"):
+            train(self._model(), g, X, samples,
+                  TrainConfig(max_epochs=2))
+        assert seen and all(ident != threading.get_ident() and over == "raise"
+                            for ident, over in seen)
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        g, X, samples = self._case()
+        self._cpus(monkeypatch, 2)
+        before = threading.enumerate()
+        train(self._model(), g, X, samples, TrainConfig(max_epochs=2))
+        assert threading.enumerate() == before
+
+    def test_worker_only_with_every_condition(self, monkeypatch):
+        values = gat._THREAD_MIN_VALUES
+        self._cpus(monkeypatch, 2)
+        assert gat._second_cpu_free(values)
+        assert not gat._second_cpu_free(values - 1)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert not gat._second_cpu_free(values)
+        for name in gat._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name)
+        assert not gat._second_cpu_free(values)  # BLAS left to pick its own thread count
+        self._cpus(monkeypatch, 1)
+        assert not gat._second_cpu_free(values)
 
 
 class TestBackwardKernels:
@@ -641,6 +785,7 @@ class TestBackwardKernels:
             lw = _LayerWork(layer, support, fold=True)
             _layer_forward(layer, X, support, lw)
             lw.dout[...] = dout
+            _elu_backward(lw.out, lw.dout, out=lw.U)
             grad = GatLayerParams(np.empty_like(layer.weights), np.empty_like(layer.attn))
             # with dX, the rank-1 terms are added to dZ, which then gives dW
             _layer_backward(layer, X, support, lw, grad, dX=np.empty((n, f)) if with_dX else None)
