@@ -387,76 +387,129 @@ def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
     so the raw-out-degree variant would be indefinite and the spectral kernels
     (defined on [0, lambda_max]) could not be applied.
     """
-    return _with_lambda_max(ProductLaplacian(g))
+    return _with_lambda_max(ProductLaplacian(g), _lanczos_start(g))
 
 
-def _with_lambda_max(matrix: ProductLaplacian) -> SymmetricLaplacian:
+def _lanczos_start(g: SpatioTemporalGraph) -> np.ndarray:
+    """The node-major (N, T) Lanczos start for the product: v₀ ⊗ sin(π(t+1)/(T+1)).
+
+    The product Laplacian is block tridiagonal and Toeplitz in time, so its top
+    eigenvector lies close to that vector when v₀ is the top eigenvector of the
+    time-collapsed M₀, the one-slice Laplacian of weights S + R, whose symmetrized
+    block is within + forward + backward.  v₀ is M₀'s top Ritz vector from the
+    seeded start, sign-fixed by `canonical_sign`; if that Lanczos breaks down or
+    does not converge, the seeded start serves, since v₀'s accuracy only changes
+    the product's step count.  A single slice, or a graph without nodes, takes
+    the seeded start itself.
+    """
+    n, slices = g.base_node_count, g.slice_count
+    seeded = np.random.default_rng(0).standard_normal((n, 1))
+    if slices == 1 or n == 0:
+        return seeded
+    collapsed = ProductLaplacian(SpatioTemporalGraph(weights=g.weights + g.temporal,
+                                                     base_node_count=n, slice_count=1))
+    _, top, _, _, failure = _top_ritz_pair(collapsed.apply, seeded)
+    top = canonical_sign((seeded if failure else top).ravel())
+    return np.outer(top, np.sin(np.pi * np.arange(1, slices + 1) / (slices + 1)))
+
+
+def _with_lambda_max(matrix: ProductLaplacian, start: np.ndarray | None = None
+                     ) -> SymmetricLaplacian:
     """Attach an upper bound on the largest eigenvalue of a symmetric matrix.
 
-    Lanczos from a seeded start (so the bound repeats bit for bit) gives the
-    top Ritz pair (θ, v); once θ has converged, θ + ||Lv - θv|| bounds λmax
-    from above (Zhou & Li 2011).  If Lanczos breaks down (β = 0: the Krylov
-    space is invariant, so θ need not be λmax) or has not converged within
+    Lanczos from `start` (`laplacian` gives `_lanczos_start`; left out, a
+    start seeded with 0, so the bound repeats bit for bit) gives the top Ritz
+    pair (θ, v); once θ has converged, θ + ||Lv - θv|| bounds an eigenvalue from
+    above (Zhou & Li 2011): λmax when the start has a component along λmax's
+    eigenvector.  An operator with `apply` takes node-major (N, T) vectors and
+    a plain matrix 1-D ones.  If Lanczos breaks down (β = 0: the Krylov space
+    is invariant, so θ need not be λmax) or has not converged within
     LANCZOS_STEPS, the Gershgorin bound 2 max d (W_s is non-negative with a
     zero diagonal) is used with a warning and `lambda_method` "gershgorin".
     """
-    n = matrix.shape[0]
-    start = np.random.default_rng(0).standard_normal(n)
-    last = min(n, LANCZOS_STEPS)  # T_n holds the whole spectrum in exact arithmetic
-    alphas, betas = [], []
-    for m, (_, alpha, beta) in enumerate(_lanczos(matrix, start), 1):
-        alphas.append(alpha)
-        betas.append(beta)
-        if beta == 0.0:
-            failure = "breakdown"
-            break
-        if m % LANCZOS_CHECK == 0 or m in (last, LANCZOS_STEPS):
-            # the test ARPACK applies: the Ritz residual |β_m y_m| within tol·θ
-            values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
-            theta, y = float(values[-1]), vectors[:, -1]
-            if abs(beta * y[-1]) <= LANCZOS_TOL * theta:
-                failure = None
-                break
-        if m == LANCZOS_STEPS:
-            failure = f"no convergence in {m} steps"
-            break
+    if start is None:
+        start = np.random.default_rng(0).standard_normal(matrix.shape[0])
+    apply = getattr(matrix, "apply", None)
+    if apply is None:
+        def apply(x, out, scratch):
+            out[...] = matrix @ x
+    else:
+        start = start.reshape(-1, matrix.slices)
+    theta, _, residual, m, failure = _top_ritz_pair(apply, start)
     if failure is not None:
         warnings.warn(f"Lanczos failed ({failure}); using Gershgorin bound")
         return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max(initial=0.0)),
                                   lambda_method="gershgorin", lambda_matvecs=m,
                                   lambda_residual=float("nan"))
-
-    # a second pass repeats the first one's arithmetic to rebuild v = Q_m y
-    v = np.zeros(n)
-    for weight, (q, _, _) in zip(y, _lanczos(matrix, start)):
-        v += weight * q
-    v /= np.linalg.norm(v)
-    residual = float(np.linalg.norm(matrix @ v - theta * v))
     return SymmetricLaplacian(matrix, LAMBDA_SAFETY * (theta + residual),
                               lambda_method="lanczos", lambda_matvecs=2 * m + 1,
                               lambda_residual=residual)
 
 
-def _lanczos(matrix: ProductLaplacian, start: np.ndarray):
-    """Plain three-term Lanczos: yield (q_j, α_j, β_j) for j = 1, 2, ..., one matvec each.
+def _top_ritz_pair(apply, start: np.ndarray):
+    """Top Ritz pair of a symmetric operator by Lanczos from `start`.
 
+    `apply(x, out, scratch)` writes the operator times x into `out`, for arrays
+    shaped like `start`.  Returns (θ, v, ||Av - θv||, m, failure) after m steps:
+    every LANCZOS_CHECK steps T_m is solved, and the first pass stops once the
+    top Ritz value meets ARPACK's test, |β_m y_m| ≤ LANCZOS_TOL θ.  A second
+    pass repeats the first one's arithmetic to rebuild v = Q_m y, and one more
+    product gives the residual: 2m + 1 products in all.  `failure` names a
+    breakdown or a step cap reached, and then v is None and the residual nan.
+    Five buffers shaped like `start` serve both passes and the residual.
+    """
+    q_prev, q, w, scratch, v = np.empty((5, *start.shape))
+    last = min(start.size, LANCZOS_STEPS)  # T_n holds the whole spectrum in exact arithmetic
+    alphas, betas = [], []
+    for m, (_, alpha, beta) in enumerate(_lanczos(apply, start, q_prev, q, w, scratch), 1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0:
+            return float("nan"), None, float("nan"), m, "breakdown"
+        if m % LANCZOS_CHECK == 0 or m in (last, LANCZOS_STEPS):
+            values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+            theta, y = float(values[-1]), vectors[:, -1]
+            if abs(beta * y[-1]) <= LANCZOS_TOL * theta:
+                break
+        if m == LANCZOS_STEPS:
+            return float("nan"), None, float("nan"), m, f"no convergence in {m} steps"
+
+    v.fill(0.0)
+    for weight, (q_j, _, _) in zip(y, _lanczos(apply, start, q_prev, q, w, scratch)):
+        np.multiply(q_j, weight, out=scratch)
+        v += scratch
+    v /= np.linalg.norm(v)
+    apply(v, w, scratch)
+    np.multiply(v, theta, out=scratch)
+    w -= scratch
+    return theta, v, float(np.linalg.norm(w)), m, None
+
+
+def _lanczos(apply, start: np.ndarray, q_prev, q, w, scratch):
+    """Plain three-term Lanczos: yield (q_j, α_j, β_j) for j = 1, 2, ..., one product each.
+
+    Runs in the four given buffers and allocates none: q_j is a view of one of
+    them that a later step overwrites, and `scratch` is free at each yield.
     Only q_{j-1}, q_j and the next residual are held, so orthogonality is not
     kept; a lost one only repeats converged Ritz values, and the caller's explicit
     residual checks the vector it rebuilds.  Stops after yielding β_j = 0.
     """
-    q_prev, beta = None, 0.0
-    q = start / np.linalg.norm(start)
+    np.divide(start, np.linalg.norm(start), out=q)
+    beta = None
     while True:
-        w = matrix @ q
-        if q_prev is not None:
-            w -= beta * q_prev
-        alpha = float(q @ w)
-        w -= alpha * q
+        apply(q, w, scratch)
+        if beta is not None:
+            q_prev *= beta
+            w -= q_prev
+        alpha = float(np.vdot(q, w))
+        np.multiply(q, alpha, out=scratch)
+        w -= scratch
         beta = float(np.linalg.norm(w))
         yield q, alpha, beta
         if beta == 0.0:
             return
-        q_prev, q = q, w / beta
+        w /= beta
+        q_prev, q, w = q, w, q_prev
 
 
 def _single_slice(base: RouteGraph) -> SpatioTemporalGraph:

@@ -141,5 +141,10 @@ class StackedLaplacian:
         out -= self._symmetric_weights(x).T.reshape(-1)
         return out.reshape(x.shape)
 
+    def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """`L @ x` for a node-major (N, T) x, through the slice-major product."""
+        out[...] = (self @ x.T.reshape(-1)).reshape(self.slices, -1).T
+        return out
+
     def toarray(self) -> np.ndarray:
         return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T

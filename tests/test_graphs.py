@@ -9,6 +9,7 @@ from stgw import dataio, graphs
 from stgw.classify import anomaly_metric
 from stgw.gat import GatModel, _HeadPattern, _Support, extract_transition, influential_scores
 from stgw.errors import ValidationError
+from stgw.synth import SyntheticSpec, generate
 from stgw.graphs import (CaseMatrix, NodeRecord, ProductLaplacian, SpatioTemporalGraph,
                          TransitionMatrix, _with_lambda_max, base_laplacian,
                          build_route_graph, canonical_sign, downsample_mask, laplacian,
@@ -291,8 +292,10 @@ class TestProductLaplacian:
         assert peak < x.nbytes // 10
 
     def test_lambda_max_bitwise_equal_to_stacked_product(self, oracle_products, oracle_cases):
+        # the stacked operator has no blocks to collapse, so it is handed the same start
         for product, (lap, _) in zip(oracle_products, oracle_cases):
-            stacked = _with_lambda_max(reference.StackedLaplacian(product))
+            stacked = _with_lambda_max(reference.StackedLaplacian(product),
+                                       graphs._lanczos_start(product))
             assert (lap.lambda_max_estimate, lap.lambda_matvecs, lap.lambda_residual) == (
                 stacked.lambda_max_estimate, stacked.lambda_matvecs, stacked.lambda_residual)
 
@@ -434,6 +437,45 @@ class TestEstimateLambdaMax:
             lap = base_laplacian(build_route_graph(make_nodes(30), []))
         assert lap.lambda_max_estimate == 0.0
         assert lap.converged is False
+
+    @pytest.mark.parametrize("shape", ["ring", "path", "edgeless"])
+    def test_upper_bounds_time_symmetric_products(self, shape):
+        """With a symmetric P the Laplacian commutes with time reversal, so the start
+        v0 x sin has no component along the eigenvectors odd in time; only rounding
+        puts one back.  The bound must still cover the dense maximum."""
+        for n in (3, 7, 20, 60):
+            edges = {"ring": [(i, i % n + 1) for i in range(1, n + 1)],
+                     "path": [(i, i + 1) for i in range(1, n)], "edgeless": []}[shape]
+            g = build_route_graph(make_nodes(n), edges)
+            for slices in (2, 3, 4, 6, 10):
+                lap = laplacian(strong_product(g, uniform_transition(g), slices))
+                top = np.linalg.eigvalsh(lap.matrix.toarray())[-1]
+                assert lap.lambda_max_estimate >= top, (n, slices)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_paper_size_matvecs(self, seed):
+        # N=60, T=41: a seeded Gaussian start took 201 (seed 42) and 121 (seed 7) here
+        g, _ = generate(SyntheticSpec(nodes=60, weeks=41, seed=seed))
+        product = strong_product(g, random_transition(g, np.random.default_rng(seed)), 41)
+        lap = laplacian(product)
+        assert lap.lambda_method == "lanczos"
+        assert lap.lambda_matvecs <= 41
+
+    def test_peak_memory(self):
+        """At N=400, T=104 `laplacian` holds at most 8 product vectors at once: the
+        node-major degrees, the start, four Lanczos buffers and the Ritz vector (7.35
+        vectors measured; a Lanczos through `L @ x` peaked at 9.45)."""
+        g, _ = generate(SyntheticSpec(nodes=400, weeks=104, seed=42))
+        product = strong_product(g, random_transition(g, np.random.default_rng(42)), 104)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            lap = laplacian(product)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lap.lambda_method == "lanczos"
+        assert peak <= 8 * product.node_count * 8, peak / (product.node_count * 8)
 
     def test_repeat_calls_bit_identical(self, rng):
         g = random_graph(30, 0.2, rng)
