@@ -387,55 +387,59 @@ def laplacian(g: SpatioTemporalGraph) -> SymmetricLaplacian:
     so the raw-out-degree variant would be indefinite and the spectral kernels
     (defined on [0, lambda_max]) could not be applied.
     """
-    return _with_lambda_max(ProductLaplacian(g), _lanczos_start(g))
+    L = ProductLaplacian(g)
+    return _with_lambda_max(L, _lanczos_start(L))
 
 
-def _lanczos_start(g: SpatioTemporalGraph) -> np.ndarray:
-    """The node-major (N, T) Lanczos start for the product: v₀ ⊗ sin(π(t+1)/(T+1)).
+def _lanczos_start(L: ProductLaplacian) -> np.ndarray:
+    """The node-major (N, T) Lanczos start for the product L: v₀ ⊗ s₁ + v_π ⊗ s_T.
 
-    The product Laplacian is block tridiagonal and Toeplitz in time, so its top
-    eigenvector lies close to that vector when v₀ is the top eigenvector of the
-    time-collapsed M₀, the one-slice Laplacian of weights S + R, whose symmetrized
-    block is within + forward + backward.  v₀ is M₀'s top Ritz vector from the
-    seeded start, sign-fixed by `canonical_sign`; if that Lanczos breaks down or
-    does not converge, the seeded start serves, since v₀'s accuracy only changes
-    the product's step count.  A single slice, or a graph without nodes, takes
-    the seeded start itself.
+    L is block tridiagonal in time, the same in every slice but the end ones, so
+    its eigenvectors lie close to v ⊗ s_k, for the time modes
+    s_k(t) = sin(kπ(t+1)/(T+1)) and v an eigenvector of the one-slice symbol at
+    ω = kπ/(T+1).  For a symmetric P that symbol is D − within − cos ω · coupling
+    (coupling = forward + backward, D the interior degrees).  Its largest
+    eigenvalue is convex in cos ω, so it peaks at an end: ω = 0, where the symbol
+    is M₀, the one-slice Laplacian of weights P − diag P + Pᵀ, or ω = π, where it
+    is M_π = D − within + coupling (a P with a large diagonal puts it there).
+    Both ends are needed: L then commutes with time reversal, under which s₁ is
+    even and, for an even T, s_T odd.  An asymmetric P adds i sin ω (forward −
+    backward) to the symbol, whose peak can then lie between the ends.
+
+    v₀ and v_π are the top Ritz vectors of M₀ and M_π, each from its own vector
+    seeded with 0, which serves in its place if that Lanczos breaks down or does
+    not converge; that only changes the product's step count.  A single slice
+    starts from the first seeded vector.
     """
-    n, slices = g.base_node_count, g.slice_count
-    seeded = np.random.default_rng(0).standard_normal((n, 1))
-    if slices == 1 or n == 0:
-        return seeded
-    collapsed = ProductLaplacian(SpatioTemporalGraph(weights=g.weights + g.temporal,
-                                                     base_node_count=n, slice_count=1))
-    _, top, _, _, failure = _top_ritz_pair(collapsed.apply, seeded)
-    top = canonical_sign((seeded if failure else top).ravel())
-    return np.outer(top, np.sin(np.pi * np.arange(1, slices + 1) / (slices + 1)))
+    n, slices = L.within.shape[0], L.slices
+    seeded = np.random.default_rng(0).standard_normal((2, n, 1))
+    if slices == 1:
+        return seeded[0]
+    coupling = L.forward + L.backward
+    degrees = sp.diags(np.asarray((L.within + coupling).sum(axis=1)).ravel())
+    ends = []
+    for symbol, guess in zip(((degrees - L.within - coupling).tocsr(),
+                              (degrees - L.within + coupling).tocsr()), seeded):
+        _, top, _, _, failure = _top_ritz_pair(lambda x, out, _: spmm(symbol, x, out), guess)
+        top = guess if failure else top
+        ends.append(top.ravel() / np.linalg.norm(top))
+    wave = np.sin(np.pi * np.arange(1, slices + 1) / (slices + 1))
+    return np.column_stack(ends) @ np.vstack((wave, wave * (-1.0) ** np.arange(slices)))
 
 
-def _with_lambda_max(matrix: ProductLaplacian, start: np.ndarray | None = None
-                     ) -> SymmetricLaplacian:
+def _with_lambda_max(matrix: ProductLaplacian, start: np.ndarray) -> SymmetricLaplacian:
     """Attach an upper bound on the largest eigenvalue of a symmetric matrix.
 
-    Lanczos from `start` (`laplacian` gives `_lanczos_start`; left out, a
-    start seeded with 0, so the bound repeats bit for bit) gives the top Ritz
-    pair (θ, v); once θ has converged, θ + ||Lv - θv|| bounds an eigenvalue from
-    above (Zhou & Li 2011): λmax when the start has a component along λmax's
-    eigenvector.  An operator with `apply` takes node-major (N, T) vectors and
-    a plain matrix 1-D ones.  If Lanczos breaks down (β = 0: the Krylov space
-    is invariant, so θ need not be λmax) or has not converged within
-    LANCZOS_STEPS, the Gershgorin bound 2 max d (W_s is non-negative with a
-    zero diagonal) is used with a warning and `lambda_method` "gershgorin".
+    Lanczos from `start`, node-major (N, T) as `matrix.apply` takes it (`laplacian`
+    gives `_lanczos_start`), gives the top Ritz pair (θ, v); once θ has converged,
+    θ + ||Lv - θv|| bounds an eigenvalue from above (Zhou & Li 2011): λmax when
+    the start has a component along λmax's eigenvector.  If Lanczos breaks down
+    (β = 0: the Krylov space is invariant, so θ need not be λmax) or has not
+    converged within LANCZOS_STEPS, the Gershgorin bound 2 max d (W_s is
+    non-negative with a zero diagonal) is used with a warning and
+    `lambda_method` "gershgorin".
     """
-    if start is None:
-        start = np.random.default_rng(0).standard_normal(matrix.shape[0])
-    apply = getattr(matrix, "apply", None)
-    if apply is None:
-        def apply(x, out, scratch):
-            out[...] = matrix @ x
-    else:
-        start = start.reshape(-1, matrix.slices)
-    theta, _, residual, m, failure = _top_ritz_pair(apply, start)
+    theta, _, residual, m, failure = _top_ritz_pair(matrix.apply, start)
     if failure is not None:
         warnings.warn(f"Lanczos failed ({failure}); using Gershgorin bound")
         return SymmetricLaplacian(matrix, 2.0 * float(matrix.degrees.max(initial=0.0)),

@@ -148,3 +148,14 @@ class StackedLaplacian:
 
     def toarray(self) -> np.ndarray:
         return np.array([self @ e for e in np.eye(self.shape[0])]).reshape(self.shape).T
+
+
+class DenseOperator:
+    """A dense symmetric matrix A with the `apply` that `graphs._with_lambda_max` takes,
+    for bounds on matrices that are no product Laplacian; x is (n, 1)."""
+
+    def __init__(self, A: np.ndarray):
+        self.A, self.shape = A, A.shape
+
+    def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        return np.matmul(self.A, x, out=out)

@@ -295,7 +295,7 @@ class TestProductLaplacian:
         # the stacked operator has no blocks to collapse, so it is handed the same start
         for product, (lap, _) in zip(oracle_products, oracle_cases):
             stacked = _with_lambda_max(reference.StackedLaplacian(product),
-                                       graphs._lanczos_start(product))
+                                       graphs._lanczos_start(lap.matrix))
             assert (lap.lambda_max_estimate, lap.lambda_matvecs, lap.lambda_residual) == (
                 stacked.lambda_max_estimate, stacked.lambda_matvecs, stacked.lambda_residual)
 
@@ -392,7 +392,8 @@ class TestEstimateLambdaMax:
         for _ in range(5):
             A = rng.standard_normal((20, 20))
             A = (A + A.T) / 2
-            est = _with_lambda_max(sp.csr_matrix(A)).lambda_max_estimate
+            est = _with_lambda_max(reference.DenseOperator(A),
+                                   rng.standard_normal((20, 1))).lambda_max_estimate
             assert est >= np.linalg.eigvalsh(A)[-1]
         # product-graph Laplacians with a random row-stochastic P on the support: the
         # Chebyshev domain [0, estimate] must contain the whole spectrum
@@ -422,10 +423,11 @@ class TestEstimateLambdaMax:
     def test_no_convergence_falls_back_to_gershgorin(self, rng, monkeypatch):
         g = random_graph(12, 0.3, rng)
         matrix = laplacian(strong_product(g, uniform_transition(g), 4)).matrix
+        start = graphs._lanczos_start(matrix)
         # one Lanczos step cannot meet the tolerance on these 48 vertices
         monkeypatch.setattr(graphs, "LANCZOS_STEPS", 1)
         with pytest.warns(UserWarning, match="Gershgorin"):
-            lap = _with_lambda_max(matrix)
+            lap = _with_lambda_max(matrix, start)
         assert lap.lambda_max_estimate == pytest.approx(np.abs(matrix.toarray()).sum(axis=1).max())
         assert lap.converged is False
         assert lap.lambda_method == "gershgorin"
@@ -440,9 +442,10 @@ class TestEstimateLambdaMax:
 
     @pytest.mark.parametrize("shape", ["ring", "path", "edgeless"])
     def test_upper_bounds_time_symmetric_products(self, shape):
-        """With a symmetric P the Laplacian commutes with time reversal, so the start
-        v0 x sin has no component along the eigenvectors odd in time; only rounding
-        puts one back.  The bound must still cover the dense maximum."""
+        """The uniform P over a ring or an edgeless graph is symmetric, so the Laplacian
+        commutes with time reversal and each time mode of the start reaches only the
+        eigenvectors of its own parity.  A path's is not (its end rows hold 1/2, its
+        inner ones 1/3).  The bound must cover the dense maximum on all three."""
         for n in (3, 7, 20, 60):
             edges = {"ring": [(i, i % n + 1) for i in range(1, n + 1)],
                      "path": [(i, i + 1) for i in range(1, n)], "edgeless": []}[shape]
@@ -451,6 +454,29 @@ class TestEstimateLambdaMax:
                 lap = laplacian(strong_product(g, uniform_transition(g), slices))
                 top = np.linalg.eigvalsh(lap.matrix.toarray())[-1]
                 assert lap.lambda_max_estimate >= top, (n, slices)
+
+    @pytest.mark.parametrize("slices", [4, 10, 20])
+    def test_upper_bounds_lazy_products(self, slices):
+        """A large diagonal in P puts the product's top eigenvalue at the ω = π end of
+        its time modes, where the eigenvector alternates in sign from slice to slice:
+        P = I - eps L_A on a 60-node random graph (p_ii >= 0.7, symmetric), the same P
+        perturbed to be asymmetric, and lazy walks round a ring that mostly go one
+        way.  A start built from the ω = 0 end alone fell short on the symmetric P
+        at every T here (by 28% at T = 4) and on both rings at T = 20."""
+        rng = np.random.default_rng(5)
+        g = random_graph(60, 0.05, rng)
+        A = g.dense_adjacency().astype(float)
+        lazy = np.eye(60) - 0.3 / A.sum(axis=1).max() * (np.diag(A.sum(axis=1)) - A)
+        perturbed = lazy + 1e-3 * rng.uniform(0.0, 1.0, lazy.shape) * (lazy > 0)
+        cases = [(g, lazy), (g, perturbed / perturbed.sum(axis=1, keepdims=True))]
+        ring = build_route_graph(make_nodes(30), [(i, i % 30 + 1) for i in range(1, 31)])
+        turn = np.roll(np.eye(30), 1, axis=1)
+        cases += [(ring, 0.8 * np.eye(30) + 0.2 * (b * turn + (1 - b) * turn.T))
+                  for b in (1.0, 0.9)]
+        for graph, P in cases:
+            lap = laplacian(strong_product(graph, TransitionMatrix(P=P), slices))
+            top = np.linalg.eigvalsh(lap.matrix.toarray())[-1]
+            assert lap.lambda_max_estimate >= top
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_paper_size_matvecs(self, seed):
