@@ -311,6 +311,16 @@ CHECKPOINT_FAULTS = [
      both(both(insert(4, "tensor layer1.weight.1 2 2"), insert(5, "1.0 2.0 3.0 4.0")),
           both(insert(6, "tensor layer1.attn.1 2"), insert(7, "0.5 0.5"))),
      "all heads must share input and output dimensions"),
+    ("rank-1 head weight", replace(2, "tensor layer1.weight.0 2"),
+     "all heads must share input and output dimensions"),
+    ("rank-3 head weight", replace(2, "tensor layer1.weight.0 1 1 2"),
+     "all heads must share input and output dimensions"),
+    ("rank-1 layer-2 weight", replace(6, "tensor layer2.weight 1"),
+     "all heads must share input and output dimensions"),
+    ("ragged attention",
+     both(both(insert(4, "tensor layer1.weight.1 1 2"), insert(5, "1.0 2.0")),
+          both(insert(6, "tensor layer1.attn.1 3"), insert(7, "0.5 0.5 0.5"))),
+     "attention vector length must be twice the head dimension"),
     ("repeated tensor", both(insert(12, "tensor theta 1"), insert(13, "0.0")),
      "line 12: repeated tensor theta"),
     ("unknown tensor", both(insert(6, "tensor bogus 1"), insert(7, "1.0")),
