@@ -457,6 +457,15 @@ def read_rankings(path, graph: RouteGraph, *, a_bar: np.ndarray | None = None) -
     return result
 
 
+def _tensor_names(heads: int) -> list[str]:
+    """The checkpoint's tensor names, in parameters() order, for a model with `heads`
+    layer-1 heads: the checkpoint holds one weight and one attention tensor per head,
+    where `gat` stacks each layer's heads."""
+    return ([f"layer1.weight.{k}" for k in range(heads)]
+            + [f"layer1.attn.{k}" for k in range(heads)]
+            + ["layer2.weight", "layer2.attn", "theta"])
+
+
 def save_checkpoint(path, model: GatModel) -> None:
     """Text checkpoint: magic line, then `tensor <name> <dims...>` + one value line."""
     def tensor_chunks(name, arr):
@@ -465,7 +474,7 @@ def save_checkpoint(path, model: GatModel) -> None:
         for k in range(0, flat.size, 1024):  # a value line can hold ~10^5 values
             yield " " * (k > 0) + " ".join(map(repr, flat[k:k + 1024].tolist()))
         yield "\n"
-    names = GatModel.parameter_names(model.layer1.head_count)
+    names = _tensor_names(model.layer1.head_count)
     _write_chunks(path, CHECKPOINT_MAGIC, (chunk for name, arr in zip(names, model.parameters())
                                            for chunk in tensor_chunks(name, arr)))
 
@@ -513,7 +522,7 @@ def load_checkpoint(path) -> GatModel:
             raise ValidationError(f"{path}: line {k + 1}: repeated tensor {name}")
         tensors[name], header_line[name] = values, k + 1
     heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
-    names = GatModel.parameter_names(heads)
+    names = _tensor_names(heads)
     unknown = [name for name in tensors if name not in names]
     if unknown:
         raise ValidationError(f"{path}: line {header_line[unknown[0]]}: "
@@ -521,8 +530,10 @@ def load_checkpoint(path) -> GatModel:
     missing = [name for name in names if name not in tensors]
     if missing or heads == 0:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")
-    try:
-        return GatModel.from_parameters([tensors[name] for name in names])
+    params = [tensors[name] for name in names]
+    try:  # each layer's heads are copied into stacked arrays, theta is kept
+        return GatModel.from_stacked((params[:heads], params[heads:2 * heads],
+                                      params[-3:-2], params[-2:-1], params[-1]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -3,8 +3,10 @@
 Attention runs over the graph's closed neighborhoods only, as an edge list of
 2E + N entries (each edge both ways, plus every node's self-loop): per-head
 logits on the entries, a segment softmax per row, and sparse products for the
-aggregation and its transpose.  A layer runs all of its heads in one pass, but
-layer 1 runs as two fixed head groups, the first ceil(H/2) heads and the rest;
+aggregation and its transpose.  A layer holds its heads' parameters stacked, W
+as H x O x F and a as H x 2O (the checkpoint's one tensor per head is
+`dataio`'s layout), and runs all of its heads in one pass, but layer 1 runs as
+two fixed head groups, views of the first ceil(H/2) heads and of the rest;
 when a second CPU is free, training runs the second group, and half of each Adam
 step, on a worker thread.  Training allocates every array of an epoch once.
 Gradients are hand-derived reverse-mode in plain numpy/scipy, so training stays
@@ -136,17 +138,20 @@ def _sigmoid(x, out, scratch):
     return out
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=float)
-    out = _sigmoid(x, np.empty_like(x), np.empty_like(x))
-    return out if out.ndim else float(out)
+def _stacked(heads) -> np.ndarray | None:
+    """`heads` as one float array, or None if it lists heads of different shapes."""
+    try:
+        return np.asarray(heads, dtype=float)
+    except ValueError:  # numpy's refusal of a ragged list
+        return None
 
 
 @dataclass(eq=False)
 class GatLayerParams:
     """One attention layer of H heads: linear maps W (H x O x F) and score vectors a (H x 2O).
 
-    Per-head lists are stacked into new arrays; stacked arrays are kept as they are.
+    Float arrays are kept as they are, so a layer can hold views; a list of
+    equal-shaped per-head arrays is stacked into a new array.
     """
 
     weights: np.ndarray
@@ -155,13 +160,12 @@ class GatLayerParams:
     def __post_init__(self):
         if len(self.weights) != len(self.attn) or not len(self.weights):
             raise ValidationError("layer needs matching, non-empty weight/attention lists")
-        shape = np.shape(self.weights[0])
-        if len(shape) != 2 or any(np.shape(W) != shape for W in self.weights):
+        self.weights = _stacked(self.weights)
+        if self.weights is None or self.weights.ndim != 3:
             raise ValidationError("all heads must share input and output dimensions")
-        if any(np.shape(a) != (2 * shape[0],) for a in self.attn):
+        self.attn = _stacked(self.attn)
+        if self.attn is None or self.attn.shape != (self.head_count, 2 * self.out_dim):
             raise ValidationError("attention vector length must be twice the head dimension")
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.attn = np.asarray(self.attn, dtype=float)
 
     @property
     def head_count(self) -> int:
@@ -192,6 +196,7 @@ class GatModel:
             raise ValidationError(
                 f"layer-2 input dim {self.layer2.in_dim} != cascaded layer-1 output {cascade}"
             )
+        self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (self.layer2.out_dim,):
             raise ValidationError("theta length must equal the layer-2 output dimension")
 
@@ -230,21 +235,6 @@ class GatModel:
         head, as views of the stacked arrays, then theta."""
         *layers, theta = self.stacked()
         return [head for stack in layers for head in stack] + [theta]
-
-    @staticmethod
-    def parameter_names(heads: int) -> list[str]:
-        """Names of the parameters() of a model with `heads` layer-1 heads, in order."""
-        return ([f"layer1.weight.{k}" for k in range(heads)]
-                + [f"layer1.attn.{k}" for k in range(heads)]
-                + ["layer2.weight", "layer2.attn", "theta"])
-
-    @classmethod
-    def from_parameters(cls, params: list[np.ndarray]) -> "GatModel":
-        """The model whose parameters() equal `params`: the weights and attention
-        vectors are copied into stacked arrays, theta is kept."""
-        heads = (len(params) - 3) // 2
-        return cls.from_stacked((params[:heads], params[heads:2 * heads],
-                                 params[-3:-2], params[-2:-1], params[-1]))
 
 
 def _views(model: GatModel, vector: np.ndarray) -> GatModel:
@@ -533,11 +523,8 @@ def _head_groups(heads: int) -> list[slice]:
 
 
 def _head_group(layer: GatLayerParams, heads: slice) -> GatLayerParams:
-    """The heads `heads` of `layer`, as views; built without a new layer's checks,
-    which cost more than a group's pass on a small graph."""
-    group = object.__new__(GatLayerParams)
-    group.weights, group.attn = layer.weights[heads], layer.attn[heads]
-    return group
+    """The heads `heads` of `layer`, as views."""
+    return GatLayerParams(layer.weights[heads], layer.attn[heads])
 
 
 class _Workspace:
@@ -806,31 +793,24 @@ def make_samples(base: RouteGraph, seed: int) -> SampleSets:
     return SampleSets(pairs=pairs, labels=labels, split=split)
 
 
-# values per block of an Adam step through scratch of its own; much smaller blocks
-# cost more in per-call overhead
-_ADAM_BLOCK = 1 << 14
-
-
 class _Adam:
     """Adaptive moment estimation with the standard decay constants, on one flat vector.
 
     Updates in place, in two halves of the vector, the second on a worker.  Each
     half goes through its own flat buffer of `scratch`, a pair, as many values at
-    a time as half the buffer holds.  By default each buffer holds two blocks of
-    `_ADAM_BLOCK` values (of the vector's size, if smaller) and is allocated with
-    the moments; `train` lends it two of the workspace's, which hold nothing
-    between passes.  Each value goes through the same operations as in an update
-    of the whole vector at once, so neither the halves nor the block size change
-    a bit.
+    a time as half the buffer holds; `train` lends it two of the workspace's,
+    which hold nothing between passes.  Each value goes through the same
+    operations as in an update of the whole vector at once, so neither the
+    halves nor the block size change a bit.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, size: int, lr, scratch=None):
+    def __init__(self, size: int, lr, scratch):
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._scratch = np.empty((2, 2 * min(size, _ADAM_BLOCK))) if scratch is None else scratch
+        self._scratch = scratch
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, worker: _Worker = _SERIAL) -> None:
@@ -952,9 +932,14 @@ def predict_edges(model: GatModel, base: RouteGraph, features, pairs: np.ndarray
 
 
 def edge_accuracy(model: GatModel, base: RouteGraph, features, samples: SampleSets) -> float:
-    """Test-set accuracy of q > 0.5 against the edge labels."""
+    """Test-set accuracy of q > 0.5 against the edge labels; nan, with a warning, if
+    the test split is empty."""
     pairs, labels = samples.subset("test")
     q = predict_edges(model, base, features, pairs)
+    if not len(q):
+        warnings.warn("the test split is empty: too few edges to hold any out, so the "
+                      "test accuracy is nan")
+        return float("nan")
     return float(np.mean((q > 0.5) == (labels > 0.5)))
 
 

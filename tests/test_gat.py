@@ -13,7 +13,7 @@ from stgw import gat
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import (GatLayerParams, GatModel, TrainConfig, _Adam, _edge_dots, _elu_backward,
                       _elu_slope, _evaluate_loss, _flat_copy, _HeadPattern, _layer_backward,
-                      _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs,
+                      _layer_forward, _LayerWork, _loss_and_grads, _pair_outputs, _sigmoid,
                       _Support, _Workspace, attention_coefficients, bce_loss, edge_accuracy,
                       elu, extract_transition, influential_scores,
                       layer_forward, make_samples, negative_candidates, predict_edges, train)
@@ -87,7 +87,8 @@ class TestFlatAdam:
         grads_per_step = [[rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
                            for p in model.parameters()] for _ in range(5)]
         per_array_adam_steps(reference.parameters(), grads_per_step, lr=0.005)
-        opt = _Adam(flat.size, lr=0.005)
+        # blocks of 7 values: each half runs through several, the last one short
+        opt = _Adam(flat.size, lr=0.005, scratch=np.empty((2, 14)))
         for grads in grads_per_step:
             opt.step(flat, np.concatenate([g.ravel() for g in grads]))
         for p, ref in zip(work.parameters(), reference.parameters()):
@@ -104,8 +105,39 @@ class TestFlatAdam:
         params, grads = rng.standard_normal(size), rng.standard_normal(size)
         reference = [params.copy()]
         per_array_adam_steps(reference, [[grads]], lr=0.005)
-        _Adam(size, lr=0.005).step(params, grads)
+        _Adam(size, lr=0.005, scratch=np.empty((2, 4))).step(params, grads)
         assert params.tobytes() == reference[0].tobytes()
+
+
+class TestModelParams:
+    """Each parameter array is one float array, stacked over a layer's heads."""
+
+    def _layers(self):
+        model = GatModel.create(4, heads=2, head_dim=3, out_dim=5, seed=0)
+        return model.layer1, model.layer2
+
+    def test_stacked_float_arrays_are_kept(self):
+        layer1, _ = self._layers()
+        layer = GatLayerParams(layer1.weights, layer1.attn)
+        assert layer.weights is layer1.weights and layer.attn is layer1.attn
+
+    def test_per_head_lists_are_stacked(self):
+        layer1, _ = self._layers()
+        layer = GatLayerParams(list(layer1.weights), [a.tolist() for a in layer1.attn])
+        assert layer.weights.shape == (2, 3, 4) and layer.attn.shape == (2, 6)
+        assert layer.weights.tobytes() == layer1.weights.tobytes()
+        assert layer.attn.tobytes() == layer1.attn.tobytes()
+
+    def test_theta_list_is_normalized(self):
+        layer1, layer2 = self._layers()
+        model = GatModel(layer1, layer2, theta=[1, 2, 3, 4, 5])
+        assert model.theta.dtype == float and model.theta.tolist() == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("theta", [[1.0, 2.0], 0.5, [[1.0] * 5]])
+    def test_bad_theta_shape_rejected(self, theta):
+        layer1, layer2 = self._layers()
+        with pytest.raises(ValidationError, match="theta length must equal the layer-2 output"):
+            GatModel(layer1, layer2, theta=theta)
 
 
 class TestAttention:
@@ -211,9 +243,14 @@ class TestEdgeProbability:
                             rng.standard_normal(1000) * 30.0])
         with np.errstate(over="ignore", invalid="ignore"):  # in the branch np.where drops
             branch = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        assert gat.sigmoid(x).tobytes() == branch.tobytes()
-        assert gat.sigmoid(-2.0) == math.exp(-2.0) / (1.0 + math.exp(-2.0))
-        assert np.isnan(gat.sigmoid(np.nan))
+        assert _sigmoid(x, np.empty_like(x), np.empty_like(x)).tobytes() == branch.tobytes()
+        in_place = x.copy()  # as `_pair_outputs` runs it
+        assert _sigmoid(in_place, in_place, np.empty_like(x)) is in_place
+        assert in_place.tobytes() == branch.tobytes()
+        x = np.array([-2.0, np.nan])
+        q = _sigmoid(x, np.empty(2), np.empty(2))
+        assert q[0] == math.exp(-2.0) / (1.0 + math.exp(-2.0))
+        assert np.isnan(q[1])
 
 
 class TestBceLoss:
@@ -447,6 +484,21 @@ class TestPredictions:
         with pytest.raises(ValidationError, match=r"\[0, 6\)"):
             predict_edges(model, g, rng.standard_normal((6, 4)), np.array([pair]))
 
+    def test_empty_test_split_gives_nan_with_one_warning(self):
+        # a 3-node path: 2 edges, round(0.2 * 2) = 0 test pairs
+        g = path_graph(3)
+        X = np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.warns(UserWarning):
+            samples = make_samples(g, seed=0)
+        assert samples.counts("test") == (0, 0)
+        model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            accuracy = edge_accuracy(model, g, X, samples)
+        assert math.isnan(accuracy)
+        assert [str(w.message) for w in caught] == [
+            "the test split is empty: too few edges to hold any out, so the test accuracy is nan"]
+
     def test_q_symmetric_in_pair_order(self, rng):
         g = random_graph(6, 0.4, rng)
         model = GatModel.create(4, heads=2, head_dim=3, out_dim=3, seed=8)
@@ -550,6 +602,22 @@ class TestWorkspace:
         for grad, ref in zip(grads, ref_grads):
             assert np.shares_memory(grad, ws.grads)
             assert grad.tobytes() == ref.tobytes()
+
+    def test_head_groups_are_views(self, rng):
+        g = random_graph(6, 0.4, rng)
+        model = GatModel.create(4, heads=3, head_dim=2, out_dim=3, seed=0)
+        support = _Support.of_graph(g)
+        ws = _Workspace(model, support)
+        calls = ws._group_calls(_layer_backward, model.layer1, np.zeros((6, 4)), support,
+                                ws.grad.layer1)
+        assert len(calls) == 2
+        for call, heads in zip(calls, ws.groups):
+            layer, grad = call.args[0], call.args[4]
+            for group, whole in ((layer, model.layer1), (grad, ws.grad.layer1)):
+                assert np.shares_memory(group.weights, whole.weights)
+                assert np.shares_memory(group.attn, whole.attn)
+                assert group.weights.tobytes() == whole.weights[heads].tobytes()
+                assert group.attn.tobytes() == whole.attn[heads].tobytes()
 
     def test_second_epoch_allocates_no_large_array(self, rng, monkeypatch):
         n = 150
