@@ -142,7 +142,9 @@ def _stacked(heads) -> np.ndarray | None:
     """`heads` as one float array, or None if it lists heads of different shapes."""
     try:
         return np.asarray(heads, dtype=float)
-    except ValueError:  # numpy's refusal of a ragged list
+    except ValueError:
+        if len({np.shape(head) for head in heads}) == 1:
+            raise  # not the shapes: a value that is not a number
         return None
 
 

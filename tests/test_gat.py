@@ -110,23 +110,11 @@ class TestFlatAdam:
 
 
 class TestModelParams:
-    """Each parameter array is one float array, stacked over a layer's heads."""
+    """theta is normalized to a float array like the layers' parameters."""
 
     def _layers(self):
         model = GatModel.create(4, heads=2, head_dim=3, out_dim=5, seed=0)
         return model.layer1, model.layer2
-
-    def test_stacked_float_arrays_are_kept(self):
-        layer1, _ = self._layers()
-        layer = GatLayerParams(layer1.weights, layer1.attn)
-        assert layer.weights is layer1.weights and layer.attn is layer1.attn
-
-    def test_per_head_lists_are_stacked(self):
-        layer1, _ = self._layers()
-        layer = GatLayerParams(list(layer1.weights), [a.tolist() for a in layer1.attn])
-        assert layer.weights.shape == (2, 3, 4) and layer.attn.shape == (2, 6)
-        assert layer.weights.tobytes() == layer1.weights.tobytes()
-        assert layer.attn.tobytes() == layer1.attn.tobytes()
 
     def test_theta_list_is_normalized(self):
         layer1, layer2 = self._layers()
