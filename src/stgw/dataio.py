@@ -5,13 +5,14 @@ at a time into typed columns, then checks on whole columns. A bad row fails
 with its file and line; keyed rows must appear exactly once.
 
 All writers are deterministic: fixed row order, shortest round-trip float
-formatting, and newline-terminated lines, so identical runs produce identical
-bytes.  Every writer goes through `_output`, which replaces a file only once
+formatting (the checkpoint: base64 of the float64 bytes), and
+newline-terminated lines, so identical runs produce identical bytes.  Every writer goes through `_output`, which replaces a file only once
 its new contents are complete.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import hashlib
@@ -34,7 +35,9 @@ from .graphs import (CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build
                      check_endpoints, check_nodes, check_self_loops, raise_first)
 from .sgwt import CoefficientTable
 
-CHECKPOINT_MAGIC = "GATCKPT1"
+CHECKPOINT_MAGIC = "GATCKPT2"
+# the arrays of `GatModel.stacked()`, in order
+CHECKPOINT_TENSORS = ("layer1.weight", "layer1.attn", "layer2.weight", "layer2.attn", "theta")
 
 NODES_HEADER = ["node_id", "name", "lat", "lon", "population"]
 EDGES_HEADER = ["src_id", "dst_id"]
@@ -217,7 +220,7 @@ def ensure_dir(path) -> None:
 
 
 def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
-    """Header line, then text chunks formatted by the caller (`repr`, as `fnum`)."""
+    """Header line, then text chunks formatted by the caller."""
     with _output(path) as fh:
         fh.write(header + "\n")
         fh.writelines(chunks)
@@ -457,33 +460,13 @@ def read_rankings(path, graph: RouteGraph, *, a_bar: np.ndarray | None = None) -
     return result
 
 
-def _tensor_names(heads: int) -> list[str]:
-    """The checkpoint's tensor names, in parameters() order, for a model with `heads`
-    layer-1 heads: the checkpoint holds one weight and one attention tensor per head,
-    where `gat` stacks each layer's heads."""
-    return ([f"layer1.weight.{k}" for k in range(heads)]
-            + [f"layer1.attn.{k}" for k in range(heads)]
-            + ["layer2.weight", "layer2.attn", "theta"])
-
-
 def save_checkpoint(path, model: GatModel) -> None:
-    """Text checkpoint: magic line, then `tensor <name> <dims...>` + one value line."""
-    def tensor_chunks(name, arr):
-        flat = np.asarray(arr, dtype=float).ravel()
-        yield f"tensor {name} {' '.join(map(str, arr.shape))}\n"
-        for k in range(0, flat.size, 1024):  # a value line can hold ~10^5 values
-            yield " " * (k > 0) + " ".join(map(repr, flat[k:k + 1024].tolist()))
-        yield "\n"
-    names = _tensor_names(model.layer1.head_count)
-    _write_chunks(path, CHECKPOINT_MAGIC, (chunk for name, arr in zip(names, model.parameters())
-                                           for chunk in tensor_chunks(name, arr)))
-
-
-def _float_or_none(text: str) -> float | None:
-    try:
-        return float(text)
-    except ValueError:
-        return None
+    """ASCII checkpoint: magic line, then per array of `model.stacked()` a line
+    `tensor <name> <dims...>` and one line of base64 of its '<f8' bytes."""
+    _write_chunks(path, CHECKPOINT_MAGIC, (
+        f"tensor {name} {' '.join(map(str, arr.shape))}\n"
+        f"{base64.b64encode(np.asarray(arr, dtype='<f8').tobytes()).decode('ascii')}\n"
+        for name, arr in zip(CHECKPOINT_TENSORS, model.stacked())))
 
 
 def _read_tensor(path, lines: list[str], k: int) -> tuple[str, np.ndarray]:
@@ -492,48 +475,47 @@ def _read_tensor(path, lines: list[str], k: int) -> tuple[str, np.ndarray]:
     if len(parts) < 2 or parts[0] != "tensor":
         raise ValidationError(f"{path}: line {k + 1}: expected a tensor header")
     name, dims = parts[1], parts[2:]
+    if name not in CHECKPOINT_TENSORS:
+        raise ValidationError(f"{path}: line {k + 1}: unknown tensor {name}")
     for d in dims:
         if not (d.isascii() and d.isdigit()):
             raise ValidationError(f"{path}: line {k + 1}: tensor {name} dimension must be "
                                   f"a non-negative integer, got {d!r}")
     if k + 1 >= len(lines):
         raise ValidationError(f"{path}: truncated tensor {name}")
-    tokens = lines[k + 1].split()
-    values = [_float_or_none(v) for v in tokens]
-    for text, x in zip(tokens, values):
-        if x is None or not math.isfinite(x):
-            raise ValidationError(f"{path}: line {k + 2}: tensor {name} values must be "
-                                  f"finite numbers, got {text!r}")
+    try:  # a bytearray, so that the model's arrays are writable
+        data = bytearray(base64.b64decode(lines[k + 1], validate=True))
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        raise ValidationError(f"{path}: line {k + 2}: tensor {name} values are not "
+                              "valid base64") from None
     shape = tuple(map(int, dims))
-    if len(values) != math.prod(shape):
-        raise ValidationError(f"{path}: line {k + 2}: tensor {name} has wrong element count")
-    return name, np.array(values).reshape(shape)
+    if len(data) != 8 * math.prod(shape):
+        raise ValidationError(f"{path}: line {k + 2}: tensor {name} has {len(data)} bytes, "
+                              f"expected {8 * math.prod(shape)} for shape {shape}")
+    values = np.frombuffer(data, dtype="<f8").reshape(shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValidationError(f"{path}: line {k + 2}: tensor {name} values must be finite, "
+                              f"got {fnum(values[bad][0])}")
+    return name, values
 
 
 def load_checkpoint(path) -> GatModel:
     with utf8_text(path), _open_read(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValidationError(f"{path}: missing {CHECKPOINT_MAGIC} magic header")
-    tensors, header_line = {}, {}
+        raise ValidationError(f"{path}: line 1: missing {CHECKPOINT_MAGIC} magic header")
+    tensors = {}
     for k in range(1, len(lines), 2):
         name, values = _read_tensor(path, lines, k)
         if name in tensors:
             raise ValidationError(f"{path}: line {k + 1}: repeated tensor {name}")
-        tensors[name], header_line[name] = values, k + 1
-    heads = sum(1 for name in tensors if name.startswith("layer1.weight."))
-    names = _tensor_names(heads)
-    unknown = [name for name in tensors if name not in names]
-    if unknown:
-        raise ValidationError(f"{path}: line {header_line[unknown[0]]}: "
-                              f"unknown tensor {unknown[0]}")
-    missing = [name for name in names if name not in tensors]
-    if missing or heads == 0:
+        tensors[name] = values
+    missing = [name for name in CHECKPOINT_TENSORS if name not in tensors]
+    if missing:
         raise ValidationError(f"{path}: incomplete checkpoint (missing {missing})")
-    params = [tensors[name] for name in names]
-    try:  # each layer's heads are copied into stacked arrays, theta is kept
-        return GatModel.from_stacked((params[:heads], params[heads:2 * heads],
-                                      params[-3:-2], params[-2:-1], params[-1]))
+    try:
+        return GatModel.from_stacked([tensors[name] for name in CHECKPOINT_TENSORS])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

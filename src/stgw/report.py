@@ -64,8 +64,9 @@ def render_map(graph: RouteGraph, labels_week: np.ndarray, week: int,
 
     lons = np.array([rec.lon for rec in graph.nodes])
     lats = np.array([rec.lat for rec in graph.nodes])
-    span_x = max(float(lons.max() - lons.min()), 1e-6)
-    span_y = max(float(lats.max() - lats.min()), 1e-6)
+    lon_min, lat_max = lons.min(), lats.max()
+    span_x = max(float(lons.max() - lon_min), 1e-6)
+    span_y = max(float(lat_max - lats.min()), 1e-6)
     pops = graph.populations
     max_pop = float(pops.max()) if len(pops) else 1.0
 
@@ -75,8 +76,8 @@ def render_map(graph: RouteGraph, labels_week: np.ndarray, week: int,
     for i, rec in enumerate(graph.nodes):
         if rec.node_id in hidden_ids:
             continue
-        x = pad + (rec.lon - lons.min()) / span_x * plot_w
-        y = pad + (lats.max() - rec.lat) / span_y * plot_h
+        x = pad + (rec.lon - lon_min) / span_x * plot_w
+        y = pad + (lat_max - rec.lat) / span_y * plot_h
         r = max(12.0 * rec.population / max_pop, 0.6)
         color = CLASS_COLORS[int(labels_week[i])]
         svg.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{color}" '

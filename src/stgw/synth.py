@@ -59,6 +59,8 @@ class SyntheticSpec:
             raise ValidationError("rho must lie in [0, 1]")
         if self.mode not in ("geometric", "density"):
             raise ValidationError(f"unknown graph mode {self.mode!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.knn < 0:
             raise ValidationError(f"knn must be non-negative, got {self.knn}")
         if not 0.0 <= self.density <= 1.0:

@@ -1,15 +1,18 @@
 """Row-per-cell reference writers and readers for the chunked ones in `stgw.dataio`.
 
 The writers are the `csv.writer` + `fnum` forms of `write_cases`,
-`write_coefficients`, `write_classes`, `write_transition` and
-`save_checkpoint`: one formatted cell at a time, the sort done on Python
-tuples over a dense N x N mask.  The readers are the `csv.reader` forms of
-every `read_*`: one row at a time, each cell through `int()` or `float()`.
+`write_coefficients`, `write_classes` and `write_transition`: one formatted
+cell at a time, the sort done on Python tuples over a dense N x N mask; and
+the `struct` form of `save_checkpoint`, one packed double at a time.  The
+readers are the `csv.reader` forms of every `read_*`: one row at a time, each
+cell through `int()` or `float()`.
 They live here only so the tests can require the chunked writers to produce
 the same bytes and the chunked readers the same arrays.
 """
 
+import base64
 import csv
+import struct
 
 import numpy as np
 
@@ -56,20 +59,16 @@ def write_classes(path, graph, weeks, phi_grid, labels_grid, theta_grid, score_g
 
 
 def save_checkpoint(path, model):
-    tensors = []
-    for k, W in enumerate(model.layer1.weights):
-        tensors.append((f"layer1.weight.{k}", W))
-    for k, a in enumerate(model.layer1.attn):
-        tensors.append((f"layer1.attn.{k}", a))
-    tensors.append(("layer2.weight", model.layer2.weights[0]))
-    tensors.append(("layer2.attn", model.layer2.attn[0]))
-    tensors.append(("theta", model.theta))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    tensors = [("layer1.weight", model.layer1.weights), ("layer1.attn", model.layer1.attn),
+               ("layer2.weight", model.layer2.weights), ("layer2.attn", model.layer2.attn),
+               ("theta", model.theta)]
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
         for name, arr in tensors:
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"tensor {name} {dims}\n")
-            fh.write(" ".join(fnum(v) for v in arr.ravel()) + "\n")
+            data = b"".join(struct.pack("<d", float(v)) for v in arr.ravel())
+            fh.write(base64.standard_b64encode(data).decode("ascii") + "\n")
 
 
 def _reader(path, expected_header):

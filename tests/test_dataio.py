@@ -212,7 +212,6 @@ class TestChunkedWritersMatchReference:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_checkpoint(self, tmp_path, rng):
-        # layer-1 weights (1,125 values) and layer-2 weights (2,500) span value slices
         heads, f, o, out = 2, 45, 25, 50
         model = GatModel(
             layer1=GatLayerParams(weights=[awkward((o, f), rng) for _ in range(heads)],
@@ -398,17 +397,19 @@ class TestReadersMatchReference:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = GatModel.create(6, heads=3, head_dim=4, out_dim=5, seed=9)
+        model.theta[:] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
         path = tmp_path / "model.ckpt"
         dataio.save_checkpoint(path, model)
-        assert path.read_text().startswith("GATCKPT1\n")
+        text = path.read_bytes()
+        assert text.isascii() and text.startswith(b"GATCKPT2\n")
         back = dataio.load_checkpoint(path)
-        for p, q in zip(model.parameters(), back.parameters()):
-            assert np.array_equal(p, q)
+        for p, q in zip(model.stacked(), back.stacked()):
+            assert p.shape == q.shape and p.tobytes() == q.tobytes()  # -0.0 stays -0.0
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_text("NOTACKPT\n")
-        with pytest.raises(ValidationError, match="GATCKPT1"):
+        with pytest.raises(ValidationError, match="GATCKPT2"):
             dataio.load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):

@@ -6,6 +6,9 @@ Every row starts from a small valid file, applies one fault and requires
 line or the missing key.
 """
 
+import base64
+
+import numpy as np
 import pytest
 
 from stgw import dataio
@@ -282,49 +285,71 @@ def test_rank_order_names_the_line_of_each_row(tmp_path, monkeypatch):
                                "the a_bar order (expected 2)")
 
 
-CHECKPOINT = ["GATCKPT1",
-              "tensor layer1.weight.0 1 2", "0.5 -0.25",
-              "tensor layer1.attn.0 2", "0.125 1.0",
-              "tensor layer2.weight 1 1", "2.0",
-              "tensor layer2.attn 2", "-1.0 0.75",
-              "tensor theta 1", "0.5"]
+def b64(*values):
+    """A checkpoint value line: base64 of `values` as little-endian float64."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+CHECKPOINT = ["GATCKPT2",
+              "tensor layer1.weight 1 1 2", b64(0.5, -0.25),
+              "tensor layer1.attn 1 2", b64(0.125, 1.0),
+              "tensor layer2.weight 1 1 1", b64(2.0),
+              "tensor layer2.attn 1 2", b64(-1.0, 0.75),
+              "tensor theta 1", b64(0.5)]
 
 CHECKPOINT_FAULTS = [
-    ("non-number value", replace(3, "0.5 x"),
-     "line 3: tensor layer1.weight.0 values must be finite numbers, got 'x'"),
-    ("nan value", replace(5, "nan 1.0"),
-     "line 5: tensor layer1.attn.0 values must be finite numbers, got 'nan'"),
-    ("inf value", replace(11, "-inf"),
-     "line 11: tensor theta values must be finite numbers, got '-inf'"),
-    ("non-integer dimension", replace(2, "tensor layer1.weight.0 1 x"),
-     "line 2: tensor layer1.weight.0 dimension must be a non-negative integer, got 'x'"),
-    ("negative dimension", replace(6, "tensor layer2.weight -1 1"),
+    ("GATCKPT1 magic", replace(1, "GATCKPT1"), "line 1: missing GATCKPT2 magic header"),
+    ("non-number value", replace(3, "0.5 -0.25"),
+     "line 3: tensor layer1.weight values are not valid base64"),
+    ("invalid base64", replace(5, b64(0.125, 1.0).replace("A", "!", 1)),
+     "line 5: tensor layer1.attn values are not valid base64"),
+    ("cut base64", replace(5, b64(0.125, 1.0)[:-1]),
+     "line 5: tensor layer1.attn values are not valid base64"),
+    ("non-ASCII base64", replace(11, "\u00e9" + b64(0.5)[1:]),
+     "line 11: tensor theta values are not valid base64"),
+    ("non-UTF-8 byte", replace(11, "\udcff" + b64(0.5)[1:]),
+     "line 11: not valid UTF-8 (byte 0xff)"),
+    ("nan value", replace(5, b64(float("nan"), 1.0)),
+     "line 5: tensor layer1.attn values must be finite, got nan"),
+    ("inf value", replace(11, b64(float("-inf"))),
+     "line 11: tensor theta values must be finite, got -inf"),
+    ("non-integer dimension", replace(2, "tensor layer1.weight 1 1 x"),
+     "line 2: tensor layer1.weight dimension must be a non-negative integer, got 'x'"),
+    ("negative dimension", replace(6, "tensor layer2.weight -1 1 1"),
      "line 6: tensor layer2.weight dimension must be a non-negative integer, got '-1'"),
-    ("wrong element count", replace(7, "2.0 3.0"),
-     "line 7: tensor layer2.weight has wrong element count"),
-    ("no tensor header", replace(2, "layer1.weight.0 1 2"), "line 2: expected a tensor header"),
+    ("wrong element count", replace(7, b64(2.0, 3.0)),
+     "line 7: tensor layer2.weight has 16 bytes, expected 8 for shape (1, 1, 1)"),
+    ("partial value", replace(7, b64(2.0)[:4]),
+     "line 7: tensor layer2.weight has 3 bytes, expected 8 for shape (1, 1, 1)"),
+    ("no tensor header", replace(2, "layer1.weight 1 1 2"), "line 2: expected a tensor header"),
     ("unnamed tensor", replace(10, "tensor "), "line 10: expected a tensor header"),
     ("missing tensor", drop(10, 2), "incomplete checkpoint (missing ['theta'])"),
-    ("shape mismatch", both(replace(8, "tensor layer2.attn 3"), replace(9, "-1.0 0.75 1.0")),
+    ("truncated tensor", drop(11), "truncated tensor theta"),
+    ("shape mismatch",
+     both(replace(8, "tensor layer2.attn 1 3"), replace(9, b64(-1.0, 0.75, 1.0))),
      "attention vector length must be twice the head dimension"),
-    ("heads of different shapes",
-     both(both(insert(4, "tensor layer1.weight.1 2 2"), insert(5, "1.0 2.0 3.0 4.0")),
-          both(insert(6, "tensor layer1.attn.1 2"), insert(7, "0.5 0.5"))),
+    ("rank-1 head weight", replace(2, "tensor layer1.weight 1 2"),
      "all heads must share input and output dimensions"),
-    ("rank-1 head weight", replace(2, "tensor layer1.weight.0 2"),
+    ("rank-3 head weight", replace(2, "tensor layer1.weight 1 1 1 2"),
      "all heads must share input and output dimensions"),
-    ("rank-3 head weight", replace(2, "tensor layer1.weight.0 1 1 2"),
+    ("rank-1 layer-2 weight", replace(6, "tensor layer2.weight 1 1"),
      "all heads must share input and output dimensions"),
-    ("rank-1 layer-2 weight", replace(6, "tensor layer2.weight 1"),
-     "all heads must share input and output dimensions"),
-    ("ragged attention",
-     both(both(insert(4, "tensor layer1.weight.1 1 2"), insert(5, "1.0 2.0")),
-          both(insert(6, "tensor layer1.attn.1 3"), insert(7, "0.5 0.5 0.5"))),
-     "attention vector length must be twice the head dimension"),
-    ("repeated tensor", both(insert(12, "tensor theta 1"), insert(13, "0.0")),
+    ("no heads", both(both(replace(2, "tensor layer1.weight 0 1 2"), replace(3, "")),
+                      both(replace(4, "tensor layer1.attn 0 2"), replace(5, ""))),
+     "layer needs matching, non-empty weight/attention lists"),
+    ("two-head layer 2",
+     both(both(replace(6, "tensor layer2.weight 2 1 1"), replace(7, b64(2.0, 2.0))),
+          both(replace(8, "tensor layer2.attn 2 2"), replace(9, b64(-1.0, 0.75, -1.0, 0.75)))),
+     "second layer must be single-head"),
+    ("cascade mismatch",
+     both(replace(6, "tensor layer2.weight 1 1 2"), replace(7, b64(2.0, 2.0))),
+     "layer-2 input dim 2 != cascaded layer-1 output 1"),
+    ("repeated tensor", both(insert(12, "tensor theta 1"), insert(13, b64(0.0))),
      "line 12: repeated tensor theta"),
-    ("unknown tensor", both(insert(6, "tensor bogus 1"), insert(7, "1.0")),
+    ("unknown tensor", both(insert(6, "tensor bogus 1"), insert(7, b64(1.0))),
      "line 6: unknown tensor bogus"),
+    ("per-head tensor", replace(2, "tensor layer1.weight.0 1 2"),
+     "line 2: unknown tensor layer1.weight.0"),
 ]
 
 
@@ -340,7 +365,7 @@ def test_checkpoint_fault_rejected_with_file_and_line(tmp_path, fault, edit, mes
     lines = list(CHECKPOINT)
     edit(lines)
     path = tmp_path / "gat_model.ckpt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ValidationError) as info:
         dataio.load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"

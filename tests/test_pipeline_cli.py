@@ -19,9 +19,9 @@ from stgw.config import IoSection, RunConfig, load_config
 from stgw.errors import NumericError, ValidationError
 from stgw.gat import TrainConfig
 from stgw.graphs import TransitionMatrix, normalize_cases
-from stgw.pipeline import (Inputs, classify, rank, render, run_pipeline, stage_classify,
-                           stage_rank, stage_report, stage_train, stage_transform, train,
-                           transform)
+from stgw.pipeline import (Inputs, classify, load_inputs, rank, render, run_pipeline,
+                           stage_classify, stage_rank, stage_report, stage_train,
+                           stage_transform, train, transform)
 from stgw.sgwt import CoefficientTable
 from stgw.synth import SyntheticSpec, generate, write_dataset
 
@@ -154,6 +154,18 @@ class TestPipeline:
         run_pipeline(small_cfg(tmp_path, "out1"))
         run_pipeline(small_cfg(tmp_path, "out2"))
         assert read_out(tmp_path, "out1") == read_out(tmp_path, "out2")
+
+    def test_checkpoint_rederives_transition(self, tmp_path):
+        # the checkpoint alone gives back the run's P, byte for byte, without training
+        write_small_dataset(tmp_path, nodes=20)
+        cfg = small_cfg(tmp_path)
+        run_pipeline(cfg)
+        graph, features = load_inputs(cfg)
+        model = dataio.load_checkpoint(tmp_path / "out" / "gat_model.ckpt")
+        dataio.write_transition(tmp_path / "again.csv", graph,
+                                gat.extract_transition(model, graph, features))
+        assert ((tmp_path / "again.csv").read_bytes()
+                == (tmp_path / "out" / "transition.csv").read_bytes())
 
     def test_stage_replay_matches_run(self, tmp_path):
         write_small_dataset(tmp_path)

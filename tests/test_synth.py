@@ -48,6 +48,7 @@ BAD_SYNTH_ARGUMENTS = [
     (["--anomaly", "1:1:2:1e308"], "anomaly multiplier 1e+308 overflows node 1's counts "
                                    "over weeks 1..2"),
     (["--knn", "-1"], "knn must be non-negative, got -1"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
     (["--mode", "density", "--density", "nan"], "density must lie in [0, 1], got nan"),
 ]
 
