@@ -489,9 +489,9 @@ def _read_tensor(path, lines: list[str], k: int) -> tuple[str, np.ndarray]:
         raise ValidationError(f"{path}: line {k + 2}: tensor {name} values are not "
                               "valid base64") from None
     shape = tuple(map(int, dims))
-    if len(data) != 8 * math.prod(shape):
+    if len(data) != (expected := 8 * math.prod(shape)):
         raise ValidationError(f"{path}: line {k + 2}: tensor {name} has {len(data)} bytes, "
-                              f"expected {8 * math.prod(shape)} for shape {shape}")
+                              f"expected {expected} for shape {shape}")
     values = np.frombuffer(data, dtype="<f8").reshape(shape)
     bad = ~np.isfinite(values)
     if bad.any():
