@@ -4,10 +4,12 @@ Every CSV table goes through `_read_csv`: `np.loadtxt` over `CHUNK_ROWS` rows
 at a time into typed columns, then checks on whole columns. A bad row fails
 with its file and line; keyed rows must appear exactly once.
 
-All writers are deterministic: fixed row order, shortest round-trip float
-formatting (the checkpoint: base64 of the float64 bytes), and
-newline-terminated lines, so identical runs produce identical bytes.  Every writer goes through `_output`, which replaces a file only once
-its new contents are complete.
+All writers are deterministic: fixed row order, floats in shortest round-trip
+form, and newline-terminated lines, so identical runs produce identical bytes.
+Two artifacts hold base64 of little-endian float64 bytes instead: the
+checkpoint, one line per tensor, and `coefficients.csv`, one `coefs` cell per
+(vertex, slice).  Every writer goes through `_output`, which replaces a file only
+once its new contents are complete.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ NODES_HEADER = ["node_id", "name", "lat", "lon", "population"]
 EDGES_HEADER = ["src_id", "dst_id"]
 CASES_HEADER = ["node_id", "week", "cases"]
 TRANSITION_HEADER = ["src_id", "dst_id", "p"]
-COEFFS_HEADER = ["vertex_id", "slice", "filter", "coef"]
+COEFFS_HEADER = ["vertex_id", "slice", "coefs"]
 CLASSES_HEADER = ["node_id", "week", "torque", "class", "theta", "a_score"]
 SLICES_HEADER = ["week", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "slice_class"]
 SLICE_LABELS = ("V1", "V2", "V3", "V4", "V5")
@@ -114,8 +116,9 @@ def _read_csv(path, header: list[str], formats: str, names: list[str] | None = N
                 why = ((line + k, _bad_row(text, columns)) for k, text in enumerate(lines))
                 bad, reason = next(((k, r) for k, r in why if r), (line, "cannot parse"))
                 raise ValidationError(f"{path}: line {bad}: {reason}")
+            del lines  # not held while the caller works on the chunk
             yield line, rows
-            line += len(lines)
+            line += len(rows)
 
 
 def _reject(path, line, bad, message) -> None:
@@ -134,12 +137,13 @@ def _positions(path, line, known, values, message: str) -> np.ndarray:
 
 
 class _Scatter:
-    """Result grids that the rows of a keyed table fill, each cell exactly once;
-    `describe(*cell)` names the key of a grid cell in messages."""
+    """Result grids that the rows of a keyed table fill, each key exactly once.  The
+    keys are the cells of `shape`, by default the first grid's; a grid with more
+    dimensions holds a row per key.  `describe(*key)` names a key in messages."""
 
-    def __init__(self, path, what: str, describe, **grids):
+    def __init__(self, path, what: str, describe, shape=None, **grids):
         self.path, self.what, self.describe, self.grids = path, what, describe, grids
-        self.seen = np.zeros(next(iter(grids.values())).shape, dtype=bool)
+        self.seen = np.zeros(shape or next(iter(grids.values())).shape, dtype=bool)
 
     def put(self, line, index, **columns) -> None:
         """Store the rows from `line` on at the cells `index`; a key seen before, in an
@@ -330,27 +334,52 @@ def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
 
 
 def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTable) -> None:
-    grid = table.values.reshape(weeks, graph.n, table.filter_count)
-    # the ",slice,filter," middle of each of a node's rows, in row order
-    middles = [f",{t},{m}," for t in range(1, weeks + 1)
-               for m in range(1, table.filter_count + 1)]
-    _write_chunks(path, ",".join(COEFFS_HEADER),
-                  _node_rows(graph.node_ids, middles, grid.transpose(1, 0, 2)))
+    """One row per (node, slice), node-major; `coefs` is the base64 of the slice's
+    filter values as '<f8' bytes, in filter order."""
+    width = 8 * table.filter_count  # bytes per row
+    blocks = table.values.reshape(weeks, graph.n, table.filter_count).transpose(1, 0, 2)
+
+    def node_rows(nid, block) -> str:
+        data = np.asarray(block, dtype="<f8").tobytes()  # the node's (T, M) values, C order
+        return "".join(f"{nid},{t},{base64.b64encode(data[k:k + width]).decode('ascii')}\n"
+                       for t, k in enumerate(range(0, len(data), width), start=1))
+
+    _write_chunks(path, ",".join(COEFFS_HEADER), map(node_rows, graph.node_ids, blocks))
+
+
+def _decode_coefs(path, line, cells, filters: int) -> np.ndarray:
+    """The (rows, filters) values of `coefs` cells, each the base64 of `filters` finite
+    '<f8' values; the cell of row k is on line `line + k`."""
+    data = bytearray()
+    for k, cell in enumerate(cells):
+        try:
+            value = base64.b64decode(cell.strip(), validate=True)
+        except ValueError:  # binascii.Error, or a character that is not ASCII
+            raise ValidationError(f"{path}: line {line + k}: coefs is not valid base64") from None
+        if len(value) != 8 * filters:
+            raise ValidationError(f"{path}: line {line + k}: coefs has {len(value)} bytes, "
+                                  f"expected {8 * filters} for {filters} filters")
+        data += value
+    values = np.frombuffer(data, dtype="<f8").reshape(-1, filters)
+    finite = np.isfinite(values)
+    _reject(path, line, ~finite.all(axis=1),
+            lambda k: f"coefs must be finite, got {fnum(values[k][~finite[k]][0])}")
+    return values
 
 
 def read_coefficients(path, graph: RouteGraph, weeks: int,
                       filters: int) -> CoefficientTable:
+    """Every (vertex, slice) exactly once, with `filters` values."""
     n, ids = graph.n, np.array(graph.node_ids)
-    grid = _Scatter(path, "coefficient rows",
-                    lambda v, m: f"vertex {ids[v % n]} slice {v // n + 1} filter {m + 1}",
-                    values=np.zeros((n * weeks, filters)))
-    for line, rows in _read_csv(path, COEFFS_HEADER, "i8,i8,i8,f8"):
+    grid = _Scatter(path, "coefficient rows", lambda v: f"vertex {ids[v % n]} slice {v // n + 1}",
+                    (n * weeks,), values=np.zeros((n * weeks, filters)))
+    for line, rows in _read_csv(path, COEFFS_HEADER, "i8,i8,O"):
         i = _positions(path, line, ids, rows["vertex_id"], "unknown node {}")
-        t, m = rows["slice"], rows["filter"]
+        t = rows["slice"]
         _reject(path, line, (t < 1) | (t > weeks), lambda k: f"slice {t[k]} outside 1..{weeks}")
-        _reject(path, line, (m < 1) | (m > filters),
-                lambda k: f"filter {m[k]} outside 1..{filters}")
-        grid.put(line, ((t - 1) * n + i, m - 1), values=rows["coef"])
+        cells = rows["coefs"]
+        grid.put(line, ((t - 1) * n + i,), values=_decode_coefs(path, line, cells, filters))
+        cells[:] = None  # free this chunk's text before the next chunk is read
     return CoefficientTable(values=grid.complete()["values"])
 
 

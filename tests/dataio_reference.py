@@ -1,11 +1,11 @@
 """Row-per-cell reference writers and readers for the chunked ones in `stgw.dataio`.
 
 The writers are the `csv.writer` + `fnum` forms of `write_cases`,
-`write_coefficients`, `write_classes` and `write_transition`: one formatted
-cell at a time, the sort done on Python tuples over a dense N x N mask; and
-the `struct` form of `save_checkpoint`, one packed double at a time.  The
-readers are the `csv.reader` forms of every `read_*`: one row at a time, each
-cell through `int()` or `float()`.
+`write_classes` and `write_transition`: one formatted cell at a time, the sort
+done on Python tuples over a dense N x N mask; and the `struct` + `base64` forms
+of `write_coefficients` and `save_checkpoint`, one packed row or double at a
+time.  The readers are the `csv.reader` forms of every `read_*`: one row at a
+time, each cell through `int()`, `float()` or `base64` + `struct.unpack`.
 They live here only so the tests can require the chunked writers to produce
 the same bytes and the chunked readers the same arrays.
 """
@@ -41,12 +41,12 @@ def write_transition(path, graph, transition):
 
 
 def write_coefficients(path, graph, weeks, table):
-    n = graph.n
+    n, m = graph.n, table.filter_count
     ids = graph.node_ids
-    rows = ([ids[i], t + 1, m + 1, fnum(table.values[t * n + i, m])]
+    rows = ([ids[i], t + 1, base64.standard_b64encode(
+                struct.pack(f"<{m}d", *table.values[t * n + i])).decode("ascii")]
             for i in range(n)
-            for t in range(weeks)
-            for m in range(table.filter_count))
+            for t in range(weeks))
     write_csv(path, COEFFS_HEADER, rows)
 
 
@@ -193,21 +193,24 @@ def read_coefficients(path, graph: RouteGraph, weeks: int,
     values = np.full((n * weeks, filters), np.nan)
     with fh:
         for line, row in enumerate(rows, start=2):
-            if len(row) != 4:
-                raise ValidationError(f"{path}: line {line}: expected 4 columns")
+            if len(row) != 3:
+                raise ValidationError(f"{path}: line {line}: expected 3 columns")
             nid = _parse_int(row[0], path, line, "vertex_id")
             t = _parse_int(row[1], path, line, "slice")
-            m = _parse_int(row[2], path, line, "filter")
-            coef = _parse_float(row[3], path, line, "coef")
+            try:
+                data = base64.b64decode(row[2].strip(), validate=True)
+            except ValueError:
+                raise ValidationError(f"{path}: line {line}: coefs is not valid base64")
+            if len(data) != 8 * filters:
+                raise ValidationError(f"{path}: line {line}: coefs has {len(data)} bytes, "
+                                      f"expected {8 * filters} for {filters} filters")
             try:
                 i = graph.index_of(nid)
             except KeyError:
                 raise ValidationError(f"{path}: line {line}: unknown node {nid}")
             if not 1 <= t <= weeks:
                 raise ValidationError(f"{path}: line {line}: slice {t} outside 1..{weeks}")
-            if not 1 <= m <= filters:
-                raise ValidationError(f"{path}: line {line}: filter {m} outside 1..{filters}")
-            values[(t - 1) * n + i, m - 1] = coef
+            values[(t - 1) * n + i] = struct.unpack(f"<{filters}d", data)
     if np.isnan(values).any():
         raise ValidationError(f"{path}: missing coefficient rows")
     return CoefficientTable(values=values)

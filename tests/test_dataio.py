@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import tracemalloc
@@ -117,6 +118,23 @@ class TestRoundTrips:
         dataio.write_coefficients(path, g, 3, table)
         back = dataio.read_coefficients(path, g, 3, 8)
         assert np.array_equal(back.values, table.values)
+
+    def test_coefficients_bit_exact(self, tmp_path):
+        # -0.0 keeps its sign; the smallest subnormal, the largest doubles and an
+        # inexact fraction come back as the same bits
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+        g, weeks = path_graph(3), 2
+        values = np.array([np.roll(edge, k) for k in range(g.n * weeks)])
+        path = tmp_path / "coefficients.csv"
+        dataio.write_coefficients(path, g, weeks, CoefficientTable(values=values))
+        header, *rows = path.read_text().splitlines()
+        assert header == "vertex_id,slice,coefs"
+        # node-major rows; vertex i at slice t holds table row (t - 1)·N + i
+        cells = [row.split(",") for row in rows]
+        assert [c[:2] for c in cells] == [[str(i + 1), str(t)] for i in range(3) for t in (1, 2)]
+        assert base64.b64decode(cells[1][2]) == values[3].astype("<f8").tobytes()
+        back = dataio.read_coefficients(path, g, weeks, 5)
+        assert back.values.tobytes() == values.tobytes()
 
     def test_classes_and_slices(self, tmp_path, rng):
         g = path_graph(3)
@@ -359,8 +377,10 @@ class TestReadersMatchReference:
         same_array(new["lines"], row_lines(path, graph))
 
     def test_memory_is_one_chunk(self, tmp_path, rng, monkeypatch):
-        # 32 chunks; about 250 B of transient memory per chunk row was measured
-        monkeypatch.setattr(dataio, "CHUNK_ROWS", 1024)
+        # 1,024 rows in 32 chunks; 72 KB of transient memory was measured at 32 rows a
+        # chunk (about 800 B per row of 32 filters plus about 48 KB that does not grow
+        # with the chunk), against 4 KB per chunk row allowed
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", 32)
         g, weeks, filters = path_graph(16), 64, 32
         path = tmp_path / "coefficients.csv"
         dataio.write_coefficients(path, g, weeks, CoefficientTable(
@@ -371,15 +391,17 @@ class TestReadersMatchReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        seen = table.values.size  # one bool per key
-        assert peak < table.values.nbytes + seen + 1024 * 512
+        seen = g.n * weeks  # one bool per key
+        assert peak < table.values.nbytes + seen + 32 * 4096
         assert peak < path.stat().st_size
 
     def test_memory_at_benchmark_scale(self, tmp_path):
         # N=400, T=104, 8 filters: the grid, one bool per cell and one chunk of lines.
-        # Measured 3.47 MB, 0.47 MB above grid and bools (about 230 B per line of a
-        # 2,048-line chunk), against a bound 0.8 MB above them; 8,192-line chunks
-        # peaked at 4.77 MB
+        # Measured 3.45 MB, 0.45 MB above grid and bools, against a bound 0.8 MB above
+        # them.  The reader holds one bool per (vertex, slice), 0.29 MB less than one
+        # per cell, and frees each chunk's base64 cells once decoded and its lines once
+        # parsed; holding the cells until the next chunk peaked at 3.73 MB, the lines
+        # at 3.59 MB
         g, weeks = path_graph(400), 104
         path = tmp_path / "coefficients.csv"
         dataio.write_coefficients(path, g, weeks, CoefficientTable(

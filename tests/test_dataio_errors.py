@@ -18,6 +18,13 @@ from stgw.graphs import NodeRecord, build_route_graph
 WEEKS, FILTERS = 2, 2
 THIRD = repr(1 / 3)
 
+
+def b64(*values):
+    """A `coefs` cell or checkpoint value line: base64 of `values` as little-endian
+    float64."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 VALID = {
     "nodes.csv": ["node_id,name,lat,lon,population",
                   "1,Alpha,42.0,-72.0,1000", "2,Beta,42.1,-72.1,2000",
@@ -28,8 +35,8 @@ VALID = {
     "transition.csv": ["src_id,dst_id,p", "1,1,0.5", "1,2,0.5",
                        f"2,1,{THIRD}", f"2,2,{THIRD}", f"2,3,{THIRD}",
                        "3,2,0.5", "3,3,0.5"],
-    "coefficients.csv": ["vertex_id,slice,filter,coef"] + [
-        f"{n},{t},{m},{n + t / 4 - m}" for n in (1, 2, 3) for t in (1, 2) for m in (1, 2)],
+    "coefficients.csv": ["vertex_id,slice,coefs"] + [
+        f"{n},{t},{b64(n + t / 4 - 1, n + t / 4 - 2)}" for n in (1, 2, 3) for t in (1, 2)],
     "classes.csv": ["node_id,week,torque,class,theta,a_score"] + [
         f"{n},{w},{n - w / 2},V{n + w - 1},{w / 2},2" for n in (1, 2, 3) for w in (1, 2)],
     "slices.csv": ["week,sigma1,sigma2,sigma3,sigma4,sigma5,slice_class",
@@ -54,8 +61,9 @@ READ = {
     "rankings.csv": lambda path: dataio.read_rankings(path, GRAPH),
 }
 
-# the column that the "x", "nan" and "inf" rows write into, by index
-FLOAT_COLUMN = {"nodes.csv": 2, "cases.csv": 2, "transition.csv": 2, "coefficients.csv": 3,
+# the column that the "x", "nan" and "inf" rows write into, by index; the
+# coefficients' float values are base64, with rows of their own below
+FLOAT_COLUMN = {"nodes.csv": 2, "cases.csv": 2, "transition.csv": 2,
                 "classes.csv": 2, "slices.csv": 1, "rankings.csv": 2}
 
 
@@ -115,7 +123,8 @@ def common_faults(name):
             ("inf", cell(2, column, "-inf"), f"line 2: {label} must be finite, got '-inf'"),
         ]
     else:
-        rows.append(("non-number", cell(2, 1, "x"), "line 2: dst_id must be an integer, got 'x'"))
+        rows.append(("non-number", cell(2, 1, "x"),
+                     f"line 2: {header.split(',')[1]} must be an integer, got 'x'"))
     return [(name, *row) for row in rows]
 
 
@@ -149,11 +158,20 @@ FAULTS = [fault for name in VALID for fault in common_faults(name)] + [
      "src 3: transition matrix diagonal must be strictly positive"),
     ("coefficients.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("coefficients.csv", "slice out of range", cell(5, 1, "3"), "line 5: slice 3 outside 1..2"),
-    ("coefficients.csv", "filter out of range", cell(4, 2, "0"), "line 4: filter 0 outside 1..2"),
-    ("coefficients.csv", "duplicate row", repeat(5),
-     "line 14: duplicate entry for vertex 1 slice 2 filter 2"),
-    ("coefficients.csv", "missing row", drop(3),
-     "missing coefficient rows for vertex 1 slice 1 filter 2"),
+    ("coefficients.csv", "not base64", cell(3, 2, "!" + b64(1.0, 2.0)[1:]),
+     "line 3: coefs is not valid base64"),
+    ("coefficients.csv", "non-ASCII base64", cell(2, 2, "\u00e9" + b64(1.0, 2.0)[1:]),
+     "line 2: coefs is not valid base64"),
+    ("coefficients.csv", "M-1 values", cell(4, 2, b64(1.0)),
+     "line 4: coefs has 8 bytes, expected 16 for 2 filters"),
+    ("coefficients.csv", "M+1 values", cell(2, 2, b64(1.0, 2.0, 3.0)),
+     "line 2: coefs has 24 bytes, expected 16 for 2 filters"),
+    ("coefficients.csv", "nan", cell(6, 2, b64(0.5, float("nan"))),
+     "line 6: coefs must be finite, got nan"),
+    ("coefficients.csv", "inf", cell(7, 2, b64(float("-inf"), 0.5)),
+     "line 7: coefs must be finite, got -inf"),
+    ("coefficients.csv", "duplicate row", repeat(5), "line 8: duplicate entry for vertex 2 slice 2"),
+    ("coefficients.csv", "missing row", drop(3), "missing coefficient rows for vertex 1 slice 2"),
     ("classes.csv", "unknown node", cell(2, 0, "99"), "line 2: unknown node 99"),
     ("classes.csv", "week out of range", cell(3, 1, "3"), "line 3: week 3 outside 1..2"),
     ("classes.csv", "bad class label", cell(4, 3, "V6"), "line 4: bad class label 'V6'"),
@@ -283,11 +301,6 @@ def test_rank_order_names_the_line_of_each_row(tmp_path, monkeypatch):
         dataio.read_rankings(path, GRAPH)
     assert str(info.value) == (f"{path}: line 3: rank_least_successful 1 does not match "
                                "the a_bar order (expected 2)")
-
-
-def b64(*values):
-    """A checkpoint value line: base64 of `values` as little-endian float64."""
-    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 CHECKPOINT = ["GATCKPT2",

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import os
@@ -736,6 +737,10 @@ def staged_copy(finished_run, tmp_path):
     return cfg_path
 
 
+# a `coefs` cell of the default 8 filters whose first value is infinite
+INF_COEFS = base64.b64encode(np.array([np.inf] + [0.0] * 7, dtype="<f8").tobytes()).decode()
+
+
 class TestBadInputExit2:
     """A malformed cell in each file a staged command reads exits 2 naming file and line."""
 
@@ -744,7 +749,7 @@ class TestBadInputExit2:
         ("build-graph", "data/edges.csv", 1, "x", "dst_id must be an integer, got 'x'"),
         ("build-graph", "data/cases.csv", 2, "nan", "cases must be finite, got 'nan'"),
         ("transform", "out/transition.csv", 2, "nan", "p must be finite, got 'nan'"),
-        ("classify", "out/coefficients.csv", 3, "inf", "coef must be finite, got 'inf'"),
+        ("classify", "out/coefficients.csv", 2, INF_COEFS, "coefs must be finite, got inf"),
         ("rank", "out/classes.csv", 2, "nan", "torque must be finite, got 'nan'"),
         ("report", "out/slices.csv", 3, "nan", "sigma must be finite, got 'nan'"),
         ("report", "out/rankings.csv", 2, "-inf", "a_bar must be finite, got '-inf'"),
@@ -760,6 +765,21 @@ class TestBadInputExit2:
         path.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(cfg_path)]) == 2
         assert f"{path}: line 3: {message}" in capsys.readouterr().err
+
+    def test_coefficients_in_the_old_layout(self, finished_run, tmp_path, capsys):
+        # the decimal vertex_id,slice,filter,coef rows that base64 rows replaced
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "coefficients.csv"
+        _, *rows = path.read_text().splitlines()
+        old = ["vertex_id,slice,filter,coef"]
+        for row in rows:
+            vertex, t, coefs = row.split(",")
+            values = np.frombuffer(base64.b64decode(coefs), dtype="<f8").tolist()
+            old += [f"{vertex},{t},{m},{v!r}" for m, v in enumerate(values, start=1)]
+        path.write_text("\n".join(old) + "\n")
+        assert main(["classify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad header (line 1): expected vertex_id,slice,coefs\n")
 
     def test_a_score_against_class_and_theta(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
