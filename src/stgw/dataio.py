@@ -336,13 +336,12 @@ def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
 def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTable) -> None:
     """One row per (node, slice), node-major; `coefs` is the base64 of the slice's
     filter values as '<f8' bytes, in filter order."""
-    width = 8 * table.filter_count  # bytes per row
     blocks = table.values.reshape(weeks, graph.n, table.filter_count).transpose(1, 0, 2)
 
     def node_rows(nid, block) -> str:
-        data = np.asarray(block, dtype="<f8").tobytes()  # the node's (T, M) values, C order
-        return "".join(f"{nid},{t},{base64.b64encode(data[k:k + width]).decode('ascii')}\n"
-                       for t, k in enumerate(range(0, len(data), width), start=1))
+        rows = np.ascontiguousarray(block, dtype="<f8")  # the node's (T, M) values
+        return "".join(f"{nid},{t},{base64.b64encode(row).decode('ascii')}\n"
+                       for t, row in enumerate(rows, start=1))
 
     _write_chunks(path, ",".join(COEFFS_HEADER), map(node_rows, graph.node_ids, blocks))
 
