@@ -1,14 +1,13 @@
-"""Run configuration: INI key/value files."""
+"""Run configuration: INI key/value files, read by `dataio`, the one file-system module."""
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
-from . import classify, sgwt
-from .errors import DataIOError, ValidationError, check_section, utf8_text
+from . import classify, dataio, sgwt
+from .errors import DataIOError, ValidationError, check_section
 from .gat import TrainConfig
 
 
@@ -74,15 +73,8 @@ def load_config(path: str | None) -> RunConfig:
         return cfg
     if not os.path.exists(path):
         raise DataIOError(f"config file not found: {path}")
-    with utf8_text(path), open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
+    data = dataio.read_ini(path, "config")
     try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        raise ValidationError(f"{path}: invalid config: {exc}")
-    try:
-        return _apply(cfg, {name: dict(parser.items(name)) for name in parser.sections()})
+        return _apply(cfg, data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -1,4 +1,4 @@
-"""CSV schemas, model checkpoints, and the run manifest.
+"""CSV schemas, model checkpoints, the run manifest and the INI reader.
 
 Every CSV table goes through `_read_csv`: `np.loadtxt` over `CHUNK_ROWS` rows
 at a time into typed columns, then checks on whole columns. A bad row fails
@@ -9,12 +9,14 @@ form, and newline-terminated lines, so identical runs produce identical bytes.
 Two artifacts hold base64 of little-endian float64 bytes instead: the
 checkpoint, one line per tensor, and `coefficients.csv`, one `coefs` cell per
 (vertex, slice).  Every writer goes through `_output`, which replaces a file only
-once its new contents are complete.
+once its new contents are complete.  No other module opens, lists, replaces or removes
+a file; `_exit_4` turns each OSError into a DataIOError naming the file.
 """
 
 from __future__ import annotations
 
 import base64
+import configparser
 import contextlib
 import csv
 import hashlib
@@ -25,13 +27,13 @@ import os
 import re
 import warnings
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .classify import a_score, rank_nodes
-from .errors import DataIOError, ValidationError, utf8_text
+from .errors import DataIOError, ValidationError
 from .gat import GatModel
 from .graphs import (CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix, build_route_graph,
                      check_endpoints, check_nodes, check_self_loops, raise_first)
@@ -61,11 +63,34 @@ def fnum(x) -> str:
     return repr(float(x))
 
 
-def _open_read(path):
+@contextlib.contextmanager
+def _exit_4(action: str):
+    """Raise an OSError in the block as a DataIOError, which exits 4: `cannot {action}: ...`."""
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        yield
     except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}")
+        raise DataIOError(f"cannot {action}: {exc}")
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """`path` open to read as UTF-8 text, line endings kept.  It exits 4 if it cannot be
+    opened, and 2 at a byte read in the block that is not UTF-8, naming its line."""
+    with _exit_4(f"read {path}"):
+        fh = open(path, "r", encoding="utf-8", newline="")
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with _exit_4(f"read {path}"), open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValidationError(f"{path}: line {line}: not valid UTF-8 "
+                                      f"(byte {data[exc.start]:#04x})") from None
+            raise
 
 
 def _load(lines, dtype):
@@ -102,7 +127,7 @@ def _read_csv(path, header: list[str], formats: str, names: list[str] | None = N
     dtype = np.dtype({"names": names or header, "formats": formats.split(",")})
     columns = [(name, dtype[name].base) for name in dtype.names
                for _ in range(int(np.prod(dtype[name].shape)))]
-    with utf8_text(path), _open_read(path) as fh:
+    with _open_text(path) as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: empty file (line 1)")
@@ -172,17 +197,14 @@ def _output(path):
 
     The block writes a temporary file in the same directory, which `os.replace`
     then moves onto `path`; if the block fails, the temporary file is removed and
-    any previous `path` is left as it was.  Temporary files for `path` that a
-    killed writer left behind are removed first.  An OSError exits 4 naming `path`.
+    any previous `path` is left as it was.  `remove_files` first clears temporary
+    files a killed writer left for `path`; other OSErrors exit 4 naming `path`.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
     temporary = os.path.join(folder, f".{name}.{os.getpid()}.tmp")  # see `replaced_name`
     try:
-        for entry in os.listdir(folder or "."):
-            if entry != name and replaced_name(entry) == name:
-                with contextlib.suppress(OSError):  # e.g. already gone
-                    os.remove(os.path.join(folder, entry))
+        remove_files(folder or ".", lambda entry: entry != name and replaced_name(entry) == name)
         try:
             with open(temporary, "w", encoding="utf-8", newline="") as fh:
                 yield fh
@@ -215,12 +237,19 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def remove_files(folder, match: Callable[[str], bool]) -> None:
+    """Remove each file in the directory `folder`, if any, whose name `match` accepts."""
+    with _exit_4(f"read {folder}"):
+        names = os.listdir(folder) if os.path.isdir(folder) else []
+    for path in (os.path.join(folder, name) for name in names if match(name)):
+        with _exit_4(f"remove {path}"):
+            os.remove(path)
+
+
 def ensure_dir(path) -> None:
     """Create the directory `path` and its parents unless it already exists."""
-    try:
+    with _exit_4(f"create output directory {path}"):  # e.g. `path` names an existing file
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:  # e.g. `path` names an existing file
-        raise DataIOError(f"cannot create output directory {path}: {exc}")
 
 
 def _write_chunks(path, header: str, chunks: Iterable[str]) -> None:
@@ -333,10 +362,10 @@ def read_transition(path, graph: RouteGraph) -> TransitionMatrix:
         raise ValidationError(f"{path}: src {ids[exc.row]}: {exc}") from None
 
 
-def write_coefficients(path, graph: RouteGraph, weeks: int, table: CoefficientTable) -> None:
+def write_coefficients(path, graph: RouteGraph, table: CoefficientTable) -> None:
     """One row per (node, slice), node-major; `coefs` is the base64 of the slice's
-    filter values as '<f8' bytes, in filter order."""
-    blocks = table.values.reshape(weeks, graph.n, table.filter_count).transpose(1, 0, 2)
+    filter values as '<f8' bytes, in filter order.  The table's T·N rows give T."""
+    blocks = table.values.reshape(-1, graph.n, table.filter_count).transpose(1, 0, 2)
 
     def node_rows(nid, block) -> str:
         rows = np.ascontiguousarray(block, dtype="<f8")  # the node's (T, M) values
@@ -382,8 +411,8 @@ def read_coefficients(path, graph: RouteGraph, weeks: int,
     return CoefficientTable(values=grid.complete()["values"])
 
 
-def write_classes(path, graph: RouteGraph, weeks: int, phi, labels, theta, scores) -> None:
-    grids = [np.asarray(g, dtype=d)[:, :weeks]
+def write_classes(path, graph: RouteGraph, phi, labels, theta, scores) -> None:
+    grids = [np.asarray(g, dtype=d)
              for g, d in ((phi, float), (labels, int), (theta, float), (scores, int))]
     _write_chunks(path, ",".join(CLASSES_HEADER), (
         "".join(f"{nid},{t},{phi!r},V{label},{theta!r},{score}\n"
@@ -529,7 +558,7 @@ def _read_tensor(path, lines: list[str], k: int) -> tuple[str, np.ndarray]:
 
 
 def load_checkpoint(path) -> GatModel:
-    with utf8_text(path), _open_read(path) as fh:
+    with _open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: line 1: missing {CHECKPOINT_MAGIC} magic header")
@@ -550,30 +579,27 @@ def load_checkpoint(path) -> GatModel:
 
 def content_hash(path) -> str:
     """Git-style blob hash of a file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot hash {path}: {exc}")
+    with _exit_4(f"hash {path}"), open(path, "rb") as fh:
+        data = fh.read()
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+def read_ini(path, what: str) -> dict[str, dict[str, str]]:
+    """The `key = value` pairs of the INI file `path` by section, as text, read literally
+    (keys keep their case, `%` is not interpolated); a bad line exits 2 as an invalid `what`."""
+    parser = configparser.RawConfigParser()
+    parser.optionxform = str
+    with _open_text(path) as fh:
+        try:
+            parser.read_file(fh, source=os.fspath(path))
+        except configparser.Error as exc:
+            raise ValidationError(f"{path}: invalid {what}: {exc}")
+    return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
 def read_manifest(path) -> dict[str, dict[str, str]]:
     """The manifest's `key = value` lines by section, values as text."""
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    with utf8_text(path), _open_read(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                sections.setdefault(current, {})
-            elif "=" in line and current is not None:
-                key, _, value = line.partition("=")
-                sections[current][key.strip()] = value.strip()
-    return sections
+    return read_ini(path, "manifest")
 
 
 def update_manifest(path, section: str, values: dict) -> None:

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by every stage; exit codes match the CLI contract."""
+"""Exception hierarchy shared by every stage; exit codes match the CLI contract.
+
+Only `dataio` touches the file system; it raises these with the file named."""
 
 import dataclasses
 import math
-from contextlib import contextmanager
 
 
 class StgwError(Exception):
@@ -41,20 +42,3 @@ def check_section(name: str, section, positive: tuple[str, ...] = ()) -> None:
         if value <= 0:
             raise ValidationError(f"[{name}] {key} must be positive, got {value}")
 
-
-@contextmanager
-def utf8_text(path):
-    """Turn a UnicodeDecodeError inside the block into a ValidationError naming the
-    first line of `path` that is not UTF-8, found by reading the file again as bytes."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ValidationError(f"{path}: line {line}: not valid UTF-8 "
-                                  f"(byte {data[exc.start]:#04x})") from None
-        raise

@@ -26,8 +26,9 @@ LANCZOS_TOL = 1e-3    # relative accuracy of the Ritz value; the residual covers
 LANCZOS_STEPS = 500   # step cap; a Lanczos still short of LANCZOS_TOL falls back to Gershgorin
 LANCZOS_CHECK = 10    # steps between convergence tests, each an eigh of the small T_m
 EIGEN_FLOOR = -1e-9   # numerical zero floor for Laplacian spectra
-# the characters that XML 1.0 cannot hold, escaped or not; the SVG report writes node names
-NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# the characters a node name may not hold: a line break, which a CSV row cannot hold, and
+# those that XML 1.0 cannot hold, escaped or not, since the SVG report writes node names
+NOT_IN_NAME = re.compile("[\x00-\x08\x0a-\x1f\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -301,16 +302,16 @@ def raise_first(bad, message) -> None:
 
 def check_nodes(nodes: list[NodeRecord], reject) -> None:
     """Population >= 1, each node_id once (its second appearance is the bad record), and
-    no character in a name that XML cannot hold."""
+    no character in a name that a CSV row or XML cannot hold."""
     ids = np.array([rec.node_id for rec in nodes], dtype=np.int64)
     reject(np.array([rec.population for rec in nodes]) < 1, lambda k: "population must be >= 1")
     first = np.zeros(len(ids), dtype=bool)
     first[np.unique(ids, return_index=True)[1]] = True
     reject(~first, lambda k: f"duplicate node_id {ids[k]}")
-    found = [NOT_XML.search(rec.name) for rec in nodes]
+    found = [NOT_IN_NAME.search(rec.name) for rec in nodes]
     reject(np.array([m is not None for m in found], dtype=bool),
-           lambda k: f"name {nodes[k].name!r} holds U+{ord(found[k].group()):04X}, "
-                     "which XML cannot hold")
+           lambda k: f"name {nodes[k].name!r} holds U+{ord(found[k].group()):04X}, which "
+                     f"{'a CSV row' if ord(found[k].group()) in (10, 13) else 'XML'} cannot hold")
 
 
 def check_self_loops(ends: np.ndarray, reject) -> None:

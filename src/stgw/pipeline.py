@@ -14,6 +14,7 @@ stage and again if a stage fails, so no stale mix remains.
 
 from __future__ import annotations
 
+import fnmatch
 import os
 from typing import NamedTuple
 
@@ -183,12 +184,12 @@ def stage_product(cfg: RunConfig) -> dict:
 def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
                     ) -> tuple[list[str], sgwt.CoefficientTable]:
     """Transform P (else transition.csv); write coefficients.csv."""
-    inputs = graph, features = load_inputs(cfg)
+    inputs = graph, _ = load_inputs(cfg)
     dataio.ensure_dir(cfg.io.out)
     transition = transition or dataio.read_transition(_out(cfg, "transition.csv"), graph)
     table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
-    dataio.write_coefficients(coeff_path, graph, features.weeks, table)
+    dataio.write_coefficients(coeff_path, graph, table)
     manifest = _manifest(cfg, "sgwt", facts)
     _manifest(cfg, "inputs", {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
                               for name in ("nodes", "edges", "cases")})
@@ -204,7 +205,7 @@ def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
                                               features.weeks, cfg.sgwt.filters)
     classes, slices, facts = classify(inputs, table)
     classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
-    dataio.write_classes(classes_path, graph, features.weeks, **classes)
+    dataio.write_classes(classes_path, graph, **classes)
     dataio.write_slices(slices_path, *slices)
     manifest = _manifest(cfg, "classify", facts)
     return [classes_path, slices_path, manifest], (classes, slices)
@@ -297,19 +298,14 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
 
 _OUTPUT_NAMES = ("transition.csv", "gat_model.ckpt", "coefficients.csv",
                  "classes.csv", "slices.csv", "rankings.csv", "slices.svg",
-                 "ranking.svg", MANIFEST_NAME)
+                 "ranking.svg", "map_classes_week*.svg", MANIFEST_NAME)
 
 
 def _remove_outputs(cfg: RunConfig) -> None:
     """Drop every pipeline artifact, and every temporary file left for one by a killed
     writer, so a full run, failed or not, leaves no stale mix."""
-    if not os.path.isdir(cfg.io.out):
-        return
-    for name in os.listdir(cfg.io.out):
-        target = dataio.replaced_name(name)
-        if target in _OUTPUT_NAMES or (target.startswith("map_classes_week")
-                                       and target.endswith(".svg")):
-            os.remove(os.path.join(cfg.io.out, name))
+    dataio.remove_files(cfg.io.out, lambda name: any(
+        fnmatch.fnmatchcase(dataio.replaced_name(name), output) for output in _OUTPUT_NAMES))
 
 
 def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,

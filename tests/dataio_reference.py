@@ -18,7 +18,7 @@ import numpy as np
 
 from stgw.dataio import (CASES_HEADER, CHECKPOINT_MAGIC, CLASSES_HEADER, COEFFS_HEADER,
                          EDGES_HEADER, NODES_HEADER, RANKINGS_HEADER, SLICE_LABELS,
-                         SLICES_HEADER, TRANSITION_HEADER, _open_read, fnum, write_csv)
+                         SLICES_HEADER, TRANSITION_HEADER, fnum, write_csv)
 from stgw.errors import ValidationError
 from stgw.graphs import CaseMatrix, NodeRecord, RouteGraph, TransitionMatrix
 from stgw.sgwt import CoefficientTable
@@ -72,7 +72,7 @@ def save_checkpoint(path, model):
 
 
 def _reader(path, expected_header):
-    fh = _open_read(path)
+    fh = open(path, "r", encoding="utf-8", newline="")
     rows = csv.reader(fh)
     try:
         header = next(rows)

@@ -115,7 +115,7 @@ class TestRoundTrips:
         g = path_graph(4)
         table = CoefficientTable(values=rng.standard_normal((4 * 3, 8)))
         path = tmp_path / "coefficients.csv"
-        dataio.write_coefficients(path, g, 3, table)
+        dataio.write_coefficients(path, g, table)
         back = dataio.read_coefficients(path, g, 3, 8)
         assert np.array_equal(back.values, table.values)
 
@@ -126,7 +126,7 @@ class TestRoundTrips:
         g, weeks = path_graph(3), 2
         values = np.array([np.roll(edge, k) for k in range(g.n * weeks)])
         path = tmp_path / "coefficients.csv"
-        dataio.write_coefficients(path, g, weeks, CoefficientTable(values=values))
+        dataio.write_coefficients(path, g, CoefficientTable(values=values))
         header, *rows = path.read_text().splitlines()
         assert header == "vertex_id,slice,coefs"
         # node-major rows; vertex i at slice t holds table row (t - 1)·N + i
@@ -144,7 +144,7 @@ class TestRoundTrips:
         theta = rng.uniform(0, 3, size=(3, weeks))
         scores = a_score(labels, theta)  # the reader requires the grades of class and theta
         cpath = tmp_path / "classes.csv"
-        dataio.write_classes(cpath, g, weeks, phi, labels, theta, scores)
+        dataio.write_classes(cpath, g, phi, labels, theta, scores)
         data = dataio.read_classes(cpath, g, weeks)
         assert np.array_equal(data["phi"], phi)
         assert np.array_equal(data["labels"], labels)
@@ -203,7 +203,7 @@ class TestChunkedWritersMatchReference:
         g = shuffled_id_graph(rng)
         weeks = 4
         table = CoefficientTable(values=awkward((weeks * g.n, 8), rng))
-        dataio.write_coefficients(tmp_path / "new.csv", g, weeks, table)
+        dataio.write_coefficients(tmp_path / "new.csv", g, table)
         reference.write_coefficients(tmp_path / "ref.csv", g, weeks, table)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -215,9 +215,9 @@ class TestChunkedWritersMatchReference:
         labels = rng.integers(1, 6, size=(weeks, g.n)).T
         theta = np.abs(awkward((g.n, weeks), rng))
         scores = rng.integers(0, 5, size=(g.n, weeks))
-        args = (g, weeks, phi, labels, theta, scores)
-        dataio.write_classes(tmp_path / "new.csv", *args)
-        reference.write_classes(tmp_path / "ref.csv", *args)
+        grids = (phi, labels, theta, scores)
+        dataio.write_classes(tmp_path / "new.csv", g, *grids)
+        reference.write_classes(tmp_path / "ref.csv", g, weeks, *grids)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_transition(self, tmp_path, rng):
@@ -327,7 +327,7 @@ class TestReadersMatchReference:
     def test_coefficients(self, tmp_path, rng, graph):
         weeks = 4
         path = tmp_path / "coefficients.csv"
-        dataio.write_coefficients(path, graph, weeks,
+        dataio.write_coefficients(path, graph,
                                   CoefficientTable(values=awkward((weeks * graph.n, 8), rng)))
         awkward_rows(path, rng)
         same_array(dataio.read_coefficients(path, graph, weeks, 8).values,
@@ -339,7 +339,7 @@ class TestReadersMatchReference:
         # a_scores graded from class and theta, as the reader requires
         labels = rng.integers(1, 6, size=(graph.n, weeks))
         theta = np.abs(awkward((graph.n, weeks), rng))
-        dataio.write_classes(path, graph, weeks, awkward((graph.n, weeks), rng),
+        dataio.write_classes(path, graph, awkward((graph.n, weeks), rng),
                              labels, theta, a_score(labels, theta))
         awkward_rows(path, rng)
         new, ref = dataio.read_classes(path, graph, weeks), reference.read_classes(path, graph, weeks)
@@ -383,7 +383,7 @@ class TestReadersMatchReference:
         monkeypatch.setattr(dataio, "CHUNK_ROWS", 32)
         g, weeks, filters = path_graph(16), 64, 32
         path = tmp_path / "coefficients.csv"
-        dataio.write_coefficients(path, g, weeks, CoefficientTable(
+        dataio.write_coefficients(path, g, CoefficientTable(
             values=rng.standard_normal((g.n * weeks, filters))))
         tracemalloc.start()
         try:
@@ -404,7 +404,7 @@ class TestReadersMatchReference:
         # at 3.59 MB
         g, weeks = path_graph(400), 104
         path = tmp_path / "coefficients.csv"
-        dataio.write_coefficients(path, g, weeks, CoefficientTable(
+        dataio.write_coefficients(path, g, CoefficientTable(
             values=np.random.default_rng(0).standard_normal((g.n * weeks, 8))))
         tracemalloc.start()
         try:
@@ -530,6 +530,14 @@ class TestAtomicWrites:
             (tmp_path / name).write_text("left behind\n")
         dataio.write_text(tmp_path / "slices.svg", "<svg/>\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["slices.svg"])
+
+    def test_stale_temporary_that_cannot_be_removed(self, tmp_path):
+        stale = tmp_path / ".slices.svg.1.tmp"
+        stale.mkdir()
+        with pytest.raises(DataIOError) as info:
+            dataio.write_text(tmp_path / "slices.svg", "<svg/>\n")
+        assert str(info.value) == f"cannot remove {stale}: [Errno 21] Is a directory: '{stale}'"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".slices.svg.1.tmp"]
 
     def test_directory_in_the_way(self, tmp_path):
         path = tmp_path / "slices.svg"

@@ -96,6 +96,15 @@ RULE_FAULTS = [  # rule, nodes, edges, file and line of the bad record, wording
 
 
 class TestInputRules:
+    @pytest.mark.parametrize("char", ["\n", "\r"])
+    def test_name_with_a_line_break(self, char):
+        # `write_nodes` would quote the name across two lines, which `read_nodes` rejects
+        nodes = RULE_NODES[:2] + [NodeRecord(3, f"Gam{char}ma", 42.2, -72.2, 1500)]
+        with pytest.raises(ValidationError) as info:
+            build_route_graph(nodes, RULE_EDGES)
+        assert str(info.value) == (f"name {'Gam' + char + 'ma'!r} holds U+{ord(char):04X}, "
+                                   "which a CSV row cannot hold")
+
     @pytest.mark.parametrize("nodes,edges,name,line,wording", [fault[1:] for fault in RULE_FAULTS],
                              ids=[fault[0] for fault in RULE_FAULTS])
     def test_library_and_files_share_wording(self, tmp_path, nodes, edges, name, line, wording):

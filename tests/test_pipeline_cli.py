@@ -119,6 +119,17 @@ class TestConfig:
         assert main(["build-graph", "--config", str(path)]) == 4
         assert capsys.readouterr().err == f"error: config file not found: {path}\n"
 
+    def test_config_naming_a_directory_exit_4(self, tmp_path, capsys):
+        assert main(["build-graph", "--config", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (f"error: cannot read {tmp_path}: "
+                                           f"[Errno 21] Is a directory: '{tmp_path}'\n")
+
+    @pytest.mark.parametrize("value", ["out%1", "out%%1", "%(here)s/out"])
+    def test_values_are_read_literally(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[io]\nout = {value}\n")
+        assert load_config(str(path)).io.out == value
+
     def test_library_and_file_share_one_check(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[gat]\nlr = 0\n")
@@ -554,6 +565,26 @@ class TestCli:
         assert f"cannot create output directory {taken}" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
+    def test_out_holding_a_directory_named_as_an_output_exit_4_untrained(
+            self, finished_run, tmp_path, capsys):
+        # `stgw run` cannot clear the old output set, so it stops before training
+        cfg_path = staged_copy(finished_run, tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        blocked = tmp_path / "out" / "classes.csv"
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err == (f"error: cannot remove {blocked}: "
+                                           f"[Errno 21] Is a directory: '{blocked}'\n")
+        assert os.listdir(tmp_path / "out") == ["classes.csv"]
+
+    def test_out_with_a_percent_sign(self, finished_run, tmp_path):
+        # config values are literal: the outputs land in `out%1`, the same as the run's
+        cfg_path = staged_copy(finished_run, tmp_path)
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace(f"out = {tmp_path}/out\n", f"out = {tmp_path}/out%1\n"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert read_out(tmp_path, "out%1") == read_out(finished_run)
+
     def test_unwritable_svg_exit_4(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
         blocked = tmp_path / "out" / "slices.svg"
@@ -903,6 +934,17 @@ class TestBadInputExit2:
         path.write_text(re.sub(pattern, replacement, text, count=1))
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_manifest_line_that_does_not_parse_exit_2(self, finished_run, tmp_path, capsys):
+        cfg_path = staged_copy(finished_run, tmp_path)
+        path = tmp_path / "out" / "run-manifest.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(2, "not a key value line\n")
+        path.write_text("".join(lines))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid manifest: Source contains parsing errors: '{path}'\n"
+            "\t[line  3]: 'not a key value line\\n'\n")
 
     def test_name_that_xml_cannot_hold(self, finished_run, tmp_path, capsys):
         cfg_path = staged_copy(finished_run, tmp_path)
