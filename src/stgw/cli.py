@@ -42,6 +42,12 @@ def _load(args) -> "pipeline.RunConfig":
     return cfg
 
 
+def run_stage(cfg: "pipeline.RunConfig", stage, *args) -> list[str]:
+    """A staged command: run the stage edge, then merge its sections into the manifest."""
+    paths, _, sections = stage(cfg, *args)
+    return paths + [pipeline.write_manifest(cfg, sections)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stgw",
@@ -107,11 +113,11 @@ def main(argv=None) -> int:
 
         cfg = _load(args)
         writers = {
-            "train": lambda: pipeline.stage_train(cfg)[0],
-            "transform": lambda: pipeline.stage_transform(cfg)[0],
-            "classify": lambda: pipeline.stage_classify(cfg)[0],
-            "rank": lambda: pipeline.stage_rank(cfg, _parse_weeks(args.weeks))[0],
-            "report": lambda: pipeline.stage_report(cfg, args.mask, args.week)[0],
+            "train": lambda: run_stage(cfg, pipeline.stage_train),
+            "transform": lambda: run_stage(cfg, pipeline.stage_transform),
+            "classify": lambda: run_stage(cfg, pipeline.stage_classify),
+            "rank": lambda: run_stage(cfg, pipeline.stage_rank, _parse_weeks(args.weeks)),
+            "report": lambda: run_stage(cfg, pipeline.stage_report, args.mask, args.week),
             "run": lambda: pipeline.run_pipeline(cfg, _parse_weeks(args.weeks), args.mask,
                                                  args.week),
         }

@@ -587,7 +587,8 @@ def content_hash(path) -> str:
 def read_ini(path, what: str) -> dict[str, dict[str, str]]:
     """The `key = value` pairs of the INI file `path` by section, as text, read literally
     (keys keep their case, `%` is not interpolated); a bad line exits 2 as an invalid `what`."""
-    parser = configparser.RawConfigParser()
+    # no header can name "": [DEFAULT] is a section like any other
+    parser = configparser.RawConfigParser(default_section="")
     parser.optionxform = str
     with _open_text(path) as fh:
         try:
@@ -602,10 +603,11 @@ def read_manifest(path) -> dict[str, dict[str, str]]:
     return read_ini(path, "manifest")
 
 
-def update_manifest(path, section: str, values: dict) -> None:
-    """Merge one section into the manifest, keeping sections and keys sorted."""
+def update_manifest(path, updates: dict[str, dict]) -> None:
+    """Merge sections into the manifest in one write, keeping sections and keys sorted."""
     sections = read_manifest(path) if os.path.exists(path) else {}
-    sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
+    for section, values in updates.items():
+        sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
     with _output(path) as fh:
         for name in sorted(sections):
             fh.write(f"[{name}]\n")

@@ -3,10 +3,11 @@
 `train`, `transform`, `classify`, `rank` and `render` take the `Inputs`, their
 upstream results and their config section or flags, if any, and return their
 result and its manifest facts without touching a file.  The facts are plain values; the
-manifest edge formats them, a float as its shortest round-trip repr.  Each
+manifest writer formats them, a float as its shortest round-trip repr.  Each
 `stage_*` edge reads the inputs, takes the upstream result as an argument or
-else reads its CSV, and writes its files and its manifest section (the
-section's resolved config plus the facts), atomically.  A staged command thus
+else reads its CSV, writes its files atomically, and returns their paths, its
+result and its manifest sections, which `write_manifest` merges over the resolved
+config in one write per command.  A staged command thus
 replays any stage with the same output bytes as a full run, which parses
 nothing back; a full run clears the pipeline's output files before its first
 stage and again if a stage fails, so no stale mix remains.
@@ -50,10 +51,12 @@ def _check_weeks(weeks: tuple[int, int] | None = None, week: int | None = None,
         cl.check_window(week, week, t)
 
 
-def _manifest(cfg: RunConfig, section: str, facts: dict) -> str:
-    """Write a stage's facts over the section's resolved config, if it has one."""
-    path = _out(cfg, MANIFEST_NAME)
-    dataio.update_manifest(path, section, {**cfg.resolved().get(section, {}), **facts})
+def write_manifest(cfg: RunConfig, sections: dict[str, dict]) -> str:
+    """Merge each section's facts, over its resolved config if it has one, into the
+    manifest in one write; returns the manifest's path."""
+    path, resolved = _out(cfg, MANIFEST_NAME), cfg.resolved()
+    dataio.update_manifest(path, {name: {**resolved.get(name, {}), **facts}
+                                  for name, facts in sections.items()})
     return path
 
 
@@ -153,8 +156,8 @@ def render(inputs: Inputs, classes: dict, slices: tuple, rankings: dict, mask: b
 
 
 def stage_train(cfg: RunConfig, weeks: tuple[int, int] | None = None,
-                week: int | None = None) -> tuple[list[str], TransitionMatrix]:
-    """Train; write transition.csv and the checkpoint. Returns the paths written and P.
+                week: int | None = None) -> tuple[list[str], TransitionMatrix, dict]:
+    """Train; write transition.csv and the checkpoint. Returns the paths, P and sections.
 
     `weeks` and `week` are a full run's ranking window and report week: checked here
     against T, so a run that cannot finish stops before training."""
@@ -164,8 +167,7 @@ def stage_train(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     transition_path, ckpt_path = _out(cfg, "transition.csv"), _out(cfg, "gat_model.ckpt")
     dataio.write_transition(transition_path, inputs.graph, transition)
     dataio.save_checkpoint(ckpt_path, trained)
-    manifest = _manifest(cfg, "gat", facts)
-    return [transition_path, ckpt_path, manifest], transition
+    return [transition_path, ckpt_path], transition, {"gat": facts}
 
 
 def stage_product(cfg: RunConfig) -> dict:
@@ -182,7 +184,7 @@ def stage_product(cfg: RunConfig) -> dict:
 
 
 def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
-                    ) -> tuple[list[str], sgwt.CoefficientTable]:
+                    ) -> tuple[list[str], sgwt.CoefficientTable, dict]:
     """Transform P (else transition.csv); write coefficients.csv."""
     inputs = graph, _ = load_inputs(cfg)
     dataio.ensure_dir(cfg.io.out)
@@ -190,14 +192,13 @@ def stage_transform(cfg: RunConfig, transition: TransitionMatrix | None = None
     table, facts = transform(inputs, transition, cfg.sgwt)
     coeff_path = _out(cfg, "coefficients.csv")
     dataio.write_coefficients(coeff_path, graph, table)
-    manifest = _manifest(cfg, "sgwt", facts)
-    _manifest(cfg, "inputs", {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
-                              for name in ("nodes", "edges", "cases")})
-    return [coeff_path, manifest], table
+    hashes = {f"{name}_hash": dataio.content_hash(getattr(cfg.io, name))
+              for name in ("nodes", "edges", "cases")}
+    return [coeff_path], table, {"sgwt": facts, "inputs": hashes}
 
 
 def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
-                   ) -> tuple[list[str], tuple[dict, tuple]]:
+                   ) -> tuple[list[str], tuple[dict, tuple], dict]:
     """Classify the coefficients (else coefficients.csv); write classes.csv, slices.csv."""
     inputs = graph, features = load_inputs(cfg)
     dataio.ensure_dir(cfg.io.out)
@@ -207,13 +208,12 @@ def stage_classify(cfg: RunConfig, table: sgwt.CoefficientTable | None = None
     classes_path, slices_path = _out(cfg, "classes.csv"), _out(cfg, "slices.csv")
     dataio.write_classes(classes_path, graph, **classes)
     dataio.write_slices(slices_path, *slices)
-    manifest = _manifest(cfg, "classify", facts)
-    return [classes_path, slices_path, manifest], (classes, slices)
+    return [classes_path, slices_path], (classes, slices), {"classify": facts}
 
 
 def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                classes: dict | None = None, transition: TransitionMatrix | None = None
-               ) -> tuple[list[str], dict]:
+               ) -> tuple[list[str], dict, dict]:
     """Rank from the classes and P (else their CSVs); write rankings.csv."""
     inputs = graph, _ = load_inputs(cfg, weeks)
     dataio.ensure_dir(cfg.io.out)
@@ -222,7 +222,7 @@ def stage_rank(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     rankings, facts = rank(inputs, classes["scores"], transition, weeks)
     rankings_path = _out(cfg, "rankings.csv")
     dataio.write_rankings(rankings_path, graph, **rankings)
-    return [rankings_path, _manifest(cfg, "rank", facts)], rankings
+    return [rankings_path], rankings, {"rank": facts}
 
 
 def _read_classes(cfg: RunConfig, inputs: Inputs) -> dict:
@@ -266,12 +266,12 @@ def _read_slices(path: str, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _read_rankings(cfg: RunConfig, graph: RouteGraph, scores: np.ndarray) -> dict:
-    """rankings.csv, whose a_bar must be the mean of `scores` over the [rank] window
-    that `stage_rank` wrote to the manifest."""
+    """rankings.csv, whose a_bar must be the mean of `scores` over the manifest's [rank]
+    window, in ASCII decimal digits."""
     path = _out(cfg, MANIFEST_NAME)
     window = dataio.read_manifest(path).get("rank", {})
     lo, hi = window.get("week_lo", ""), window.get("week_hi", "")
-    if not (lo.isdigit() and hi.isdigit()):
+    if not all(v.isascii() and v.isdigit() for v in (lo, hi)):
         raise ValidationError(f"{path}: no [rank] week_lo and week_hi to average a_bar over")
     try:
         a_bar = cl.average_a_score(scores, (int(lo), int(hi)))
@@ -282,7 +282,7 @@ def _read_rankings(cfg: RunConfig, graph: RouteGraph, scores: np.ndarray) -> dic
 
 def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
                  classes: dict | None = None, slices: tuple | None = None,
-                 rankings: dict | None = None) -> tuple[list[str], dict[str, str]]:
+                 rankings: dict | None = None) -> tuple[list[str], dict[str, str], dict]:
     """Render the classes, slices and rankings (else their CSVs); write the SVGs."""
     inputs = graph, _ = load_inputs(cfg, week=week)
     dataio.ensure_dir(cfg.io.out)
@@ -293,7 +293,7 @@ def stage_report(cfg: RunConfig, mask: bool = False, week: int | None = None,
     written = [_out(cfg, name) for name in svgs]
     for path, svg in zip(written, svgs.values()):
         dataio.write_text(path, svg)
-    return written + [_manifest(cfg, "report", facts)], svgs
+    return written, svgs, {"report": facts}
 
 
 _OUTPUT_NAMES = ("transition.csv", "gat_model.ckpt", "coefficients.csv",
@@ -312,7 +312,8 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
                  mask: bool = False, week: int | None = None) -> list[str]:
     """Full run: train -> transform -> classify -> rank -> report.
 
-    Each stage's result is handed to the next stage as an argument.  The run
+    Each stage's result is handed to the next stage as an argument, and the report
+    stage ends with the run's one manifest write, of every stage's sections.  The run
     replaces the whole output set: the pipeline's output files are removed before
     the first stage, and again if a stage fails, which re-raises with the stage name
     attached.  A week window or report week that no series can hold fails before
@@ -321,10 +322,14 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     _check_weeks(weeks, week)
     _remove_outputs(cfg)
     written: list[str] = []
+    sections: dict[str, dict] = {}
 
     def run(name, stage, *args):
         try:
-            paths, result = stage(cfg, *args)
+            paths, result, stage_sections = stage(cfg, *args)
+            sections.update(stage_sections)
+            if name == "report":  # the last stage
+                paths.append(write_manifest(cfg, sections))
         except Exception as exc:
             _remove_outputs(cfg)
             if isinstance(exc, StgwError):
@@ -339,4 +344,4 @@ def run_pipeline(cfg: RunConfig, weeks: tuple[int, int] | None = None,
     classes, slices = run("classify", stage_classify, table)
     rankings = run("rank", stage_rank, weeks, classes, transition)
     run("report", stage_report, mask, week, classes, slices, rankings)
-    return list(dict.fromkeys(written))  # every stage updates the manifest
+    return written

@@ -459,9 +459,8 @@ class TestCheckpoint:
 class TestManifestAndHash:
     def test_merge_sections_sorted(self, tmp_path):
         path = tmp_path / "run-manifest.txt"
-        dataio.update_manifest(path, "zeta", {"b": 2, "a": 1})
-        dataio.update_manifest(path, "alpha", {"x": "y"})
-        dataio.update_manifest(path, "zeta", {"c": 3})
+        dataio.update_manifest(path, {"zeta": {"b": 2, "a": 1}})
+        dataio.update_manifest(path, {"alpha": {"x": "y"}, "zeta": {"c": 3}})
         text = path.read_text()
         assert text.index("[alpha]") < text.index("[zeta]")
         z = text[text.index("[zeta]"):]
@@ -469,16 +468,16 @@ class TestManifestAndHash:
 
     def test_idempotent_rewrite(self, tmp_path):
         path = tmp_path / "run-manifest.txt"
-        dataio.update_manifest(path, "s", {"k": "v"})
+        dataio.update_manifest(path, {"s": {"k": "v"}})
         first = path.read_bytes()
-        dataio.update_manifest(path, "s", {"k": "v"})
+        dataio.update_manifest(path, {"s": {"k": "v"}})
         assert path.read_bytes() == first
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "run-manifest.txt"
         path.write_bytes(b"[s]\nk = v\nname = caf\xe9\n")
         with pytest.raises(ValidationError) as info:
-            dataio.update_manifest(path, "s", {"k": "w"})
+            dataio.update_manifest(path, {"s": {"k": "w"}})
         assert str(info.value) == f"{path}: line 3: not valid UTF-8 (byte 0xe9)"
 
     def test_git_blob_hash(self, tmp_path):

@@ -15,9 +15,9 @@ import pytest
 
 from stgw import classify as cl
 from stgw import dataio, gat
-from stgw.cli import main
+from stgw.cli import main, run_stage
 from stgw.config import IoSection, RunConfig, load_config
-from stgw.errors import NumericError, ValidationError
+from stgw.errors import DataIOError, NumericError, ValidationError
 from stgw.gat import TrainConfig
 from stgw.graphs import TransitionMatrix, normalize_cases
 from stgw.pipeline import (Inputs, classify, load_inputs, rank, render, run_pipeline,
@@ -105,6 +105,7 @@ class TestConfig:
          "unknown config key 'quad_points' in [sgwt]"),
         ("[classify]\ntheta_hi = -1.0\n", "unknown config section [classify]"),
         ("[bogus]\nheads = 3\n", "unknown config section [bogus]"),
+        ("[DEFAULT]\nheads = 3\n[gat]\nseed = 1\n", "unknown config section [DEFAULT]"),
         ('{"sgwt": {"cheb_order": 25}}', "invalid config: File contains no section headers."),
         ("heads = 3\n", "invalid config: File contains no section headers."),
     ])
@@ -184,11 +185,9 @@ class TestPipeline:
         run_pipeline(small_cfg(tmp_path, "together"))
         cfg = small_cfg(tmp_path, "staged")
         os.makedirs(cfg.io.out)
-        stage_train(cfg)
-        stage_transform(cfg)
-        stage_classify(cfg)
-        stage_rank(cfg)
-        stage_report(cfg)
+        for stage in (stage_train, stage_transform, stage_classify, stage_rank,
+                      stage_report):
+            run_stage(cfg, stage)
         assert read_out(tmp_path, "together") == read_out(tmp_path, "staged")
 
     def test_run_passes_results_in_memory(self, tmp_path, monkeypatch):
@@ -197,15 +196,37 @@ class TestPipeline:
         os.makedirs(cfg.io.out)
         for stage in (stage_train, stage_transform, stage_classify, stage_rank,
                       stage_report):
-            stage(cfg)
+            run_stage(cfg, stage)
 
         def refuse(path, *args):
             raise AssertionError(f"run parsed back {path}")
         for reader in ("read_transition", "read_coefficients", "read_classes",
-                       "read_slices", "read_rankings"):
+                       "read_slices", "read_rankings", "read_manifest"):
             monkeypatch.setattr(dataio, reader, refuse)
         run_pipeline(small_cfg(tmp_path, "together"))
         assert read_out(tmp_path, "together") == read_out(tmp_path, "staged")
+
+    def test_one_manifest_write_per_command(self, tmp_path, monkeypatch):
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path)
+        writes, update = [], dataio.update_manifest
+
+        def spy(path, sections):
+            writes.append(sorted(sections))
+            update(path, sections)
+        monkeypatch.setattr(dataio, "update_manifest", spy)
+        run_pipeline(cfg)
+        assert writes == [["classify", "gat", "inputs", "rank", "report", "sgwt"]]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[io]\nnodes = {cfg.io.nodes}\nedges = {cfg.io.edges}\n"
+                          f"cases = {cfg.io.cases}\nout = {cfg.io.out}\n"
+                          "[gat]\nheads = 2\nhidden = 8\nout = 6\nmax_epochs = 20\n")
+        for command, sections in (("train", ["gat"]), ("transform", ["inputs", "sgwt"]),
+                                  ("classify", ["classify"]), ("rank", ["rank"]),
+                                  ("report", ["report"])):
+            writes.clear()
+            assert main([command, "--config", str(config)]) == 0
+            assert writes == [sections]
 
     def test_manifest_covers_all_tunables(self, tmp_path):
         write_small_dataset(tmp_path)
@@ -258,6 +279,19 @@ class TestPipeline:
         with pytest.raises(Exception, match="stage classify"):
             run_pipeline(cfg)
         assert sorted(os.listdir(cfg.io.out)) == sorted(unrelated)
+
+    def test_failed_manifest_write_is_the_report_stages(self, tmp_path, monkeypatch):
+        # the run's one manifest write follows the last stage and fails as part of it
+        write_small_dataset(tmp_path)
+        cfg = small_cfg(tmp_path)
+
+        def refuse(path, sections):
+            raise DataIOError(f"cannot write {path}")
+        monkeypatch.setattr(dataio, "update_manifest", refuse)
+        with pytest.raises(DataIOError) as info:
+            run_pipeline(cfg)
+        assert str(info.value) == f"stage report: cannot write {cfg.io.out}/run-manifest.txt"
+        assert os.listdir(cfg.io.out) == []
 
     def test_other_exception_in_a_stage_exit_1(self, tmp_path, capsys, monkeypatch):
         # an exception that is not an StgwError leaves the stage as one, with exit 1
@@ -925,7 +959,12 @@ class TestBadInputExit2:
     @pytest.mark.parametrize("pattern,replacement,message", [
         (r"\[rank\]\n(.+\n)*\n", "", "no [rank] week_lo and week_hi to average a_bar over"),
         (r"week_hi = \d+", "week_hi = 99", "[rank] week window 1..99 outside 1..4"),
-    ], ids=["no_rank_section", "window_past_the_series"])
+        (r"week_lo = \d+", "week_lo = \u00b2",
+         "no [rank] week_lo and week_hi to average a_bar over"),
+        (r"week_lo = \d+", "week_lo = \u0661",
+         "no [rank] week_lo and week_hi to average a_bar over"),
+    ], ids=["no_rank_section", "window_past_the_series", "superscript_digit",
+            "arabic_indic_digit"])
     def test_manifest_rank_window_exit_2(self, finished_run, tmp_path, capsys, pattern,
                                          replacement, message):
         cfg_path = staged_copy(finished_run, tmp_path)
